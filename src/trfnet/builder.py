@@ -217,13 +217,28 @@ class FinetuneHyper:
             raise ValueError("epochs, batch_size, and patience must be >= 1")
 
 
-def _check_labels(d: Dataset, mode: str, what: str):
+def _check_labels(d: Dataset, head: nn.DenseLayer, mode: str, what: str):
+    """Labels must fit the head: class indices below its width, or one
+    0/1/-1 (missing) column per task."""
     if d.labels is None:
         raise ValueError(f"{what}: labeled data required")
-    if mode == SOFTMAX and d.labels.ndim != 1:
-        raise ValueError(f"{what}: softmax head needs a 1-D label vector")
-    if mode == MULTITASK and d.labels.ndim != 2:
-        raise ValueError(f"{what}: multitask head needs an N x C label matrix")
+    width = head.out_count
+    if mode == SOFTMAX:
+        if d.labels.ndim != 1:
+            raise ValueError(f"{what}: softmax head needs a 1-D label vector")
+        bad = (d.labels < 0) | (d.labels >= width)
+        if bad.any():
+            raise ValueError(f"{what}: label {int(d.labels[bad][0])} is outside the {width} classes of the head")
+    elif mode == MULTITASK:
+        if d.labels.ndim != 2:
+            raise ValueError(f"{what}: multitask head needs an N x C label matrix")
+        if d.labels.shape[1] != width:
+            raise ValueError(f"{what}: {d.labels.shape[1]} label columns for a {width}-task multitask head")
+        bad = ~np.isin(d.labels, (-1, 0, 1))
+        if bad.any():
+            raise ValueError(f"{what}: multitask label {int(d.labels[bad][0])} is not 0, 1 or -1 (missing)")
+    else:
+        raise ValueError(f"unknown head mode {mode!r}")
 
 
 def _named_params(net: TrfNetwork):
@@ -274,9 +289,9 @@ def finetune(
     """
     if net.head is None:
         raise ValueError("attach a head before finetuning")
-    _check_labels(train, net.head_mode, "train")
+    _check_labels(train, net.head, net.head_mode, "train")
     if valid is not None:
-        _check_labels(valid, net.head_mode, "valid")
+        _check_labels(valid, net.head, net.head_mode, "valid")
     t0 = time.perf_counter()
     rng = np.random.default_rng(hyper.seed)
     for layer in net.layers:
@@ -376,7 +391,7 @@ def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
     """Accuracy (softmax) or per-task AUCs (multitask) plus size metrics."""
     if net.head is None:
         raise ValueError("attach a head before evaluating")
-    _check_labels(test, net.head_mode, "test")
+    _check_labels(test, net.head, net.head_mode, "test")
     t0 = time.perf_counter()
     logits = _logits(net, test.values)
     if net.head_mode == SOFTMAX:
@@ -481,11 +496,17 @@ def _config_lines(cfg: BuildConfig) -> list[str]:
     ]
 
 
+_CONFIG_KEYS = ("radius", "stride", "depth", "global_fraction", "policy", "dae", "corruption", "seed")
+
+
 def _parse_config(lines: list[str]) -> BuildConfig:
     vals: dict[str, str] = {}
     for ln in lines:
         key, _, rest = ln.partition(" ")
         vals[key] = rest
+    missing = [k for k in _CONFIG_KEYS if k not in vals]
+    if missing:
+        raise ModelFormatError(f"config section lacks {', '.join(missing)}")
     pol_parts = vals["policy"].split(" ")
     policy = DiscretizationPolicy(
         pol_parts[0], float(pol_parts[1]) if len(pol_parts) > 1 else None
@@ -584,6 +605,8 @@ def load(path) -> TrfNetwork:
         if rd.next() != MODEL_MAGIC:
             raise ModelFormatError("not a model file, or unsupported version")
         head_mode = rd.next("head_mode ").split(" ")[1]
+        if head_mode not in (SOFTMAX, MULTITASK):
+            raise ModelFormatError(f"unknown head mode {head_mode!r}")
         first = rd.next()
         config = None
         if first == "config begin":
@@ -601,6 +624,7 @@ def load(path) -> TrfNetwork:
         for k in range(n_layers):
             parts = rd.next(f"layer {k} ").split(" ")
             h, v, activation = int(parts[2]), int(parts[3]), parts[4]
+            nn.activation_fn(activation)  # an unknown name raises ValueError
             plan_ln = rd.next("plan")
             if plan_ln == "plan none":
                 plan = None
@@ -647,6 +671,7 @@ def load(path) -> TrfNetwork:
         head = None
         if head_ln != "head none":
             _, o_s, i_s, act = head_ln.split(" ")
+            nn.activation_fn(act)
             o, i_w = int(o_s), int(i_s)
             hw = np.zeros((o, i_w), dtype=np.float64)
             for r in range(o):

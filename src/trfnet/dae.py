@@ -10,7 +10,7 @@ layer's structure learning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,8 +147,3 @@ def project(m: TwoLayerModel, d: Dataset) -> tuple[Dataset, BinaryDataset]:
     pre = nn.encoder_preactivation(m.layer, d.values)
     probs = Dataset(nn.sigmoid(pre), feature_names=None, labels=d.labels)
     return probs, discretize(probs, DiscretizationPolicy.fixed(0.5))
-
-
-def derive_hyper(h: DaeHyper, seed: int) -> DaeHyper:
-    """The same hyperparameters with a different seed."""
-    return replace(h, seed=seed)

@@ -220,9 +220,19 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy of integer labels; returns (loss, dlogits)."""
+    """Mean cross-entropy of integer labels; returns (loss, dlogits).
+
+    Every label must be a class index in [0, C) for C logit columns.
+    """
     z = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels)
+    if y.shape != (z.shape[0],):
+        raise ValueError(f"expected {z.shape[0]} labels, got shape {y.shape}")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"class labels must be integers, got dtype {y.dtype}")
+    bad = (y < 0) | (y >= z.shape[1])
+    if bad.any():
+        raise ValueError(f"label {int(y[bad][0])} is outside the {z.shape[1]} classes")
     shifted = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_norm

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyStructureError
-from .tree import ChowLiuTree, hop_distances
+from .tree import ChowLiuTree
 
 
 @dataclass(frozen=True)
@@ -80,30 +80,67 @@ class ConnectivityMask:
         return float(self.a.sum()) / self.a.size
 
 
-def select_centers(t: ChowLiuTree, s: int, seed: int) -> list[int]:
-    """Greedy stride-s center choice; deterministic given (tree, s, seed)."""
+def _ball(adj: list[list[int]], center: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes within depth hops of center and their hop distances, in BFS order."""
+    nodes, dists = [center], [0]
+    seen = {center}
+    frontier = [center]
+    for d in range(1, depth + 1):
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        if not nxt:
+            break
+        nodes.extend(nxt)
+        dists.extend([d] * len(nxt))
+        frontier = nxt
+    return np.array(nodes, dtype=np.int64), np.array(dists, dtype=np.int64)
+
+
+def _cover(adj: list[list[int]], s: int, seed: int, depth: int):
+    """Greedy stride-s centers, each with its ball of radius depth >= s.
+
+    The distance to the nearest chosen center is tracked only up to depth
+    hops and reads depth + 1 beyond; "exactly s hops" needs no more.
+    Returns the centers, per center its ball as (nodes, distances), and per
+    node the index of its nearest center, ties to the earliest (meaningful
+    where that distance is at most depth).
+    """
     if s < 1:
         raise ValueError(f"stride must be >= 1, got {s}")
     rng = np.random.default_rng(seed)
-    first = int(rng.integers(t.node_count))
-    centers = [first]
-    min_dist = hop_distances(t, first)
+    c = int(rng.integers(len(adj)))
+    min_dist = np.full(len(adj), depth + 1, dtype=np.int64)
+    owner = np.zeros(len(adj), dtype=np.int64)
+    centers, balls = [], []
     while True:
+        nodes, dists = _ball(adj, c, depth)
+        closer = dists < min_dist[nodes]
+        min_dist[nodes[closer]] = dists[closer]
+        owner[nodes[closer]] = len(centers)
+        centers.append(c)
+        balls.append((nodes, dists))
         candidates = np.flatnonzero(min_dist == s)
         if candidates.size == 0:
-            break
+            return centers, balls, owner
         c = int(candidates[0])
-        centers.append(c)
-        np.minimum(min_dist, hop_distances(t, c), out=min_dist)
-    return centers
+
+
+def select_centers(t: ChowLiuTree, s: int, seed: int) -> list[int]:
+    """Greedy stride-s center choice; deterministic given (tree, s, seed)."""
+    return _cover(t.adjacency(), s, seed, depth=s)[0]
 
 
 def extract_field(t: ChowLiuTree, center: int, r: int) -> tuple[int, ...]:
     """All nodes within r hops of the center, ascending."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    dist = hop_distances(t, center)
-    return tuple(int(v) for v in np.flatnonzero(dist <= r))
+    if not (0 <= center < t.node_count):
+        raise ValueError(f"center {center} out of range for {t.node_count} nodes")
+    return tuple(np.sort(_ball(t.adjacency(), center, r)[0]).tolist())
 
 
 def build_masks(
@@ -121,19 +158,25 @@ def build_masks(
     outside every ball (possible once s > r + 1), each such node is appended
     to the field of the nearest center, ties to the earliest center, so no
     input unit is silently dropped.
+
+    The adjacency is built once and every BFS stops at max(r, s) hops.  That
+    is exact: distance to the nearest center changes by at most 1 along a
+    tree edge, so once no node sits exactly s hops from the nearest center,
+    every node is within s - 1 hops of one, and the nearest center of an
+    uncovered node lies inside the balls already traversed.
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     if not 0.0 <= global_fraction <= 1.0:
         raise ValueError(f"global_fraction must be in [0, 1], got {global_fraction}")
-    centers = select_centers(t, s, seed)
-    dists = np.stack([hop_distances(t, c) for c in centers])
-    fields = [set(np.flatnonzero(dists[i] <= r).tolist()) for i in range(len(centers))]
+    centers, balls, owner = _cover(t.adjacency(), s, seed, max(r, s))
+    fields = [nodes[dists <= r].tolist() for nodes, dists in balls]
     covered = np.zeros(t.node_count, dtype=bool)
     for f in fields:
-        covered[list(f)] = True
-    for v in np.flatnonzero(~covered):
-        fields[int(np.argmin(dists[:, v]))].add(int(v))
+        covered[f] = True
+    for v in np.flatnonzero(~covered).tolist():
+        fields[owner[v]].append(v)
+    fields = [sorted(f) for f in fields]
 
     global_count = int(np.floor(global_fraction * len(centers) + 0.5))
     if global_fraction > 0 and centers:
@@ -144,13 +187,13 @@ def build_masks(
 
     a = np.zeros((h, t.node_count), dtype=np.uint8)
     for i, f in enumerate(fields):
-        a[i, sorted(f)] = 1
+        a[i, f] = 1
     a[len(centers) :, :] = 1
     plan = ReceptiveFieldPlan(
         radius=r,
         stride=s,
         centers=tuple(centers),
-        fields=tuple(tuple(sorted(f)) for f in fields),
+        fields=tuple(tuple(f) for f in fields),
         global_count=global_count,
     )
     kinds = ("trf",) * len(centers) + ("global",) * global_count

@@ -42,7 +42,12 @@ class MiMatrix:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.m, dtype=np.float64)
+        m = self.m
+        # a read-only float64 array that owns its data cannot change under us,
+        # so it is kept as is; anything else is copied
+        if not (isinstance(m, np.ndarray) and m.dtype == np.float64
+                and m.base is None and not m.flags.writeable):
+            m = np.array(m, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise ValueError(f"expected a square V x V matrix with V >= 2, got {m.shape}")
         m.setflags(write=False)
@@ -106,29 +111,45 @@ def empirical_mi(c: ContingencyCounts) -> float:
     return float((t[0, 0] + t[1, 1]) + (t[0, 1] + t[1, 0]))
 
 
+# rows of the upper triangle computed together; peak memory is about a dozen
+# MI_ROW_BLOCK x V float arrays on top of the V x V result
+MI_ROW_BLOCK = 256
+
+
 def mi_matrix(d: BinaryDataset) -> MiMatrix:
     """All-pairs mutual information, vectorized over the 2x2 cell counts.
 
-    Cell counts come from one V x V co-occurrence product; each entry equals
+    The upper triangle is computed in blocks of MI_ROW_BLOCK rows, each from
+    one co-occurrence product against the columns from the block onwards,
+    and mirrored block by block.  Every entry equals
     empirical_mi(pair_counts(d, s, t)) exactly because both paths perform the
-    same float operations on the same integer counts.  The upper triangle is
-    computed and mirrored.
+    same float operations on the same integer counts.
     """
-    x = d.values.astype(np.float64)
+    # features as rows, so every block product reads contiguous memory
+    xt = np.ascontiguousarray(d.values.T, dtype=np.float64)
     n_samples = float(d.n_samples)
-    ones = x.sum(axis=0)
-    n11 = x.T @ x
-    n10 = ones[:, None] - n11
-    n01 = ones[None, :] - n11
-    n00 = n_samples - ones[:, None] - ones[None, :] + n11
+    v = d.n_features
+    ones = xt.sum(axis=1)
     zeros = n_samples - ones
-    t00 = _mi_from_cells(n00, zeros[:, None], zeros[None, :], n_samples)
-    t01 = _mi_from_cells(n01, zeros[:, None], ones[None, :], n_samples)
-    t10 = _mi_from_cells(n10, ones[:, None], zeros[None, :], n_samples)
-    t11 = _mi_from_cells(n11, ones[:, None], ones[None, :], n_samples)
-    m = (t00 + t11) + (t01 + t10)
-    upper = np.triu(m, k=1)
-    return MiMatrix(upper + upper.T)
+    out = np.zeros((v, v))
+    for lo in range(0, v, MI_ROW_BLOCK):
+        hi = min(lo + MI_ROW_BLOCK, v)
+        n11 = xt[lo:hi] @ xt[lo:].T
+        r1, c1 = ones[lo:hi, None], ones[None, lo:]
+        r0, c0 = zeros[lo:hi, None], zeros[None, lo:]
+        n10 = r1 - n11
+        n01 = c1 - n11
+        n00 = n_samples - r1 - c1 + n11
+        t00 = _mi_from_cells(n00, r0, c0, n_samples)
+        t01 = _mi_from_cells(n01, r0, c1, n_samples)
+        t10 = _mi_from_cells(n10, r1, c0, n_samples)
+        t11 = _mi_from_cells(n11, r1, c1, n_samples)
+        upper = out[lo:hi, lo:]
+        upper[...] = (t00 + t11) + (t01 + t10)
+        upper[:, : hi - lo][np.tril_indices(hi - lo)] = 0.0  # strict upper triangle only
+        out[lo:, lo:hi] += upper.T
+    out.setflags(write=False)
+    return MiMatrix(out)
 
 
 def marginal_log_prob_sum(d: BinaryDataset) -> float:

@@ -22,6 +22,10 @@ NO_PARENT = -1
 # noise cannot reorder otherwise-equal edges
 WEIGHT_CLAMP = 1e-12
 
+# max_spanning_tree first sorts this many of the heaviest edges per node; MI
+# trees of the bundled corpora span within the heaviest 15-27 x V edges
+PREFIX_EDGES_PER_NODE = 32
+
 
 class _UnionFind:
     def __init__(self, n: int):
@@ -115,25 +119,61 @@ def _parents_from_edges(node_count, edge_list, root):
     return parent
 
 
+def _is_symmetric(w: np.ndarray) -> bool:
+    """w == w.T, compared tile by tile so the transposed reads stay in cache."""
+    v, tile = w.shape[0], 128
+    for lo in range(0, v, tile):
+        for lo2 in range(lo, v, tile):
+            if not np.array_equal(w[lo : lo + tile, lo2 : lo2 + tile], w[lo2 : lo2 + tile, lo : lo + tile].T):
+                return False
+    return True
+
+
+def _upper_pairs(pos: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, t) of positions in the row-major list of the strict upper triangle."""
+    starts = np.cumsum(np.arange(v - 1, 0, -1)) - np.arange(v - 1, 0, -1)
+    u = np.searchsorted(starts, pos, side="right") - 1
+    return u, pos - starts[u] + u + 1
+
+
 def max_spanning_tree(m: MiMatrix) -> ChowLiuTree:
-    """Kruskal over edges sorted by weight descending, ties by (u, v) ascending."""
+    """Kruskal over edges sorted by weight descending, ties by (u, v) ascending.
+
+    Only the heaviest edges are sorted: every edge of weight >= theta, where
+    theta is the weight of the k-th heaviest, so edges tied at theta come
+    along.  Those edges are exactly the first ones of the full order, so
+    Kruskal makes the same choices on them.  If they do not span, the next
+    band of lighter edges is sorted and scanned, k growing each time, down
+    to the full edge list.
+    """
     w = m.m
-    if not np.array_equal(w, w.T):
+    if not _is_symmetric(w):
         raise ValueError("weight matrix must be symmetric")
     v = m.n_features
-    iu, ju = np.triu_indices(v, k=1)
-    weights = w[iu, ju].copy()
+    # row-major strict upper triangle: position order is (u, v) order
+    weights = w[np.triu(np.ones((v, v), dtype=bool), k=1)]
     weights[np.abs(weights) < WEIGHT_CLAMP] = 0.0
-    # lexsort's last key is primary: -weight first, then u, then v
-    order = np.lexsort((ju, iu, -weights))
     uf = _UnionFind(v)
     chosen = []
-    for k in order:
-        u, t = int(iu[k]), int(ju[k])
-        if uf.union(u, t):
-            chosen.append((u, t, float(weights[k])))
-            if len(chosen) == v - 1:
-                break
+    above, k = None, PREFIX_EDGES_PER_NODE * v
+    while len(chosen) < v - 1:
+        if k < weights.size:
+            theta = np.partition(weights, weights.size - k)[weights.size - k]
+        else:
+            theta = -np.inf
+        band = weights >= theta
+        if above is not None:
+            band &= weights < above
+        pos = np.flatnonzero(band)
+        iu, ju = _upper_pairs(pos, v)
+        # lexsort's last key is primary: -weight first, then u, then v
+        order = np.lexsort((ju, iu, -weights[pos]))
+        for u, t, x in zip(iu[order].tolist(), ju[order].tolist(), weights[pos[order]].tolist()):
+            if uf.union(u, t):
+                chosen.append((u, t, x))
+                if len(chosen) == v - 1:
+                    break
+        above, k = theta, 4 * k
     chosen.sort(key=lambda e: (e[0], e[1]))
     parent = _parents_from_edges(v, [(u, t) for u, t, _ in chosen], root=0)
     return ChowLiuTree(v, tuple(chosen), root=0, parent=parent)

@@ -275,6 +275,51 @@ class TestMultitask:
             finetune(net, train, None, FinetuneHyper(epochs=1))
 
 
+
+class TestLabelRange:
+    def blobs_with_label(self, blob_data, bad):
+        train, _, _ = blob_data
+        labels = train.labels.copy()
+        labels[5] = bad
+        return Dataset(train.values, labels=labels)
+
+    def dense_net(self, classes=2, mode="softmax"):
+        layer = nn.init_masked_layer(np.ones((4, 8)), np.random.default_rng(0), "relu")
+        return attach_head(TrfNetwork(layers=[layer], plans=[None]), classes, mode=mode)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_evaluate_rejects_label_outside_head(self, blob_data, bad):
+        d = self.blobs_with_label(blob_data, bad)
+        with pytest.raises(ValueError, match=f"test: label {bad} "):
+            evaluate(self.dense_net(), d)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_finetune_rejects_label_outside_head(self, blob_data, bad):
+        d = self.blobs_with_label(blob_data, bad)
+        with pytest.raises(ValueError, match=f"train: label {bad} "):
+            finetune(self.dense_net(), d, None, FinetuneHyper(epochs=1))
+        _, valid, _ = blob_data
+        with pytest.raises(ValueError, match=f"valid: label {bad} "):
+            finetune(self.dense_net(), valid, d, FinetuneHyper(epochs=1))
+
+    def test_multitask_missing_label_accepted(self, blob_data):
+        train, _, _ = blob_data
+        labels = np.stack([train.labels, 1 - train.labels], axis=1)
+        labels[::7, 0] = -1
+        d = Dataset(train.values, labels=labels)
+        net, _ = finetune(self.dense_net(2, "multitask"), d, d, FinetuneHyper(epochs=1))
+        assert len(evaluate(net, d).auc_per_task) == 2
+
+    def test_multitask_label_values_and_width_checked(self, blob_data):
+        train, _, _ = blob_data
+        labels = np.stack([train.labels, 1 - train.labels], axis=1)
+        labels[3, 1] = 2
+        with pytest.raises(ValueError, match="multitask label 2"):
+            evaluate(self.dense_net(2, "multitask"), Dataset(train.values, labels=labels))
+        with pytest.raises(ValueError, match="2 label columns"):
+            evaluate(self.dense_net(3, "multitask"), Dataset(train.values, labels=labels.clip(0, 1)))
+
+
 class TestSaveLoad:
     def test_roundtrip_bitwise(self, tmp_path, small_corpus):
         net = build_trf_net(small_corpus, quick_config(depth=2, seed=5))
@@ -317,6 +362,34 @@ class TestSaveLoad:
         path.write_text("something-else v9\n")
         with pytest.raises(ModelFormatError):
             load(path)
+
+    def saved_lines(self, tmp_path, small_corpus):
+        net = build_trf_net(small_corpus, quick_config())
+        attach_head(net, 3)
+        save(net, tmp_path / "m.trf")
+        return (tmp_path / "m.trf").read_text().splitlines()
+
+    def test_missing_config_key_rejected(self, tmp_path, small_corpus):
+        lines = [ln for ln in self.saved_lines(tmp_path, small_corpus) if not ln.startswith("seed ")]
+        (tmp_path / "bad.trf").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="seed"):
+            load(tmp_path / "bad.trf")
+
+    def test_unknown_head_mode_rejected(self, tmp_path, small_corpus):
+        lines = self.saved_lines(tmp_path, small_corpus)
+        lines[1] = "head_mode banana"
+        (tmp_path / "bad.trf").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="banana"):
+            load(tmp_path / "bad.trf")
+
+    @pytest.mark.parametrize("prefix", ["layer 0 ", "head "])
+    def test_unknown_activation_rejected(self, tmp_path, small_corpus, prefix):
+        lines = self.saved_lines(tmp_path, small_corpus)
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        lines[i] = lines[i].rsplit(" ", 1)[0] + " swish"
+        (tmp_path / "bad.trf").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="swish"):
+            load(tmp_path / "bad.trf")
 
     def test_clone_is_independent(self, small_corpus):
         net = build_trf_net(small_corpus, quick_config())

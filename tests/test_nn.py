@@ -181,6 +181,22 @@ class TestClassifierStack:
         assert max_relative_error(dlogits, numeric["z"]) <= 1e-4
 
 
+class TestSoftmaxLabels:
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_label_named(self, bad):
+        logits = np.zeros((4, 3))
+        with pytest.raises(ValueError, match=f"label {bad} "):
+            nn.softmax_cross_entropy(logits, np.array([0, 1, bad, 2]))
+
+    def test_float_labels_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            nn.softmax_cross_entropy(np.zeros((2, 3)), np.array([0.0, 1.0]))
+
+    def test_label_count_must_match_batch(self):
+        with pytest.raises(ValueError, match="labels"):
+            nn.softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         p = {"w": np.array([1.0, -2.0, 3.0])}

@@ -157,3 +157,68 @@ class TestBuildMasks:
         text = plan.to_text()
         assert text.splitlines()[0] == "center=0 r=1 members=[0, 1]"
         assert text.splitlines().count("global") == plan.global_count
+
+
+def reference_centers(t, s, seed):
+    """Greedy center choice from full, unbounded hop distances."""
+    first = int(np.random.default_rng(seed).integers(t.node_count))
+    centers = [first]
+    min_dist = hop_distances(t, first)
+    while True:
+        candidates = np.flatnonzero(min_dist == s)
+        if candidates.size == 0:
+            return centers
+        centers.append(int(candidates[0]))
+        np.minimum(min_dist, hop_distances(t, centers[-1]), out=min_dist)
+
+
+def reference_fields(t, r, s, seed):
+    """r-balls from full hop distances; uncovered nodes go to the nearest, earliest center."""
+    centers = reference_centers(t, s, seed)
+    dists = np.stack([hop_distances(t, c) for c in centers])
+    fields = [set(np.flatnonzero(dists[i] <= r).tolist()) for i in range(len(centers))]
+    covered = (dists <= r).any(axis=0)
+    for v in np.flatnonzero(~covered):
+        fields[int(np.argmin(dists[:, v]))].add(int(v))
+    return tuple(centers), tuple(tuple(sorted(f)) for f in fields)
+
+
+larger_random_trees = st.integers(2, 60).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2)
+    )
+)
+
+
+class TestBoundedSearchMatchesFullDistances:
+    @given(larger_random_trees, st.integers(0, 4), st.integers(1, 7), st.integers(0, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_plan_and_mask_match_reference(self, spec, r, s, seed):
+        n, t = tree_of(spec)
+        plan, mask = build_masks(t, r=r, s=s, global_fraction=0.0, seed=seed)
+        centers, fields = reference_fields(t, r, s, seed)
+        assert plan.centers == centers
+        assert plan.fields == fields
+        expected = np.zeros((len(centers), n), dtype=np.uint8)
+        for i, f in enumerate(fields):
+            expected[i, list(f)] = 1
+        assert mask.a.tobytes() == expected.tobytes()
+
+    @given(larger_random_trees, st.integers(1, 7), st.integers(0, 1000))
+    @settings(max_examples=150, deadline=None)
+    def test_select_centers_matches_reference(self, spec, s, seed):
+        _, t = tree_of(spec)
+        assert select_centers(t, s, seed) == reference_centers(t, s, seed)
+
+    def test_patched_nodes_on_a_long_path(self):
+        # s > 2r + 1: disjoint balls with gaps between them, which are patched
+        t = make_path_tree(40)
+        for r, s in ((0, 3), (1, 4), (2, 6)):
+            plan, _ = build_masks(t, r=r, s=s, global_fraction=0.0, seed=7)
+            assert (plan.centers, plan.fields) == reference_fields(t, r, s, 7)
+            assert sum(len(f) for f in plan.fields) == 40
+            assert any(len(f) > 2 * r + 1 for f in plan.fields)
+
+    def test_extract_field_rejects_unknown_center(self):
+        with pytest.raises(ValueError):
+            extract_field(make_path_tree(3), center=3, r=1)

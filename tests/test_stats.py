@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import random_binary_dataset
 from oracles import entropy_reference, mi_reference
 from trfnet.data import BinaryDataset, Dataset
-from trfnet.stats import ContingencyCounts, empirical_mi, mi_matrix, pair_counts
+from trfnet import stats
+from trfnet.stats import ContingencyCounts, MiMatrix, _mi_from_cells, empirical_mi, mi_matrix, pair_counts
 
 # frozen from oracles.mi_reference([[40, 10], [10, 40]])
 MI_40_10 = 0.19274475702175753
@@ -121,3 +123,61 @@ class TestMiMatrix:
             [[float(x) for x in line.split(",")] for line in path.read_text().splitlines()]
         )
         np.testing.assert_array_equal(back, m.m)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def untiled_mi_matrix(bd: BinaryDataset) -> np.ndarray:
+    """The one-shot V x V formula, kept as the reference for the row-block version."""
+    x = bd.values.astype(np.float64)
+    n = float(bd.n_samples)
+    ones = x.sum(axis=0)
+    n11 = x.T @ x
+    zeros = n - ones
+    t00 = _mi_from_cells(n - ones[:, None] - ones[None, :] + n11, zeros[:, None], zeros[None, :], n)
+    t01 = _mi_from_cells(ones[None, :] - n11, zeros[:, None], ones[None, :], n)
+    t10 = _mi_from_cells(ones[:, None] - n11, ones[:, None], zeros[None, :], n)
+    t11 = _mi_from_cells(n11, ones[:, None], ones[None, :], n)
+    upper = np.triu((t00 + t11) + (t01 + t10), k=1)
+    return upper + upper.T
+
+
+class TestRowBlockedMiMatrix:
+    @given(st.integers(1, 5), st.integers(2, 13), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_every_entry_bit_identical_to_pair_mi(self, block, v, seed):
+        bd = binary(random_binary_dataset(40, v, seed=seed).values)
+        with mock.patch.object(stats, "MI_ROW_BLOCK", block):
+            m = mi_matrix(bd).m
+        for s in range(v):
+            assert bits(m[s, s]) == bits(0.0)
+            for t in range(s + 1, v):
+                expected = bits(empirical_mi(pair_counts(bd, s, t)))
+                assert bits(m[s, t]) == expected
+                assert bits(m[t, s]) == expected
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_boundary_matches_untiled_formula(self, offset):
+        v = stats.MI_ROW_BLOCK + offset
+        bd = binary(random_binary_dataset(30, v, seed=v).values)
+        m = mi_matrix(bd).m
+        assert m.tobytes() == untiled_mi_matrix(bd).tobytes()
+        rng = np.random.default_rng(v)
+        for s, t in rng.integers(0, v, size=(200, 2)):
+            if s != t:
+                assert bits(m[s, t]) == bits(empirical_mi(pair_counts(bd, int(s), int(t))))
+
+    def test_result_is_read_only_and_not_copied(self):
+        bd = binary(random_binary_dataset(30, 7, seed=3).values)
+        m = mi_matrix(bd).m
+        assert not m.flags.writeable
+        assert m.base is None
+
+    def test_caller_array_is_copied(self):
+        w = np.zeros((3, 3))
+        mi = MiMatrix(w)
+        w[0, 1] = 1.0
+        assert mi.m[0, 1] == 0.0
+        assert w.flags.writeable

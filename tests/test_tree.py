@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,11 @@ from oracles import (
     tree_loglik_reference,
 )
 from trfnet.data import BinaryDataset, Dataset, DiscretizationPolicy
+from trfnet import tree as tree_module
 from trfnet.stats import MiMatrix, empirical_mi, pair_counts
 from trfnet.synth import markov_chain
 from trfnet.tree import (
+    WEIGHT_CLAMP,
     ChowLiuTree,
     chow_liu,
     hop_distances,
@@ -96,6 +100,84 @@ class TestMaxSpanningTree:
             for u, v in max_spanning_tree(MiMatrix(wp)).edge_pairs()
         }
         assert mapped_back == base
+
+
+
+def full_order_kruskal(w: np.ndarray):
+    """Kruskal over the fully lexsorted edge list: the reference for the prefix scan."""
+    n = w.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    weights = w[iu, ju].copy()
+    weights[np.abs(weights) < WEIGHT_CLAMP] = 0.0
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    chosen = []
+    for k in np.lexsort((ju, iu, -weights)):
+        ru, rv = find(int(iu[k])), find(int(ju[k]))
+        if ru != rv:
+            parent[rv] = ru
+            chosen.append((int(iu[k]), int(ju[k]), float(weights[k])))
+    return tuple(sorted(chosen))
+
+
+# few distinct values, plus noise below the clamp, so ties are everywhere
+tied_matrices = st.integers(2, 24).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.sampled_from([0.0, 0.0, 3e-13, -4e-13, 0.1, 0.1, 0.25, 0.5]),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        ),
+    )
+)
+
+
+def matrix_of(n, upper) -> np.ndarray:
+    w = np.zeros((n, n))
+    w[np.triu_indices(n, k=1)] = upper
+    return w + w.T
+
+
+class TestPrefixKruskal:
+    @given(tied_matrices, st.sampled_from([1, 2, 32]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_lexsort_reference_under_ties(self, spec, per_node):
+        n, upper = spec
+        w = matrix_of(n, upper)
+        with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", per_node):
+            t = max_spanning_tree(MiMatrix(w))
+        assert t.edges == full_order_kruskal(w)
+
+    def test_all_zero_matrix_takes_the_full_order(self):
+        n = 150  # more edges than the first prefix, all tied at zero
+        t = max_spanning_tree(MiMatrix(np.zeros((n, n))))
+        assert t.edges == full_order_kruskal(np.zeros((n, n)))
+        assert t.edge_pairs() == {(0, v) for v in range(1, n)}
+
+    def test_widens_when_the_heaviest_edges_do_not_span(self):
+        # a heavy clique on 90 of 120 nodes fills the first 32 x V prefix
+        n, clique = 120, 90
+        rng = np.random.default_rng(4)
+        w = np.triu(rng.random((n, n)), k=1)
+        w[:clique, :clique] += 10.0 * np.triu(np.ones((clique, clique)), k=1)
+        w = w + w.T
+        assert clique * (clique - 1) // 2 > tree_module.PREFIX_EDGES_PER_NODE * n
+        assert max_spanning_tree(MiMatrix(w)).edges == full_order_kruskal(w)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_real_weights(self, seed):
+        w = random_mi_matrix(200, seed).m
+        assert max_spanning_tree(MiMatrix(w)).edges == full_order_kruskal(w)
+
+    def test_infinite_weights_are_kept(self):
+        w = matrix_of(4, [np.inf, 0.5, 0.5, 0.2, np.inf, 0.1])
+        assert max_spanning_tree(MiMatrix(w)).edges == full_order_kruskal(w)
 
 
 class TestChowLiu:
