@@ -2,8 +2,7 @@
 
 All three reuse the builder's training loop and metric definitions, so their
 reports are directly comparable with structure-learned networks.  Dense nets
-are represented as masked layers with all-ones masks; pruning just rewrites
-those masks.
+are sparse layers that hold every connection; pruning keeps a subset of them.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ def _n_classes(d: Dataset) -> int:
 
 
 def dense_network(input_width: int, cfg: DenseNetConfig, classes: int, head_mode: str = "softmax") -> TrfNetwork:
-    """An untrained fully connected network in masked-layer form."""
+    """An untrained fully connected network in sparse-layer form."""
     rng = np.random.default_rng(cfg.seed)
     layers = []
     widths = (input_width,) + cfg.hidden_widths
@@ -86,8 +85,8 @@ def prune_and_retrain(
     hyper: FinetuneHyper,
     valid: Dataset | None = None,
 ):
-    """Keep the top ceil(keep_fraction * size) weights by magnitude per hidden
-    layer, zero the rest into the mask, and retrain the survivors.
+    """Keep the top ceil(keep_fraction * H * V) connections by magnitude per
+    hidden layer (all of them if fewer), clear the plans, and retrain.
 
     Ties in |w| break toward the lower flat index.  The classifier head is
     left dense; sparsity is a hidden-layer metric throughout.  The input
@@ -97,13 +96,10 @@ def prune_and_retrain(
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
     pruned = clone(net)
     for layer in pruned.layers:
-        flat = np.abs(layer.weights).ravel()
-        k = int(np.ceil(keep_fraction * flat.size))
-        order = np.argsort(-flat, kind="stable")
-        mask = np.zeros(flat.size, dtype=np.float64)
-        mask[order[:k]] = 1.0
-        layer.mask = mask.reshape(layer.weights.shape)
-        layer.apply_mask()
+        k = int(np.ceil(keep_fraction * layer.hidden_count * layer.visible_count))
+        kept = np.sort(magnitude_top_k(layer.values, k))
+        layer.index, layer.values = layer.index[kept], layer.values[kept]
+    pruned.plans = [None] * pruned.depth
     return finetune(pruned, train, valid, hyper)
 
 
@@ -130,20 +126,20 @@ def train_l1(
     net = dense_network(train.n_features, cfg, _n_classes(train), head_mode)
     hook = None if strength == 0 else (lambda model: l1_gradients(model, strength))
     net, report = finetune(net, train, valid, hyper_from_config(cfg), penalty_grads=hook)
-    alive = sum(int((np.abs(l.weights) >= L1_DEAD_THRESHOLD).sum()) for l in net.layers)
-    total = sum(l.weights.size for l in net.layers)
+    alive = sum(int((np.abs(l.values) >= L1_DEAD_THRESHOLD).sum()) for l in net.layers)
+    total = sum(l.hidden_count * l.visible_count for l in net.layers)
     report.effective_sparsity = alive / total
     return net, report
 
 
 def l1_penalty(net: TrfNetwork, strength: float) -> float:
-    weight_sum = sum(float(np.abs(l.weights).sum()) for l in net.layers)
+    weight_sum = sum(float(np.abs(l.values).sum()) for l in net.layers)
     weight_sum += float(np.abs(net.head.weights).sum())
     return strength * weight_sum
 
 
 def l1_gradients(net: TrfNetwork, strength: float) -> dict[str, np.ndarray]:
     """Subgradient of the L1 penalty; sign(0) = 0 leaves zeros untouched."""
-    grads = {f"w{i}": strength * np.sign(l.weights) for i, l in enumerate(net.layers)}
+    grads = {f"w{i}": strength * np.sign(l.values) for i, l in enumerate(net.layers)}
     grads["head_w"] = strength * np.sign(net.head.weights)
     return grads

@@ -1,11 +1,11 @@
 """End-to-end construction, fine-tuning, evaluation, and model persistence.
 
 Layers are built one at a time: learn a dependency tree on the current
-(binary view of the) data, carve it into receptive fields, train the masked
+(binary view of the) data, carve it into receptive fields, train the sparse
 layer as a denoising autoencoder, then project the data through it - the
 binary projection feeds the next tree, the probability projection feeds the
 next autoencoder.  The stacked network gets a dense classifier head and is
-fine-tuned with backpropagation under the frozen masks.
+fine-tuned with backpropagation over the existing connections only.
 
 Per-layer seeds are master_seed + layer_index; the head uses
 master_seed + depth.
@@ -70,7 +70,7 @@ class BuildConfig:
 
 @dataclass
 class TrfNetwork:
-    """A stack of masked layers with an optional dense classifier head."""
+    """A stack of sparse layers with an optional dense classifier head."""
 
     layers: list[nn.MaskedLayer]
     plans: list[ReceptiveFieldPlan | None]
@@ -106,20 +106,28 @@ class TrfNetwork:
         return self.layers[-1].hidden_count
 
     def mask_violation(self) -> float:
-        """Largest |weight| sitting outside a mask; must be exactly 0."""
-        return max(
-            float(np.abs((1.0 - l.mask) * l.weights).max()) for l in self.layers
-        )
+        """Largest |weight| outside the intended connectivity; must be exactly 0.
+
+        It reads the dense weights the compute path scatters.  A layer with a
+        plan is held to the plan's fields and global rows, a layer without one
+        to its own index.
+        """
+        worst = 0.0
+        for layer, plan in zip(self.layers, self.plans):
+            outside = np.abs(layer.weights).ravel()
+            outside[layer.index if plan is None else plan.index(layer.visible_count)] = 0.0
+            worst = max(worst, float(outside.max()))
+        return worst
 
     def hidden_sparsity(self) -> float:
         """Existing hidden connections over the fully connected count."""
-        nnz = sum(int(l.mask.sum()) for l in self.layers)
-        dense = sum(l.mask.size for l in self.layers)
+        nnz = sum(l.index.size for l in self.layers)
+        dense = sum(l.hidden_count * l.visible_count for l in self.layers)
         return nnz / dense
 
     def parameter_count(self) -> int:
-        """Masked hidden weights plus hidden biases plus the head, if any."""
-        count = sum(int(l.mask.sum()) + l.hidden_count for l in self.layers)
+        """Hidden connections plus hidden biases plus the head, if any."""
+        count = sum(l.index.size + l.hidden_count for l in self.layers)
         if self.head is not None:
             count += self.head.weights.size + self.head.bias.size
         return count
@@ -242,14 +250,13 @@ def _check_labels(d: Dataset, head: nn.DenseLayer, mode: str, what: str):
 
 
 def _named_params(net: TrfNetwork):
-    params, masks = {}, {}
+    params = {}
     for i, layer in enumerate(net.layers):
-        params[f"w{i}"] = layer.weights
+        params[f"w{i}"] = layer.values
         params[f"bh{i}"] = layer.bias_hidden
-        masks[f"w{i}"] = layer.mask
     params["head_w"] = net.head.weights
     params["head_b"] = net.head.bias
-    return params, masks
+    return params
 
 
 def _batch_loss_grads(net: TrfNetwork, x, y, hyper, rng):
@@ -275,7 +282,7 @@ def finetune(
     hyper: FinetuneHyper,
     penalty_grads=None,
 ):
-    """Backpropagation training of the whole stack under frozen masks.
+    """Backpropagation training of the whole stack over its fixed connections.
 
     Hidden activations are switched to hyper.activation (the pretrained
     weights are kept unless hyper.reinit), dropout applies to hidden layers
@@ -299,10 +306,10 @@ def finetune(
     if hyper.reinit:
         for layer in net.layers:
             fresh = nn.init_masked_layer(layer.mask, rng, activation=hyper.activation)
-            layer.weights[...] = fresh.weights
+            layer.values[...] = fresh.values
             layer.bias_hidden[...] = 0.0
             layer.bias_visible[...] = 0.0
-    params, masks = _named_params(net)
+    params = _named_params(net)
     adam = nn.Adam(hyper.step_size)
     n = train.n_samples
     best_score, best_state, since_best = -np.inf, None, 0
@@ -314,7 +321,7 @@ def finetune(
             if penalty_grads is not None:
                 for name, extra in penalty_grads(net).items():
                     grads[name] = grads[name] + extra
-            adam.step(params, grads, masks)
+            adam.step(params, grads)
         gate = valid if valid is not None else train
         score = _score_dataset(net, gate)
         if score > best_score:
@@ -549,7 +556,7 @@ def save(net: TrfNetwork, path) -> None:
         out.append("config none")
     out.append(f"layers {net.depth}")
     for k, layer in enumerate(net.layers):
-        h, v = layer.mask.shape
+        h, v = layer.hidden_count, layer.visible_count
         out.append(f"layer {k} {h} {v} {layer.activation}")
         plan = net.plans[k]
         if plan is None:
@@ -559,13 +566,15 @@ def save(net: TrfNetwork, path) -> None:
             out.append("centers " + " ".join(str(c) for c in plan.centers))
             for i, members in enumerate(plan.fields):
                 out.append(f"field {i} " + " ".join(str(m) for m in members))
+        bounds = np.searchsorted(layer.index, np.arange(h + 1) * v)
         for i in range(h):
-            row = layer.mask[i]
-            if row.all():
+            row = slice(bounds[i], bounds[i + 1])
+            cols = layer.index[row] - i * v
+            if cols.size == v:
                 out.append(f"maskrow {i} dense")
             else:
-                out.append(f"maskrow {i} sparse " + " ".join(str(j) for j in np.flatnonzero(row)))
-            out.append(f"w {i} " + _floats(layer.weights[i][row.astype(bool)]))
+                out.append(f"maskrow {i} sparse " + " ".join(str(j) for j in cols))
+            out.append(f"w {i} " + _floats(layer.values[row]))
         out.append("bh " + _floats(layer.bias_hidden))
         out.append("bv " + _floats(layer.bias_visible))
     if net.head is None:
@@ -594,6 +603,23 @@ class _Reader:
         if expect_prefix is not None and not ln.startswith(expect_prefix):
             raise ModelFormatError(f"expected {expect_prefix!r}, found {ln[:40]!r}")
         return ln
+
+
+def _check_plan(k: int, plan: ReceptiveFieldPlan, layer: nn.MaskedLayer) -> None:
+    """A stored plan must describe the layer's stored connectivity."""
+    v = layer.visible_count
+    if any(not 0 <= c < v for c in plan.centers) or any(
+        not 0 <= m < v for members in plan.fields for m in members
+    ):
+        raise ModelFormatError(f"layer {k}: plan names a feature outside [0, {v})")
+    if plan.hidden_count != layer.hidden_count:
+        raise ModelFormatError(
+            f"layer {k}: plan has {plan.hidden_count} units, layer has {layer.hidden_count}"
+        )
+    if not np.array_equal(plan.index(v), layer.index):
+        raise ModelFormatError(
+            f"layer {k}: mask rows disagree with the plan (field rows, then all-ones global rows)"
+        )
 
 
 def load(path) -> TrfNetwork:
@@ -642,30 +668,35 @@ def load(path) -> TrfNetwork:
                     fields=tuple(fields_),
                     global_count=int(g_s),
                 )
-            mask = np.zeros((h, v), dtype=np.float64)
-            weights = np.zeros((h, v), dtype=np.float64)
+            index, values = [], []
             for i in range(h):
                 mtoks = rd.next(f"maskrow {i} ").split(" ")
                 if mtoks[2] == "dense":
-                    cols = np.arange(v)
+                    cols = np.arange(v, dtype=np.int64)
                 else:
                     cols = np.array([int(x) for x in mtoks[3:] if x], dtype=np.int64)
-                mask[i, cols] = 1.0
+                if cols.size and (cols[0] < 0 or cols[-1] >= v or (np.diff(cols) <= 0).any()):
+                    raise ModelFormatError(f"layer {k} row {i}: mask columns must rise inside [0, {v})")
                 wtoks = rd.next(f"w {i}").split(" ")[2:]
                 wvals = np.array([float(x) for x in wtoks if x], dtype=np.float64)
                 if wvals.size != cols.size:
                     raise ModelFormatError(f"layer {k} row {i}: weight count mismatch")
-                weights[i, cols] = wvals
+                index.append(i * v + cols)
+                values.append(wvals)
             bh = np.array([float(x) for x in rd.next("bh").split(" ")[1:] if x])
             bv = np.array([float(x) for x in rd.next("bv").split(" ")[1:] if x])
             if bh.size != h or bv.size != v:
                 raise ModelFormatError(f"layer {k}: bias length mismatch")
-            layers.append(
-                nn.MaskedLayer(
-                    mask=mask, weights=weights, bias_hidden=bh, bias_visible=bv,
-                    activation=activation,
-                )
+            layer = nn.MaskedLayer(
+                index=np.concatenate(index),
+                values=np.concatenate(values),
+                bias_hidden=bh, bias_visible=bv, activation=activation,
             )
+            if not all(np.isfinite(a).all() for a in (layer.values, bh, bv)):
+                raise ModelFormatError(f"layer {k}: non-finite weight or bias")
+            if plan is not None:
+                _check_plan(k, plan, layer)
+            layers.append(layer)
             plans.append(plan)
         head_ln = rd.next("head")
         head = None
@@ -683,6 +714,8 @@ def load(path) -> TrfNetwork:
             hb = np.array([float(x) for x in rd.next("hb").split(" ")[1:] if x])
             if hb.size != o:
                 raise ModelFormatError("head bias length mismatch")
+            if not (np.isfinite(hw).all() and np.isfinite(hb).all()):
+                raise ModelFormatError("head: non-finite weight or bias")
             head = nn.DenseLayer(weights=hw, bias=hb, activation=act)
         rd.next("end trfnet-model")
     except (ValueError, IndexError) as e:

@@ -18,7 +18,7 @@ import time
 
 
 class CliError(Exception):
-    """Runtime failure with a user-facing message (exit code 1)."""
+    """Usage error with a user-facing message (exit code 2)."""
 
 
 def _sha256(path) -> str:
@@ -79,7 +79,10 @@ def _parse_policy(spec: str | None, default):
     if spec == "binary":
         return DiscretizationPolicy.already_binary()
     if spec.startswith("fixed:"):
-        return DiscretizationPolicy.fixed(float(spec.split(":", 1)[1]))
+        try:
+            return DiscretizationPolicy.fixed(float(spec.split(":", 1)[1]))
+        except ValueError as e:
+            raise CliError(f"--policy: {e}") from None
     raise CliError(f"--policy: expected median, binary, or fixed:T, got {spec!r}")
 
 

@@ -1,4 +1,4 @@
-"""Denoising-autoencoder training of one masked layer, and data projection.
+"""Denoising-autoencoder training of one sparse layer, and data projection.
 
 Training minimizes the reconstruction loss of clean inputs from corrupted
 copies (clean -> corrupt -> encode -> decode) with minibatch Adam.  A trained
@@ -65,7 +65,7 @@ class DaeHyper:
 
 @dataclass
 class TwoLayerModel:
-    """A trained visible<->hidden pair: the masked layer plus its training log."""
+    """A trained visible<->hidden pair: the sparse layer plus its training log."""
 
     layer: nn.MaskedLayer
     loss_family: str
@@ -96,7 +96,7 @@ def resolve_family(values: np.ndarray, requested: str) -> str:
 
 
 def train_dae(mask: ConnectivityMask, d: Dataset, c: CorruptionConfig, h: DaeHyper) -> TwoLayerModel:
-    """Train one masked layer as a denoising autoencoder on d.values.
+    """Train one sparse layer as a denoising autoencoder on d.values.
 
     All randomness (init, epoch shuffles, corruption draws) comes from a
     single generator seeded with h.seed, so runs are exactly repeatable.
@@ -113,11 +113,10 @@ def train_dae(mask: ConnectivityMask, d: Dataset, c: CorruptionConfig, h: DaeHyp
     layer = nn.init_masked_layer(mask.a, rng, activation="sigmoid")
     adam = nn.Adam(h.step_size, h.beta1, h.beta2, h.eps)
     params = {
-        "weights": layer.weights,
+        "weights": layer.values,
         "bias_hidden": layer.bias_hidden,
         "bias_visible": layer.bias_visible,
     }
-    masks = {"weights": layer.mask}
     n = d.n_samples
     log = []
     for _ in range(h.epochs):
@@ -127,7 +126,7 @@ def train_dae(mask: ConnectivityMask, d: Dataset, c: CorruptionConfig, h: DaeHyp
             batch = d.values[order[start : start + h.batch_size]]
             x_tilde = corrupt(batch, c, rng)
             loss, grads = nn.dae_gradients(layer, batch, x_tilde, family)
-            adam.step(params, grads, masks)
+            adam.step(params, grads)
             total += loss * batch.shape[0]
         log.append(total / n)
     return TwoLayerModel(layer=layer, loss_family=family, training_log=log)
@@ -144,6 +143,5 @@ def project(m: TwoLayerModel, d: Dataset) -> tuple[Dataset, BinaryDataset]:
         raise ValueError(
             f"data width {d.n_features} != layer width {m.layer.visible_count}"
         )
-    pre = nn.encoder_preactivation(m.layer, d.values)
-    probs = Dataset(nn.sigmoid(pre), feature_names=None, labels=d.labels)
+    probs = Dataset(nn.masked_forward(m.layer, d.values), feature_names=None, labels=d.labels)
     return probs, discretize(probs, DiscretizationPolicy.fixed(0.5))

@@ -1,12 +1,12 @@
-"""Minimal dense/masked neural network machinery on numpy, double precision.
+"""Minimal dense/sparse neural network machinery on numpy, double precision.
 
-Everything the training loops need lives here: masked linear layers with
-hard-zero connectivity, a tied-transpose decoder, stable Bernoulli/Gaussian
+Everything the training loops need lives here: sparse linear layers with
+fixed connectivity, a tied-transpose decoder, stable Bernoulli/Gaussian
 reconstruction losses, softmax and multi-task sigmoid classification losses
 with exact analytic gradients, Adam, and inverted dropout.
 
-Masked weights satisfy (1 - A) o W = 0 at all times: initialization draws
-only inside the mask and every optimizer step re-applies it.
+A sparse layer stores one value per connection.  Compute scatters them into a
+dense buffer once per call and gathers weight gradients back at the same places.
 """
 
 from __future__ import annotations
@@ -64,49 +64,59 @@ def activation_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MaskedLayer:
-    """One sparse layer: H x V connectivity mask, weights, and two biases.
+    """One sparse H x V layer: connections as non-zeros, and two biases.
 
-    bias_hidden feeds the encoder direction (V -> H); bias_visible feeds the
-    tied-transpose decoder direction (H -> V).  The two directions share W.
+    index: sorted flat row-major positions (row * V + column); values: their
+    weights.  bias_hidden (H) feeds the encoder, bias_visible (V) the decoder.
     """
 
-    mask: np.ndarray
-    weights: np.ndarray
+    index: np.ndarray
+    values: np.ndarray
     bias_hidden: np.ndarray
     bias_visible: np.ndarray
     activation: str = "sigmoid"
 
     @property
     def hidden_count(self) -> int:
-        return self.weights.shape[0]
+        return self.bias_hidden.shape[0]
 
     @property
     def visible_count(self) -> int:
-        return self.weights.shape[1]
+        return self.bias_visible.shape[0]
 
-    def masked_weights(self) -> np.ndarray:
-        return self.mask * self.weights
+    def _scatter(self, values) -> np.ndarray:
+        out = np.zeros((self.hidden_count, self.visible_count))
+        out.ravel()[self.index] = values
+        out.flags.writeable = False
+        return out
 
-    def apply_mask(self) -> None:
-        self.weights *= self.mask
+    @property
+    def weights(self) -> np.ndarray:
+        """Read-only dense H x V weights, zero outside the connectivity."""
+        return self._scatter(self.values)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Read-only dense H x V 0/1 connectivity."""
+        return self._scatter(1.0)
 
 
 def init_masked_layer(mask: np.ndarray, rng: np.random.Generator, activation: str = "sigmoid") -> MaskedLayer:
     """Uniform +-sqrt(6 / (fan_in + fan_out)) init with per-row fan-in.
 
     fan_in of row i is its mask row's nonzero count (the unit's true input
-    width); fan_out is taken as the hidden width.  Entries outside the mask
-    are exactly zero.
+    width); fan_out is taken as the hidden width.  The full H x V uniform is
+    drawn, so the generator advances the same way whatever the mask.
     """
     m = np.asarray(mask, dtype=np.float64)
     h, v = m.shape
     fan_in = m.sum(axis=1)
     limit = np.sqrt(6.0 / (fan_in + h))
     w = rng.uniform(-1.0, 1.0, size=(h, v)) * limit[:, None]
-    w *= m
+    index = np.flatnonzero(m)
     return MaskedLayer(
-        mask=m,
-        weights=w,
+        index=index,
+        values=w.ravel()[index],
         bias_hidden=np.zeros(h),
         bias_visible=np.zeros(v),
         activation=activation,
@@ -143,23 +153,19 @@ def _check_width(x: np.ndarray, width: int, what: str) -> np.ndarray:
     return x
 
 
-def encoder_preactivation(layer: MaskedLayer, x: np.ndarray) -> np.ndarray:
-    x = _check_width(x, layer.visible_count, "encoder input")
-    return x @ layer.masked_weights().T + layer.bias_hidden
-
-
 def masked_forward(layer: MaskedLayer, x: np.ndarray) -> np.ndarray:
-    """Encoder direction: activation((A o W) x + bias_hidden)."""
-    return activation_fn(layer.activation)(encoder_preactivation(layer, x))
+    """Encoder direction: activation(W x + bias_hidden)."""
+    x = _check_width(x, layer.visible_count, "encoder input")
+    return activation_fn(layer.activation)(x @ layer.weights.T + layer.bias_hidden)
 
 
 def decoder_preactivation(layer: MaskedLayer, h: np.ndarray) -> np.ndarray:
     h = _check_width(h, layer.hidden_count, "decoder input")
-    return h @ layer.masked_weights() + layer.bias_visible
+    return h @ layer.weights + layer.bias_visible
 
 
 def decoder_forward(layer: MaskedLayer, h: np.ndarray, family: str) -> np.ndarray:
-    """Decoder direction through the transposed masked weights.
+    """Decoder direction through the transposed weights.
 
     Bernoulli returns activation probabilities; Gaussian returns the mean.
     """
@@ -193,11 +199,11 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
     """Loss and exact gradients of the tied denoising autoencoder.
 
     Forward is corrupt -> sigmoid encoder -> tied-transpose decoder ->
-    reconstruction loss against the clean batch.  Weight gradients sum the
-    encoder and decoder contributions and are masked.
+    reconstruction loss against the clean batch.  The weight gradient sums
+    the encoder and decoder contributions at the layer's index positions.
     """
     x_clean = np.asarray(x_clean, dtype=np.float64)
-    we = layer.masked_weights()
+    we = layer.weights
     a_pre = x_tilde @ we.T + layer.bias_hidden
     h = sigmoid(a_pre)
     z = h @ we + layer.bias_visible
@@ -210,9 +216,8 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
         dz = (z - x_clean) / b
     dh = dz @ we.T
     da = dh * h * (1.0 - h)
-    dw = (da.T @ x_tilde + h.T @ dz) * layer.mask
     grads = {
-        "weights": dw,
+        "weights": (da.T @ x_tilde + h.T @ dz).ravel()[layer.index],
         "bias_hidden": da.sum(axis=0),
         "bias_visible": dz.sum(axis=0),
     }
@@ -265,10 +270,8 @@ def multitask_sigmoid_loss(logits: np.ndarray, targets: np.ndarray):
 class Adam:
     """Standard bias-corrected Adam over a named-parameter dict.
 
-    step() mutates the parameter arrays in place; parameters listed in
-    ``masks`` are multiplied by their mask after every update so forbidden
-    entries stay exactly zero.  A non-finite gradient aborts the step before
-    any state changes.
+    step() mutates the parameter arrays in place.  A non-finite gradient
+    aborts the step before any state changes.
     """
 
     def __init__(self, step_size: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -279,7 +282,7 @@ class Adam:
         self.t = 0
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], masks: dict[str, np.ndarray] | None = None) -> None:
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         for name, g in grads.items():
             if not np.isfinite(g).all():
                 raise FloatingPointError(f"non-finite gradient for {name!r}; step aborted")
@@ -298,8 +301,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= self.step_size * (m / c1) / (np.sqrt(v / c2) + self.eps)
-            if masks and name in masks and masks[name] is not None:
-                p *= masks[name]
 
 
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, training: bool = True):
@@ -326,18 +327,19 @@ def stack_forward(
     rng: np.random.Generator | None = None,
     training: bool = False,
 ):
-    """Forward through masked hidden layers then the dense head.
+    """Forward through sparse hidden layers then the dense head.
 
-    Returns (logits, caches); caches feed stack_backward.  Dropout applies to
-    each hidden layer's post-activation output during training only.
+    Returns (logits, caches); caches, holding each layer's dense weights, feed
+    stack_backward.  Dropout applies to hidden outputs during training only.
     """
     caches = []
     out = np.asarray(x, dtype=np.float64)
     for layer in layers:
-        pre = encoder_preactivation(layer, out)
+        w = layer.weights
+        pre = _check_width(out, layer.visible_count, "encoder input") @ w.T + layer.bias_hidden
         act = activation_fn(layer.activation)(pre)
         dropped, scale = dropout(act, dropout_rate, rng, training) if training else (act, None)
-        caches.append({"x": out, "pre": pre, "act": act, "scale": scale})
+        caches.append({"x": out, "w": w, "pre": pre, "act": act, "scale": scale})
         out = dropped
     logits = out @ head.weights.T + head.bias
     caches.append({"x": out})
@@ -348,16 +350,17 @@ def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits:
     """Exact gradients for stack_forward; returns {'head': ..., 'layers': [...]}."""
     head_in = caches[-1]["x"]
     grads_head = {"weights": dlogits.T @ head_in, "bias": dlogits.sum(axis=0)}
-    dx = dlogits @ head.weights
+    dx, w = dlogits, head.weights
     grads_layers = []
     for layer, cache in zip(reversed(layers), reversed(caches[:-1])):
+        dx = dx @ w  # formed only for layer outputs, never for the network input
         if cache["scale"] is not None:
             dx = dx * cache["scale"]
         dpre = dx * activation_grad(layer.activation, cache["pre"], cache["act"])
         grads_layers.append(
-            {"weights": (dpre.T @ cache["x"]) * layer.mask, "bias_hidden": dpre.sum(axis=0)}
+            {"weights": (dpre.T @ cache["x"]).ravel()[layer.index], "bias_hidden": dpre.sum(axis=0)}
         )
-        dx = dpre @ layer.masked_weights()
+        dx, w = dpre, cache["w"]
     grads_layers.reverse()
     return {"head": grads_head, "layers": grads_layers}
 

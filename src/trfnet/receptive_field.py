@@ -1,4 +1,4 @@
-"""Covering a feature tree with receptive fields and emitting connectivity masks.
+"""Covering a feature tree with receptive fields and emitting the connectivity.
 
 A receptive field is the <= r hop ball around a center node.  Centers are
 chosen greedily: the first uniformly at random (seeded), each later one the
@@ -38,6 +38,14 @@ class ReceptiveFieldPlan:
     @property
     def hidden_count(self) -> int:
         return len(self.centers) + self.global_count
+
+    def index(self, visible_count: int) -> np.ndarray:
+        """Flat row-major positions of the planned H x visible_count
+        connectivity: field rows in center order, then all-ones global rows."""
+        first_global = len(self.fields) * visible_count
+        rows = [i * visible_count + np.asarray(f, dtype=np.int64) for i, f in enumerate(self.fields)]
+        rows.append(np.arange(first_global, first_global + self.global_count * visible_count))
+        return np.concatenate(rows)
 
     def to_text(self) -> str:
         """One line per hidden unit, for eyeballing learned structures."""

@@ -149,3 +149,152 @@ def mean_pairwise_cosine(vectors) -> float:
             nb = math.sqrt(sum(x * x for x in b))
             sims.append(sum(x * y for x, y in zip(a, b)) / (na * nb))
     return sum(sims) / len(sims)
+
+
+# ---------------------------------------------------------------------------
+# dense masked training: every layer as an H x V weight matrix W next to a
+# 0/1 mask A, the forward pass through A o W, gradients multiplied by A, and
+# Adam over the full matrices followed by W *= A.  The numpy operations are
+# the ones the sparse code performs, in the same order, so both must agree
+# bit for bit on the connected positions.
+# ---------------------------------------------------------------------------
+
+
+def dense_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class DenseMaskedAdam:
+    """Bias-corrected Adam over full arrays, re-masking after every update."""
+
+    def __init__(self, step_size=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.step_size, self.beta1, self.beta2, self.eps = step_size, beta1, beta2, eps
+        self.t = 0
+        self.moments = {}
+
+    def step(self, params, grads, masks):
+        self.t += 1
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for name, p in params.items():
+            g = grads[name]
+            if name not in self.moments:
+                self.moments[name] = (np.zeros_like(p), np.zeros_like(p))
+            m, v = self.moments[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.step_size * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            if name in masks:
+                p *= masks[name]
+
+
+def dense_dae_gradients(a, w, bias_hidden, bias_visible, x_clean, x_tilde, bernoulli):
+    """Tied denoising autoencoder gradients with the weights used as A o W."""
+    we = a * w
+    h = dense_sigmoid(x_tilde @ we.T + bias_hidden)
+    z = h @ we + bias_visible
+    b = x_clean.shape[0]
+    dz = ((dense_sigmoid(z) if bernoulli else z) - x_clean) / b
+    da = dz @ we.T * h * (1.0 - h)
+    return {
+        "weights": (da.T @ x_tilde + h.T @ dz) * a,
+        "bias_hidden": da.sum(axis=0),
+        "bias_visible": dz.sum(axis=0),
+    }
+
+
+def dense_train_dae(a, values, rate, epochs, batch_size, step_size, seed, bernoulli):
+    """train_dae with masking corruption, as the dense masked algorithm.
+
+    Draws init, epoch orders and corruption from one generator seeded with
+    seed, in train_dae's order.  Returns (W, bias_hidden, bias_visible).
+    """
+    rng = np.random.default_rng(seed)
+    h, v = a.shape
+    limit = np.sqrt(6.0 / (a.sum(axis=1) + h))
+    w = rng.uniform(-1.0, 1.0, size=(h, v)) * limit[:, None]
+    w *= a
+    params = {"weights": w, "bias_hidden": np.zeros(h), "bias_visible": np.zeros(v)}
+    adam = DenseMaskedAdam(step_size)
+    n = values.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = values[order[start : start + batch_size]]
+            x_tilde = batch * (rng.random(batch.shape) >= rate)
+            grads = dense_dae_gradients(
+                a, w, params["bias_hidden"], params["bias_visible"], batch, x_tilde, bernoulli
+            )
+            adam.step(params, grads, {"weights": a})
+    return w, params["bias_hidden"], params["bias_visible"]
+
+
+def dense_relu_logits(masks, ws, bhs, head_w, head_b, x, rate=0.0, rng=None):
+    """ReLU hidden stack through A o W, inverted dropout when rng is given."""
+    caches, out = [], x
+    for a, w, bh in zip(masks, ws, bhs):
+        pre = out @ (a * w).T + bh
+        act = np.maximum(pre, 0.0)
+        scale = None
+        if rng is not None:
+            scale = (rng.random(act.shape) >= rate) / (1.0 - rate)
+        caches.append((out, pre, scale))
+        out = act if scale is None else act * scale
+    return out @ head_w.T + head_b, caches, out
+
+
+def dense_finetune(masks, ws, bhs, head_w, head_b, train, valid, epochs, batch_size,
+                   step_size, rate, seed, l1_strength):
+    """Softmax fine-tuning of a ReLU stack, as builder.finetune runs it with an
+    L1 penalty on every weight and patience of at least epochs.
+
+    Mutates ws, bhs, head_w and head_b into the best-validation snapshot.
+    """
+    x_train, y_train = train
+    rng = np.random.default_rng(seed)
+    params = {}
+    for i, (w, bh) in enumerate(zip(ws, bhs)):
+        params[f"w{i}"], params[f"bh{i}"] = w, bh
+    params["head_w"], params["head_b"] = head_w, head_b
+    param_masks = {f"w{i}": a for i, a in enumerate(masks)}
+    adam = DenseMaskedAdam(step_size)
+    best_score, best_state = -np.inf, None
+    n = x_train.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            x, y = x_train[idx], y_train[idx]
+            logits, caches, head_in = dense_relu_logits(masks, ws, bhs, head_w, head_b, x, rate, rng)
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            dlogits = np.exp(log_probs)
+            dlogits[np.arange(len(y)), y] -= 1.0
+            dlogits = dlogits / len(y)
+            grads = {"head_w": dlogits.T @ head_in, "head_b": dlogits.sum(axis=0)}
+            dx = dlogits @ head_w
+            for i in reversed(range(len(ws))):
+                inp, pre, scale = caches[i]
+                dx = dx * scale
+                dpre = dx * (pre > 0).astype(np.float64)
+                grads[f"w{i}"] = (dpre.T @ inp) * masks[i]
+                grads[f"bh{i}"] = dpre.sum(axis=0)
+                dx = dpre @ (masks[i] * ws[i])
+            for i, w in enumerate(ws):
+                grads[f"w{i}"] = grads[f"w{i}"] + l1_strength * np.sign(w)
+            grads["head_w"] = grads["head_w"] + l1_strength * np.sign(head_w)
+            adam.step(params, grads, param_masks)
+        logits, _, _ = dense_relu_logits(masks, ws, bhs, head_w, head_b, valid[0])
+        score = float((logits.argmax(axis=1) == valid[1]).mean())
+        if score > best_score:
+            best_score = score
+            best_state = {k: v.copy() for k, v in params.items()}
+    for k, v in params.items():
+        v[...] = best_state[k]

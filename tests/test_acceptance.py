@@ -186,7 +186,7 @@ def test_criterion_03_gradient_checks():
             layer, x, x_tilde = masked_instance(seed, family)
             _, analytic = nn.dae_gradients(layer, x, x_tilde, family)
             arrays = {
-                "weights": layer.weights,
+                "weights": layer.values,
                 "bias_hidden": layer.bias_hidden,
                 "bias_visible": layer.bias_visible,
             }
@@ -331,11 +331,9 @@ def test_criterion_09_pruning_oracle():
 def test_criterion_10_interpretability_plumbing():
     rng = np.random.default_rng(5)
     v = 6
-    mask = np.zeros((2, v))
-    mask[0, 3] = 1.0
-    mask[1, 0] = 1.0
+    # unit 0 is wired to feature 3, unit 1 to feature 0
     layer = nn.MaskedLayer(
-        mask=mask, weights=mask.copy(), bias_hidden=np.zeros(2),
+        index=np.array([3, v]), values=np.ones(2), bias_hidden=np.zeros(2),
         bias_visible=np.zeros(v), activation="identity",
     )
     net = TrfNetwork(layers=[layer], plans=[None])

@@ -14,7 +14,9 @@ from trfnet.baselines import (
     train_dense,
     train_l1,
 )
-from trfnet.builder import evaluate, save
+from trfnet.builder import BuildConfig, FinetuneHyper, attach_head, build_trf_net, evaluate, load, save
+from trfnet.dae import DaeHyper
+from trfnet.data import DiscretizationPolicy
 
 
 def blob_config(**kw):
@@ -94,6 +96,24 @@ class TestPrune:
         _, report = prune_and_retrain(net, 0.25, train, hyper_from_config(blob_config()), valid)
         assert report.sparsity == pytest.approx(0.25, abs=1 / net.layers[0].mask.size)
 
+    def test_pruned_trf_network_saves_without_stale_plans(self, tmp_path, small_corpus):
+        cfg = BuildConfig(
+            radius=2, stride=2, depth=2, policy=DiscretizationPolicy.fixed(0.0),
+            dae=DaeHyper(epochs=1, batch_size=64), seed=0,
+        )
+        net = attach_head(build_trf_net(small_corpus, cfg), 3)
+        before = [layer.weights.copy() for layer in net.layers]
+        pruned, _ = prune_and_retrain(net, 0.1, small_corpus, FinetuneHyper(epochs=2, seed=0))
+        save(pruned, tmp_path / "pruned.trf")
+        back = load(tmp_path / "pruned.trf")
+        assert back.plans == [None, None]
+        assert back.mask_violation() == 0.0
+        for weights, layer in zip(before, back.layers):
+            k = int(np.ceil(0.1 * weights.size))
+            # sort oracle over the dense weights, unconnected zeros included
+            order = sorted(range(weights.size), key=lambda i: (-abs(weights.ravel()[i]), i))
+            np.testing.assert_array_equal(layer.index, np.sort(order[:k]))
+
     def test_bad_fraction(self, blob_data):
         train, valid, _ = blob_data
         net, _ = train_dense(train, blob_config(), valid)
@@ -112,13 +132,13 @@ class TestL1:
     def test_penalty_subgradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         net = dense_network(6, DenseNetConfig(hidden_widths=(4,), seed=7), classes=3)
-        net.layers[0].weights[:] = rng.normal(size=(4, 6))
+        net.layers[0].values[:] = rng.normal(size=24)  # all 4 x 6 connections
         net.head.weights[:] = rng.normal(size=(3, 4))
         strength = 0.37
         analytic = l1_gradients(net, strength)
         numeric = central_diff_grads(
             lambda: l1_penalty(net, strength),
-            {"w0": net.layers[0].weights, "head_w": net.head.weights},
+            {"w0": net.layers[0].values, "head_w": net.head.weights},
         )
         assert max_relative_error(analytic["w0"], numeric["w0"]) <= 1e-4
         assert max_relative_error(analytic["head_w"], numeric["head_w"]) <= 1e-4

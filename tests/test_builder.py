@@ -161,6 +161,17 @@ class TestFinetune:
         net, _ = finetune(net, train, None, FinetuneHyper(epochs=5, seed=3))
         assert net.mask_violation() == 0.0
 
+    def test_mask_violation_holds_layers_to_their_plans(self, small_corpus):
+        net = build_trf_net(small_corpus, quick_config())
+        layer = net.layers[0]
+        stray = np.setdiff1d(np.arange(layer.hidden_count * layer.visible_count), layer.index)[0]
+        at = np.searchsorted(layer.index, stray)
+        layer.index = np.insert(layer.index, at, stray)  # a connection the plan lacks
+        layer.values = np.insert(layer.values, at, -0.75)
+        assert net.mask_violation() == 0.75
+        net.plans = [None]  # without a plan the layer's own index is the reference
+        assert net.mask_violation() == 0.0
+
     def test_evaluation_is_deterministic(self, blob_data):
         train, valid, test = blob_data
         cfg = quick_config(
@@ -186,8 +197,8 @@ class TestFinetune:
 def identity_network():
     """V=2 network whose class-1 logit is feature 0, class-0 logit is 0."""
     layer = nn.MaskedLayer(
-        mask=np.eye(2),
-        weights=np.eye(2),
+        index=np.array([0, 3]),
+        values=np.ones(2),
         bias_hidden=np.zeros(2),
         bias_visible=np.zeros(2),
         activation="relu",
@@ -391,10 +402,65 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match="swish"):
             load(tmp_path / "bad.trf")
 
+    def rejects(self, tmp_path, lines, match):
+        (tmp_path / "bad.trf").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=match):
+            load(tmp_path / "bad.trf")
+
+    @pytest.mark.parametrize(
+        "prefix, bad", [("w 0 ", "nan"), ("bh ", "inf"), ("bv ", "nan"), ("hw 0 ", "-inf"), ("hb ", "nan")]
+    )
+    def test_non_finite_parameter_rejected(self, tmp_path, small_corpus, prefix, bad):
+        lines = self.saved_lines(tmp_path, small_corpus)
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        lines[i] = lines[i].rsplit(" ", 1)[0] + " " + bad
+        self.rejects(tmp_path, lines, "non-finite")
+
+    @pytest.mark.parametrize("bad", ["-1", "120"])
+    def test_plan_center_outside_features_rejected(self, tmp_path, small_corpus, bad):
+        lines = self.saved_lines(tmp_path, small_corpus)
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("centers "))
+        lines[i] = "centers " + bad + " " + lines[i].split(" ", 2)[2]
+        self.rejects(tmp_path, lines, r"outside \[0, 120\)")
+
+    def test_plan_field_member_outside_features_rejected(self, tmp_path, small_corpus):
+        lines = self.saved_lines(tmp_path, small_corpus)
+        i = lines.index(next(ln for ln in lines if ln.startswith("field 0 ")))
+        lines[i] += " 120"
+        self.rejects(tmp_path, lines, r"outside \[0, 120\)")
+
+    def test_plan_unit_count_must_match_layer(self, tmp_path, small_corpus):
+        lines = self.saved_lines(tmp_path, small_corpus)
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("plan "))
+        r, s, g = lines[i].split(" ")[1:]
+        lines[i] = f"plan {r} {s} {int(g) + 1}"
+        self.rejects(tmp_path, lines, "units")
+
+    def test_field_row_must_match_plan(self, tmp_path, small_corpus):
+        lines = self.saved_lines(tmp_path, small_corpus)
+        i = lines.index(next(ln for ln in lines if ln.startswith("maskrow 0 sparse ")))
+        lines[i] = lines[i].rsplit(" ", 1)[0]  # drop the last connection of field 0
+        lines[i + 1] = lines[i + 1].rsplit(" ", 1)[0]
+        self.rejects(tmp_path, lines, "disagree with the plan")
+
+    def test_global_row_must_match_plan(self, tmp_path, small_corpus):
+        lines = self.saved_lines(tmp_path, small_corpus)
+        i = max(i for i, ln in enumerate(lines) if ln.startswith("maskrow "))
+        assert lines[i].endswith(" dense")  # the last unit is global
+        lines[i] = lines[i].replace(" dense", " sparse 0")
+        lines[i + 1] = " ".join(lines[i + 1].split(" ")[:3])
+        self.rejects(tmp_path, lines, "disagree with the plan")
+
+    def test_mask_column_outside_layer_rejected(self, tmp_path, small_corpus):
+        lines = self.saved_lines(tmp_path, small_corpus)
+        i = lines.index(next(ln for ln in lines if ln.startswith("maskrow 0 sparse ")))
+        lines[i] = "maskrow 0 sparse -1 " + lines[i].split(" ", 4)[4]
+        self.rejects(tmp_path, lines, "mask columns")
+
     def test_clone_is_independent(self, small_corpus):
         net = build_trf_net(small_corpus, quick_config())
         twin = clone(net)
-        twin.layers[0].weights += 1.0
+        twin.layers[0].values += 1.0
         assert net.mask_violation() == 0.0
         assert not np.array_equal(net.layers[0].weights, twin.layers[0].weights)
 

@@ -43,6 +43,11 @@ class TestTreeCommand:
     def test_missing_data_is_usage_error(self, tmp_path):
         assert main(["tree", "--out", str(tmp_path / "t.dot")]) == 2
 
+    @pytest.mark.parametrize("policy", ["bogus", "fixed:abc", "fixed:nan"])
+    def test_bad_policy_is_usage_error(self, corpus_files, tmp_path, policy):
+        out = str(tmp_path / "t.dot")
+        assert main(["tree", *bow_flags(corpus_files), "--policy", policy, "--out", out]) == 2
+
     def test_missing_required_flag_exits_two(self, corpus_files):
         with pytest.raises(SystemExit) as exc:
             main(["tree", *bow_flags(corpus_files)])

@@ -119,8 +119,8 @@ class TestTrainDae:
 class TestProject:
     def test_zero_weights_give_half_probabilities_and_zero_binary(self):
         layer = nn.MaskedLayer(
-            mask=np.ones((3, 4)),
-            weights=np.zeros((3, 4)),
+            index=np.arange(12),
+            values=np.zeros(12),
             bias_hidden=np.zeros(3),
             bias_visible=np.zeros(4),
         )
@@ -134,8 +134,8 @@ class TestProject:
 
     def test_threshold(self):
         layer = nn.MaskedLayer(
-            mask=np.ones((2, 4)),
-            weights=np.zeros((2, 4)),
+            index=np.arange(8),
+            values=np.zeros(8),
             bias_hidden=np.array([np.log(0.7 / 0.3), -1.0]),
             bias_visible=np.zeros(4),
         )

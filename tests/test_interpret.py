@@ -19,12 +19,9 @@ from trfnet.interpret import (
 
 def passthrough_network(v: int, wired_to: int):
     """One hidden layer whose unit 0 equals feature `wired_to` (identity relu)."""
-    mask = np.zeros((2, v))
-    mask[0, wired_to] = 1.0
-    mask[1, (wired_to + 1) % v] = 1.0
-    weights = mask.copy()
+    index = np.array([wired_to, v + (wired_to + 1) % v])
     layer = nn.MaskedLayer(
-        mask=mask, weights=weights, bias_hidden=np.zeros(2), bias_visible=np.zeros(v),
+        index=index, values=np.ones(2), bias_hidden=np.zeros(2), bias_visible=np.zeros(v),
         activation="identity",
     )
     return TrfNetwork(layers=[layer], plans=[None])

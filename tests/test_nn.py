@@ -19,15 +19,15 @@ def random_masked_layer(h, v, seed, density=0.5, activation="sigmoid"):
 class TestForward:
     def test_sigmoid_at_zero(self):
         layer, _ = random_masked_layer(3, 4, seed=0)
-        layer.weights[:] = 0.0
+        layer.values[:] = 0.0
         layer.bias_hidden[:] = 0.0
         out = nn.masked_forward(layer, np.zeros((2, 4)))
         np.testing.assert_array_equal(out, 0.5)
 
     def test_masked_input_has_no_influence(self):
         layer, rng = random_masked_layer(3, 5, seed=1)
-        layer.mask[:, 2] = 0.0
-        layer.apply_mask()
+        keep = layer.index % 5 != 2  # cut every connection to input 2
+        layer.index, layer.values = layer.index[keep], layer.values[keep]
         x = rng.normal(size=(4, 5))
         base = nn.masked_forward(layer, x)
         x2 = x.copy()
@@ -35,9 +35,9 @@ class TestForward:
         np.testing.assert_array_equal(nn.masked_forward(layer, x2), base)
 
     def test_hand_values_match_scalar_evaluation(self):
-        mask = np.array([[1.0, 0.0], [1.0, 1.0]])
-        w = np.array([[0.5, 9.0], [-0.25, 2.0]])  # the 9 is masked away
-        layer = nn.MaskedLayer(mask, w, np.array([0.1, -0.2]), np.zeros(2), "sigmoid")
+        # connections (0, 0), (1, 0), (1, 1); (0, 1) does not exist
+        w = np.array([0.5, -0.25, 2.0])
+        layer = nn.MaskedLayer(np.array([0, 2, 3]), w, np.array([0.1, -0.2]), np.zeros(2), "sigmoid")
         x = np.array([[2.0, 3.0]])
         out = nn.masked_forward(layer, x)
         import math
@@ -51,6 +51,14 @@ class TestForward:
         layer, _ = random_masked_layer(3, 4, seed=2)
         with pytest.raises(ValueError):
             nn.masked_forward(layer, np.zeros((2, 5)))
+
+    def test_dense_views_are_read_only(self):
+        layer, _ = random_masked_layer(3, 4, seed=2)
+        np.testing.assert_array_equal(np.flatnonzero(layer.mask), layer.index)
+        np.testing.assert_array_equal(layer.weights.ravel()[layer.index], layer.values)
+        for view in (layer.weights, layer.mask):
+            with pytest.raises(ValueError):
+                view[0, 0] = 1.0
 
 
 class TestDecoder:
@@ -112,7 +120,7 @@ class TestDaeGradients:
         x_tilde = x * (rng.random(x.shape) >= 0.3)
         _, analytic = nn.dae_gradients(layer, x, x_tilde, family)
         arrays = {
-            "weights": layer.weights,
+            "weights": layer.values,
             "bias_hidden": layer.bias_hidden,
             "bias_visible": layer.bias_visible,
         }
@@ -126,7 +134,8 @@ class TestDaeGradients:
         layer, rng = random_masked_layer(4, 6, seed=23)
         x = (rng.random((5, 6)) < 0.5).astype(np.float64)
         _, grads = nn.dae_gradients(layer, x, x, nn.BERNOULLI)
-        np.testing.assert_array_equal(grads["weights"] * (1 - layer.mask), 0.0)
+        # one gradient per connection: an unconnected position has none to take
+        assert grads["weights"].shape == layer.index.shape
 
     def test_loss_equals_composed_operations(self):
         layer, rng = random_masked_layer(4, 6, seed=29)
@@ -154,7 +163,7 @@ class TestClassifierStack:
         _, dlogits = nn.softmax_cross_entropy(logits, y)
         g = nn.stack_backward([layer], head, caches, dlogits)
         arrays = {
-            "w": layer.weights,
+            "w": layer.values,
             "bh": layer.bias_hidden,
             "hw": head.weights,
             "hb": head.bias,
@@ -214,11 +223,14 @@ class TestAdam:
             assert p["w"][0] == pytest.approx(-1e-3 * np.sign(g), rel=1e-6)
 
     def test_mask_reapplied_after_step(self):
-        mask = np.array([[1.0, 0.0]])
-        p = {"w": np.array([[0.5, 0.0]])}
-        grads = {"w": np.array([[0.1, 0.7]])}  # erroneous gradient on masked slot
-        nn.Adam().step(p, grads, {"w": mask})
-        assert p["w"][0, 1] == 0.0
+        # a 1 x 2 layer connected at (0, 0) only: the step updates its one value
+        layer = nn.MaskedLayer(np.array([0]), np.array([0.5]), np.zeros(1), np.zeros(2))
+        p = {"w": layer.values}
+        with pytest.raises(ValueError):  # a gradient for the unconnected slot has no place
+            nn.Adam().step(p, {"w": np.array([0.1, 0.7])})
+        nn.Adam().step(p, {"w": np.array([0.1])})
+        assert layer.values[0] != 0.5
+        assert layer.weights[0, 1] == 0.0
 
     def test_nan_gradient_aborts_without_state_change(self):
         p = {"w": np.array([1.0])}
@@ -263,7 +275,7 @@ class TestMaskInvariance:
         layer, _ = random_masked_layer(6, 9, seed=41)
         adam = nn.Adam(step_size=0.01)
         params = {
-            "w": layer.weights,
+            "w": layer.values,
             "bh": layer.bias_hidden,
             "bv": layer.bias_visible,
         }
@@ -274,7 +286,6 @@ class TestMaskInvariance:
             adam.step(
                 params,
                 {"w": grads["weights"], "bh": grads["bias_hidden"], "bv": grads["bias_visible"]},
-                {"w": layer.mask},
             )
         np.testing.assert_array_equal(layer.weights * (1 - layer.mask), 0.0)
         assert np.isfinite(layer.weights).all()
