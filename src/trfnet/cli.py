@@ -207,6 +207,16 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _ensure_head(net, d) -> None:
+    """Attach a fresh head sized from d's labels to a network that has none."""
+    from . import builder
+
+    if net.head is None:
+        classes = d.labels.shape[1] if d.labels.ndim == 2 else int(d.labels.max()) + 1
+        mode = builder.MULTITASK if d.labels.ndim == 2 else builder.SOFTMAX
+        builder.attach_head(net, classes, mode=mode)
+
+
 def cmd_finetune(args) -> int:
     from . import builder
 
@@ -215,10 +225,7 @@ def cmd_finetune(args) -> int:
     inputs = [args.model] + inputs
     net = builder.load(args.model)
     train, valid, _ = _split_labeled(d, args)
-    if net.head is None:
-        classes = d.labels.shape[1] if d.labels.ndim == 2 else int(d.labels.max()) + 1
-        mode = builder.MULTITASK if d.labels.ndim == 2 else builder.SOFTMAX
-        builder.attach_head(net, classes, mode=mode)
+    _ensure_head(net, d)
     hyper = builder.FinetuneHyper(
         epochs=args.epochs,
         batch_size=args.batch,
@@ -282,6 +289,7 @@ def cmd_baseline(args) -> int:
         if args.model is not None:
             base = builder.load(args.model)
             inputs.append(args.model)
+            _ensure_head(base, d)
         else:
             base, _ = baselines.train_dense(train, cfg, valid)
         hyper = baselines.hyper_from_config(cfg)
@@ -312,7 +320,7 @@ def cmd_inspect(args) -> int:
 
     from . import builder
     from .errors import DegenerateUnitWarning
-    from .interpret import load_embeddings, top_correlated_features, unit_interpretability
+    from .interpret import _rank_units, load_embeddings, unit_interpretability
 
     t0 = time.perf_counter()
     d, inputs = _load_data(args)
@@ -327,8 +335,7 @@ def cmd_inspect(args) -> int:
     unit_scores = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateUnitWarning)
-        for unit in range(net.top_width):
-            top = top_correlated_features(net, d, unit, args.top)
+        for unit, top in enumerate(_rank_units(net, d, args.top)):
             shown = " ".join(f"{names[j]}({r:+.3f})" for j, r in top)
             line = f"unit {unit}\t{shown}"
             if emb is not None:

@@ -64,22 +64,45 @@ def load_embeddings(path) -> EmbeddingTable:
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 
-def _pearson_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Correlation of each column of x with y; zero-variance columns get 0."""
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean()
-    sx = np.sqrt((xc**2).sum(axis=0))
-    sy = float(np.sqrt((yc**2).sum()))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = (xc.T @ yc) / (sx * sy)
-    return np.where((sx > 0) & (sy > 0), r, 0.0)
-
-
 def unit_activations(net: TrfNetwork, d: Dataset) -> np.ndarray:
     """Top-layer activations over a dataset, eval mode."""
     if d.n_features != net.input_width:
         raise ValueError(f"data width {d.n_features} != network input {net.input_width}")
     return hidden_representation(net.layers, d.values)
+
+
+def _rank_units(
+    net: TrfNetwork, d: Dataset, k: int, units: list[int] | None = None
+) -> list[list[tuple[int, float]]]:
+    """top_correlated_features for each of units (default: every top unit).
+
+    One forward pass and one centring of the features serve every unit.  Each
+    unit's Pearson correlations (zero-variance columns get 0) come from its
+    own matrix-vector product, so the numbers match a one-unit call exactly.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    acts = unit_activations(net, d)
+    if units is None:
+        units = range(acts.shape[1])
+    for unit in units:
+        if not 0 <= unit < acts.shape[1]:
+            raise ValueError(f"unit {unit} out of range for top width {acts.shape[1]}")
+    xc = d.values - d.values.mean(axis=0)
+    sx = np.sqrt((xc**2).sum(axis=0))
+    rankings = []
+    for unit in units:
+        y = acts[:, unit]
+        if np.ptp(y) == 0.0:
+            warnings.warn(f"unit {unit} has constant activation", DegenerateUnitWarning)
+        yc = y - y.mean()
+        sy = float(np.sqrt((yc**2).sum()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (xc.T @ yc) / (sx * sy)
+        r = np.where((sx > 0) & (sy > 0), r, 0.0)
+        order = np.lexsort((np.arange(r.size), -np.abs(r)))
+        rankings.append([(int(j), float(r[j])) for j in order[: min(k, r.size)]])
+    return rankings
 
 
 def top_correlated_features(net: TrfNetwork, d: Dataset, unit: int, k: int) -> list[tuple[int, float]]:
@@ -89,17 +112,7 @@ def top_correlated_features(net: TrfNetwork, d: Dataset, unit: int, k: int) -> l
     descending, ties by index.  A constant unit triggers a warning and an
     all-zero ranking.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    acts = unit_activations(net, d)
-    if not 0 <= unit < acts.shape[1]:
-        raise ValueError(f"unit {unit} out of range for top width {acts.shape[1]}")
-    y = acts[:, unit]
-    if np.ptp(y) == 0.0:
-        warnings.warn(f"unit {unit} has constant activation", DegenerateUnitWarning)
-    r = _pearson_columns(d.values, y)
-    order = np.lexsort((np.arange(r.size), -np.abs(r)))
-    return [(int(j), float(r[j])) for j in order[: min(k, r.size)]]
+    return _rank_units(net, d, k, [unit])[0]
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -137,8 +150,7 @@ def interpretability_score(net: TrfNetwork, d: Dataset, emb: EmbeddingTable, k: 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateUnitWarning)
         per_unit = []
-        for unit in range(net.top_width):
-            top = top_correlated_features(net, d, unit, k)
+        for top in _rank_units(net, d, k):
             names = [d.feature_names[j] for j, _ in top]
             score = unit_interpretability(names, emb)
             if score is not None:

@@ -25,12 +25,17 @@ FAMILIES = (BERNOULLI, GAUSSIAN)
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return _sigmoid_from(z, _exp_neg_abs(z))
+
+
+def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
+    """exp(-|z|); min(z, -z) rather than -abs(z) so a nan keeps its sign bit."""
+    return np.exp(np.minimum(z, -z))
+
+
+def _sigmoid_from(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(z) given e = exp(-|z|): 1 / (1 + e) where z >= 0, else e / (1 + e)."""
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def relu(z: np.ndarray) -> np.ndarray:
@@ -101,22 +106,35 @@ class MaskedLayer:
         return self._scatter(1.0)
 
 
+# rows of the init uniform drawn at a time, so no dense H x V array is built
+INIT_ROW_BLOCK = 64
+
+
 def init_masked_layer(mask: np.ndarray, rng: np.random.Generator, activation: str = "sigmoid") -> MaskedLayer:
     """Uniform +-sqrt(6 / (fan_in + fan_out)) init with per-row fan-in.
 
     fan_in of row i is its mask row's nonzero count (the unit's true input
     width); fan_out is taken as the hidden width.  The full H x V uniform is
-    drawn, so the generator advances the same way whatever the mask.
+    drawn, in blocks of INIT_ROW_BLOCK rows, so the generator advances the
+    same way whatever the mask; each block keeps only its connected entries.
     """
-    m = np.asarray(mask, dtype=np.float64)
+    m = np.asarray(mask)
     h, v = m.shape
-    fan_in = m.sum(axis=1)
+    fan_in = np.count_nonzero(m, axis=1)
     limit = np.sqrt(6.0 / (fan_in + h))
-    w = rng.uniform(-1.0, 1.0, size=(h, v)) * limit[:, None]
-    index = np.flatnonzero(m)
+    starts = np.concatenate(([0], np.cumsum(fan_in)))
+    index = np.empty(starts[-1], dtype=np.int64)
+    values = np.empty(starts[-1])
+    for r0 in range(0, h, INIT_ROW_BLOCK):
+        r1 = min(r0 + INIT_ROW_BLOCK, h)
+        u = rng.uniform(-1.0, 1.0, size=(r1 - r0, v))
+        rows, cols = np.nonzero(m[r0:r1])
+        lo, hi = starts[r0], starts[r1]
+        index[lo:hi] = (rows + r0) * v + cols
+        values[lo:hi] = u[rows, cols] * limit[rows + r0]
     return MaskedLayer(
         index=index,
-        values=w.ravel()[index],
+        values=values,
         bias_hidden=np.zeros(h),
         bias_visible=np.zeros(v),
         activation=activation,
@@ -183,16 +201,25 @@ def reconstruction_loss(x: np.ndarray, z_pre: np.ndarray, family: str) -> float:
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z_pre, dtype=np.float64)
-    if x.shape != z.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs z {z.shape}")
+    _check_same_shape(x, z)
     if family == BERNOULLI:
-        if (x < 0).any() or (x > 1).any():
-            raise DomainError("bernoulli loss needs targets in [0, 1]")
-        elem = np.maximum(z, 0.0) - x * z + np.log1p(np.exp(-np.abs(z)))
-        return float(elem.sum(axis=1).mean())
+        return _bernoulli_loss(x, z, _exp_neg_abs(z))
     if family == GAUSSIAN:
         return float((0.5 * (x - z) ** 2).sum(axis=1).mean())
     raise ValueError(f"unknown family {family!r}")
+
+
+def _check_same_shape(x: np.ndarray, z: np.ndarray) -> None:
+    if x.shape != z.shape:
+        raise ValueError(f"shape mismatch: x {x.shape} vs z {z.shape}")
+
+
+def _bernoulli_loss(x: np.ndarray, z: np.ndarray, e: np.ndarray) -> float:
+    """Bernoulli reconstruction_loss given e = exp(-|z|)."""
+    if (x < 0).any() or (x > 1).any():
+        raise DomainError("bernoulli loss needs targets in [0, 1]")
+    elem = np.maximum(z, 0.0) - x * z + np.log1p(e)
+    return float(elem.sum(axis=1).mean())
 
 
 def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, family: str):
@@ -207,17 +234,20 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
     a_pre = x_tilde @ we.T + layer.bias_hidden
     h = sigmoid(a_pre)
     z = h @ we + layer.bias_visible
-    loss = reconstruction_loss(x_clean, z, family)
 
     b = x_clean.shape[0]
     if family == BERNOULLI:
-        dz = (sigmoid(z) - x_clean) / b
+        _check_same_shape(x_clean, z)
+        e = _exp_neg_abs(z)
+        loss = _bernoulli_loss(x_clean, z, e)
+        dz = (_sigmoid_from(z, e) - x_clean) / b
     else:
+        loss = reconstruction_loss(x_clean, z, family)
         dz = (z - x_clean) / b
     dh = dz @ we.T
     da = dh * h * (1.0 - h)
     grads = {
-        "weights": (da.T @ x_tilde + h.T @ dz).ravel()[layer.index],
+        "weights": (da.T @ x_tilde).ravel()[layer.index] + (h.T @ dz).ravel()[layer.index],
         "bias_hidden": da.sum(axis=0),
         "bias_visible": dz.sum(axis=0),
     }

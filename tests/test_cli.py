@@ -165,6 +165,21 @@ class TestBaselineCommand:
         if kind == "l1":
             assert "effective_sparsity" in text
 
+    def test_prune_model_straight_from_build(self, corpus_files, model_path, tmp_path):
+        from trfnet.builder import load
+
+        out = str(tmp_path / "pruned.trf")
+        rc = main(
+            [
+                "baseline", "prune", "--model", model_path, *bow_flags(corpus_files),
+                "--keep", "0.2", "--epochs", "4", "--patience", "4",
+                "--seed", "3", "--out", out,
+            ]
+        )
+        assert rc == 0
+        assert "sparsity" in open(out + ".report").read()
+        assert load(out).head is not None
+
     def test_bad_widths_usage_error(self, corpus_files, tmp_path):
         rc = main(
             [

@@ -165,3 +165,29 @@ class TestProject:
         probs, hard = project(model, small_corpus)
         assert (probs.values > 0).all() and (probs.values < 1).all()
         np.testing.assert_array_equal(hard.values, (probs.values > 0.5).astype(np.int8))
+
+
+class TestDaeBernoulliLoss:
+    def setup_method(self):
+        rng = np.random.default_rng(41)
+        mask = (rng.random((40, 70)) < 0.3).astype(np.float64)
+        self.layer = nn.init_masked_layer(mask, rng)
+        self.layer.values *= 40.0  # decoder logits reach well past +-30
+        self.layer.bias_visible[:] = rng.normal(scale=5.0, size=70)
+        self.x = (rng.random((25, 70)) < 0.4).astype(np.float64)
+        self.x_tilde = self.x * (rng.random(self.x.shape) >= 0.3)
+
+    def test_loss_equals_reconstruction_loss_bits(self):
+        loss, _ = nn.dae_gradients(self.layer, self.x, self.x_tilde, nn.BERNOULLI)
+        h = nn.masked_forward(self.layer, self.x_tilde)
+        z = nn.decoder_preactivation(self.layer, h)
+        assert np.abs(z).max() > 30.0
+        expected = nn.reconstruction_loss(self.x, z, nn.BERNOULLI)
+        assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5])
+    def test_targets_outside_unit_interval_raise(self, bad):
+        x = self.x.copy()
+        x[3, 5] = bad
+        with pytest.raises(DomainError):
+            nn.dae_gradients(self.layer, x, self.x_tilde, nn.BERNOULLI)

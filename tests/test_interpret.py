@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mean_pairwise_cosine
-from trfnet import nn
+from oracles import dense_sigmoid, mean_pairwise_cosine
+from trfnet import interpret, nn
 from trfnet.builder import TrfNetwork
 from trfnet.data import Dataset
 from trfnet.errors import DataFormatError, DegenerateUnitWarning, NoCoverageError
@@ -156,3 +158,93 @@ class TestInterpretabilityScore:
         unnamed = Dataset(self.values)
         with pytest.raises(ValueError, match="names"):
             interpretability_score(self.net, unnamed, table({"a": [1.0]}), k=2)
+
+
+def two_layer_network(v: int, widths, seed: int):
+    """Random sparse sigmoid layers; top unit 1 gets no input and is constant."""
+    rng = np.random.default_rng(seed)
+    layers, width = [], v
+    for h in widths:
+        mask = (rng.random((h, width)) < 0.4).astype(np.float64)
+        layer = nn.init_masked_layer(mask, rng)
+        layer.bias_hidden[:] = rng.normal(scale=0.2, size=h)
+        layers.append(layer)
+        width = h
+    top = layers[-1]
+    keep = top.index // top.visible_count != 1
+    top.index, top.values = top.index[keep], top.values[keep]
+    return TrfNetwork(layers=layers, plans=[None] * len(layers))
+
+
+def reference_ranking(layers, x: np.ndarray, unit: int, k: int):
+    """The per-unit computation: its own forward, centring and Pearson column."""
+    acts = x
+    for layer in layers:
+        acts = dense_sigmoid(acts @ layer.weights.T + layer.bias_hidden)
+    y = acts[:, unit]
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean()
+    sx = np.sqrt((xc**2).sum(axis=0))
+    sy = float(np.sqrt((yc**2).sum()))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (xc.T @ yc) / (sx * sy)
+    r = np.where((sx > 0) & (sy > 0), r, 0.0)
+    order = np.lexsort((np.arange(r.size), -np.abs(r)))
+    return [(int(j), float(r[j])) for j in order[: min(k, r.size)]]
+
+
+class TestAllUnitsFromOneForward:
+    def setup_method(self):
+        rng = np.random.default_rng(8)
+        v = 30
+        values = (rng.random((90, v)) < 0.3).astype(np.float64)
+        values[:, 7] = 1.0  # a zero-variance feature
+        self.names = tuple(f"w{j}" for j in range(v))
+        self.d = Dataset(values, feature_names=self.names)
+        self.net = two_layer_network(v, (16, 10), seed=9)
+        self.emb = table({n: rng.normal(size=3) for n in self.names[::2] + self.names[1:9]})
+
+    def test_top_correlated_features_match_per_unit_reference(self):
+        assert self.net.top_width >= 8
+        for unit in range(self.net.top_width):
+            expected = reference_ranking(self.net.layers, self.d.values, unit, 6)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateUnitWarning)
+                got = top_correlated_features(self.net, self.d, unit, 6)
+            assert [(j, np.float64(r).tobytes()) for j, r in got] == [
+                (j, np.float64(r).tobytes()) for j, r in expected
+            ]
+
+    def test_score_matches_per_unit_reference(self):
+        per_unit = []
+        for unit in range(self.net.top_width):
+            top = reference_ranking(self.net.layers, self.d.values, unit, 5)
+            score = unit_interpretability([self.names[j] for j, _ in top], self.emb)
+            if score is not None:
+                per_unit.append(score)
+        expected = float(np.mean(per_unit))
+        got = interpretability_score(self.net, self.d, self.emb, k=5)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_constant_unit_still_warns(self):
+        with pytest.warns(DegenerateUnitWarning, match="unit 1 "):
+            top_correlated_features(self.net, self.d, 1, 3)
+
+    def test_one_forward_per_score(self, monkeypatch):
+        calls = []
+
+        def counting(layers, x):
+            calls.append(1)
+            return nn.hidden_representation(layers, x)
+
+        monkeypatch.setattr(interpret, "hidden_representation", counting)
+        interpretability_score(self.net, self.d, self.emb, k=5)
+        assert len(calls) == 1
+        top_correlated_features(self.net, self.d, 3, 5)
+        assert len(calls) == 2
+
+    def test_bad_unit_and_k_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            top_correlated_features(self.net, self.d, self.net.top_width, 3)
+        with pytest.raises(ValueError, match="k must be"):
+            top_correlated_features(self.net, self.d, 0, 0)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import central_diff_grads, max_relative_error
+from oracles import central_diff_grads, dense_sigmoid, max_relative_error
 from trfnet import nn
 from trfnet.errors import DomainError
 
@@ -59,6 +61,71 @@ class TestForward:
         for view in (layer.weights, layer.mask):
             with pytest.raises(ValueError):
                 view[0, 0] = 1.0
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+class TestSigmoidOracle:
+    def test_special_values_match_oracle_bits(self):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                      709.0, -709.0, 745.0, -745.0, 1e-300, -1e-300])
+        assert bits(nn.sigmoid(z)) == bits(dense_sigmoid(z))
+
+    def test_scaled_normals_match_oracle_bits(self):
+        z = np.random.default_rng(13).normal(size=10_000) * 50.0
+        assert bits(nn.sigmoid(z)) == bits(dense_sigmoid(z))
+
+    @pytest.mark.parametrize("shape", [(7,), (40, 25), (0,), (0, 3), (3, 0)])
+    def test_shapes_match_oracle_bits(self, shape):
+        z = np.random.default_rng(17).normal(size=shape) * 20.0
+        out = nn.sigmoid(z)
+        assert out.shape == shape
+        assert bits(out) == bits(dense_sigmoid(z))
+
+
+def single_draw_init(mask, rng):
+    """init_masked_layer as one H x V uniform draw, gathered at the mask."""
+    m = np.asarray(mask, dtype=np.float64)
+    h, v = m.shape
+    limit = np.sqrt(6.0 / (m.sum(axis=1) + h))
+    w = rng.uniform(-1.0, 1.0, size=(h, v)) * limit[:, None]
+    index = np.flatnonzero(m)
+    return index, w.ravel()[index]
+
+
+class TestInitMaskedLayer:
+    @pytest.mark.parametrize("h", [1, nn.INIT_ROW_BLOCK, 2 * nn.INIT_ROW_BLOCK + 5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8, bool])
+    def test_same_bits_as_single_draw(self, h, dtype):
+        mask = np.random.default_rng(h).random((h, 37)) < 0.3
+        mask[0] = False  # an empty row
+        layer = nn.init_masked_layer(mask.astype(dtype), np.random.default_rng(2))
+        index, values = single_draw_init(mask, np.random.default_rng(2))
+        assert layer.index.dtype == index.dtype
+        np.testing.assert_array_equal(layer.index, index)
+        assert bits(layer.values) == bits(values)
+
+    def test_generator_advances_by_full_draw(self):
+        mask = np.random.default_rng(4).random((70, 11)) < 0.2
+        rng = np.random.default_rng(5)
+        nn.init_masked_layer(mask, rng)
+        ref = np.random.default_rng(5)
+        ref.uniform(size=70 * 11)
+        assert rng.random() == ref.random()
+
+    def test_peak_memory_a_third_of_single_draw(self):
+        mask = (np.random.default_rng(6).random((1005, 4000)) < 0.1).astype(np.float64)
+        peaks = []
+        for init in (single_draw_init, nn.init_masked_layer):
+            tracemalloc.start()
+            try:
+                init(mask, np.random.default_rng(0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] / 3
 
 
 class TestDecoder:
