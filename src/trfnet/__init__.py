@@ -25,7 +25,7 @@ from .data import (
 )
 from .stats import ContingencyCounts, MiMatrix, empirical_mi, mi_matrix, pair_counts
 from .tree import ChowLiuTree, chow_liu, hop_distances, max_log_likelihood, max_spanning_tree
-from .receptive_field import ConnectivityMask, ReceptiveFieldPlan, build_masks, extract_field, select_centers
+from .receptive_field import ReceptiveFieldPlan, build_masks
 from .nn import DenseLayer, MaskedLayer, Adam, dropout, masked_forward, decoder_forward, reconstruction_loss
 from .dae import CorruptionConfig, DaeHyper, TwoLayerModel, corrupt, project, train_dae
 from .builder import (
@@ -50,7 +50,6 @@ __all__ = [
     "BinaryDataset",
     "BuildConfig",
     "ChowLiuTree",
-    "ConnectivityMask",
     "ContingencyCounts",
     "CorruptionConfig",
     "DaeHyper",
@@ -76,7 +75,6 @@ __all__ = [
     "dropout",
     "empirical_mi",
     "evaluate",
-    "extract_field",
     "finetune",
     "hop_distances",
     "interpretability_score",
@@ -93,7 +91,6 @@ __all__ = [
     "prune_and_retrain",
     "reconstruction_loss",
     "save",
-    "select_centers",
     "split",
     "top_correlated_features",
     "train_dae",

@@ -67,7 +67,7 @@ def dense_network(input_width: int, cfg: DenseNetConfig, classes: int, head_mode
     layers = []
     widths = (input_width,) + cfg.hidden_widths
     for v, h in zip(widths[:-1], widths[1:]):
-        layers.append(nn.init_masked_layer(np.ones((h, v)), rng, activation=cfg.activation))
+        layers.append(nn.init_masked_layer(np.arange(h * v), (h, v), rng, activation=cfg.activation))
     net = TrfNetwork(layers=layers, plans=[None] * len(layers))
     return attach_head(net, classes, mode=head_mode, seed=cfg.seed + 1)
 

@@ -173,12 +173,13 @@ def build_trf_net(d: Dataset, cfg: BuildConfig) -> TrfNetwork:
         seed_k = cfg.seed + k
         tree = chow_liu_from_binary(binary)
         try:
-            plan, mask = build_masks(
-                tree, cfg.radius[k], cfg.stride[k], cfg.global_fraction, seed_k
-            )
+            plan = build_masks(tree, cfg.radius[k], cfg.stride[k], cfg.global_fraction, seed_k)
         except EmptyStructureError as e:
             raise EmptyStructureError(f"layer {k}: {e}") from None
-        model = train_dae(mask, current, cfg.corruption, replace(cfg.dae, seed=seed_k))
+        v = current.n_features
+        model = train_dae(
+            plan.index(v), (plan.hidden_count, v), current, cfg.corruption, replace(cfg.dae, seed=seed_k)
+        )
         layers.append(model.layer)
         plans.append(plan)
         logs.append(model.training_log)
@@ -305,7 +306,8 @@ def finetune(
         layer.activation = hyper.activation
     if hyper.reinit:
         for layer in net.layers:
-            fresh = nn.init_masked_layer(layer.mask, rng, activation=hyper.activation)
+            shape = (layer.hidden_count, layer.visible_count)
+            fresh = nn.init_masked_layer(layer.index, shape, rng, activation=hyper.activation)
             layer.values[...] = fresh.values
             layer.bias_hidden[...] = 0.0
             layer.bias_visible[...] = 0.0
@@ -449,20 +451,25 @@ def report_from_text(text: str):
         key, _, value = ln.partition(" ")
         fields_[key] = value
     name = fields_.get("name", "model")
-    report = EvalReport(
-        parameter_count=int(fields_["parameter_count"]),
-        sparsity=float(fields_["sparsity"]),
-        accuracy=float(fields_["accuracy"]) if "accuracy" in fields_ else None,
-        auc_per_task=(
-            tuple(float(x) for x in fields_["auc_per_task"].split(","))
-            if "auc_per_task" in fields_
-            else None
-        ),
-        auc_mean=float(fields_["auc_mean"]) if "auc_mean" in fields_ else None,
-        effective_sparsity=(
-            float(fields_["effective_sparsity"]) if "effective_sparsity" in fields_ else None
-        ),
-    )
+    try:
+        report = EvalReport(
+            parameter_count=int(fields_["parameter_count"]),
+            sparsity=float(fields_["sparsity"]),
+            accuracy=float(fields_["accuracy"]) if "accuracy" in fields_ else None,
+            auc_per_task=(
+                tuple(float(x) for x in fields_["auc_per_task"].split(","))
+                if "auc_per_task" in fields_
+                else None
+            ),
+            auc_mean=float(fields_["auc_mean"]) if "auc_mean" in fields_ else None,
+            effective_sparsity=(
+                float(fields_["effective_sparsity"]) if "effective_sparsity" in fields_ else None
+            ),
+        )
+    except KeyError as e:
+        raise ModelFormatError(f"report lacks {e.args[0]}") from None
+    except ValueError as e:
+        raise ModelFormatError(f"corrupted report: {e}") from None
     return name, report
 
 
@@ -718,13 +725,14 @@ def load(path) -> TrfNetwork:
                 raise ModelFormatError("head: non-finite weight or bias")
             head = nn.DenseLayer(weights=hw, bias=hb, activation=act)
         rd.next("end trfnet-model")
+        # an empty stack or widths that do not chain raise ValueError here
+        return TrfNetwork(
+            layers=layers, plans=plans, head=head, head_mode=head_mode, config=config
+        )
     except (ValueError, IndexError) as e:
         if isinstance(e, ModelFormatError):
             raise
         raise ModelFormatError(f"corrupted model file: {e}") from None
-    return TrfNetwork(
-        layers=layers, plans=plans, head=head, head_mode=head_mode, config=config
-    )
 
 
 def clone(net: TrfNetwork) -> TrfNetwork:

@@ -17,7 +17,6 @@ import numpy as np
 from . import nn
 from .data import BinaryDataset, Dataset, DiscretizationPolicy, discretize
 from .errors import DomainError
-from .receptive_field import ConnectivityMask
 
 MASKING = "masking"
 GAUSSIAN_ADDITIVE = "gaussian-additive"
@@ -95,22 +94,24 @@ def resolve_family(values: np.ndarray, requested: str) -> str:
     return nn.BERNOULLI if 0.0 <= lo and hi <= 1.0 else nn.GAUSSIAN
 
 
-def train_dae(mask: ConnectivityMask, d: Dataset, c: CorruptionConfig, h: DaeHyper) -> TwoLayerModel:
+def train_dae(
+    index: np.ndarray, shape: tuple[int, int], d: Dataset, c: CorruptionConfig, h: DaeHyper
+) -> TwoLayerModel:
     """Train one sparse layer as a denoising autoencoder on d.values.
 
-    All randomness (init, epoch shuffles, corruption draws) comes from a
+    The layer is H x V, shape = (H, V), with its connections at index: sorted
+    flat row-major positions, as nn.init_masked_layer takes them.  All
+    randomness (init, epoch shuffles, corruption draws) comes from a
     single generator seeded with h.seed, so runs are exactly repeatable.
     training_log records the sample-weighted mean batch loss per epoch.
     """
-    if mask.visible_count != d.n_features:
-        raise ValueError(
-            f"mask width {mask.visible_count} != data width {d.n_features}"
-        )
+    if shape[1] != d.n_features:
+        raise ValueError(f"layer width {shape[1]} != data width {d.n_features}")
     family = resolve_family(d.values, h.loss_family)
     if family == nn.BERNOULLI and ((d.values < 0).any() or (d.values > 1).any()):
         raise DomainError("bernoulli family needs data in [0, 1]")
     rng = np.random.default_rng(h.seed)
-    layer = nn.init_masked_layer(mask.a, rng, activation="sigmoid")
+    layer = nn.init_masked_layer(index, shape, rng, activation="sigmoid")
     adam = nn.Adam(h.step_size, h.beta1, h.beta2, h.eps)
     params = {
         "weights": layer.values,

@@ -110,28 +110,34 @@ class MaskedLayer:
 INIT_ROW_BLOCK = 64
 
 
-def init_masked_layer(mask: np.ndarray, rng: np.random.Generator, activation: str = "sigmoid") -> MaskedLayer:
+def init_masked_layer(
+    index: np.ndarray, shape: tuple[int, int], rng: np.random.Generator, activation: str = "sigmoid"
+) -> MaskedLayer:
     """Uniform +-sqrt(6 / (fan_in + fan_out)) init with per-row fan-in.
 
-    fan_in of row i is its mask row's nonzero count (the unit's true input
-    width); fan_out is taken as the hidden width.  The full H x V uniform is
-    drawn, in blocks of INIT_ROW_BLOCK rows, so the generator advances the
-    same way whatever the mask; each block keeps only its connected entries.
+    index holds the sorted flat row-major positions (row * V + column) of the
+    connections of an H x V layer, shape = (H, V).  fan_in of row i is its
+    connection count (the unit's true input width); fan_out is taken as the
+    hidden width.  The full H x V uniform is drawn, in blocks of
+    INIT_ROW_BLOCK rows, so the generator advances the same way whatever the
+    connectivity; each block keeps only its connected entries.
     """
-    m = np.asarray(mask)
-    h, v = m.shape
-    fan_in = np.count_nonzero(m, axis=1)
-    limit = np.sqrt(6.0 / (fan_in + h))
-    starts = np.concatenate(([0], np.cumsum(fan_in)))
-    index = np.empty(starts[-1], dtype=np.int64)
-    values = np.empty(starts[-1])
+    h, v = shape
+    index = np.asarray(index)
+    if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+        raise ValueError(f"index must be a 1-D integer array, got {index.dtype} of shape {index.shape}")
+    if index.size and (index[0] < 0 or index[-1] >= h * v or (np.diff(index) <= 0).any()):
+        raise ValueError(f"index must rise strictly inside [0, {h * v})")
+    index = index.astype(np.int64)
+    bounds = np.searchsorted(index, np.arange(h + 1) * v)
+    limit = np.sqrt(6.0 / (np.diff(bounds) + h))
+    values = np.empty(index.size)
     for r0 in range(0, h, INIT_ROW_BLOCK):
         r1 = min(r0 + INIT_ROW_BLOCK, h)
         u = rng.uniform(-1.0, 1.0, size=(r1 - r0, v))
-        rows, cols = np.nonzero(m[r0:r1])
-        lo, hi = starts[r0], starts[r1]
-        index[lo:hi] = (rows + r0) * v + cols
-        values[lo:hi] = u[rows, cols] * limit[rows + r0]
+        lo, hi = bounds[r0], bounds[r1]
+        pos = index[lo:hi] - r0 * v
+        values[lo:hi] = u.ravel()[pos] * limit[r0 + pos // v]
     return MaskedLayer(
         index=index,
         values=values,

@@ -3,8 +3,9 @@
 A receptive field is the <= r hop ball around a center node.  Centers are
 chosen greedily: the first uniformly at random (seeded), each later one the
 lowest-indexed node whose minimum hop distance to the chosen centers is
-exactly the stride.  One mask row per field, plus optional all-ones rows for
-global units.
+exactly the stride.  Each field becomes the input set of one hidden unit,
+and optional global units connect to every node; ReceptiveFieldPlan.index
+gives that connectivity as sorted flat positions, the form a layer stores.
 """
 
 from __future__ import annotations
@@ -56,38 +57,6 @@ class ReceptiveFieldPlan:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ConnectivityMask:
-    """H x V binary connection matrix; row_kind tags each row trf or global."""
-
-    a: np.ndarray
-    row_kind: tuple[str, ...]
-
-    def __post_init__(self):
-        a = np.array(self.a, dtype=np.uint8)
-        if a.ndim != 2:
-            raise ValueError("mask must be 2-D")
-        if len(self.row_kind) != a.shape[0]:
-            raise ValueError("need one row_kind per mask row")
-        if not np.isin(a, (0, 1)).all():
-            raise ValueError("mask entries must be 0 or 1")
-        if (a.sum(axis=1) == 0).any():
-            raise ValueError("mask has an all-zero row")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-
-    @property
-    def hidden_count(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def visible_count(self) -> int:
-        return self.a.shape[1]
-
-    def density(self) -> float:
-        return float(self.a.sum()) / self.a.size
-
-
 def _ball(adj: list[list[int]], center: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes within depth hops of center and their hop distances, in BFS order."""
     nodes, dists = [center], [0]
@@ -137,31 +106,17 @@ def _cover(adj: list[list[int]], s: int, seed: int, depth: int):
         c = int(candidates[0])
 
 
-def select_centers(t: ChowLiuTree, s: int, seed: int) -> list[int]:
-    """Greedy stride-s center choice; deterministic given (tree, s, seed)."""
-    return _cover(t.adjacency(), s, seed, depth=s)[0]
-
-
-def extract_field(t: ChowLiuTree, center: int, r: int) -> tuple[int, ...]:
-    """All nodes within r hops of the center, ascending."""
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    if not (0 <= center < t.node_count):
-        raise ValueError(f"center {center} out of range for {t.node_count} nodes")
-    return tuple(np.sort(_ball(t.adjacency(), center, r)[0]).tolist())
-
-
 def build_masks(
     t: ChowLiuTree,
     r: int,
     s: int,
     global_fraction: float,
     seed: int,
-) -> tuple[ReceptiveFieldPlan, ConnectivityMask]:
-    """Plan receptive fields over the tree and emit the layer's connectivity.
+) -> ReceptiveFieldPlan:
+    """Plan receptive fields over the tree; plan.index(V) is the layer's connectivity.
 
-    Rows are ordered field rows first (center order), then global all-ones
-    rows.  global_count rounds half-up from global_fraction * #centers, with
+    Hidden units are ordered field units first (center order), then global
+    units.  global_count rounds half-up from global_fraction * #centers, with
     a floor of one whenever global_fraction > 0.  If the stride leaves nodes
     outside every ball (possible once s > r + 1), each such node is appended
     to the field of the nearest center, ties to the earliest center, so no
@@ -189,20 +144,12 @@ def build_masks(
     global_count = int(np.floor(global_fraction * len(centers) + 0.5))
     if global_fraction > 0 and centers:
         global_count = max(1, global_count)
-    h = len(centers) + global_count
-    if h == 0:
+    if len(centers) + global_count == 0:
         raise EmptyStructureError("layer has no hidden units")
-
-    a = np.zeros((h, t.node_count), dtype=np.uint8)
-    for i, f in enumerate(fields):
-        a[i, f] = 1
-    a[len(centers) :, :] = 1
-    plan = ReceptiveFieldPlan(
+    return ReceptiveFieldPlan(
         radius=r,
         stride=s,
         centers=tuple(centers),
         fields=tuple(tuple(f) for f in fields),
         global_count=global_count,
     )
-    kinds = ("trf",) * len(centers) + ("global",) * global_count
-    return plan, ConnectivityMask(a, kinds)

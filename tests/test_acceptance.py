@@ -171,7 +171,7 @@ def test_criterion_03_gradient_checks():
         rng = np.random.default_rng(seed)
         mask = (rng.random((5, 7)) < 0.6).astype(np.float64)
         mask[np.arange(5), rng.integers(0, 7, 5)] = 1.0
-        layer = nn.init_masked_layer(mask, rng)
+        layer = nn.init_masked_layer(np.flatnonzero(mask), mask.shape, rng)
         layer.bias_hidden[:] = rng.normal(scale=0.3, size=5)
         layer.bias_visible[:] = rng.normal(scale=0.3, size=7)
         if family == nn.BERNOULLI:

@@ -229,7 +229,7 @@ class TestEvaluate:
 
     def test_dense_masks_report_full_sparsity(self, blob_data):
         train, _, _ = blob_data
-        layer = nn.init_masked_layer(np.ones((4, 8)), np.random.default_rng(0), "relu")
+        layer = nn.init_masked_layer(np.arange(32), (4, 8), np.random.default_rng(0), "relu")
         net = TrfNetwork(layers=[layer], plans=[None])
         attach_head(net, 2)
         report = evaluate(net, train)
@@ -266,7 +266,7 @@ class TestMultitask:
         from trfnet.data import split as split_ds
 
         train, valid, test = split_ds(d, 0.7, 0.15, seed=0)
-        layer = nn.init_masked_layer(np.ones((12, 9)), np.random.default_rng(0), "relu")
+        layer = nn.init_masked_layer(np.arange(108), (12, 9), np.random.default_rng(0), "relu")
         net = TrfNetwork(layers=[layer], plans=[None])
         attach_head(net, 3, mode="multitask", seed=1)
         net, _ = finetune(
@@ -279,7 +279,7 @@ class TestMultitask:
 
     def test_label_shape_checked(self, blob_data):
         train, _, _ = blob_data
-        layer = nn.init_masked_layer(np.ones((4, 8)), np.random.default_rng(0), "relu")
+        layer = nn.init_masked_layer(np.arange(32), (4, 8), np.random.default_rng(0), "relu")
         net = TrfNetwork(layers=[layer], plans=[None])
         attach_head(net, 3, mode="multitask")
         with pytest.raises(ValueError, match="multitask"):
@@ -295,7 +295,7 @@ class TestLabelRange:
         return Dataset(train.values, labels=labels)
 
     def dense_net(self, classes=2, mode="softmax"):
-        layer = nn.init_masked_layer(np.ones((4, 8)), np.random.default_rng(0), "relu")
+        layer = nn.init_masked_layer(np.arange(32), (4, 8), np.random.default_rng(0), "relu")
         return attach_head(TrfNetwork(layers=[layer], plans=[None]), classes, mode=mode)
 
     @pytest.mark.parametrize("bad", [-1, 2])
@@ -457,6 +457,39 @@ class TestSaveLoad:
         lines[i] = "maskrow 0 sparse -1 " + lines[i].split(" ", 4)[4]
         self.rejects(tmp_path, lines, "mask columns")
 
+    def dense_stack_lines(self, tmp_path):
+        """A saved 8 -> 4 -> 3 network of all-ones layers with a 2-class head."""
+        rng = np.random.default_rng(0)
+        layers = [nn.init_masked_layer(np.arange(h * v), (h, v), rng) for h, v in ((4, 8), (3, 4))]
+        net = attach_head(TrfNetwork(layers=layers, plans=[None, None]), 2)
+        save(net, tmp_path / "m.trf")
+        return (tmp_path / "m.trf").read_text().splitlines()
+
+    def test_zero_layers_rejected(self, tmp_path):
+        lines = self.dense_stack_lines(tmp_path)
+        first = lines.index("layers 2")
+        head = next(i for i, ln in enumerate(lines) if ln.startswith("head "))
+        self.rejects(tmp_path, lines[:first] + ["layers 0"] + lines[head:], "at least one layer")
+
+    def test_layer_width_must_chain(self, tmp_path):
+        lines = self.dense_stack_lines(tmp_path)
+        start = lines.index("layer 1 3 4 sigmoid")
+        end = next(i for i, ln in enumerate(lines) if ln.startswith("head "))
+        lines[start] = "layer 1 3 5 sigmoid"
+        for i in range(start, end):
+            if lines[i].startswith(("w ", "bv ")):
+                lines[i] += " 0.0"  # a consistent 3 x 5 layer on a 4-wide input
+        self.rejects(tmp_path, lines, "layer 1 expects width 5")
+
+    def test_head_width_must_match_top_layer(self, tmp_path):
+        lines = self.dense_stack_lines(tmp_path)
+        i = lines.index("head 2 3 identity")
+        lines[i] = "head 2 4 identity"
+        for j in range(i + 1, len(lines)):
+            if lines[j].startswith("hw "):
+                lines[j] += " 0.0"
+        self.rejects(tmp_path, lines, "head width")
+
     def test_clone_is_independent(self, small_corpus):
         net = build_trf_net(small_corpus, quick_config())
         twin = clone(net)
@@ -486,3 +519,28 @@ class TestReportFiles:
         assert back.effective_sparsity == r.effective_sparsity
         # timings never enter the file, keeping reruns byte-identical
         assert "evaluate" not in path.read_text()
+
+    def report_text(self, tmp_path):
+        from trfnet.builder import EvalReport
+
+        save_report(EvalReport(parameter_count=123, sparsity=0.25, accuracy=0.875), tmp_path / "r.report")
+        return (tmp_path / "r.report").read_text()
+
+    @pytest.mark.parametrize("key", ["parameter_count", "sparsity"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        lines = [ln for ln in self.report_text(tmp_path).splitlines() if not ln.startswith(key + " ")]
+        (tmp_path / "r.report").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=key):
+            load_report(tmp_path / "r.report")
+
+    def test_unparsable_value_rejected(self, tmp_path):
+        text = self.report_text(tmp_path).replace("accuracy 0.875", "accuracy high")
+        (tmp_path / "r.report").write_text(text)
+        with pytest.raises(ModelFormatError, match="high"):
+            load_report(tmp_path / "r.report")
+
+    def test_sparsity_outside_unit_interval_rejected(self, tmp_path):
+        text = self.report_text(tmp_path).replace("sparsity 0.25", "sparsity 1.5")
+        (tmp_path / "r.report").write_text(text)
+        with pytest.raises(ModelFormatError, match="sparsity"):
+            load_report(tmp_path / "r.report")

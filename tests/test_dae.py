@@ -6,11 +6,11 @@ from trfnet import nn
 from trfnet.dae import CorruptionConfig, DaeHyper, corrupt, project, resolve_family, train_dae
 from trfnet.data import Dataset
 from trfnet.errors import DomainError
-from trfnet.receptive_field import ConnectivityMask
 
 
 def dense_mask(h, v):
-    return ConnectivityMask(np.ones((h, v), dtype=np.uint8), ("trf",) * h)
+    """(index, shape) of a fully connected h x v layer, as train_dae takes them."""
+    return np.arange(h * v), (h, v)
 
 
 class TestCorrupt:
@@ -56,9 +56,8 @@ class TestResolveFamily:
 
 class TestTrainDae:
     def test_loss_decreases(self, small_corpus):
-        mask = dense_mask(16, small_corpus.n_features)
         model = train_dae(
-            mask,
+            *dense_mask(16, small_corpus.n_features),
             small_corpus,
             CorruptionConfig("masking", 0.2),
             DaeHyper(epochs=8, batch_size=64, seed=0),
@@ -68,10 +67,11 @@ class TestTrainDae:
 
     def test_identity_capable_autoencoder_drives_loss_down(self):
         d = random_binary_dataset(120, 6, seed=3)
-        mask = dense_mask(6, 6)
+        index, shape = dense_mask(6, 6)
         model = train_dae(
             d=d,
-            mask=mask,
+            index=index,
+            shape=shape,
             c=CorruptionConfig("masking", 0.0),
             h=DaeHyper(epochs=1000, batch_size=120, step_size=0.2, seed=1),
         )
@@ -81,34 +81,36 @@ class TestTrainDae:
         rng = np.random.default_rng(5)
         a = (rng.random((10, 12)) < 0.4).astype(np.uint8)
         a[np.arange(10), rng.integers(0, 12, 10)] = 1
-        mask = ConnectivityMask(a, ("trf",) * 10)
         d = random_binary_dataset(80, 12, seed=6)
-        model = train_dae(mask, d, CorruptionConfig("masking", 0.2), DaeHyper(epochs=5, seed=2))
-        np.testing.assert_array_equal(model.layer.weights * (1 - model.layer.mask), 0.0)
+        model = train_dae(
+            np.flatnonzero(a), a.shape, d, CorruptionConfig("masking", 0.2), DaeHyper(epochs=5, seed=2)
+        )
+        np.testing.assert_array_equal(model.layer.mask, a)
+        np.testing.assert_array_equal(model.layer.weights * (1 - a), 0.0)
 
     def test_bernoulli_rejects_out_of_range_data(self):
         d = Dataset(np.array([[0.0, 5.0], [1.0, 2.0]]))
         with pytest.raises(DomainError):
             train_dae(
-                dense_mask(2, 2), d, CorruptionConfig(), DaeHyper(epochs=1, loss_family="bernoulli")
+                *dense_mask(2, 2), d, CorruptionConfig(), DaeHyper(epochs=1, loss_family="bernoulli")
             )
 
     def test_deterministic_given_seed(self, small_corpus):
         mask = dense_mask(8, small_corpus.n_features)
         c = CorruptionConfig("masking", 0.2)
         h = DaeHyper(epochs=3, batch_size=64, seed=9)
-        m1 = train_dae(mask, small_corpus, c, h)
-        m2 = train_dae(mask, small_corpus, c, h)
+        m1 = train_dae(*mask, small_corpus, c, h)
+        m2 = train_dae(*mask, small_corpus, c, h)
         np.testing.assert_array_equal(m1.layer.weights, m2.layer.weights)
         assert m1.training_log == m2.training_log
 
     def test_width_mismatch(self, small_corpus):
-        with pytest.raises(ValueError):
-            train_dae(dense_mask(4, 7), small_corpus, CorruptionConfig(), DaeHyper(epochs=1))
+        with pytest.raises(ValueError, match="width 7"):
+            train_dae(*dense_mask(4, 7), small_corpus, CorruptionConfig(), DaeHyper(epochs=1))
 
     def test_training_log_csv(self, tmp_path, small_corpus):
         mask = dense_mask(6, small_corpus.n_features)
-        model = train_dae(mask, small_corpus, CorruptionConfig(), DaeHyper(epochs=2, seed=0))
+        model = train_dae(*mask, small_corpus, CorruptionConfig(), DaeHyper(epochs=2, seed=0))
         path = tmp_path / "log.csv"
         model.save_training_log(path)
         lines = path.read_text().splitlines()
@@ -150,7 +152,7 @@ class TestProject:
 
     def test_projected_width_is_hidden_count(self, small_corpus):
         mask = dense_mask(9, small_corpus.n_features)
-        model = train_dae(mask, small_corpus, CorruptionConfig(), DaeHyper(epochs=1, seed=0))
+        model = train_dae(*mask, small_corpus, CorruptionConfig(), DaeHyper(epochs=1, seed=0))
         probs, hard = project(model, small_corpus)
         assert probs.n_features == 9 and hard.n_features == 9
         np.testing.assert_array_equal(probs.labels, small_corpus.labels)
@@ -161,7 +163,7 @@ class TestProject:
 
     def test_probabilities_strictly_inside_unit_interval(self, small_corpus):
         mask = dense_mask(5, small_corpus.n_features)
-        model = train_dae(mask, small_corpus, CorruptionConfig(), DaeHyper(epochs=2, seed=3))
+        model = train_dae(*mask, small_corpus, CorruptionConfig(), DaeHyper(epochs=2, seed=3))
         probs, hard = project(model, small_corpus)
         assert (probs.values > 0).all() and (probs.values < 1).all()
         np.testing.assert_array_equal(hard.values, (probs.values > 0.5).astype(np.int8))
@@ -170,8 +172,8 @@ class TestProject:
 class TestDaeBernoulliLoss:
     def setup_method(self):
         rng = np.random.default_rng(41)
-        mask = (rng.random((40, 70)) < 0.3).astype(np.float64)
-        self.layer = nn.init_masked_layer(mask, rng)
+        mask = rng.random((40, 70)) < 0.3
+        self.layer = nn.init_masked_layer(np.flatnonzero(mask), mask.shape, rng)
         self.layer.values *= 40.0  # decoder logits reach well past +-30
         self.layer.bias_visible[:] = rng.normal(scale=5.0, size=70)
         self.x = (rng.random((25, 70)) < 0.4).astype(np.float64)

@@ -14,7 +14,6 @@ from trfnet.baselines import l1_gradients
 from trfnet.builder import FinetuneHyper, TrfNetwork, attach_head, finetune
 from trfnet.dae import CorruptionConfig, DaeHyper, train_dae
 from trfnet.data import Dataset
-from trfnet.receptive_field import ConnectivityMask
 
 
 def random_mask(h, v, seed, global_rows=2):
@@ -46,7 +45,8 @@ def test_dae_matches_dense_masked_oracle(family):
         values = rng.normal(size=(40, 14))
     # 5 epochs of 5 batches: 25 Adam steps
     model = train_dae(
-        ConnectivityMask(a, ("trf",) * 9),
+        np.flatnonzero(a),
+        a.shape,
         Dataset(values),
         CorruptionConfig("masking", 0.25),
         DaeHyper(epochs=5, batch_size=8, step_size=0.01, loss_family=family, seed=3),
@@ -63,7 +63,7 @@ def test_dae_matches_dense_masked_oracle(family):
 def test_finetune_with_dropout_and_l1_matches_dense_masked_oracle():
     rng = np.random.default_rng(4)
     masks = [random_mask(10, 12, seed=5), random_mask(6, 10, seed=6)]
-    layers = [nn.init_masked_layer(a, rng, activation="relu") for a in masks]
+    layers = [nn.init_masked_layer(np.flatnonzero(a), a.shape, rng, activation="relu") for a in masks]
     for layer in layers:
         layer.bias_hidden[:] = rng.normal(scale=0.1, size=layer.hidden_count)
     net = attach_head(TrfNetwork(layers=layers, plans=[None, None]), 3, seed=7)

@@ -166,7 +166,7 @@ def two_layer_network(v: int, widths, seed: int):
     layers, width = [], v
     for h in widths:
         mask = (rng.random((h, width)) < 0.4).astype(np.float64)
-        layer = nn.init_masked_layer(mask, rng)
+        layer = nn.init_masked_layer(np.flatnonzero(mask), mask.shape, rng)
         layer.bias_hidden[:] = rng.normal(scale=0.2, size=h)
         layers.append(layer)
         width = h

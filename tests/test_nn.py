@@ -12,7 +12,7 @@ def random_masked_layer(h, v, seed, density=0.5, activation="sigmoid"):
     rng = np.random.default_rng(seed)
     mask = (rng.random((h, v)) < density).astype(np.float64)
     mask[np.arange(h), rng.integers(0, v, size=h)] = 1.0  # no empty rows
-    layer = nn.init_masked_layer(mask, rng, activation=activation)
+    layer = nn.init_masked_layer(np.flatnonzero(mask), mask.shape, rng, activation=activation)
     layer.bias_hidden[:] = rng.normal(scale=0.3, size=h)
     layer.bias_visible[:] = rng.normal(scale=0.3, size=v)
     return layer, rng
@@ -99,9 +99,9 @@ class TestInitMaskedLayer:
     @pytest.mark.parametrize("h", [1, nn.INIT_ROW_BLOCK, 2 * nn.INIT_ROW_BLOCK + 5])
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8, bool])
     def test_same_bits_as_single_draw(self, h, dtype):
-        mask = np.random.default_rng(h).random((h, 37)) < 0.3
-        mask[0] = False  # an empty row
-        layer = nn.init_masked_layer(mask.astype(dtype), np.random.default_rng(2))
+        mask = (np.random.default_rng(h).random((h, 37)) < 0.3).astype(dtype)
+        mask[0] = 0  # an empty row
+        layer = nn.init_masked_layer(np.flatnonzero(mask), mask.shape, np.random.default_rng(2))
         index, values = single_draw_init(mask, np.random.default_rng(2))
         assert layer.index.dtype == index.dtype
         np.testing.assert_array_equal(layer.index, index)
@@ -110,18 +110,49 @@ class TestInitMaskedLayer:
     def test_generator_advances_by_full_draw(self):
         mask = np.random.default_rng(4).random((70, 11)) < 0.2
         rng = np.random.default_rng(5)
-        nn.init_masked_layer(mask, rng)
+        nn.init_masked_layer(np.flatnonzero(mask), mask.shape, rng)
         ref = np.random.default_rng(5)
         ref.uniform(size=70 * 11)
         assert rng.random() == ref.random()
 
+    def test_narrow_integer_index_stored_as_int64(self):
+        mask = np.random.default_rng(8).random((9, 13)) < 0.4
+        index = np.flatnonzero(mask)
+        layer = nn.init_masked_layer(index.astype(np.int32), mask.shape, np.random.default_rng(1))
+        ref = nn.init_masked_layer(index, mask.shape, np.random.default_rng(1))
+        assert layer.index.dtype == np.int64
+        np.testing.assert_array_equal(layer.index, index)
+        assert bits(layer.values) == bits(ref.values)
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            np.array([0, 5, 3]),  # unsorted
+            np.array([0, 3, 3]),  # duplicate
+            np.array([-1, 2]),  # before the first position
+            np.array([4, 12]),  # past the last of 3 x 4 positions
+            np.array([0.0, 1.0]),  # not integer
+            np.array([True, False]),  # a 0/1 mask is not an index
+            np.array([[0, 1], [2, 3]]),  # not 1-D
+        ],
+        ids=["unsorted", "duplicate", "negative", "past-end", "float", "bool", "2-d"],
+    )
+    def test_rejects_bad_index(self, index):
+        with pytest.raises(ValueError, match="index"):
+            nn.init_masked_layer(index, (3, 4), np.random.default_rng(0))
+
     def test_peak_memory_a_third_of_single_draw(self):
         mask = (np.random.default_rng(6).random((1005, 4000)) < 0.1).astype(np.float64)
+        index = np.flatnonzero(mask)
+        inits = (
+            lambda rng: single_draw_init(mask, rng),
+            lambda rng: nn.init_masked_layer(index, mask.shape, rng),
+        )
         peaks = []
-        for init in (single_draw_init, nn.init_masked_layer):
+        for init in inits:
             tracemalloc.start()
             try:
-                init(mask, np.random.default_rng(0))
+                init(np.random.default_rng(0))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
