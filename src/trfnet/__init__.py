@@ -23,11 +23,11 @@ from .data import (
     load_sparse_bow,
     split,
 )
-from .stats import ContingencyCounts, MiMatrix, empirical_mi, mi_matrix, pair_counts
-from .tree import ChowLiuTree, chow_liu, hop_distances, max_log_likelihood, max_spanning_tree
+from .stats import MiMatrix, mi_matrix
+from .tree import ChowLiuTree, chow_liu, hop_distances, max_spanning_tree
 from .receptive_field import ReceptiveFieldPlan, build_masks
-from .nn import DenseLayer, MaskedLayer, Adam, dropout, masked_forward, decoder_forward, reconstruction_loss
-from .dae import CorruptionConfig, DaeHyper, TwoLayerModel, corrupt, project, train_dae
+from .nn import DenseLayer, MaskedLayer, Adam, dropout, masked_forward, reconstruction_loss
+from .dae import CorruptionConfig, DaeHyper, corrupt, project, train_dae
 from .builder import (
     BuildConfig,
     EvalReport,
@@ -50,7 +50,6 @@ __all__ = [
     "BinaryDataset",
     "BuildConfig",
     "ChowLiuTree",
-    "ContingencyCounts",
     "CorruptionConfig",
     "DaeHyper",
     "Dataset",
@@ -64,16 +63,13 @@ __all__ = [
     "MiMatrix",
     "ReceptiveFieldPlan",
     "TrfNetwork",
-    "TwoLayerModel",
     "attach_head",
     "build_masks",
     "build_trf_net",
     "chow_liu",
     "corrupt",
-    "decoder_forward",
     "discretize",
     "dropout",
-    "empirical_mi",
     "evaluate",
     "finetune",
     "hop_distances",
@@ -83,10 +79,8 @@ __all__ = [
     "load_embeddings",
     "load_sparse_bow",
     "masked_forward",
-    "max_log_likelihood",
     "max_spanning_tree",
     "mi_matrix",
-    "pair_counts",
     "project",
     "prune_and_retrain",
     "reconstruction_loss",

@@ -24,7 +24,7 @@ from .dae import CorruptionConfig, DaeHyper, train_dae, project
 from .data import Dataset, DiscretizationPolicy, discretize
 from .errors import EmptyStructureError, ModelFormatError
 from .receptive_field import ReceptiveFieldPlan, build_masks
-from .tree import chow_liu_from_binary
+from .tree import chow_liu
 
 SOFTMAX = "softmax"
 MULTITASK = "multitask"
@@ -154,13 +154,6 @@ class EvalReport:
         if not -1e-12 <= self.sparsity <= 1.0 + 1e-12:
             raise ValueError(f"sparsity must be in [0, 1], got {self.sparsity}")
 
-    def score(self) -> float:
-        """The headline metric: accuracy, or mean AUC in multi-task mode."""
-        if self.accuracy is not None:
-            return self.accuracy
-        assert self.auc_mean is not None
-        return self.auc_mean
-
 
 def build_trf_net(d: Dataset, cfg: BuildConfig) -> TrfNetwork:
     """Run the layer-wise structure learning and pretraining loop."""
@@ -171,24 +164,22 @@ def build_trf_net(d: Dataset, cfg: BuildConfig) -> TrfNetwork:
     binary = discretize(d, cfg.policy)
     for k in range(cfg.depth):
         seed_k = cfg.seed + k
-        tree = chow_liu_from_binary(binary)
+        tree = chow_liu(binary)
         try:
             plan = build_masks(tree, cfg.radius[k], cfg.stride[k], cfg.global_fraction, seed_k)
         except EmptyStructureError as e:
             raise EmptyStructureError(f"layer {k}: {e}") from None
         v = current.n_features
-        model = train_dae(
+        layer, log = train_dae(
             plan.index(v), (plan.hidden_count, v), current, cfg.corruption, replace(cfg.dae, seed=seed_k)
         )
-        layers.append(model.layer)
+        layers.append(layer)
         plans.append(plan)
-        logs.append(model.training_log)
+        logs.append(log)
         if k + 1 < cfg.depth:
-            if model.layer.hidden_count < 2:
-                raise EmptyStructureError(
-                    f"layer {k} narrowed to {model.layer.hidden_count} unit(s); cannot stack"
-                )
-            current, binary = project(model, current)
+            if layer.hidden_count < 2:
+                raise EmptyStructureError(f"layer {k} narrowed to {layer.hidden_count} unit(s); cannot stack")
+            current, binary = project(layer, current)
     return TrfNetwork(layers=layers, plans=plans, config=cfg, training_logs=logs)
 
 
@@ -470,6 +461,15 @@ def report_from_text(text: str):
         raise ModelFormatError(f"report lacks {e.args[0]}") from None
     except ValueError as e:
         raise ModelFormatError(f"corrupted report: {e}") from None
+    if report.parameter_count < 0:
+        raise ModelFormatError(f"report: parameter_count {report.parameter_count} is negative")
+    for key in ("accuracy", "auc_mean", "effective_sparsity"):
+        x = getattr(report, key)
+        if x is not None and not 0.0 <= x <= 1.0:
+            raise ModelFormatError(f"report: {key} {x!r} is not in [0, 1]")
+    for x in report.auc_per_task or ():
+        if x != -1.0 and not 0.0 <= x <= 1.0:
+            raise ModelFormatError(f"report: auc_per_task entry {x!r} is neither in [0, 1] nor -1.0 (unscored)")
     return name, report
 
 

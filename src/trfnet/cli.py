@@ -141,14 +141,14 @@ def _add_split_flags(p):
 
 def cmd_tree(args) -> int:
     from .data import discretize
-    from .stats import mi_matrix
-    from .tree import max_spanning_tree, to_dot
+    from .tree import chow_liu, to_dot
 
+    if args.top_edges < 0:
+        raise CliError(f"--top-edges: expected a count >= 0, got {args.top_edges}")
     t0 = time.perf_counter()
     d, inputs = _load_data(args)
     policy = _parse_policy(args.policy, _default_policy(args, d))
-    mi = mi_matrix(discretize(d, policy))
-    tree = max_spanning_tree(mi)
+    tree = chow_liu(discretize(d, policy))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(to_dot(tree, d.feature_names))
     edges_path = args.out + ".edges.txt"
@@ -322,6 +322,8 @@ def cmd_inspect(args) -> int:
     from .errors import DegenerateUnitWarning
     from .interpret import _rank_units, load_embeddings, unit_interpretability
 
+    if args.top < 1:
+        raise CliError(f"--top: expected a count >= 1, got {args.top}")
     t0 = time.perf_counter()
     d, inputs = _load_data(args)
     inputs = [args.model] + inputs

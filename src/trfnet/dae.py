@@ -62,21 +62,6 @@ class DaeHyper:
             raise ValueError(f"unknown loss family {self.loss_family!r}")
 
 
-@dataclass
-class TwoLayerModel:
-    """A trained visible<->hidden pair: the sparse layer plus its training log."""
-
-    layer: nn.MaskedLayer
-    loss_family: str
-    training_log: list[float]
-
-    def save_training_log(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,mean_loss\n")
-            for i, loss in enumerate(self.training_log, start=1):
-                fh.write(f"{i},{repr(loss)}\n")
-
-
 def corrupt(x: np.ndarray, c: CorruptionConfig, rng: np.random.Generator | None = None) -> np.ndarray:
     """Draw one corrupted copy of a batch."""
     rng = rng if rng is not None else np.random.default_rng(c.seed)
@@ -96,14 +81,15 @@ def resolve_family(values: np.ndarray, requested: str) -> str:
 
 def train_dae(
     index: np.ndarray, shape: tuple[int, int], d: Dataset, c: CorruptionConfig, h: DaeHyper
-) -> TwoLayerModel:
+) -> tuple[nn.MaskedLayer, list[float]]:
     """Train one sparse layer as a denoising autoencoder on d.values.
 
     The layer is H x V, shape = (H, V), with its connections at index: sorted
     flat row-major positions, as nn.init_masked_layer takes them.  All
     randomness (init, epoch shuffles, corruption draws) comes from a
     single generator seeded with h.seed, so runs are exactly repeatable.
-    training_log records the sample-weighted mean batch loss per epoch.
+    Returns the layer and its training log: the sample-weighted mean batch
+    loss per epoch.
     """
     if shape[1] != d.n_features:
         raise ValueError(f"layer width {shape[1]} != data width {d.n_features}")
@@ -130,19 +116,17 @@ def train_dae(
             adam.step(params, grads)
             total += loss * batch.shape[0]
         log.append(total / n)
-    return TwoLayerModel(layer=layer, loss_family=family, training_log=log)
+    return layer, log
 
 
-def project(m: TwoLayerModel, d: Dataset) -> tuple[Dataset, BinaryDataset]:
-    """Map data through the trained encoder.
+def project(layer: nn.MaskedLayer, d: Dataset) -> tuple[Dataset, BinaryDataset]:
+    """Map data through a trained encoder.
 
     Returns (probabilities, binary): sigmoid activations as a real dataset of
     width H, and their strict > 0.5 threshold for structure learning.  Labels
     ride along; feature names do not (hidden units are anonymous).
     """
-    if d.n_features != m.layer.visible_count:
-        raise ValueError(
-            f"data width {d.n_features} != layer width {m.layer.visible_count}"
-        )
-    probs = Dataset(nn.masked_forward(m.layer, d.values), feature_names=None, labels=d.labels)
+    if d.n_features != layer.visible_count:
+        raise ValueError(f"data width {d.n_features} != layer width {layer.visible_count}")
+    probs = Dataset(nn.masked_forward(layer, d.values), feature_names=None, labels=d.labels)
     return probs, discretize(probs, DiscretizationPolicy.fixed(0.5))

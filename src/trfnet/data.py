@@ -12,7 +12,7 @@ Two on-disk formats are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,16 +117,14 @@ class DiscretizationPolicy:
 
 @dataclass(frozen=True)
 class BinaryDataset:
-    """A {0,1}-valued view of a Dataset, tagged with how it was produced."""
+    """An N x V matrix of {0, 1} values, as discretize makes it from a Dataset."""
 
     values: np.ndarray
-    source: Dataset = field(repr=False)
-    policy: DiscretizationPolicy = field(default_factory=DiscretizationPolicy.already_binary)
 
     def __post_init__(self):
         values = _frozen(self.values, np.int8)
-        if values.shape != self.source.values.shape:
-            raise ValueError("binary values must match the source shape")
+        if values.ndim != 2:
+            raise ValueError(f"binary values must be 2-D, got shape {values.shape}")
         if not np.isin(values, (0, 1)).all():
             raise ValueError("binary values must be exactly 0 or 1")
         object.__setattr__(self, "values", values)
@@ -287,7 +285,7 @@ def discretize(d: Dataset, policy: DiscretizationPolicy) -> BinaryDataset:
         binary = (d.values > med).astype(np.int8)
     else:
         binary = (d.values > policy.threshold).astype(np.int8)
-    return BinaryDataset(binary, source=d, policy=policy)
+    return BinaryDataset(binary)
 
 
 def split(d: Dataset, train_frac: float, valid_frac: float, seed: int):

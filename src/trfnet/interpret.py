@@ -58,6 +58,8 @@ def load_embeddings(path) -> EmbeddingTable:
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError:
                 raise DataFormatError(f"{path}: line {lineno}: bad number") from None
+            if not np.isfinite(vec).all():
+                raise DataFormatError(f"{path}: line {lineno}: vector entries must be finite")
             vectors[parts[0]] = vec
     if len(vectors) != count:
         raise DataFormatError(f"{path}: header promised {count} tokens, found {len(vectors)}")

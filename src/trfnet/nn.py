@@ -183,22 +183,6 @@ def masked_forward(layer: MaskedLayer, x: np.ndarray) -> np.ndarray:
     return activation_fn(layer.activation)(x @ layer.weights.T + layer.bias_hidden)
 
 
-def decoder_preactivation(layer: MaskedLayer, h: np.ndarray) -> np.ndarray:
-    h = _check_width(h, layer.hidden_count, "decoder input")
-    return h @ layer.weights + layer.bias_visible
-
-
-def decoder_forward(layer: MaskedLayer, h: np.ndarray, family: str) -> np.ndarray:
-    """Decoder direction through the transposed weights.
-
-    Bernoulli returns activation probabilities; Gaussian returns the mean.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    z = decoder_preactivation(layer, h)
-    return sigmoid(z) if family == BERNOULLI else z
-
-
 def reconstruction_loss(x: np.ndarray, z_pre: np.ndarray, family: str) -> float:
     """Batch-mean reconstruction loss against pre-activation decoder output.
 

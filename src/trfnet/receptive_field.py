@@ -48,14 +48,6 @@ class ReceptiveFieldPlan:
         rows.append(np.arange(first_global, first_global + self.global_count * visible_count))
         return np.concatenate(rows)
 
-    def to_text(self) -> str:
-        """One line per hidden unit, for eyeballing learned structures."""
-        lines = []
-        for c, members in zip(self.centers, self.fields):
-            lines.append(f"center={c} r={self.radius} members={list(members)}")
-        lines.extend(["global"] * self.global_count)
-        return "\n".join(lines) + "\n"
-
 
 def _ball(adj: list[list[int]], center: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes within depth hops of center and their hop distances, in BFS order."""

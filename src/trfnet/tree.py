@@ -1,9 +1,9 @@
-"""Maximum-weight spanning trees over mutual information, and tree scoring.
+"""Maximum-weight spanning trees over mutual information.
 
 The learned tree is the classic Chow-Liu structure: weight every feature
 pair by its empirical mutual information and keep a maximum-weight spanning
 tree.  Kruskal's algorithm with a fixed tie order makes the result
-deterministic; the root is always node 0.
+deterministic.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinaryDataset, Dataset, DiscretizationPolicy, discretize
-from .stats import MiMatrix, empirical_mi, marginal_log_prob_sum, mi_matrix, pair_counts
-
-NO_PARENT = -1
+from .data import BinaryDataset
+from .stats import MiMatrix, mi_matrix
 
 # weights this close to zero are treated as exact ties at zero, so float
 # noise cannot reorder otherwise-equal edges
@@ -49,16 +47,11 @@ class _UnionFind:
 
 @dataclass(frozen=True)
 class ChowLiuTree:
-    """A spanning tree over V feature nodes.
-
-    edges hold (u, v, weight) with u < v, sorted by (u, v); parent encodes
-    the same tree rooted at ``root`` with parent[root] = NO_PARENT.
-    """
+    """A spanning tree over V feature nodes; edges hold (u, v, weight) with
+    u < v, sorted by (u, v)."""
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...]
-    root: int
-    parent: np.ndarray
 
     def __post_init__(self):
         v = self.node_count
@@ -74,20 +67,6 @@ class ChowLiuTree:
                 raise ValueError(f"edge ({u}, {w}) has negative weight {weight}")
             if not uf.union(u, w):
                 raise ValueError(f"edge ({u}, {w}) closes a cycle")
-        parent = np.array(self.parent, dtype=np.int64)
-        if parent.shape != (v,):
-            raise ValueError("parent array must have one entry per node")
-        if parent[self.root] != NO_PARENT:
-            raise ValueError("parent[root] must be the NO_PARENT sentinel")
-        edge_set = {(u, w) for u, w, _ in self.edges}
-        for child in range(v):
-            if child == self.root:
-                continue
-            pair = (min(child, int(parent[child])), max(child, int(parent[child])))
-            if pair not in edge_set:
-                raise ValueError(f"parent link {pair} is not a tree edge")
-        parent.setflags(write=False)
-        object.__setattr__(self, "parent", parent)
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -95,28 +74,6 @@ class ChowLiuTree:
             adj[u].append(v)
             adj[v].append(u)
         return adj
-
-    def edge_pairs(self) -> set[tuple[int, int]]:
-        return {(u, v) for u, v, _ in self.edges}
-
-
-def _parents_from_edges(node_count, edge_list, root):
-    adj: list[list[int]] = [[] for _ in range(node_count)]
-    for u, v in edge_list:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = np.full(node_count, NO_PARENT, dtype=np.int64)
-    seen = np.zeros(node_count, dtype=bool)
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                queue.append(v)
-    return parent
 
 
 def _is_symmetric(w: np.ndarray) -> bool:
@@ -175,18 +132,12 @@ def max_spanning_tree(m: MiMatrix) -> ChowLiuTree:
                     break
         above, k = theta, 4 * k
     chosen.sort(key=lambda e: (e[0], e[1]))
-    parent = _parents_from_edges(v, [(u, t) for u, t, _ in chosen], root=0)
-    return ChowLiuTree(v, tuple(chosen), root=0, parent=parent)
+    return ChowLiuTree(v, tuple(chosen))
 
 
-def chow_liu_from_binary(bd: BinaryDataset) -> ChowLiuTree:
-    """Mutual-information maximum spanning tree of an already-binary dataset."""
+def chow_liu(bd: BinaryDataset) -> ChowLiuTree:
+    """Weight feature pairs by mutual information and keep the best tree."""
     return max_spanning_tree(mi_matrix(bd))
-
-
-def chow_liu(d: Dataset, policy: DiscretizationPolicy) -> ChowLiuTree:
-    """Discretize, weight pairs by mutual information, keep the best tree."""
-    return chow_liu_from_binary(discretize(d, policy))
 
 
 def hop_distances(t: ChowLiuTree, source: int) -> np.ndarray:
@@ -204,21 +155,6 @@ def hop_distances(t: ChowLiuTree, source: int) -> np.ndarray:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
-
-
-def max_log_likelihood(t: ChowLiuTree, d: BinaryDataset) -> float:
-    """Data log-likelihood of the tree structure at its best-fitting parameters.
-
-    Equals N * (sum_t sum_k p_hat ln p_hat  +  sum_edges mutual information):
-    the marginal term is structure independent, so trees are ranked purely by
-    their total edge mutual information.
-    """
-    if t.node_count != d.n_features:
-        raise ValueError(
-            f"tree has {t.node_count} nodes but data has {d.n_features} features"
-        )
-    edge_mi = sum(empirical_mi(pair_counts(d, u, v)) for u, v, _ in t.edges)
-    return d.n_samples * (marginal_log_prob_sum(d) + edge_mi)
 
 
 def to_dot(t: ChowLiuTree, feature_names=None) -> str:

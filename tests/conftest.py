@@ -6,6 +6,11 @@ from trfnet.stats import MiMatrix
 from trfnet.tree import ChowLiuTree, max_spanning_tree
 
 
+def edge_pairs(t: ChowLiuTree) -> set[tuple[int, int]]:
+    """The tree's edges as (u, v) pairs, weights dropped."""
+    return {(u, v) for u, v, _ in t.edges}
+
+
 def make_path_tree(n: int) -> ChowLiuTree:
     """The path 0-1-...-(n-1) with descending weights so the MST is forced."""
     w = np.zeros((n, n))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +30,105 @@ def mi_reference(table) -> float:
             pk = col_marg[k] / total
             mi += p * math.log(p / (pj * pk))
     return mi
+
+
+# ---------------------------------------------------------------------------
+# single-pair mutual information: one 2x2 table at a time, with the cell
+# arithmetic of the package's all-pairs code, so mi_matrix must agree with it
+# bit for bit.  Datasets are anything with an N x V {0, 1} ``values`` array.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ContingencyCounts:
+    """2x2 joint counts of a binary feature pair; n[j][k] = #(x_s = j, x_t = k)."""
+
+    n: np.ndarray
+    total: int
+
+    def __post_init__(self):
+        n = np.array(self.n, dtype=np.int64)
+        if n.shape != (2, 2):
+            raise ValueError(f"contingency table must be 2x2, got {n.shape}")
+        if (n < 0).any():
+            raise ValueError("counts must be nonnegative")
+        if int(n.sum()) != self.total:
+            raise ValueError(f"cells sum to {int(n.sum())}, not total={self.total}")
+        if self.total < 1:
+            raise ValueError("total must be >= 1")
+        n.setflags(write=False)
+        object.__setattr__(self, "n", n)
+
+
+def pair_counts(d, s: int, t: int) -> ContingencyCounts:
+    """Exact joint counts of features s and t over all samples."""
+    if s == t:
+        raise ValueError(f"need two distinct features, got s = t = {s}")
+    n_samples, v = d.values.shape
+    if not (0 <= s < v and 0 <= t < v):
+        raise ValueError(f"feature indices out of range: s={s}, t={t}, V={v}")
+    xs = d.values[:, s].astype(np.int64)
+    xt = d.values[:, t].astype(np.int64)
+    n11 = int((xs & xt).sum())
+    n1_ = int(xs.sum())
+    n_1 = int(xt.sum())
+    n = np.array(
+        [
+            [n_samples - n1_ - n_1 + n11, n_1 - n11],
+            [n1_ - n11, n11],
+        ],
+        dtype=np.int64,
+    )
+    return ContingencyCounts(n, n_samples)
+
+
+def _mi_from_cells(n, row_marg, col_marg, total: float):
+    """Per-cell p * ln(p / (p_row * p_col)) with zero cells contributing 0."""
+    p = n / total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = p * np.log(p / ((row_marg / total) * (col_marg / total)))
+    return np.where(n > 0, term, 0.0)
+
+
+def empirical_mi(c: ContingencyCounts) -> float:
+    """Mutual information (nats) of the pair behind a 2x2 contingency table."""
+    n = c.n.astype(np.float64)
+    total = float(c.total)
+    row = n.sum(axis=1)
+    col = n.sum(axis=0)
+    t = _mi_from_cells(n, row[:, None], col[None, :], total)
+    # pairing the diagonal and off-diagonal terms keeps the float sum exactly
+    # invariant under table transpose, so mi(s, t) == mi(t, s) bit for bit
+    return float((t[0, 0] + t[1, 1]) + (t[0, 1] + t[1, 0]))
+
+
+def marginal_log_prob_sum(d) -> float:
+    """Sum over features and states of p_hat * ln(p_hat), zero states skipped.
+
+    This is the negated total marginal entropy of the dataset.
+    """
+    x = d.values.astype(np.float64)
+    n = float(x.shape[0])
+    counts = np.stack([n - x.sum(axis=0), x.sum(axis=0)])
+    p = counts / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = p * np.log(p)
+    return float(np.where(counts > 0, term, 0.0).sum())
+
+
+def max_log_likelihood(t, d) -> float:
+    """Data log-likelihood of a tree structure at its best-fitting parameters.
+
+    Equals N * (sum_t sum_k p_hat ln p_hat  +  sum_edges mutual information):
+    the marginal term is structure independent, so trees are ranked purely by
+    their total edge mutual information.  t is anything with node_count and
+    (u, v, weight) edges.
+    """
+    n_samples, v = d.values.shape
+    if t.node_count != v:
+        raise ValueError(f"tree has {t.node_count} nodes but data has {v} features")
+    edge_mi = sum(empirical_mi(pair_counts(d, u, w)) for u, w, _ in t.edges)
+    return n_samples * (marginal_log_prob_sum(d) + edge_mi)
 
 
 def entropy_reference(counts) -> float:
@@ -79,16 +180,16 @@ def tree_loglik_reference(parent, root: int, rows) -> float:
     root_counts = [0, 0]
     for r in rows:
         root_counts[r[root]] += 1
-    pair_counts: dict[int, dict[tuple[int, int], int]] = {}
+    joint_counts: dict[int, dict[tuple[int, int], int]] = {}
     parent_counts: dict[int, list[int]] = {}
     for t in range(v):
         if t == root:
             continue
-        pair_counts[t] = {}
+        joint_counts[t] = {}
         parent_counts[t] = [0, 0]
         for r in rows:
             key = (r[t], r[parent[t]])
-            pair_counts[t][key] = pair_counts[t].get(key, 0) + 1
+            joint_counts[t][key] = joint_counts[t].get(key, 0) + 1
             parent_counts[t][r[parent[t]]] += 1
     ll = 0.0
     for r in rows:
@@ -96,9 +197,28 @@ def tree_loglik_reference(parent, root: int, rows) -> float:
         for t in range(v):
             if t == root:
                 continue
-            joint = pair_counts[t][(r[t], r[parent[t]])]
+            joint = joint_counts[t][(r[t], r[parent[t]])]
             ll += math.log(joint / parent_counts[t][r[parent[t]]])
     return ll
+
+
+def bfs_parents(node_count: int, edges, root: int) -> list[int]:
+    """Parent of every node in the tree on edges rooted at root; -1 at the root."""
+    adj = [[] for _ in range(node_count)]
+    for u, v, *_ in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * node_count
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                parent[v] = u
+                queue.append(v)
+    return parent
 
 
 def floyd_warshall_hops(n: int, edges) -> np.ndarray:

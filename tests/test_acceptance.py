@@ -15,8 +15,11 @@ import numpy as np
 import pytest
 
 
+from conftest import edge_pairs
 from oracles import (
+    ContingencyCounts,
     central_diff_grads,
+    empirical_mi,
     max_relative_error,
     mi_reference,
     prufer_edges,
@@ -39,9 +42,9 @@ from trfnet.builder import (
     finetune,
 )
 from trfnet.dae import CorruptionConfig, DaeHyper
-from trfnet.data import DiscretizationPolicy, save_sparse_bow, split
+from trfnet.data import BinaryDataset, DiscretizationPolicy, discretize, save_sparse_bow, split
 from trfnet.interpret import EmbeddingTable, interpretability_score, top_correlated_features
-from trfnet.stats import ContingencyCounts, MiMatrix, empirical_mi
+from trfnet.stats import MiMatrix, mi_matrix
 from trfnet.synth import correlated_blocks, gaussian_blobs, markov_chain, news_corpus
 from trfnet.tree import chow_liu, max_spanning_tree
 
@@ -160,7 +163,17 @@ def test_criterion_02_mutual_information_oracle():
         transposed = ContingencyCounts(np.array(table).T, int(cells.sum()))
         assert empirical_mi(transposed) == mi
         assert mi >= -1e-12
-    check(2, worst <= 1e-12, f"100/100 tables match direct summation (worst gap {worst:.2e})")
+        # the library's all-pairs path on the two-column dataset realising the table
+        rows = np.repeat([[0, 0], [0, 1], [1, 0], [1, 1]], cells, axis=0)
+        lib = mi_matrix(BinaryDataset(rows)).m[0, 1]
+        worst = max(worst, abs(lib - mi_reference(table)))
+        swapped = mi_matrix(BinaryDataset(rows[:, ::-1])).m[0, 1]
+        assert np.float64(swapped).tobytes() == np.float64(lib).tobytes()
+    check(
+        2,
+        worst <= 1e-12,
+        f"100/100 tables: oracle and mi_matrix match direct summation (worst gap {worst:.2e})",
+    )
 
 
 def test_criterion_03_gradient_checks():
@@ -246,13 +259,13 @@ def test_criterion_04_mask_invariance_after_build_and_finetune(news_splits):
 def test_criterion_05_structure_recovery():
     t0 = time.perf_counter()
     chain = markov_chain(32, 2000, flip_prob=0.1, seed=123)
-    tree = chow_liu(chain, DiscretizationPolicy.already_binary())
+    tree = chow_liu(discretize(chain, DiscretizationPolicy.already_binary()))
     truth = {(i, i + 1) for i in range(31)}
-    recovered = len(tree.edge_pairs() & truth)
+    recovered = len(edge_pairs(tree) & truth)
 
     blocks = correlated_blocks(n_blocks=8, block_size=4, n_samples=2000, correlation=0.9, seed=77)
-    block_tree = chow_liu(blocks, DiscretizationPolicy.already_binary())
-    intra = sum(1 for u, v in block_tree.edge_pairs() if u // 4 == v // 4)
+    block_tree = chow_liu(discretize(blocks, DiscretizationPolicy.already_binary()))
+    intra = sum(1 for u, v in edge_pairs(block_tree) if u // 4 == v // 4)
     # a spanning tree over 8 mutually independent blocks needs 7 cross-block
     # links, so "intra-block" is scored against the 24 achievable slots
     achievable = 32 - 8

@@ -544,3 +544,35 @@ class TestReportFiles:
         (tmp_path / "r.report").write_text(text)
         with pytest.raises(ModelFormatError, match="sparsity"):
             load_report(tmp_path / "r.report")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "accuracy nan",
+            "accuracy 1.5",
+            "accuracy -0.25",
+            "auc_mean inf",
+            "effective_sparsity 2.0",
+            "auc_per_task 0.5,1.5",
+            "auc_per_task -0.5,0.75",
+            "auc_per_task 0.5,nan",
+            "parameter_count -5",
+        ],
+    )
+    def test_value_out_of_range_rejected(self, tmp_path, line):
+        key = line.split(" ")[0]
+        kept = [ln for ln in self.report_text(tmp_path).splitlines() if not ln.startswith(key + " ")]
+        (tmp_path / "r.report").write_text("\n".join(kept + [line]) + "\n")
+        with pytest.raises(ModelFormatError, match=key):
+            load_report(tmp_path / "r.report")
+
+    def test_unscored_task_marker_round_trips(self, tmp_path):
+        from trfnet.builder import EvalReport
+
+        r = EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(0.75, -1.0, 1.0), auc_mean=0.875)
+        save_report(r, tmp_path / "m.report", name="multi")
+        name, back = load_report(tmp_path / "m.report")
+        assert name == "multi"
+        assert back.auc_per_task == (0.75, -1.0, 1.0)
+        assert back.auc_mean == 0.875
+        assert back.accuracy is None

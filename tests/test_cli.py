@@ -53,6 +53,17 @@ class TestTreeCommand:
             main(["tree", *bow_flags(corpus_files)])
         assert exc.value.code == 2
 
+    def test_negative_top_edges_is_usage_error(self, corpus_files, tmp_path, capsys):
+        out = tmp_path / "t.dot"
+        assert main(["tree", *bow_flags(corpus_files), "--top-edges", "-1", "--out", str(out)]) == 2
+        assert "--top-edges" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_top_edges_lists_no_edge(self, corpus_files, tmp_path):
+        out = str(tmp_path / "t.dot")
+        assert main(["tree", *bow_flags(corpus_files), "--top-edges", "0", "--out", out]) == 0
+        assert open(out + ".edges.txt").read().splitlines() == ["rank\tmi\tnode_u\tnode_v"]
+
     def test_rerun_byte_identical(self, corpus_files, tmp_path):
         a, b = str(tmp_path / "a.dot"), str(tmp_path / "b.dot")
         main(["tree", *bow_flags(corpus_files), "--out", a])
@@ -135,6 +146,14 @@ class TestBuildAndDownstream:
         body = open(compare_out).read().splitlines()
         assert body[0].split()[:2] == ["model", "accuracy/auc"]
         assert len(body) == 3
+
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_inspect_top_below_one_is_usage_error(self, corpus_files, model_path, tmp_path, capsys, top):
+        out = tmp_path / "units.txt"
+        rc = main(["inspect", "--model", model_path, *bow_flags(corpus_files), "--top", top, "--out", str(out)])
+        assert rc == 2
+        assert "--top" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_requires_labels_flag_message(self, model_path, tmp_path):
         missing = str(tmp_path / "nope.report")

@@ -56,37 +56,37 @@ class TestResolveFamily:
 
 class TestTrainDae:
     def test_loss_decreases(self, small_corpus):
-        model = train_dae(
+        _, log = train_dae(
             *dense_mask(16, small_corpus.n_features),
             small_corpus,
             CorruptionConfig("masking", 0.2),
             DaeHyper(epochs=8, batch_size=64, seed=0),
         )
-        assert len(model.training_log) == 8
-        assert model.training_log[-1] < model.training_log[0]
+        assert len(log) == 8
+        assert log[-1] < log[0]
 
     def test_identity_capable_autoencoder_drives_loss_down(self):
         d = random_binary_dataset(120, 6, seed=3)
         index, shape = dense_mask(6, 6)
-        model = train_dae(
+        _, log = train_dae(
             d=d,
             index=index,
             shape=shape,
             c=CorruptionConfig("masking", 0.0),
             h=DaeHyper(epochs=1000, batch_size=120, step_size=0.2, seed=1),
         )
-        assert model.training_log[-1] < 0.01  # near-perfect copy of binary input
+        assert log[-1] < 0.01  # near-perfect copy of binary input
 
     def test_mask_invariance_after_training(self):
         rng = np.random.default_rng(5)
         a = (rng.random((10, 12)) < 0.4).astype(np.uint8)
         a[np.arange(10), rng.integers(0, 12, 10)] = 1
         d = random_binary_dataset(80, 12, seed=6)
-        model = train_dae(
+        layer, _ = train_dae(
             np.flatnonzero(a), a.shape, d, CorruptionConfig("masking", 0.2), DaeHyper(epochs=5, seed=2)
         )
-        np.testing.assert_array_equal(model.layer.mask, a)
-        np.testing.assert_array_equal(model.layer.weights * (1 - a), 0.0)
+        np.testing.assert_array_equal(layer.mask, a)
+        np.testing.assert_array_equal(layer.weights * (1 - a), 0.0)
 
     def test_bernoulli_rejects_out_of_range_data(self):
         d = Dataset(np.array([[0.0, 5.0], [1.0, 2.0]]))
@@ -99,23 +99,14 @@ class TestTrainDae:
         mask = dense_mask(8, small_corpus.n_features)
         c = CorruptionConfig("masking", 0.2)
         h = DaeHyper(epochs=3, batch_size=64, seed=9)
-        m1 = train_dae(*mask, small_corpus, c, h)
-        m2 = train_dae(*mask, small_corpus, c, h)
-        np.testing.assert_array_equal(m1.layer.weights, m2.layer.weights)
-        assert m1.training_log == m2.training_log
+        layer1, log1 = train_dae(*mask, small_corpus, c, h)
+        layer2, log2 = train_dae(*mask, small_corpus, c, h)
+        np.testing.assert_array_equal(layer1.weights, layer2.weights)
+        assert log1 == log2
 
     def test_width_mismatch(self, small_corpus):
         with pytest.raises(ValueError, match="width 7"):
             train_dae(*dense_mask(4, 7), small_corpus, CorruptionConfig(), DaeHyper(epochs=1))
-
-    def test_training_log_csv(self, tmp_path, small_corpus):
-        mask = dense_mask(6, small_corpus.n_features)
-        model = train_dae(*mask, small_corpus, CorruptionConfig(), DaeHyper(epochs=2, seed=0))
-        path = tmp_path / "log.csv"
-        model.save_training_log(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,mean_loss"
-        assert float(lines[1].split(",")[1]) == model.training_log[0]
 
 
 class TestProject:
@@ -126,11 +117,8 @@ class TestProject:
             bias_hidden=np.zeros(3),
             bias_visible=np.zeros(4),
         )
-        from trfnet.dae import TwoLayerModel
-
-        model = TwoLayerModel(layer, nn.BERNOULLI, [])
         d = random_binary_dataset(10, 4, seed=1)
-        probs, hard = project(model, d)
+        probs, hard = project(layer, d)
         np.testing.assert_array_equal(probs.values, 0.5)
         np.testing.assert_array_equal(hard.values, 0)  # strict > 0.5
 
@@ -141,30 +129,27 @@ class TestProject:
             bias_hidden=np.array([np.log(0.7 / 0.3), -1.0]),
             bias_visible=np.zeros(4),
         )
-        from trfnet.dae import TwoLayerModel
-
-        model = TwoLayerModel(layer, nn.BERNOULLI, [])
         d = random_binary_dataset(5, 4, seed=2)
-        probs, hard = project(model, d)
+        probs, hard = project(layer, d)
         assert probs.values[0, 0] == pytest.approx(0.7, abs=1e-12)
         np.testing.assert_array_equal(hard.values[:, 0], 1)
         np.testing.assert_array_equal(hard.values[:, 1], 0)
 
     def test_projected_width_is_hidden_count(self, small_corpus):
         mask = dense_mask(9, small_corpus.n_features)
-        model = train_dae(*mask, small_corpus, CorruptionConfig(), DaeHyper(epochs=1, seed=0))
-        probs, hard = project(model, small_corpus)
+        layer, _ = train_dae(*mask, small_corpus, CorruptionConfig(), DaeHyper(epochs=1, seed=0))
+        probs, hard = project(layer, small_corpus)
         assert probs.n_features == 9 and hard.n_features == 9
         np.testing.assert_array_equal(probs.labels, small_corpus.labels)
-        from trfnet.tree import chow_liu_from_binary
+        from trfnet.tree import chow_liu
 
-        t = chow_liu_from_binary(hard)
+        t = chow_liu(hard)
         assert t.node_count == 9
 
     def test_probabilities_strictly_inside_unit_interval(self, small_corpus):
         mask = dense_mask(5, small_corpus.n_features)
-        model = train_dae(*mask, small_corpus, CorruptionConfig(), DaeHyper(epochs=2, seed=3))
-        probs, hard = project(model, small_corpus)
+        layer, _ = train_dae(*mask, small_corpus, CorruptionConfig(), DaeHyper(epochs=2, seed=3))
+        probs, hard = project(layer, small_corpus)
         assert (probs.values > 0).all() and (probs.values < 1).all()
         np.testing.assert_array_equal(hard.values, (probs.values > 0.5).astype(np.int8))
 
@@ -182,7 +167,7 @@ class TestDaeBernoulliLoss:
     def test_loss_equals_reconstruction_loss_bits(self):
         loss, _ = nn.dae_gradients(self.layer, self.x, self.x_tilde, nn.BERNOULLI)
         h = nn.masked_forward(self.layer, self.x_tilde)
-        z = nn.decoder_preactivation(self.layer, h)
+        z = h @ self.layer.weights + self.layer.bias_visible  # tied-transpose decoder
         assert np.abs(z).max() > 30.0
         expected = nn.reconstruction_loss(self.x, z, nn.BERNOULLI)
         assert np.float64(loss).tobytes() == np.float64(expected).tobytes()

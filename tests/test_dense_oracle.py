@@ -44,7 +44,7 @@ def test_dae_matches_dense_masked_oracle(family):
     else:
         values = rng.normal(size=(40, 14))
     # 5 epochs of 5 batches: 25 Adam steps
-    model = train_dae(
+    layer, _ = train_dae(
         np.flatnonzero(a),
         a.shape,
         Dataset(values),
@@ -55,9 +55,9 @@ def test_dae_matches_dense_masked_oracle(family):
         a.astype(np.float64), values, 0.25, epochs=5, batch_size=8, step_size=0.01,
         seed=3, bernoulli=family == nn.BERNOULLI,
     )
-    assert_same_bits(model.layer, w)
-    assert model.layer.bias_hidden.tobytes() == bh.tobytes()
-    assert model.layer.bias_visible.tobytes() == bv.tobytes()
+    assert_same_bits(layer, w)
+    assert layer.bias_hidden.tobytes() == bh.tobytes()
+    assert layer.bias_visible.tobytes() == bv.tobytes()
 
 
 def test_finetune_with_dropout_and_l1_matches_dense_masked_oracle():

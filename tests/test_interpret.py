@@ -106,6 +106,13 @@ class TestEmbeddings:
         with pytest.raises(DataFormatError, match="line 2"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, bad):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 2\nfoo 1 0.5\nbar 1 {bad}\n")
+        with pytest.raises(DataFormatError, match=r"emb\.txt: line 3"):
+            load_embeddings(path)
+
 
 class TestInterpretabilityScore:
     def setup_method(self):

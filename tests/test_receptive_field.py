@@ -134,14 +134,6 @@ class TestBuildMasks:
         densities = [p.index(n).size / (p.hidden_count * n) for p in plans]
         assert all(a <= b + 1e-12 for a, b in zip(densities, densities[1:]))
 
-    def test_plan_text_export(self):
-        t = make_path_tree(7)
-        seed = seed_with_first_center(7, 0)
-        plan = build_masks(t, r=1, s=2, global_fraction=0.3, seed=seed)
-        text = plan.to_text()
-        assert text.splitlines()[0] == "center=0 r=1 members=[0, 1]"
-        assert text.splitlines().count("global") == plan.global_count
-
 
 def reference_centers(t, s, seed):
     """Greedy center choice from full, unbounded hop distances."""

@@ -5,23 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_path_tree, make_star_tree, random_binary_dataset, tree_from_edges
+from conftest import edge_pairs, make_path_tree, make_star_tree, random_binary_dataset, tree_from_edges
 from oracles import (
     all_spanning_trees,
     best_tree_weight,
+    bfs_parents,
+    empirical_mi,
     floyd_warshall_hops,
+    max_log_likelihood,
+    pair_counts,
     tree_loglik_reference,
 )
-from trfnet.data import BinaryDataset, Dataset, DiscretizationPolicy
+from trfnet.data import BinaryDataset, Dataset
 from trfnet import tree as tree_module
-from trfnet.stats import MiMatrix, empirical_mi, pair_counts
+from trfnet.stats import MiMatrix
 from trfnet.synth import markov_chain
 from trfnet.tree import (
     WEIGHT_CLAMP,
     ChowLiuTree,
     chow_liu,
     hop_distances,
-    max_log_likelihood,
     max_spanning_tree,
     to_dot,
 )
@@ -41,7 +44,7 @@ def random_mi_matrix(n, seed):
 
 
 def as_binary(d: Dataset) -> BinaryDataset:
-    return BinaryDataset(d.values.astype(np.int8), source=d)
+    return BinaryDataset(d.values.astype(np.int8))
 
 
 random_trees = st.integers(3, 10).flatmap(
@@ -55,12 +58,12 @@ class TestMaxSpanningTree:
     def test_triangle_drops_weakest_edge(self):
         m = symmetric([(0, 1, 0.5), (0, 2, 0.3), (1, 2, 0.1)], 3)
         t = max_spanning_tree(m)
-        assert t.edge_pairs() == {(0, 1), (0, 2)}
+        assert edge_pairs(t) == {(0, 1), (0, 2)}
 
     def test_equal_weights_lexicographic_star(self):
         m = symmetric([(u, v, 0.25) for u in range(4) for v in range(u + 1, 4)], 4)
         t = max_spanning_tree(m)
-        assert t.edge_pairs() == {(0, 1), (0, 2), (0, 3)}
+        assert edge_pairs(t) == {(0, 1), (0, 2), (0, 3)}
 
     def test_matches_exhaustive_enumeration(self):
         for seed in range(6):
@@ -68,12 +71,6 @@ class TestMaxSpanningTree:
             t = max_spanning_tree(m)
             total = sum(w for _, _, w in t.edges)
             assert total == pytest.approx(best_tree_weight(m.m), abs=1e-12)
-
-    def test_root_and_parents(self):
-        t = max_spanning_tree(random_mi_matrix(7, 3))
-        assert t.root == 0
-        assert t.parent[0] == -1
-        assert sum(1 for p in t.parent if p != -1) == 6
 
     def test_asymmetric_rejected(self):
         w = np.zeros((3, 3))
@@ -92,12 +89,12 @@ class TestMaxSpanningTree:
         w = np.zeros((n, n))
         w[np.triu_indices(n, 1)] = vals
         w = w + w.T
-        base = max_spanning_tree(MiMatrix(w)).edge_pairs()
+        base = edge_pairs(max_spanning_tree(MiMatrix(w)))
         perm = rng.permutation(n)
         wp = w[np.ix_(perm, perm)]
         mapped_back = {
             (min(perm[u], perm[v]), max(perm[u], perm[v]))
-            for u, v in max_spanning_tree(MiMatrix(wp)).edge_pairs()
+            for u, v in edge_pairs(max_spanning_tree(MiMatrix(wp)))
         }
         assert mapped_back == base
 
@@ -158,7 +155,7 @@ class TestPrefixKruskal:
         n = 150  # more edges than the first prefix, all tied at zero
         t = max_spanning_tree(MiMatrix(np.zeros((n, n))))
         assert t.edges == full_order_kruskal(np.zeros((n, n)))
-        assert t.edge_pairs() == {(0, v) for v in range(1, n)}
+        assert edge_pairs(t) == {(0, v) for v in range(1, n)}
 
     def test_widens_when_the_heaviest_edges_do_not_span(self):
         # a heavy clique on 90 of 120 nodes fills the first 32 x V prefix
@@ -183,25 +180,25 @@ class TestPrefixKruskal:
 class TestChowLiu:
     def test_chain_recovery(self):
         d = markov_chain(8, 1500, flip_prob=0.1, seed=5)
-        t = chow_liu(d, DiscretizationPolicy.already_binary())
-        assert t.edge_pairs() == {(i, i + 1) for i in range(7)}
+        t = chow_liu(as_binary(d))
+        assert edge_pairs(t) == {(i, i + 1) for i in range(7)}
 
     def test_duplicated_pair_is_an_edge(self):
         rng = np.random.default_rng(1)
         a = (rng.random(400) < 0.5).astype(float)
         c = (rng.random(400) < 0.5).astype(float)
         d = Dataset(np.column_stack([a, a, c]))
-        t = chow_liu(d, DiscretizationPolicy.already_binary())
-        assert (0, 1) in t.edge_pairs()
+        t = chow_liu(as_binary(d))
+        assert (0, 1) in edge_pairs(t)
 
     def test_two_features_single_edge(self):
         d = random_binary_dataset(50, 2, seed=2)
-        t = chow_liu(d, DiscretizationPolicy.already_binary())
-        assert t.edge_pairs() == {(0, 1)}
+        t = chow_liu(as_binary(d))
+        assert edge_pairs(t) == {(0, 1)}
 
     def test_stored_weights_are_mi(self):
         d = random_binary_dataset(120, 5, seed=8)
-        t = chow_liu(d, DiscretizationPolicy.already_binary())
+        t = chow_liu(as_binary(d))
         bd = as_binary(d)
         for u, v, w in t.edges:
             assert w == pytest.approx(empirical_mi(pair_counts(bd, u, v)), abs=1e-12)
@@ -257,22 +254,22 @@ class TestMaxLogLikelihood:
     def test_edge_swap_decreases(self):
         d = markov_chain(4, 800, flip_prob=0.1, seed=9)
         bd = as_binary(d)
-        best = chow_liu(d, DiscretizationPolicy.already_binary())
+        best = chow_liu(bd)
         worse = tree_from_edges(4, [(0, 1), (1, 2), (0, 3)])  # (2,3) swapped for (0,3)
-        assert best.edge_pairs() == {(0, 1), (1, 2), (2, 3)}
+        assert edge_pairs(best) == {(0, 1), (1, 2), (2, 3)}
         assert max_log_likelihood(best, bd) > max_log_likelihood(worse, bd)
 
     def test_matches_plugin_cpt_evaluation(self):
         d = random_binary_dataset(150, 4, seed=3)
         bd = as_binary(d)
-        t = chow_liu(d, DiscretizationPolicy.already_binary())
-        ref = tree_loglik_reference(t.parent.tolist(), t.root, d.values.tolist())
+        t = chow_liu(bd)
+        ref = tree_loglik_reference(bfs_parents(t.node_count, t.edges, 0), 0, d.values.tolist())
         assert max_log_likelihood(t, bd) == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_chow_liu_is_optimal_over_all_trees(self):
         d = random_binary_dataset(100, 5, seed=4)
         bd = as_binary(d)
-        best = chow_liu(d, DiscretizationPolicy.already_binary())
+        best = chow_liu(bd)
         best_ll = max_log_likelihood(best, bd)
         for edges in all_spanning_trees(5):
             other = tree_from_edges(5, edges)
@@ -282,21 +279,7 @@ class TestMaxLogLikelihood:
 class TestTreeType:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
-            ChowLiuTree(
-                node_count=3,
-                edges=((0, 1, 1.0), (0, 1, 1.0)),
-                root=0,
-                parent=np.array([-1, 0, 0]),
-            )
-
-    def test_parent_consistency_checked(self):
-        with pytest.raises(ValueError):
-            ChowLiuTree(
-                node_count=3,
-                edges=((0, 1, 1.0), (1, 2, 1.0)),
-                root=0,
-                parent=np.array([-1, 0, 0]),  # (2, 0) is not an edge
-            )
+            ChowLiuTree(node_count=3, edges=((0, 1, 1.0), (0, 1, 1.0)))
 
     def test_dot_export_shape(self):
         t = make_path_tree(4)
