@@ -13,9 +13,12 @@ master_seed + depth.
 
 from __future__ import annotations
 
+import base64
 import copy
+import hashlib
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +32,8 @@ from .tree import chow_liu
 SOFTMAX = "softmax"
 MULTITASK = "multitask"
 
-MODEL_MAGIC = "trfnet-model v1"
+MODEL_MAGIC = "trfnet-model v2"
+MODEL_MAGIC_V1 = "trfnet-model v1"  # read, no longer written
 REPORT_MAGIC = "trfnet-report v1"
 
 
@@ -479,17 +483,33 @@ def save_report(r: EvalReport, path, name: str = "model") -> None:
 
 
 def load_report(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"{path}: report is not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return report_from_text(text)
 
 
 # ---------------------------------------------------------------------------
-# model files: versioned self-describing text, exact float round trip
+# model files: a line-oriented text header; in v2 each array is one base64
+# line of its little-endian bytes and a SHA-256 line seals the file
 # ---------------------------------------------------------------------------
 
+_F8, _I8 = np.dtype("<f8"), np.dtype("<i8")
+_SEAL = "end trfnet-model sha256 "
 
-def _floats(xs) -> str:
-    return " ".join(repr(float(x)) for x in xs)
+
+def _b64(a: np.ndarray, dtype: np.dtype) -> str:
+    return base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _unb64(text: str, dtype: np.dtype) -> np.ndarray:
+    """Inverse of _b64 as a fresh writable array; text that is not base64 of
+    whole items raises ValueError."""
+    raw = base64.b64decode(text, validate=True)
+    return np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
 
 
 def _config_lines(cfg: BuildConfig) -> list[str]:
@@ -551,10 +571,11 @@ def _parse_config(lines: list[str]) -> BuildConfig:
 
 
 def save(net: TrfNetwork, path) -> None:
-    """Write the canonical text serialization; see load for the inverse.
+    """Write the canonical v2 serialization; see load for the inverse.
 
-    The same network always produces the same bytes, and weights round-trip
-    exactly via repr.
+    A layer with a plan stores the plan alone as its connectivity; a layer
+    without one stores its index.  Every array is one base64 line, so the
+    same network always produces the same bytes and reloads bit for bit.
     """
     out = [MODEL_MAGIC, f"head_mode {net.head_mode}"]
     if net.config is not None:
@@ -568,33 +589,26 @@ def save(net: TrfNetwork, path) -> None:
         plan = net.plans[k]
         if plan is None:
             out.append("plan none")
+            out.append("index dense" if layer.index.size == h * v else "index " + _b64(layer.index, _I8))
         else:
             out.append(f"plan {plan.radius} {plan.stride} {plan.global_count}")
             out.append("centers " + " ".join(str(c) for c in plan.centers))
             for i, members in enumerate(plan.fields):
                 out.append(f"field {i} " + " ".join(str(m) for m in members))
-        bounds = np.searchsorted(layer.index, np.arange(h + 1) * v)
-        for i in range(h):
-            row = slice(bounds[i], bounds[i + 1])
-            cols = layer.index[row] - i * v
-            if cols.size == v:
-                out.append(f"maskrow {i} dense")
-            else:
-                out.append(f"maskrow {i} sparse " + " ".join(str(j) for j in cols))
-            out.append(f"w {i} " + _floats(layer.values[row]))
-        out.append("bh " + _floats(layer.bias_hidden))
-        out.append("bv " + _floats(layer.bias_visible))
+        out.append("values " + _b64(layer.values, _F8))
+        out.append("bh " + _b64(layer.bias_hidden, _F8))
+        out.append("bv " + _b64(layer.bias_visible, _F8))
     if net.head is None:
         out.append("head none")
     else:
         o, i = net.head.weights.shape
         out.append(f"head {o} {i} {net.head.activation}")
-        for r in range(o):
-            out.append(f"hw {r} " + _floats(net.head.weights[r]))
-        out.append("hb " + _floats(net.head.bias))
-    out.append("end trfnet-model")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+        out.append("hw " + _b64(net.head.weights, _F8))
+        out.append("hb " + _b64(net.head.bias, _F8))
+    body = ("\n".join(out) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(body)
+        fh.write(f"{_SEAL}{hashlib.sha256(body).hexdigest()}\n".encode("ascii"))
 
 
 class _Reader:
@@ -611,124 +625,174 @@ class _Reader:
             raise ModelFormatError(f"expected {expect_prefix!r}, found {ln[:40]!r}")
         return ln
 
+    def rest(self, key: str) -> str:
+        """The text after "key " on the next line."""
+        return self.next(key + " ")[len(key) + 1 :]
 
-def _check_plan(k: int, plan: ReceptiveFieldPlan, layer: nn.MaskedLayer) -> None:
-    """A stored plan must describe the layer's stored connectivity."""
-    v = layer.visible_count
+
+def _unseal(data: bytes) -> list[str]:
+    """The lines before a v2 file's checksum line, once the checksum matches."""
+    start = data.rfind(b"\n", 0, len(data) - 1) + 1
+    seal = data[start:]
+    if not (seal.startswith(_SEAL.encode()) and seal.endswith(b"\n")):
+        raise ModelFormatError("file truncated: no checksum line")
+    if seal[len(_SEAL) : -1] != hashlib.sha256(data[:start]).hexdigest().encode():
+        raise ModelFormatError("checksum mismatch: the file is damaged")
+    return data[: start - 1].decode("utf-8").split("\n")
+
+
+def _read_plan(rd: _Reader) -> ReceptiveFieldPlan | None:
+    plan_ln = rd.next("plan")
+    if plan_ln == "plan none":
+        return None
+    _, r_s, s_s, g_s = plan_ln.split(" ")
+    centers = tuple([int(x) for x in rd.rest("centers").split(" ") if x])
+    fields_ = []
+    for i in range(len(centers)):
+        fields_.append(tuple([int(x) for x in rd.rest(f"field {i}").split(" ") if x]))
+    return ReceptiveFieldPlan(
+        radius=int(r_s), stride=int(s_s), centers=centers, fields=tuple(fields_), global_count=int(g_s)
+    )
+
+
+def _check_plan(k: int, plan: ReceptiveFieldPlan, h: int, v: int) -> None:
+    """A stored plan must fit the h x v layer it describes."""
     if any(not 0 <= c < v for c in plan.centers) or any(
         not 0 <= m < v for members in plan.fields for m in members
     ):
         raise ModelFormatError(f"layer {k}: plan names a feature outside [0, {v})")
-    if plan.hidden_count != layer.hidden_count:
-        raise ModelFormatError(
-            f"layer {k}: plan has {plan.hidden_count} units, layer has {layer.hidden_count}"
-        )
-    if not np.array_equal(plan.index(v), layer.index):
-        raise ModelFormatError(
-            f"layer {k}: mask rows disagree with the plan (field rows, then all-ones global rows)"
-        )
+    if plan.hidden_count != h:
+        raise ModelFormatError(f"layer {k}: plan has {plan.hidden_count} units, layer has {h}")
 
 
-def load(path) -> TrfNetwork:
-    """Parse a model file written by save; raises ModelFormatError on damage."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def _v1_rows(rd: _Reader, k: int, h: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """A v1 layer body: per unit, its mask columns and then their weights."""
+    index, values = [], []
+    for i in range(h):
+        mtoks = rd.next(f"maskrow {i} ").split(" ")
+        if mtoks[2] == "dense":
+            cols = np.arange(v, dtype=np.int64)
+        else:
+            cols = np.array([int(x) for x in mtoks[3:] if x], dtype=np.int64)
+        if cols.size and (cols[0] < 0 or cols[-1] >= v or (np.diff(cols) <= 0).any()):
+            raise ModelFormatError(f"layer {k} row {i}: mask columns must rise inside [0, {v})")
+        wvals = _v1_floats(rd.rest(f"w {i}"))
+        if wvals.size != cols.size:
+            raise ModelFormatError(f"layer {k} row {i}: weight count mismatch")
+        index.append(i * v + cols)
+        values.append(wvals)
+    return np.concatenate(index), np.concatenate(values)
+
+
+def _v1_floats(text: str) -> np.ndarray:
+    return np.array([float(x) for x in text.split(" ") if x], dtype=np.float64)
+
+
+def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
+    """The network in a model file's lines; v2 arrays are base64, v1 decimal."""
+    floats = partial(_unb64, dtype=_F8) if v2 else _v1_floats
     rd = _Reader(lines)
-    try:
-        if rd.next() != MODEL_MAGIC:
-            raise ModelFormatError("not a model file, or unsupported version")
-        head_mode = rd.next("head_mode ").split(" ")[1]
-        if head_mode not in (SOFTMAX, MULTITASK):
-            raise ModelFormatError(f"unknown head mode {head_mode!r}")
-        first = rd.next()
-        config = None
-        if first == "config begin":
-            cfg_lines = []
-            while True:
-                ln = rd.next()
-                if ln == "config end":
-                    break
-                cfg_lines.append(ln)
-            config = _parse_config(cfg_lines)
-        elif first != "config none":
-            raise ModelFormatError("missing config section")
-        n_layers = int(rd.next("layers ").split(" ")[1])
-        layers, plans = [], []
-        for k in range(n_layers):
-            parts = rd.next(f"layer {k} ").split(" ")
-            h, v, activation = int(parts[2]), int(parts[3]), parts[4]
-            nn.activation_fn(activation)  # an unknown name raises ValueError
-            plan_ln = rd.next("plan")
-            if plan_ln == "plan none":
-                plan = None
-            else:
-                _, r_s, s_s, g_s = plan_ln.split(" ")
-                centers = tuple(int(x) for x in rd.next("centers").split(" ")[1:] if x)
-                fields_ = []
-                for i in range(len(centers)):
-                    toks = rd.next(f"field {i}").split(" ")[2:]
-                    fields_.append(tuple(int(x) for x in toks if x))
-                plan = ReceptiveFieldPlan(
-                    radius=int(r_s),
-                    stride=int(s_s),
-                    centers=centers,
-                    fields=tuple(fields_),
-                    global_count=int(g_s),
+    if rd.next() != (MODEL_MAGIC if v2 else MODEL_MAGIC_V1):
+        raise ModelFormatError("not a model file, or unsupported version")
+    head_mode = rd.next("head_mode ").split(" ")[1]
+    if head_mode not in (SOFTMAX, MULTITASK):
+        raise ModelFormatError(f"unknown head mode {head_mode!r}")
+    first = rd.next()
+    config = None
+    if first == "config begin":
+        cfg_lines = []
+        while True:
+            ln = rd.next()
+            if ln == "config end":
+                break
+            cfg_lines.append(ln)
+        config = _parse_config(cfg_lines)
+    elif first != "config none":
+        raise ModelFormatError("missing config section")
+    n_layers = int(rd.next("layers ").split(" ")[1])
+    layers, plans = [], []
+    for k in range(n_layers):
+        parts = rd.next(f"layer {k} ").split(" ")
+        h, v, activation = int(parts[2]), int(parts[3]), parts[4]
+        nn.activation_fn(activation)  # an unknown name raises ValueError
+        if h < 1 or v < 1:
+            raise ModelFormatError(f"layer {k}: a {h} x {v} layer has no connections")
+        plan = _read_plan(rd)
+        if plan is not None:
+            _check_plan(k, plan, h, v)
+        if not v2:
+            index, values = _v1_rows(rd, k, h, v)
+            if plan is not None and not np.array_equal(plan.index(v), index):
+                raise ModelFormatError(
+                    f"layer {k}: mask rows disagree with the plan (field rows, then all-ones global rows)"
                 )
-            index, values = [], []
-            for i in range(h):
-                mtoks = rd.next(f"maskrow {i} ").split(" ")
-                if mtoks[2] == "dense":
-                    cols = np.arange(v, dtype=np.int64)
-                else:
-                    cols = np.array([int(x) for x in mtoks[3:] if x], dtype=np.int64)
-                if cols.size and (cols[0] < 0 or cols[-1] >= v or (np.diff(cols) <= 0).any()):
-                    raise ModelFormatError(f"layer {k} row {i}: mask columns must rise inside [0, {v})")
-                wtoks = rd.next(f"w {i}").split(" ")[2:]
-                wvals = np.array([float(x) for x in wtoks if x], dtype=np.float64)
-                if wvals.size != cols.size:
-                    raise ModelFormatError(f"layer {k} row {i}: weight count mismatch")
-                index.append(i * v + cols)
-                values.append(wvals)
-            bh = np.array([float(x) for x in rd.next("bh").split(" ")[1:] if x])
-            bv = np.array([float(x) for x in rd.next("bv").split(" ")[1:] if x])
-            if bh.size != h or bv.size != v:
-                raise ModelFormatError(f"layer {k}: bias length mismatch")
-            layer = nn.MaskedLayer(
-                index=np.concatenate(index),
-                values=np.concatenate(values),
-                bias_hidden=bh, bias_visible=bv, activation=activation,
-            )
-            if not all(np.isfinite(a).all() for a in (layer.values, bh, bv)):
-                raise ModelFormatError(f"layer {k}: non-finite weight or bias")
+        else:
             if plan is not None:
-                _check_plan(k, plan, layer)
-            layers.append(layer)
-            plans.append(plan)
-        head_ln = rd.next("head")
-        head = None
-        if head_ln != "head none":
-            _, o_s, i_s, act = head_ln.split(" ")
-            nn.activation_fn(act)
-            o, i_w = int(o_s), int(i_s)
+                index = plan.index(v)
+            else:
+                stored = rd.rest("index")
+                index = np.arange(h * v, dtype=np.int64) if stored == "dense" else _unb64(stored, _I8)
+            values = floats(rd.rest("values"))
+        if index.size and (index[0] < 0 or index[-1] >= h * v or (np.diff(index) <= 0).any()):
+            raise ModelFormatError(f"layer {k}: connections must rise strictly inside [0, {h * v})")
+        if values.size != index.size:
+            raise ModelFormatError(f"layer {k}: {values.size} weights for {index.size} connections")
+        bh, bv = floats(rd.rest("bh")), floats(rd.rest("bv"))
+        if bh.size != h or bv.size != v:
+            raise ModelFormatError(f"layer {k}: bias length mismatch")
+        if not all(np.isfinite(a).all() for a in (values, bh, bv)):
+            raise ModelFormatError(f"layer {k}: non-finite weight or bias")
+        layers.append(
+            nn.MaskedLayer(index=index, values=values, bias_hidden=bh, bias_visible=bv, activation=activation)
+        )
+        plans.append(plan)
+    head_ln = rd.next("head")
+    head = None
+    if head_ln != "head none":
+        _, o_s, i_s, act = head_ln.split(" ")
+        nn.activation_fn(act)
+        o, i_w = int(o_s), int(i_s)
+        if v2:
+            hw = floats(rd.rest("hw"))
+            if hw.size != o * i_w:
+                raise ModelFormatError(f"head: {hw.size} weights for {o} x {i_w}")
+            hw = hw.reshape(o, i_w)
+        else:
             hw = np.zeros((o, i_w), dtype=np.float64)
             for r in range(o):
-                toks = rd.next(f"hw {r}").split(" ")[2:]
-                vals = np.array([float(x) for x in toks if x], dtype=np.float64)
+                vals = floats(rd.rest(f"hw {r}"))
                 if vals.size != i_w:
                     raise ModelFormatError(f"head row {r}: weight count mismatch")
                 hw[r] = vals
-            hb = np.array([float(x) for x in rd.next("hb").split(" ")[1:] if x])
-            if hb.size != o:
-                raise ModelFormatError("head bias length mismatch")
-            if not (np.isfinite(hw).all() and np.isfinite(hb).all()):
-                raise ModelFormatError("head: non-finite weight or bias")
-            head = nn.DenseLayer(weights=hw, bias=hb, activation=act)
+        hb = floats(rd.rest("hb"))
+        if hb.size != o:
+            raise ModelFormatError("head bias length mismatch")
+        if not (np.isfinite(hw).all() and np.isfinite(hb).all()):
+            raise ModelFormatError("head: non-finite weight or bias")
+        head = nn.DenseLayer(weights=hw, bias=hb, activation=act)
+    if v2:
+        if rd.pos != len(lines):
+            raise ModelFormatError(f"unexpected line after the head: {lines[rd.pos][:40]!r}")
+    else:
         rd.next("end trfnet-model")
-        # an empty stack or widths that do not chain raise ValueError here
-        return TrfNetwork(
-            layers=layers, plans=plans, head=head, head_mode=head_mode, config=config
-        )
+    # an empty stack or widths that do not chain raise ValueError here
+    return TrfNetwork(layers=layers, plans=plans, head=head, head_mode=head_mode, config=config)
+
+
+def load(path) -> TrfNetwork:
+    """Parse a model file written by save, or a v1 file written before it.
+
+    A v2 file's checksum is verified before anything is parsed.  Damage of
+    any kind, undecodable bytes included, raises ModelFormatError.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        if data.startswith(MODEL_MAGIC.encode()):
+            return _parse_model(_unseal(data), v2=True)
+        if data.startswith(MODEL_MAGIC_V1.encode()):
+            return _parse_model(data.decode("utf-8").splitlines(), v2=False)
+        raise ModelFormatError("not a model file, or unsupported version")
     except (ValueError, IndexError) as e:
         if isinstance(e, ModelFormatError):
             raise

@@ -121,6 +121,14 @@ def _parse_int_list(spec: str, flag: str):
     return values[0] if len(values) == 1 else values
 
 
+def _require_counts(args, *names):
+    """Usage error for a count flag below 1, raised before any input is read."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise CliError(f"--{name}: expected a count >= 1, got {value}")
+
+
 def _split_labeled(d, args):
     from .data import split
 
@@ -169,6 +177,7 @@ def cmd_build(args) -> int:
     from . import builder
     from .dae import DaeHyper
 
+    _require_counts(args, "epochs", "depth", "batch")
     t0 = time.perf_counter()
     d, inputs = _load_data(args)
     cfg = builder.BuildConfig(
@@ -220,6 +229,7 @@ def _ensure_head(net, d) -> None:
 def cmd_finetune(args) -> int:
     from . import builder
 
+    _require_counts(args, "epochs", "batch", "patience")
     t0 = time.perf_counter()
     d, inputs = _load_data(args, need_labels=True)
     inputs = [args.model] + inputs
@@ -267,6 +277,7 @@ def cmd_eval(args) -> int:
 def cmd_baseline(args) -> int:
     from . import baselines, builder
 
+    _require_counts(args, "epochs", "batch", "patience")
     t0 = time.perf_counter()
     d, inputs = _load_data(args, need_labels=True)
     train, valid, test = _split_labeled(d, args)
@@ -322,8 +333,7 @@ def cmd_inspect(args) -> int:
     from .errors import DegenerateUnitWarning
     from .interpret import _rank_units, load_embeddings, unit_interpretability
 
-    if args.top < 1:
-        raise CliError(f"--top: expected a count >= 1, got {args.top}")
+    _require_counts(args, "top")
     t0 = time.perf_counter()
     d, inputs = _load_data(args)
     inputs = [args.model] + inputs

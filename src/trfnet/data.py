@@ -12,6 +12,7 @@ Two on-disk formats are supported:
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,16 @@ def _frozen(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+@contextmanager
+def open_utf8(path):
+    """path opened as UTF-8 text; bytes that do not decode raise DataFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 @dataclass(frozen=True)
@@ -122,12 +133,12 @@ class BinaryDataset:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _frozen(self.values, np.int8)
+        values = np.asarray(self.values)
         if values.ndim != 2:
             raise ValueError(f"binary values must be 2-D, got shape {values.shape}")
         if not np.isin(values, (0, 1)).all():
             raise ValueError("binary values must be exactly 0 or 1")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values, np.int8))
 
     @property
     def n_samples(self) -> int:
@@ -140,7 +151,7 @@ class BinaryDataset:
 
 def load_dense_csv(path, has_labels: bool = False) -> Dataset:
     """Read a dense CSV file; see the module docstring for the format."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         numbered = [
             (lineno, ln.rstrip("\n"))
             for lineno, ln in enumerate(fh, start=1)
@@ -204,7 +215,7 @@ def save_dense_csv(d: Dataset, path) -> None:
 
 def load_sparse_bow(doc_path, vocab_path) -> Dataset:
     """Read a sparse bag-of-words corpus; see the module docstring for the format."""
-    with open(vocab_path, "r", encoding="utf-8") as fh:
+    with open_utf8(vocab_path) as fh:
         vocab = [ln.strip() for ln in fh if ln.strip() != ""]
     if len(vocab) < 2:
         raise EmptyInputError(f"{vocab_path}: need at least 2 vocabulary tokens")
@@ -212,7 +223,7 @@ def load_sparse_bow(doc_path, vocab_path) -> Dataset:
         raise DataFormatError(f"{vocab_path}: duplicate tokens in vocabulary")
     v = len(vocab)
     rows, labels = [], []
-    with open(doc_path, "r", encoding="utf-8") as fh:
+    with open_utf8(doc_path) as fh:
         for lineno, ln in enumerate(fh, start=1):
             if ln.strip() == "":
                 continue

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import TrfNetwork
-from .data import Dataset
+from .data import Dataset, open_utf8
 from .errors import DataFormatError, DegenerateUnitWarning, NoCoverageError
 from .nn import hidden_representation
 
@@ -37,7 +37,7 @@ class EmbeddingTable:
 
 def load_embeddings(path) -> EmbeddingTable:
     """Text format: first line "count dim", then "token x1 ... xdim" lines."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataFormatError(f"{path}: line 1: expected 'count dim'")
@@ -60,6 +60,8 @@ def load_embeddings(path) -> EmbeddingTable:
                 raise DataFormatError(f"{path}: line {lineno}: bad number") from None
             if not np.isfinite(vec).all():
                 raise DataFormatError(f"{path}: line {lineno}: vector entries must be finite")
+            if parts[0] in vectors:
+                raise DataFormatError(f"{path}: line {lineno}: duplicate token {parts[0]!r}")
             vectors[parts[0]] = vec
     if len(vectors) != count:
         raise DataFormatError(f"{path}: header promised {count} tokens, found {len(vectors)}")

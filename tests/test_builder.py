@@ -1,5 +1,11 @@
+import base64
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seed_with_first_center
 from trfnet import nn
@@ -21,6 +27,7 @@ from trfnet.builder import (
 from trfnet.dae import CorruptionConfig, DaeHyper
 from trfnet.data import Dataset, DiscretizationPolicy
 from trfnet.errors import EmptyStructureError, ModelFormatError
+from trfnet.receptive_field import ReceptiveFieldPlan
 from trfnet.synth import markov_chain
 
 
@@ -331,6 +338,71 @@ class TestLabelRange:
             evaluate(self.dense_net(3, "multitask"), Dataset(train.values, labels=labels.clip(0, 1)))
 
 
+V1_FIXTURE = Path(__file__).parent / "data" / "model_v1.trf"
+
+
+def v1_fixture_network() -> TrfNetwork:
+    """The network that data/model_v1.trf holds, rebuilt from fixed seeds.
+
+    Layer 0 (4 x 10) has a plan: three fields and one all-ones global row.
+    Layer 1 (3 x 4) has no plan and sparse rows, the last one full.  A
+    2-class head sits on top.  The weights include -0.0, the smallest
+    subnormal and 1e300.
+    """
+    rng = np.random.default_rng(2018)
+    plan = ReceptiveFieldPlan(
+        radius=1, stride=2, centers=(1, 4, 8), fields=((0, 1, 2), (3, 4, 5), (6, 7, 8, 9)), global_count=1
+    )
+    index0 = plan.index(10)
+    values0 = rng.normal(size=index0.size)
+    values0[:3] = (-0.0, 5e-324, 1e300)
+    layer0 = nn.MaskedLayer(index0, values0, rng.normal(size=4), rng.normal(size=10), "relu")
+    index1 = np.array([0, 2, 5, 8, 9, 10, 11])
+    layer1 = nn.MaskedLayer(index1, rng.normal(size=7), rng.normal(size=3), rng.normal(size=4), "relu")
+    head = nn.DenseLayer(rng.normal(size=(2, 3)), rng.normal(size=2), "identity")
+    cfg = BuildConfig(
+        radius=(1, 1), stride=(2, 2), depth=2, global_fraction=0.1,
+        policy=DiscretizationPolicy.fixed(0.0), dae=DaeHyper(epochs=3, batch_size=64, seed=7),
+        corruption=CorruptionConfig("masking", 0.2, seed=7), seed=7,
+    )
+    return TrfNetwork([layer0, layer1], [plan, None], head, "softmax", cfg)
+
+
+def bits(a: np.ndarray) -> tuple:
+    """dtype, shape and raw bytes: equal bits, so -0.0 differs from 0.0."""
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def assert_same_bits(a: TrfNetwork, b: TrfNetwork) -> None:
+    assert (a.head_mode, a.plans, a.config) == (b.head_mode, b.plans, b.config)
+    assert len(a.layers) == len(b.layers)
+    for la, lb in zip(a.layers, b.layers):
+        assert la.activation == lb.activation
+        for f in ("index", "values", "bias_hidden", "bias_visible"):
+            assert bits(getattr(la, f)) == bits(getattr(lb, f))
+    assert (a.head.activation, bits(a.head.weights), bits(a.head.bias)) == (
+        b.head.activation, bits(b.head.weights), bits(b.head.bias)
+    )
+
+
+def sealed(body: bytes) -> bytes:
+    """body followed by the v2 checksum line over it."""
+    return body + b"end trfnet-model sha256 " + hashlib.sha256(body).hexdigest().encode() + b"\n"
+
+
+def reseal(lines: list[str]) -> bytes:
+    """v2 bytes with the checksum line recomputed over the edited lines."""
+    return sealed(("\n".join(ln for ln in lines if not ln.startswith("end trfnet-model")) + "\n").encode())
+
+
+def b64_floats(line: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(line.split(" ", 1)[1]), dtype="<f8").copy()
+
+
+def b64_line(key: str, a) -> str:
+    return key + " " + base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode()
+
+
 class TestSaveLoad:
     def test_roundtrip_bitwise(self, tmp_path, small_corpus):
         net = build_trf_net(small_corpus, quick_config(depth=2, seed=5))
@@ -359,6 +431,29 @@ class TestSaveLoad:
         save(net, tmp_path / "m.trf")
         assert evaluate(load(tmp_path / "m.trf"), test).accuracy == evaluate(net, test).accuracy
 
+    def test_v1_fixture_loads_bit_for_bit(self):
+        assert V1_FIXTURE.read_text().startswith("trfnet-model v1\n")
+        assert_same_bits(v1_fixture_network(), load(V1_FIXTURE))
+
+    def test_v2_keeps_every_bit(self, tmp_path):
+        net = v1_fixture_network()
+        save(net, tmp_path / "m.trf")
+        back = load(tmp_path / "m.trf")
+        assert_same_bits(net, back)
+        assert np.signbit(back.layers[0].values[0]) and back.layers[0].values[1] == 5e-324
+
+    def test_connectivity_stored_only_without_a_plan(self, tmp_path):
+        save(v1_fixture_network(), tmp_path / "m.trf")
+        lines = (tmp_path / "m.trf").read_text().splitlines()
+        assert not any(ln.startswith(("maskrow ", "w ")) for ln in lines)
+        stored = [ln for ln in lines if ln.startswith("index ")]
+        assert len(stored) == 1 and lines.index(stored[0]) > lines.index("layer 1 3 4 relu")
+        assert lines[-1].startswith("end trfnet-model sha256 ")
+        rng = np.random.default_rng(0)
+        dense = TrfNetwork(layers=[nn.init_masked_layer(np.arange(12), (3, 4), rng)], plans=[None])
+        save(dense, tmp_path / "d.trf")
+        assert "index dense" in (tmp_path / "d.trf").read_text().splitlines()
+
     def test_truncated_file_rejected(self, tmp_path, small_corpus):
         net = build_trf_net(small_corpus, quick_config())
         path = tmp_path / "m.trf"
@@ -368,11 +463,39 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError):
             load(path)
 
+    def test_damaged_byte_fails_the_checksum(self, tmp_path):
+        save(v1_fixture_network(), tmp_path / "m.trf")
+        data = bytearray((tmp_path / "m.trf").read_bytes())
+        at = data.index(b"\nvalues ") + 12
+        data[at] = ord("A") if data[at] != ord("A") else ord("B")
+        (tmp_path / "m.trf").write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match="checksum"):
+            load(tmp_path / "m.trf")
+
+    def test_missing_checksum_line_rejected(self, tmp_path):
+        save(v1_fixture_network(), tmp_path / "m.trf")
+        lines = (tmp_path / "m.trf").read_text().splitlines()
+        (tmp_path / "m.trf").write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ModelFormatError, match="checksum line"):
+            load(tmp_path / "m.trf")
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "m.trf"
         path.write_text("something-else v9\n")
         with pytest.raises(ModelFormatError):
             load(path)
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_undecodable_bytes_rejected(self, tmp_path, version):
+        if version == "v1":
+            data = V1_FIXTURE.read_bytes().replace(b"softmax", b"soft\xffmax")
+        else:  # sealed after the damage, so decoding is what fails
+            save(v1_fixture_network(), tmp_path / "m.trf")
+            body = (tmp_path / "m.trf").read_bytes().rsplit(b"end trfnet-model", 1)[0]
+            data = sealed(body.replace(b"softmax", b"soft\xffmax"))
+        (tmp_path / "bad.trf").write_bytes(data)
+        with pytest.raises(ModelFormatError, match="utf-8"):
+            load(tmp_path / "bad.trf")
 
     def saved_lines(self, tmp_path, small_corpus):
         net = build_trf_net(small_corpus, quick_config())
@@ -380,40 +503,36 @@ class TestSaveLoad:
         save(net, tmp_path / "m.trf")
         return (tmp_path / "m.trf").read_text().splitlines()
 
+    def rejects(self, tmp_path, lines, match):
+        (tmp_path / "bad.trf").write_bytes(reseal(lines))
+        with pytest.raises(ModelFormatError, match=match):
+            load(tmp_path / "bad.trf")
+
     def test_missing_config_key_rejected(self, tmp_path, small_corpus):
         lines = [ln for ln in self.saved_lines(tmp_path, small_corpus) if not ln.startswith("seed ")]
-        (tmp_path / "bad.trf").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelFormatError, match="seed"):
-            load(tmp_path / "bad.trf")
+        self.rejects(tmp_path, lines, "seed")
 
     def test_unknown_head_mode_rejected(self, tmp_path, small_corpus):
         lines = self.saved_lines(tmp_path, small_corpus)
         lines[1] = "head_mode banana"
-        (tmp_path / "bad.trf").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelFormatError, match="banana"):
-            load(tmp_path / "bad.trf")
+        self.rejects(tmp_path, lines, "banana")
 
     @pytest.mark.parametrize("prefix", ["layer 0 ", "head "])
     def test_unknown_activation_rejected(self, tmp_path, small_corpus, prefix):
         lines = self.saved_lines(tmp_path, small_corpus)
         i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
         lines[i] = lines[i].rsplit(" ", 1)[0] + " swish"
-        (tmp_path / "bad.trf").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelFormatError, match="swish"):
-            load(tmp_path / "bad.trf")
-
-    def rejects(self, tmp_path, lines, match):
-        (tmp_path / "bad.trf").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelFormatError, match=match):
-            load(tmp_path / "bad.trf")
+        self.rejects(tmp_path, lines, "swish")
 
     @pytest.mark.parametrize(
-        "prefix, bad", [("w 0 ", "nan"), ("bh ", "inf"), ("bv ", "nan"), ("hw 0 ", "-inf"), ("hb ", "nan")]
+        "prefix, bad", [("values ", "nan"), ("bh ", "inf"), ("bv ", "nan"), ("hw ", "-inf"), ("hb ", "nan")]
     )
     def test_non_finite_parameter_rejected(self, tmp_path, small_corpus, prefix, bad):
         lines = self.saved_lines(tmp_path, small_corpus)
         i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
-        lines[i] = lines[i].rsplit(" ", 1)[0] + " " + bad
+        a = b64_floats(lines[i])
+        a[-1] = float(bad)
+        lines[i] = b64_line(prefix.strip(), a)
         self.rejects(tmp_path, lines, "non-finite")
 
     @pytest.mark.parametrize("bad", ["-1", "120"])
@@ -436,26 +555,63 @@ class TestSaveLoad:
         lines[i] = f"plan {r} {s} {int(g) + 1}"
         self.rejects(tmp_path, lines, "units")
 
-    def test_field_row_must_match_plan(self, tmp_path, small_corpus):
+    def test_plan_connections_must_rise(self, tmp_path, small_corpus):
         lines = self.saved_lines(tmp_path, small_corpus)
-        i = lines.index(next(ln for ln in lines if ln.startswith("maskrow 0 sparse ")))
+        i = lines.index(next(ln for ln in lines if ln.startswith("field 0 ")))
+        members = lines[i].split(" ")[2:]
+        lines[i] = "field 0 " + " ".join(members[::-1] + members[:1])  # unsorted and a repeat
+        self.rejects(tmp_path, lines, "rise strictly")
+
+    @pytest.mark.parametrize("index", [[0, 2, 2, 8], [0, 2, 8, 12], [-1, 2, 5, 8], [2, 0, 5, 8]])
+    def test_stored_index_must_rise_inside_layer(self, tmp_path, index):
+        save(v1_fixture_network(), tmp_path / "m.trf")
+        lines = (tmp_path / "m.trf").read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("index "))
+        lines[i] = "index " + base64.b64encode(np.array(index, dtype="<i8").tobytes()).decode()
+        lines[i + 1] = b64_line("values", np.ones(4))
+        self.rejects(tmp_path, lines, r"rise strictly inside \[0, 12\)")
+
+    @pytest.mark.parametrize("key", ["values", "index", "hw"])
+    def test_array_length_must_match(self, tmp_path, key):
+        save(v1_fixture_network(), tmp_path / "m.trf")
+        lines = (tmp_path / "m.trf").read_text().splitlines()
+        i = max(i for i, ln in enumerate(lines) if ln.startswith(key + " "))
+        raw = base64.b64decode(lines[i].split(" ", 1)[1])
+        lines[i] = key + " " + base64.b64encode(raw[:-8]).decode()
+        self.rejects(tmp_path, lines, "weights for")
+
+    @pytest.mark.parametrize("text", ["not*base64", "AAAA", "AAAAAAAAAA=="])
+    def test_undecodable_array_rejected(self, tmp_path, text):
+        save(v1_fixture_network(), tmp_path / "m.trf")
+        lines = (tmp_path / "m.trf").read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("bh "))
+        lines[i] = "bh " + text
+        self.rejects(tmp_path, lines, "corrupted model file")
+
+    def v1_rejects(self, tmp_path, lines, match):
+        (tmp_path / "bad.trf").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=match):
+            load(tmp_path / "bad.trf")
+
+    def test_field_row_must_match_plan(self, tmp_path):
+        lines = V1_FIXTURE.read_text().splitlines()
+        i = lines.index("maskrow 0 sparse 0 1 2")
         lines[i] = lines[i].rsplit(" ", 1)[0]  # drop the last connection of field 0
         lines[i + 1] = lines[i + 1].rsplit(" ", 1)[0]
-        self.rejects(tmp_path, lines, "disagree with the plan")
+        self.v1_rejects(tmp_path, lines, "disagree with the plan")
 
-    def test_global_row_must_match_plan(self, tmp_path, small_corpus):
-        lines = self.saved_lines(tmp_path, small_corpus)
-        i = max(i for i, ln in enumerate(lines) if ln.startswith("maskrow "))
-        assert lines[i].endswith(" dense")  # the last unit is global
-        lines[i] = lines[i].replace(" dense", " sparse 0")
+    def test_global_row_must_match_plan(self, tmp_path):
+        lines = V1_FIXTURE.read_text().splitlines()
+        i = lines.index("maskrow 3 dense")  # layer 0's one global unit
+        lines[i] = "maskrow 3 sparse 0"
         lines[i + 1] = " ".join(lines[i + 1].split(" ")[:3])
-        self.rejects(tmp_path, lines, "disagree with the plan")
+        self.v1_rejects(tmp_path, lines, "disagree with the plan")
 
-    def test_mask_column_outside_layer_rejected(self, tmp_path, small_corpus):
-        lines = self.saved_lines(tmp_path, small_corpus)
-        i = lines.index(next(ln for ln in lines if ln.startswith("maskrow 0 sparse ")))
-        lines[i] = "maskrow 0 sparse -1 " + lines[i].split(" ", 4)[4]
-        self.rejects(tmp_path, lines, "mask columns")
+    def test_mask_column_outside_layer_rejected(self, tmp_path):
+        lines = V1_FIXTURE.read_text().splitlines()
+        i = lines.index("maskrow 0 sparse 0 1 2")
+        lines[i] = "maskrow 0 sparse -1 1 2"
+        self.v1_rejects(tmp_path, lines, "mask columns")
 
     def dense_stack_lines(self, tmp_path):
         """A saved 8 -> 4 -> 3 network of all-ones layers with a 2-class head."""
@@ -474,20 +630,24 @@ class TestSaveLoad:
     def test_layer_width_must_chain(self, tmp_path):
         lines = self.dense_stack_lines(tmp_path)
         start = lines.index("layer 1 3 4 sigmoid")
-        end = next(i for i, ln in enumerate(lines) if ln.startswith("head "))
         lines[start] = "layer 1 3 5 sigmoid"
-        for i in range(start, end):
-            if lines[i].startswith(("w ", "bv ")):
-                lines[i] += " 0.0"  # a consistent 3 x 5 layer on a 4-wide input
+        # a consistent 3 x 5 all-ones layer on a 4-wide input
+        values = b64_floats(lines[start + 3]).reshape(3, 4)
+        lines[start + 3] = b64_line("values", np.hstack([values, np.zeros((3, 1))]))
+        lines[start + 5] = b64_line("bv", np.append(b64_floats(lines[start + 5]), 0.0))
         self.rejects(tmp_path, lines, "layer 1 expects width 5")
+
+    @pytest.mark.parametrize("shape", ["0 4", "3 0", "-3 4"])
+    def test_layer_without_connections_rejected(self, tmp_path, shape):
+        lines = self.dense_stack_lines(tmp_path)
+        lines[lines.index("layer 1 3 4 sigmoid")] = f"layer 1 {shape} sigmoid"
+        self.rejects(tmp_path, lines, "has no connections")
 
     def test_head_width_must_match_top_layer(self, tmp_path):
         lines = self.dense_stack_lines(tmp_path)
         i = lines.index("head 2 3 identity")
         lines[i] = "head 2 4 identity"
-        for j in range(i + 1, len(lines)):
-            if lines[j].startswith("hw "):
-                lines[j] += " 0.0"
+        lines[i + 1] = b64_line("hw", np.hstack([b64_floats(lines[i + 1]).reshape(2, 3), np.zeros((2, 1))]))
         self.rejects(tmp_path, lines, "head width")
 
     def test_clone_is_independent(self, small_corpus):
@@ -496,6 +656,59 @@ class TestSaveLoad:
         twin.layers[0].values += 1.0
         assert net.mask_violation() == 0.0
         assert not np.array_equal(net.layers[0].weights, twin.layers[0].weights)
+
+
+@st.composite
+def damaged(draw, original: bytes) -> bytes:
+    """original cut short, or with one byte replaced by any byte."""
+    at = draw(st.integers(0, len(original) - 1))
+    if draw(st.booleans()):
+        return original[:at]
+    return original[:at] + bytes([draw(st.integers(0, 255))]) + original[at + 1 :]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestLoaderFuzz:
+    """Damaged files raise their typed error; nothing else escapes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_v2_model_rejected_or_identical(self, fuzz_dir, data):
+        save(v1_fixture_network(), fuzz_dir / "v2.trf")
+        original = (fuzz_dir / "v2.trf").read_bytes()
+        (fuzz_dir / "bad.trf").write_bytes(data.draw(damaged(original)))
+        try:
+            back = load(fuzz_dir / "bad.trf")
+        except ModelFormatError:
+            return
+        save(back, fuzz_dir / "again.trf")
+        assert (fuzz_dir / "again.trf").read_bytes() == original
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_v1_model_rejected_or_loaded(self, fuzz_dir, data):
+        (fuzz_dir / "bad.trf").write_bytes(data.draw(damaged(V1_FIXTURE.read_bytes())))
+        try:
+            load(fuzz_dir / "bad.trf")
+        except ModelFormatError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_report_rejected_or_loaded(self, fuzz_dir, data):
+        from trfnet.builder import EvalReport
+
+        r = EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(0.75, -1.0, 1.0), auc_mean=0.875)
+        save_report(r, fuzz_dir / "r.report", name="multi")
+        (fuzz_dir / "bad.report").write_bytes(data.draw(damaged((fuzz_dir / "r.report").read_bytes())))
+        try:
+            load_report(fuzz_dir / "bad.report")
+        except ModelFormatError:
+            pass
 
 
 class TestReportFiles:
@@ -564,6 +777,12 @@ class TestReportFiles:
         kept = [ln for ln in self.report_text(tmp_path).splitlines() if not ln.startswith(key + " ")]
         (tmp_path / "r.report").write_text("\n".join(kept + [line]) + "\n")
         with pytest.raises(ModelFormatError, match=key):
+            load_report(tmp_path / "r.report")
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        data = self.report_text(tmp_path).encode().replace(b"0.875", b"0.8\xff75")
+        (tmp_path / "r.report").write_bytes(data)
+        with pytest.raises(ModelFormatError, match="not UTF-8"):
             load_report(tmp_path / "r.report")
 
     def test_unscored_task_marker_round_trips(self, tmp_path):

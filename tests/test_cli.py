@@ -209,6 +209,36 @@ class TestBaselineCommand:
         assert rc == 2
 
 
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("build", "--epochs", "0"),
+            ("build", "--depth", "0"),
+            ("build", "--batch", "0"),
+            ("finetune", "--epochs", "0"),
+            ("finetune", "--batch", "-1"),
+            ("finetune", "--patience", "0"),
+            ("baseline", "--epochs", "0"),
+            ("baseline", "--batch", "0"),
+            ("baseline", "--patience", "-3"),
+        ],
+    )
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        # the inputs do not exist: the flag must be rejected before any is read
+        missing = str(tmp_path / "missing.txt")
+        data = ["--bow", missing, "--vocab", missing]
+        out = tmp_path / "m.trf"
+        argv = {
+            "build": ["build", *data],
+            "finetune": ["finetune", "--model", missing, *data],
+            "baseline": ["baseline", "dense", *data],
+        }[command]
+        assert main([*argv, flag, value, "--out", str(out)]) == 2
+        assert f"{flag}: expected a count >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_build_rerun_byte_identical(self, corpus_files, tmp_path):
         outs = []

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trfnet.data import (
+    BinaryDataset,
     Dataset,
     DiscretizationPolicy,
     discretize,
@@ -56,6 +57,12 @@ class TestDenseCsv:
         with pytest.raises(DataFormatError, match="label"):
             load_dense_csv(p, has_labels=True)
 
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        with pytest.raises(DataFormatError, match=r"d\.csv: not UTF-8"):
+            load_dense_csv(p)
+
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         d = Dataset(rng.normal(size=(7, 4)), labels=rng.integers(0, 3, 7))
@@ -92,6 +99,14 @@ class TestSparseBow:
         vocab = write(tmp_path, "v.txt", "a\nb\nc\n")
         docs = write(tmp_path, "d.txt", "0 1:1 1:2\n")
         with pytest.raises(DataFormatError, match="duplicate"):
+            load_sparse_bow(docs, vocab)
+
+    @pytest.mark.parametrize("damaged", ["v.txt", "d.txt"])
+    def test_undecodable_bytes_rejected(self, tmp_path, damaged):
+        vocab = write(tmp_path, "v.txt", "a\nb\nc\n")
+        docs = write(tmp_path, "d.txt", "0 1:1\n1 2:3\n")
+        (tmp_path / damaged).write_bytes((tmp_path / damaged).read_bytes() + b"\xff\n")
+        with pytest.raises(DataFormatError, match=damaged.replace(".", r"\.") + ": not UTF-8"):
             load_sparse_bow(docs, vocab)
 
     def test_roundtrip_exact(self, tmp_path):
@@ -179,6 +194,19 @@ class TestSplit:
         rows = [tuple(p.values[i]) for p in pieces if p is not None for i in range(p.n_samples)]
         assert len(rows) == n
         assert len(set(rows)) == n  # disjoint and complete
+
+
+class TestBinaryDataset:
+    @pytest.mark.parametrize("bad", [0.5, 256, -1])
+    def test_non_binary_value_rejected_before_the_cast(self, bad):
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            BinaryDataset(np.array([[bad, 1.0], [0, 0]]))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.float64])
+    def test_zero_one_values_accepted(self, dtype):
+        b = BinaryDataset(np.array([[0, 1], [1, 0]], dtype=dtype))
+        assert b.values.dtype == np.int8
+        np.testing.assert_array_equal(b.values, [[0, 1], [1, 0]])
 
 
 class TestDatasetInvariants:

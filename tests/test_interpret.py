@@ -114,6 +114,19 @@ class TestEmbeddings:
             load_embeddings(path)
 
 
+    def test_duplicate_token_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\nfoo 1 0\nbar 0 1\nfoo 5 5\n")
+        with pytest.raises(DataFormatError, match=r"emb\.txt: line 4: duplicate token 'foo'"):
+            load_embeddings(path)
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"2 2\nfoo 1 0\nb\xffr 0 1\n")
+        with pytest.raises(DataFormatError, match=r"emb\.txt: not UTF-8"):
+            load_embeddings(path)
+
+
 class TestInterpretabilityScore:
     def setup_method(self):
         rng = np.random.default_rng(5)
