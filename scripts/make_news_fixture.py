@@ -26,16 +26,21 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
+    try:
+        corpus = news_corpus(
+            n_docs=args.docs,
+            vocab_size=args.vocab,
+            n_classes=args.classes,
+            block_size=args.block_size,
+            confusion=args.confusion,
+            seed=args.seed,
+        )
+    except ValueError as e:
+        # the only ValueError news_corpus raises: too few topic blocks per class
+        ap.error(f"--vocab {args.vocab} with --block-size {args.block_size}: {e}; "
+                 "raise --vocab or lower --block-size")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    corpus = news_corpus(
-        n_docs=args.docs,
-        vocab_size=args.vocab,
-        n_classes=args.classes,
-        block_size=args.block_size,
-        confusion=args.confusion,
-        seed=args.seed,
-    )
     pieces = split(corpus, 0.7, 0.15, seed=args.seed)
     for name, piece in zip(("train", "valid", "test"), pieces):
         save_sparse_bow(piece, out / f"{name}.txt", out / "vocab.txt")

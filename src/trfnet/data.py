@@ -222,7 +222,7 @@ def load_sparse_bow(doc_path, vocab_path) -> Dataset:
     if len(set(vocab)) != len(vocab):
         raise DataFormatError(f"{vocab_path}: duplicate tokens in vocabulary")
     v = len(vocab)
-    rows, labels = [], []
+    labels, rows, cols, counts = [], [], [], []
     with open_utf8(doc_path) as fh:
         for lineno, ln in enumerate(fh, start=1):
             if ln.strip() == "":
@@ -234,7 +234,7 @@ def load_sparse_bow(doc_path, vocab_path) -> Dataset:
                 raise DataFormatError(
                     f"{doc_path}: line {lineno}: label {parts[0]!r} is not an integer"
                 ) from None
-            row = np.zeros(v, dtype=np.float64)
+            row = len(labels) - 1
             seen = set()
             for tok in parts[1:]:
                 try:
@@ -253,15 +253,14 @@ def load_sparse_bow(doc_path, vocab_path) -> Dataset:
                 if cnt < 1:
                     raise DataFormatError(f"{doc_path}: line {lineno}: count {cnt} must be >= 1")
                 seen.add(idx)
-                row[idx] = cnt
-            rows.append(row)
-    if not rows:
+                rows.append(row)
+                cols.append(idx)
+                counts.append(cnt)
+    if not labels:
         raise EmptyInputError(f"{doc_path}: no documents")
-    return Dataset(
-        np.array(rows, dtype=np.float64),
-        feature_names=tuple(vocab),
-        labels=np.array(labels, dtype=np.int64),
-    )
+    values = np.zeros((len(labels), v))
+    values[rows, cols] = counts
+    return Dataset(values, feature_names=tuple(vocab), labels=np.array(labels, dtype=np.int64))
 
 
 def save_sparse_bow(d: Dataset, doc_path, vocab_path) -> None:

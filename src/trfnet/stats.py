@@ -51,43 +51,66 @@ def _mi_from_cells(n: np.ndarray, row_marg: np.ndarray, col_marg: np.ndarray, to
     return np.where(n > 0, term, 0.0)
 
 
-# rows of the upper triangle computed together; peak memory is about a dozen
-# MI_ROW_BLOCK x V float arrays on top of the V x V result
+def _pair_mi(n11: np.ndarray, r1: np.ndarray, c1: np.ndarray, total: float) -> np.ndarray:
+    """MI of the 2x2 tables with joint count n11 and marginal counts r1, c1.
+
+    Inputs are float64 arrays of exact integer counts, broadcastable to one
+    shape.  Pairing the diagonal and off-diagonal cell terms keeps the sum
+    invariant under table transpose.
+    """
+    n10 = r1 - n11
+    n01 = c1 - n11
+    n00 = total - r1 - c1 + n11
+    r0, c0 = total - r1, total - c1
+    t00 = _mi_from_cells(n00, r0, c0, total)
+    t01 = _mi_from_cells(n01, r0, c1, total)
+    t10 = _mi_from_cells(n10, r1, c0, total)
+    t11 = _mi_from_cells(n11, r1, c1, total)
+    return (t00 + t11) + (t01 + t10)
+
+
+def _count_dtype(n_samples: int):
+    """float32 while every co-occurrence count, an integer <= n_samples, is exact in it."""
+    return np.float32 if n_samples < 2**24 else np.float64
+
+
+# rows of the upper triangle computed together; memory on top of the V x V
+# result is the binary data in float32 plus a few MI_ROW_BLOCK x V arrays
 MI_ROW_BLOCK = 256
 
 
 def mi_matrix(d: BinaryDataset) -> MiMatrix:
-    """All-pairs mutual information, vectorized over the 2x2 cell counts.
+    """All-pairs mutual information from exact co-occurrence counts.
 
     The upper triangle is computed in blocks of MI_ROW_BLOCK rows, each from
     one co-occurrence product against the columns from the block onwards,
-    and mirrored block by block.  Each entry is the single-pair formula on
-    its 2x2 table, bit for bit: the same float operations on the same integer
-    counts.  Pairing the diagonal and off-diagonal cell terms keeps the sum
-    invariant under table transpose.
+    and mirrored block by block.  A pair that never co-occurs has an MI that
+    depends only on its two marginal counts, so it is read from a table over
+    the distinct marginal counts (at most min(V, N + 1) of them); only pairs
+    with a joint count above 0 are computed one by one.  Each entry is the
+    single-pair formula on its 2x2 table, bit for bit: the same float
+    operations on the same integer counts.
     """
-    # features as rows, so every block product reads contiguous memory
-    xt = np.ascontiguousarray(d.values.T, dtype=np.float64)
     n_samples = float(d.n_samples)
     v = d.n_features
-    ones = xt.sum(axis=1)
-    zeros = n_samples - ones
-    out = np.zeros((v, v))
+    # features as rows, so every block product reads contiguous memory
+    xt = np.ascontiguousarray(d.values.T, dtype=_count_dtype(d.n_samples))
+    ones = d.values.sum(axis=0, dtype=np.float64)
+    levels, level = np.unique(ones, return_inverse=True)
+    absent = _pair_mi(np.zeros((levels.size, levels.size)), levels[:, None], levels[None, :], n_samples)
+    out = np.empty((v, v))
     for lo in range(0, v, MI_ROW_BLOCK):
         hi = min(lo + MI_ROW_BLOCK, v)
         n11 = xt[lo:hi] @ xt[lo:].T
-        r1, c1 = ones[lo:hi, None], ones[None, lo:]
-        r0, c0 = zeros[lo:hi, None], zeros[None, lo:]
-        n10 = r1 - n11
-        n01 = c1 - n11
-        n00 = n_samples - r1 - c1 + n11
-        t00 = _mi_from_cells(n00, r0, c0, n_samples)
-        t01 = _mi_from_cells(n01, r0, c1, n_samples)
-        t10 = _mi_from_cells(n10, r1, c0, n_samples)
-        t11 = _mi_from_cells(n11, r1, c1, n_samples)
         upper = out[lo:hi, lo:]
-        upper[...] = (t00 + t11) + (t01 + t10)
+        # every index is in range, so "clip" only skips take's buffered bounds check
+        np.take(absent[level[lo:hi]], level[lo:], axis=1, out=upper, mode="clip")
+        rows, cols = np.divmod(np.flatnonzero(n11 > 0), v - lo)
+        upper[rows, cols] = _pair_mi(
+            n11[rows, cols].astype(np.float64), ones[lo + rows], ones[lo + cols], n_samples
+        )
         upper[:, : hi - lo][np.tril_indices(hi - lo)] = 0.0  # strict upper triangle only
-        out[lo:, lo:hi] += upper.T
+        out[lo:hi, lo:hi] += upper[:, : hi - lo].T
+        out[hi:, lo:hi] = upper[:, hi - lo :].T
     out.setflags(write=False)
     return MiMatrix(out)

@@ -86,11 +86,52 @@ def _is_symmetric(w: np.ndarray) -> bool:
     return True
 
 
-def _upper_pairs(pos: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """(u, t) of positions in the row-major list of the strict upper triangle."""
-    starts = np.cumsum(np.arange(v - 1, 0, -1)) - np.arange(v - 1, 0, -1)
-    u = np.searchsorted(starts, pos, side="right") - 1
-    return u, pos - starts[u] + u + 1
+# rows of the weight matrix max_spanning_tree reads at a time
+TREE_ROW_BLOCK = 256
+
+
+def _raw_bound(x: float) -> float:
+    """The raw weight r with clamped(w) >= x exactly when w >= r, for x a clamped weight.
+
+    Clamping is monotone, so a bound on clamped weights is one on raw weights;
+    only a bound of 0 moves, down to the edge of the clamped interval.
+    """
+    return float(np.nextafter(-WEIGHT_CLAMP, 0.0)) if x == 0 else x
+
+
+def _band(w: np.ndarray, k: int, roots: np.ndarray | None):
+    """Every candidate edge at least as heavy as the k-th heaviest candidate.
+
+    Candidates are the edges (u, t), u < t, whose ends have different roots
+    (every edge when roots is None).  The strict upper triangle is read
+    TREE_ROW_BLOCK rows at a time.  Whenever more than k candidates are held,
+    those below the k-th heaviest of them are dropped: that weight is at most
+    the k-th heaviest of all candidates, so no edge of the band is lost, and
+    ties at the cut stay in.  Returns the clamped weights and the keys u * V + t.
+    """
+    v = w.shape[0]
+    xs, keys = [], []
+    held, floor = 0, -np.inf
+    for lo in range(0, v - 1, TREE_ROW_BLOCK):
+        hi = min(lo + TREE_ROW_BLOCK, v)
+        block = w[lo:hi, lo:]
+        sel = block >= _raw_bound(floor)
+        if roots is not None:
+            sel &= roots[lo:hi, None] != roots[None, lo:]
+        rows, cols = np.divmod(np.flatnonzero(sel), v - lo)
+        upper = cols > rows
+        rows, cols = rows[upper], cols[upper]
+        x = block[rows, cols]
+        x[np.abs(x) < WEIGHT_CLAMP] = 0.0
+        xs.append(x)
+        keys.append((lo + rows) * v + (lo + cols))
+        held += x.size
+        if x.size and held > k:
+            x, key = np.concatenate(xs), np.concatenate(keys)
+            floor = np.partition(x, x.size - k)[x.size - k]
+            keep = x >= floor
+            xs, keys, held = [x[keep]], [key[keep]], int(np.count_nonzero(keep))
+    return np.concatenate(xs), np.concatenate(keys)
 
 
 def max_spanning_tree(m: MiMatrix) -> ChowLiuTree:
@@ -101,36 +142,30 @@ def max_spanning_tree(m: MiMatrix) -> ChowLiuTree:
     along.  Those edges are exactly the first ones of the full order, so
     Kruskal makes the same choices on them.  If they do not span, the next
     band of lighter edges is sorted and scanned, k growing each time, down
-    to the full edge list.
+    to the full edge list.  A band after the first is taken from the edges
+    whose ends are still in different components: Kruskal rejects every
+    other edge, since components only merge, and that leaves out every edge
+    of the earlier bands too.
     """
     w = m.m
     if not _is_symmetric(w):
         raise ValueError("weight matrix must be symmetric")
     v = m.n_features
-    # row-major strict upper triangle: position order is (u, v) order
-    weights = w[np.triu(np.ones((v, v), dtype=bool), k=1)]
-    weights[np.abs(weights) < WEIGHT_CLAMP] = 0.0
     uf = _UnionFind(v)
     chosen = []
-    above, k = None, PREFIX_EDGES_PER_NODE * v
+    k = PREFIX_EDGES_PER_NODE * v
     while len(chosen) < v - 1:
-        if k < weights.size:
-            theta = np.partition(weights, weights.size - k)[weights.size - k]
-        else:
-            theta = -np.inf
-        band = weights >= theta
-        if above is not None:
-            band &= weights < above
-        pos = np.flatnonzero(band)
-        iu, ju = _upper_pairs(pos, v)
-        # lexsort's last key is primary: -weight first, then u, then v
-        order = np.lexsort((ju, iu, -weights[pos]))
-        for u, t, x in zip(iu[order].tolist(), ju[order].tolist(), weights[pos[order]].tolist()):
+        roots = np.array([uf.find(i) for i in range(v)]) if chosen else None
+        x, key = _band(w, k, roots)
+        # lexsort's last key is primary: -weight first, then u * V + t
+        order = np.lexsort((key, -x))
+        iu, ju = np.divmod(key[order], v)
+        for u, t, wt in zip(iu.tolist(), ju.tolist(), x[order].tolist()):
             if uf.union(u, t):
-                chosen.append((u, t, x))
+                chosen.append((u, t, wt))
                 if len(chosen) == v - 1:
                     break
-        above, k = theta, 4 * k
+        k *= 4
     chosen.sort(key=lambda e: (e[0], e[1]))
     return ChowLiuTree(v, tuple(chosen))
 

@@ -10,7 +10,7 @@ from conftest import random_binary_dataset
 from oracles import ContingencyCounts, empirical_mi, entropy_reference, mi_reference, pair_counts
 from trfnet.data import BinaryDataset
 from trfnet import stats
-from trfnet.stats import MiMatrix, _mi_from_cells, mi_matrix
+from trfnet.stats import MiMatrix, _count_dtype, _mi_from_cells, mi_matrix
 
 # frozen from oracles.mi_reference([[40, 10], [10, 40]])
 MI_40_10 = 0.19274475702175753
@@ -170,3 +170,62 @@ class TestRowBlockedMiMatrix:
         w[0, 1] = 1.0
         assert mi.m[0, 1] == 0.0
         assert w.flags.writeable
+
+
+@st.composite
+def sparse_binaries(draw, v_range):
+    """Bag-of-words-like 0/1 data: mostly-zero columns, so most pairs never
+    co-occur, mixed with never-present and always-present columns and with
+    rolled copies, which share a column's marginal count but not its rows."""
+    n = draw(st.integers(1, 40))
+    v = draw(st.integers(*v_range))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random((n, v)) < density
+    kind = rng.integers(0, 6, size=v)
+    x[:, kind == 0] = False
+    x[:, kind == 1] = True
+    for j in np.flatnonzero(kind == 2):
+        x[:, j] = np.roll(x[:, rng.integers(v)], int(rng.integers(n)))
+    return binary(x)
+
+
+class TestSparseMiMatrix:
+    """The never-co-occurring pairs read from the marginal-count table."""
+
+    @given(sparse_binaries((2, 13)), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_every_entry_bit_identical_to_pair_mi(self, bd, block):
+        v = bd.n_features
+        with mock.patch.object(stats, "MI_ROW_BLOCK", block):
+            m = mi_matrix(bd).m
+        assert m.tobytes() == untiled_mi_matrix(bd).tobytes()
+        for s in range(v):
+            assert bits(m[s, s]) == bits(0.0)
+            for t in range(s + 1, v):
+                expected = bits(empirical_mi(pair_counts(bd, s, t)))
+                assert bits(m[s, t]) == expected
+                assert bits(m[t, s]) == expected
+
+    @given(sparse_binaries((stats.MI_ROW_BLOCK - 3, stats.MI_ROW_BLOCK + 3)), st.integers(0, 10_000))
+    @settings(max_examples=10, deadline=None)
+    def test_block_boundary_matches_untiled_formula(self, bd, pick):
+        m = mi_matrix(bd).m
+        assert m.tobytes() == untiled_mi_matrix(bd).tobytes()
+        rng = np.random.default_rng(pick)
+        for s, t in rng.integers(0, bd.n_features, size=(100, 2)):
+            if s != t:
+                assert bits(m[s, t]) == bits(empirical_mi(pair_counts(bd, int(s), int(t))))
+
+    def test_counts_are_float32_while_exact(self):
+        # float32 holds every integer up to 2**24, so counts of at most
+        # 2**24 - 1 rows are exact in it
+        assert _count_dtype(2**24 - 1) is np.float32
+        assert _count_dtype(2**24) is np.float64
+        assert float(np.float32(2**24 - 1)) == 2**24 - 1
+
+    def test_float32_counts_give_the_float64_bytes(self):
+        bd = binary(random_binary_dataset(300, 40, seed=11).values)
+        with mock.patch.object(stats, "_count_dtype", lambda n: np.float64):
+            wide = mi_matrix(bd).m
+        assert mi_matrix(bd).m.tobytes() == wide.tobytes()

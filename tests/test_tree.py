@@ -18,7 +18,7 @@ from oracles import (
 )
 from trfnet.data import BinaryDataset, Dataset
 from trfnet import tree as tree_module
-from trfnet.stats import MiMatrix
+from trfnet.stats import MiMatrix, mi_matrix
 from trfnet.synth import markov_chain
 from trfnet.tree import (
     WEIGHT_CLAMP,
@@ -150,6 +150,49 @@ class TestPrefixKruskal:
         with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", per_node):
             t = max_spanning_tree(MiMatrix(w))
         assert t.edges == full_order_kruskal(w)
+
+    @pytest.mark.parametrize("row_block", [1, 2, 3])
+    @given(tied_matrices, st.sampled_from([1, 2, 32]))
+    @settings(max_examples=50, deadline=None)
+    def test_ties_across_row_blocks(self, row_block, spec, per_node):
+        n, upper = spec
+        w = matrix_of(n, upper)
+        with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", per_node), \
+                mock.patch.object(tree_module, "TREE_ROW_BLOCK", row_block):
+            t = max_spanning_tree(MiMatrix(w))
+        assert t.edges == full_order_kruskal(w)
+
+    def test_clamped_negative_weight_ties_at_zero_across_row_blocks(self):
+        # rows 0-1 push the band's cut to 0 before row 2 is read; (2, 3) weighs
+        # -4e-13, which clamps to 0, so it must enter the band and win its tie
+        # with (3, 4) on (u, v) order
+        upper = [0.5, 0.5, -0.1, 0.5, 0.0, -0.1, 0.0, -4e-13, 0.0, 0.0]
+        w = matrix_of(5, upper)
+        with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", 1), \
+                mock.patch.object(tree_module, "TREE_ROW_BLOCK", 1):
+            t = max_spanning_tree(MiMatrix(w))
+        assert t.edges == full_order_kruskal(w)
+        assert (2, 3) in edge_pairs(t)
+
+    @pytest.mark.parametrize("per_node", [1, 2, 32])
+    def test_planted_corpus_with_constant_features(self, per_node):
+        # correlated topic blocks plus words that occur in no document and in
+        # every document: the constant words have MI exactly 0 with every word,
+        # so Kruskal can attach them only after every band of heavier edges
+        rng = np.random.default_rng(7)
+        n, blocks, size = 300, 6, 8
+        topic = rng.integers(0, blocks, size=n)
+        x = (topic[:, None] == np.repeat(np.arange(blocks), size)[None, :]) & (rng.random((n, blocks * size)) < 0.6)
+        x |= rng.random(x.shape) < 0.02
+        never, always = np.zeros((n, 3), dtype=bool), np.ones((n, 2), dtype=bool)
+        values = np.column_stack([never[:, :1], x[:, :20], always[:, :1], x[:, 20:], never[:, 1:], always[:, 1:]])
+        m = mi_matrix(BinaryDataset(values.astype(np.int8)))
+        with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", per_node):
+            t = max_spanning_tree(m)
+        assert t.edges == full_order_kruskal(m.m)
+        constant = {0, 21, *range(values.shape[1] - 3, values.shape[1])}
+        assert sum(w == 0.0 for _, _, w in t.edges) >= len(constant)
+        assert all(w == 0.0 for u, v, w in t.edges if u in constant or v in constant)
 
     def test_all_zero_matrix_takes_the_full_order(self):
         n = 150  # more edges than the first prefix, all tied at zero
