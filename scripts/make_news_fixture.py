@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from trfnet.data import save_sparse_bow, split
-from trfnet.synth import news_corpus
+from trfnet.synth import BlockLayoutError, news_corpus
 
 
 def main():
@@ -26,6 +26,14 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
+    for flag, value, least in (
+        ("--docs", args.docs, 1),
+        ("--classes", args.classes, 1),
+        ("--block-size", args.block_size, 1),
+        ("--seed", args.seed, 0),
+    ):
+        if value < least:
+            ap.error(f"{flag} must be at least {least}, got {value}")
     try:
         corpus = news_corpus(
             n_docs=args.docs,
@@ -35,13 +43,14 @@ def main():
             confusion=args.confusion,
             seed=args.seed,
         )
-    except ValueError as e:
-        # the only ValueError news_corpus raises: too few topic blocks per class
+    except BlockLayoutError as e:
         ap.error(f"--vocab {args.vocab} with --block-size {args.block_size}: {e}; "
                  "raise --vocab or lower --block-size")
+    pieces = split(corpus, 0.7, 0.15, seed=args.seed)
+    if any(piece is None for piece in pieces):
+        ap.error(f"--docs {args.docs} leaves a split without documents; raise --docs")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pieces = split(corpus, 0.7, 0.15, seed=args.seed)
     for name, piece in zip(("train", "valid", "test"), pieces):
         save_sparse_bow(piece, out / f"{name}.txt", out / "vocab.txt")
         print(f"{name}: {piece.n_samples} docs -> {out / f'{name}.txt'}")

@@ -54,8 +54,8 @@ def _mi_from_cells(n: np.ndarray, row_marg: np.ndarray, col_marg: np.ndarray, to
 def _pair_mi(n11: np.ndarray, r1: np.ndarray, c1: np.ndarray, total: float) -> np.ndarray:
     """MI of the 2x2 tables with joint count n11 and marginal counts r1, c1.
 
-    Inputs are float64 arrays of exact integer counts, broadcastable to one
-    shape.  Pairing the diagonal and off-diagonal cell terms keeps the sum
+    Inputs are float64 scalars or arrays of exact integer counts,
+    broadcastable to one shape.  Pairing the diagonal and off-diagonal cell terms keeps the sum
     invariant under table transpose.
     """
     n10 = r1 - n11
@@ -85,11 +85,11 @@ def mi_matrix(d: BinaryDataset) -> MiMatrix:
     The upper triangle is computed in blocks of MI_ROW_BLOCK rows, each from
     one co-occurrence product against the columns from the block onwards,
     and mirrored block by block.  A pair that never co-occurs has an MI that
-    depends only on its two marginal counts, so it is read from a table over
-    the distinct marginal counts (at most min(V, N + 1) of them); only pairs
-    with a joint count above 0 are computed one by one.  Each entry is the
-    single-pair formula on its 2x2 table, bit for bit: the same float
-    operations on the same integer counts.
+    depends only on its two marginal counts, so it is read from a table of
+    the block's rows against the distinct marginal counts (at most
+    min(V, N + 1) of them); only pairs with a joint count above 0 are
+    computed one by one.  Each entry is the single-pair formula on its 2x2
+    table, bit for bit: the same float operations on the same integer counts.
     """
     n_samples = float(d.n_samples)
     v = d.n_features
@@ -97,14 +97,14 @@ def mi_matrix(d: BinaryDataset) -> MiMatrix:
     xt = np.ascontiguousarray(d.values.T, dtype=_count_dtype(d.n_samples))
     ones = d.values.sum(axis=0, dtype=np.float64)
     levels, level = np.unique(ones, return_inverse=True)
-    absent = _pair_mi(np.zeros((levels.size, levels.size)), levels[:, None], levels[None, :], n_samples)
     out = np.empty((v, v))
     for lo in range(0, v, MI_ROW_BLOCK):
         hi = min(lo + MI_ROW_BLOCK, v)
         n11 = xt[lo:hi] @ xt[lo:].T
         upper = out[lo:hi, lo:]
+        absent = _pair_mi(0.0, ones[lo:hi, None], levels[None, :], n_samples)
         # every index is in range, so "clip" only skips take's buffered bounds check
-        np.take(absent[level[lo:hi]], level[lo:], axis=1, out=upper, mode="clip")
+        np.take(absent, level[lo:], axis=1, out=upper, mode="clip")
         rows, cols = np.divmod(np.flatnonzero(n11 > 0), v - lo)
         upper[rows, cols] = _pair_mi(
             n11[rows, cols].astype(np.float64), ones[lo + rows], ones[lo + cols], n_samples

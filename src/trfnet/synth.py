@@ -61,6 +61,10 @@ def gaussian_blobs(
     return Dataset(values, labels=labels)
 
 
+class BlockLayoutError(ValueError):
+    """The vocabulary holds too few topic blocks per class for news_corpus."""
+
+
 def news_corpus(
     n_docs: int = 2000,
     vocab_size: int = 2000,
@@ -92,7 +96,7 @@ def news_corpus(
     per_class = n_topic // n_classes
     blocks_per_class = per_class // block_size
     if blocks_per_class < active_blocks:
-        raise ValueError("vocabulary too small for the requested block layout")
+        raise BlockLayoutError("vocabulary too small for the requested block layout")
 
     # topic words first (class-major, block-major), background words last
     class_blocks = []

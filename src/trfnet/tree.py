@@ -90,15 +90,6 @@ def _is_symmetric(w: np.ndarray) -> bool:
 TREE_ROW_BLOCK = 256
 
 
-def _raw_bound(x: float) -> float:
-    """The raw weight r with clamped(w) >= x exactly when w >= r, for x a clamped weight.
-
-    Clamping is monotone, so a bound on clamped weights is one on raw weights;
-    only a bound of 0 moves, down to the edge of the clamped interval.
-    """
-    return float(np.nextafter(-WEIGHT_CLAMP, 0.0)) if x == 0 else x
-
-
 def _band(w: np.ndarray, k: int, roots: np.ndarray | None):
     """Every candidate edge at least as heavy as the k-th heaviest candidate.
 
@@ -115,14 +106,14 @@ def _band(w: np.ndarray, k: int, roots: np.ndarray | None):
     for lo in range(0, v - 1, TREE_ROW_BLOCK):
         hi = min(lo + TREE_ROW_BLOCK, v)
         block = w[lo:hi, lo:]
-        sel = block >= _raw_bound(floor)
+        block = np.where(np.abs(block) < WEIGHT_CLAMP, 0.0, block)
+        sel = block >= floor
         if roots is not None:
             sel &= roots[lo:hi, None] != roots[None, lo:]
         rows, cols = np.divmod(np.flatnonzero(sel), v - lo)
         upper = cols > rows
         rows, cols = rows[upper], cols[upper]
         x = block[rows, cols]
-        x[np.abs(x) < WEIGHT_CLAMP] = 0.0
         xs.append(x)
         keys.append((lo + rows) * v + (lo + cols))
         held += x.size

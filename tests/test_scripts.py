@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_SCRIPT = ROOT / "scripts" / "make_news_fixture.py"
 
@@ -23,6 +25,24 @@ def test_fixture_script_rejects_a_vocabulary_too_small_for_its_blocks(tmp_path):
     error = proc.stderr.strip().splitlines()[-1]
     assert error.startswith("make_news_fixture.py: error:")
     assert "--vocab 200" in error and "--block-size 16" in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--docs", "-1"), "--docs must be at least 1, got -1"),
+    (("--docs", "0"), "--docs must be at least 1, got 0"),
+    (("--docs", "2", "--block-size", "8"), "--docs 2 leaves a split without documents"),
+    (("--block-size", "0"), "--block-size must be at least 1, got 0"),
+    (("--classes", "0"), "--classes must be at least 1, got 0"),
+    (("--seed", "-1"), "--seed must be at least 0, got -1"),
+])
+def test_fixture_script_rejects_other_bad_flags(tmp_path, args, message):
+    out = tmp_path / "news"
+    proc = run_fixture_script("--out-dir", str(out), "--vocab", "200", *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = proc.stderr.strip().splitlines()[-1]
+    assert error.startswith(f"make_news_fixture.py: error: {message}")
     assert not out.exists()
 
 

@@ -133,43 +133,11 @@ def untiled_mi_matrix(bd: BinaryDataset) -> np.ndarray:
     return upper + upper.T
 
 
-class TestRowBlockedMiMatrix:
-    @given(st.integers(1, 5), st.integers(2, 13), st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_every_entry_bit_identical_to_pair_mi(self, block, v, seed):
-        bd = binary(random_binary_dataset(40, v, seed=seed).values)
-        with mock.patch.object(stats, "MI_ROW_BLOCK", block):
-            m = mi_matrix(bd).m
-        for s in range(v):
-            assert bits(m[s, s]) == bits(0.0)
-            for t in range(s + 1, v):
-                expected = bits(empirical_mi(pair_counts(bd, s, t)))
-                assert bits(m[s, t]) == expected
-                assert bits(m[t, s]) == expected
-
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_block_boundary_matches_untiled_formula(self, offset):
-        v = stats.MI_ROW_BLOCK + offset
-        bd = binary(random_binary_dataset(30, v, seed=v).values)
-        m = mi_matrix(bd).m
-        assert m.tobytes() == untiled_mi_matrix(bd).tobytes()
-        rng = np.random.default_rng(v)
-        for s, t in rng.integers(0, v, size=(200, 2)):
-            if s != t:
-                assert bits(m[s, t]) == bits(empirical_mi(pair_counts(bd, int(s), int(t))))
-
-    def test_result_is_read_only_and_not_copied(self):
-        bd = binary(random_binary_dataset(30, 7, seed=3).values)
-        m = mi_matrix(bd).m
-        assert not m.flags.writeable
-        assert m.base is None
-
-    def test_caller_array_is_copied(self):
-        w = np.zeros((3, 3))
-        mi = MiMatrix(w)
-        w[0, 1] = 1.0
-        assert mi.m[0, 1] == 0.0
-        assert w.flags.writeable
+@st.composite
+def dense_binaries(draw, v_range):
+    """0/1 data whose columns are each present in 20-80% of the rows."""
+    v = draw(st.integers(*v_range))
+    return binary(random_binary_dataset(40, v, seed=draw(st.integers(0, 10_000))).values)
 
 
 @st.composite
@@ -190,11 +158,13 @@ def sparse_binaries(draw, v_range):
     return binary(x)
 
 
-class TestSparseMiMatrix:
-    """The never-co-occurring pairs read from the marginal-count table."""
+def binaries(v_range):
+    return st.one_of(dense_binaries(v_range), sparse_binaries(v_range))
 
-    @given(sparse_binaries((2, 13)), st.integers(1, 5))
-    @settings(max_examples=60, deadline=None)
+
+class TestRowBlockedMiMatrix:
+    @given(binaries((2, 13)), st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
     def test_every_entry_bit_identical_to_pair_mi(self, bd, block):
         v = bd.n_features
         with mock.patch.object(stats, "MI_ROW_BLOCK", block):
@@ -207,16 +177,57 @@ class TestSparseMiMatrix:
                 assert bits(m[s, t]) == expected
                 assert bits(m[t, s]) == expected
 
-    @given(sparse_binaries((stats.MI_ROW_BLOCK - 3, stats.MI_ROW_BLOCK + 3)), st.integers(0, 10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_block_boundary_matches_untiled_formula(self, bd, pick):
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @given(st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_block_boundary_matches_untiled_formula(self, offset, data):
+        v = stats.MI_ROW_BLOCK + offset
+        bd = data.draw(binaries((v, v)))
         m = mi_matrix(bd).m
         assert m.tobytes() == untiled_mi_matrix(bd).tobytes()
-        rng = np.random.default_rng(pick)
-        for s, t in rng.integers(0, bd.n_features, size=(100, 2)):
+        rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+        for s, t in rng.integers(0, v, size=(100, 2)):
             if s != t:
                 assert bits(m[s, t]) == bits(empirical_mi(pair_counts(bd, int(s), int(t))))
 
+    def test_every_marginal_count_distinct(self):
+        # V distinct marginal counts, most pairs never co-occurring: the
+        # marginal-count table is as wide as the matrix, and must still be
+        # built one row block at a time
+        v, n = 2 * stats.MI_ROW_BLOCK + 5, 1200
+        rng = np.random.default_rng(5)
+        x = np.zeros((n, v), dtype=bool)
+        for j, start in enumerate(rng.integers(0, n, size=v)):
+            x[np.arange(start, start + j) % n, j] = True
+        bd = binary(x)
+        sizes, formula = [], stats._pair_mi
+
+        def pair_mi(*args):
+            out = formula(*args)
+            sizes.append(out.size)
+            return out
+
+        with mock.patch.object(stats, "_pair_mi", pair_mi):
+            m = mi_matrix(bd).m
+        assert np.unique(x.sum(axis=0)).size == v
+        assert m.tobytes() == untiled_mi_matrix(bd).tobytes()
+        assert max(sizes) <= stats.MI_ROW_BLOCK * v
+
+    def test_result_is_read_only_and_not_copied(self):
+        bd = binary(random_binary_dataset(30, 7, seed=3).values)
+        m = mi_matrix(bd).m
+        assert not m.flags.writeable
+        assert m.base is None
+
+    def test_caller_array_is_copied(self):
+        w = np.zeros((3, 3))
+        mi = MiMatrix(w)
+        w[0, 1] = 1.0
+        assert mi.m[0, 1] == 0.0
+        assert w.flags.writeable
+
+
+class TestCountDtype:
     def test_counts_are_float32_while_exact(self):
         # float32 holds every integer up to 2**24, so counts of at most
         # 2**24 - 1 rows are exact in it
