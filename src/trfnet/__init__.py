@@ -23,7 +23,7 @@ from .data import (
     load_sparse_bow,
     split,
 )
-from .stats import MiMatrix, mi_matrix
+from .stats import MiBlocks, MiMatrix, mi_matrix
 from .tree import ChowLiuTree, chow_liu, hop_distances, max_spanning_tree
 from .receptive_field import ReceptiveFieldPlan, build_masks
 from .nn import DenseLayer, MaskedLayer, Adam, dropout, masked_forward, reconstruction_loss
@@ -60,6 +60,7 @@ __all__ = [
     "EvalReport",
     "FinetuneHyper",
     "MaskedLayer",
+    "MiBlocks",
     "MiMatrix",
     "ReceptiveFieldPlan",
     "TrfNetwork",

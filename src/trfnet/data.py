@@ -6,7 +6,7 @@ Two on-disk formats are supported:
   with labels, the last column holds an integer class label.
 * sparse bag-of-words: a vocabulary file (one token per line) plus a document
   file whose lines read ``label idx:count idx:count ...`` with 0-based,
-  strictly in-vocabulary indices.
+  strictly in-vocabulary indices and integer counts from 1 to 2**53.
 """
 
 from __future__ import annotations
@@ -252,6 +252,10 @@ def load_sparse_bow(doc_path, vocab_path) -> Dataset:
                     raise DataFormatError(f"{doc_path}: line {lineno}: duplicate index {idx}")
                 if cnt < 1:
                     raise DataFormatError(f"{doc_path}: line {lineno}: count {cnt} must be >= 1")
+                if cnt > 2**53:  # float64 holds every integer up to 2**53 exactly
+                    raise DataFormatError(
+                        f"{doc_path}: line {lineno}: count {cnt} above 2**53 is not exact in float64"
+                    )
                 seen.add(idx)
                 rows.append(row)
                 cols.append(idx)

@@ -74,42 +74,69 @@ def _count_dtype(n_samples: int):
     return np.float32 if n_samples < 2**24 else np.float64
 
 
-# rows of the upper triangle computed together; memory on top of the V x V
-# result is the binary data in float32 plus a few MI_ROW_BLOCK x V arrays
+# rows of the upper triangle computed together; memory on top of the binary
+# data in float32 is a few MI_ROW_BLOCK x V arrays
 MI_ROW_BLOCK = 256
+
+
+@dataclass(frozen=True)
+class MiBlocks:
+    """The strict upper triangle of the MI matrix of data, one row block at a time.
+
+    Iterating yields (lo, block) per MI_ROW_BLOCK rows: block holds rows
+    lo:hi against columns lo:, with zeros on and below the diagonal.  Each
+    iteration computes the blocks afresh and keeps none, so the whole V x V
+    matrix is never held.
+    """
+
+    data: BinaryDataset
+
+    @property
+    def n_features(self) -> int:
+        return self.data.n_features
+
+    def __iter__(self):
+        """Each block from one co-occurrence product against the columns from the block onwards.
+
+        A pair that never co-occurs has an MI that depends only on its two
+        marginal counts, so it is read from a table of the block's rows
+        against the distinct marginal counts (at most min(V, N + 1) of them);
+        only pairs with a joint count above 0 are computed one by one.  Each
+        entry is the single-pair formula on its 2x2 table, bit for bit: the
+        same float operations on the same integer counts.
+        """
+        d = self.data
+        n_samples = float(d.n_samples)
+        v = d.n_features
+        # features as rows, so every block product reads contiguous memory
+        xt = np.ascontiguousarray(d.values.T, dtype=_count_dtype(d.n_samples))
+        ones = d.values.sum(axis=0, dtype=np.float64)
+        levels, level = np.unique(ones, return_inverse=True)
+        for lo in range(0, v, MI_ROW_BLOCK):
+            hi = min(lo + MI_ROW_BLOCK, v)
+            n11 = xt[lo:hi] @ xt[lo:].T
+            absent = _pair_mi(0.0, ones[lo:hi, None], levels[None, :], n_samples)
+            # every index is in range, so "clip" only skips take's buffered bounds check
+            upper = np.take(absent, level[lo:], axis=1, mode="clip")
+            rows, cols = np.divmod(np.flatnonzero(n11 > 0), v - lo)
+            upper[rows, cols] = _pair_mi(
+                n11[rows, cols].astype(np.float64), ones[lo + rows], ones[lo + cols], n_samples
+            )
+            upper[:, : hi - lo][np.tril_indices(hi - lo)] = 0.0  # strict upper triangle only
+            yield lo, upper
 
 
 def mi_matrix(d: BinaryDataset) -> MiMatrix:
     """All-pairs mutual information from exact co-occurrence counts.
 
-    The upper triangle is computed in blocks of MI_ROW_BLOCK rows, each from
-    one co-occurrence product against the columns from the block onwards,
-    and mirrored block by block.  A pair that never co-occurs has an MI that
-    depends only on its two marginal counts, so it is read from a table of
-    the block's rows against the distinct marginal counts (at most
-    min(V, N + 1) of them); only pairs with a joint count above 0 are
-    computed one by one.  Each entry is the single-pair formula on its 2x2
-    table, bit for bit: the same float operations on the same integer counts.
+    The row blocks of MiBlocks(d), each mirrored into the lower triangle as
+    it arrives.
     """
-    n_samples = float(d.n_samples)
     v = d.n_features
-    # features as rows, so every block product reads contiguous memory
-    xt = np.ascontiguousarray(d.values.T, dtype=_count_dtype(d.n_samples))
-    ones = d.values.sum(axis=0, dtype=np.float64)
-    levels, level = np.unique(ones, return_inverse=True)
     out = np.empty((v, v))
-    for lo in range(0, v, MI_ROW_BLOCK):
-        hi = min(lo + MI_ROW_BLOCK, v)
-        n11 = xt[lo:hi] @ xt[lo:].T
-        upper = out[lo:hi, lo:]
-        absent = _pair_mi(0.0, ones[lo:hi, None], levels[None, :], n_samples)
-        # every index is in range, so "clip" only skips take's buffered bounds check
-        np.take(absent, level[lo:], axis=1, out=upper, mode="clip")
-        rows, cols = np.divmod(np.flatnonzero(n11 > 0), v - lo)
-        upper[rows, cols] = _pair_mi(
-            n11[rows, cols].astype(np.float64), ones[lo + rows], ones[lo + cols], n_samples
-        )
-        upper[:, : hi - lo][np.tril_indices(hi - lo)] = 0.0  # strict upper triangle only
+    for lo, upper in MiBlocks(d):
+        hi = lo + upper.shape[0]
+        out[lo:hi, lo:] = upper
         out[lo:hi, lo:hi] += upper[:, : hi - lo].T
         out[hi:, lo:hi] = upper[:, hi - lo :].T
     out.setflags(write=False)

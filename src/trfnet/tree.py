@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BinaryDataset
-from .stats import MiMatrix, mi_matrix
+from .stats import MiBlocks, MiMatrix
 
 # weights this close to zero are treated as exact ties at zero, so float
 # noise cannot reorder otherwise-equal edges
@@ -23,6 +23,9 @@ WEIGHT_CLAMP = 1e-12
 # max_spanning_tree first sorts this many of the heaviest edges per node; MI
 # trees of the bundled corpora span within the heaviest 15-27 x V edges
 PREFIX_EDGES_PER_NODE = 32
+
+# sorted edges Kruskal scans before it drops those already inside one component
+KRUSKAL_CHUNK = 16384
 
 
 class _UnionFind:
@@ -43,6 +46,15 @@ class _UnionFind:
             return False
         self.parent[rb] = ra
         return True
+
+    def roots(self) -> np.ndarray:
+        """The root of every node, by pointer jumping; the parent links are left as they are."""
+        roots = np.array(self.parent)
+        while True:
+            up = roots[roots]
+            if np.array_equal(up, roots):
+                return roots
+            roots = up
 
 
 @dataclass(frozen=True)
@@ -86,30 +98,28 @@ def _is_symmetric(w: np.ndarray) -> bool:
     return True
 
 
-# rows of the weight matrix max_spanning_tree reads at a time
+# rows of a caller's weight matrix max_spanning_tree reads at a time
 TREE_ROW_BLOCK = 256
 
 
-def _band(w: np.ndarray, k: int, roots: np.ndarray | None):
+def _band(blocks, v: int, k: int, roots: np.ndarray | None):
     """Every candidate edge at least as heavy as the k-th heaviest candidate.
 
     Candidates are the edges (u, t), u < t, whose ends have different roots
-    (every edge when roots is None).  The strict upper triangle is read
-    TREE_ROW_BLOCK rows at a time.  Whenever more than k candidates are held,
-    those below the k-th heaviest of them are dropped: that weight is at most
-    the k-th heaviest of all candidates, so no edge of the band is lost, and
-    ties at the cut stay in.  Returns the clamped weights and the keys u * V + t.
+    (every edge when roots is None).  blocks yields (lo, rows lo:hi x
+    columns lo:) of the weights; only their strict upper triangle is read.
+    Whenever more than k candidates are held, those below the k-th heaviest
+    of them are dropped: that weight is at most the k-th heaviest of all
+    candidates, so no edge of the band is lost, and ties at the cut stay in.
+    Returns the clamped weights and the keys u * V + t.
     """
-    v = w.shape[0]
     xs, keys = [], []
     held, floor = 0, -np.inf
-    for lo in range(0, v - 1, TREE_ROW_BLOCK):
-        hi = min(lo + TREE_ROW_BLOCK, v)
-        block = w[lo:hi, lo:]
+    for lo, block in blocks:
         block = np.where(np.abs(block) < WEIGHT_CLAMP, 0.0, block)
         sel = block >= floor
         if roots is not None:
-            sel &= roots[lo:hi, None] != roots[None, lo:]
+            sel &= roots[lo : lo + block.shape[0], None] != roots[None, lo:]
         rows, cols = np.divmod(np.flatnonzero(sel), v - lo)
         upper = cols > rows
         rows, cols = rows[upper], cols[upper]
@@ -125,8 +135,12 @@ def _band(w: np.ndarray, k: int, roots: np.ndarray | None):
     return np.concatenate(xs), np.concatenate(keys)
 
 
-def max_spanning_tree(m: MiMatrix) -> ChowLiuTree:
+def max_spanning_tree(m: MiMatrix | MiBlocks) -> ChowLiuTree:
     """Kruskal over edges sorted by weight descending, ties by (u, v) ascending.
+
+    The weights are an MiMatrix, which must be symmetric and is read
+    TREE_ROW_BLOCK rows at a time, or the MiBlocks of a dataset, whose row
+    blocks are computed again for each band and never held together.
 
     Only the heaviest edges are sorted: every edge of weight >= theta, where
     theta is the weight of the k-th heaviest, so edges tied at theta come
@@ -136,34 +150,52 @@ def max_spanning_tree(m: MiMatrix) -> ChowLiuTree:
     to the full edge list.  A band after the first is taken from the edges
     whose ends are still in different components: Kruskal rejects every
     other edge, since components only merge, and that leaves out every edge
-    of the earlier bands too.
+    of the earlier bands too.  For the same reason each KRUSKAL_CHUNK of a
+    sorted band after the first drops the edges whose ends are already
+    joined before it is scanned.
     """
-    w = m.m
-    if not _is_symmetric(w):
-        raise ValueError("weight matrix must be symmetric")
     v = m.n_features
+    if isinstance(m, MiMatrix):
+        w = m.m
+        if not _is_symmetric(w):
+            raise ValueError("weight matrix must be symmetric")
+        blocks = [(lo, w[lo : lo + TREE_ROW_BLOCK, lo:]) for lo in range(0, v - 1, TREE_ROW_BLOCK)]
+    else:
+        blocks = m
     uf = _UnionFind(v)
     chosen = []
     k = PREFIX_EDGES_PER_NODE * v
     while len(chosen) < v - 1:
-        roots = np.array([uf.find(i) for i in range(v)]) if chosen else None
-        x, key = _band(w, k, roots)
+        x, key = _band(blocks, v, k, uf.roots() if chosen else None)
         # lexsort's last key is primary: -weight first, then u * V + t
         order = np.lexsort((key, -x))
-        iu, ju = np.divmod(key[order], v)
-        for u, t, wt in zip(iu.tolist(), ju.tolist(), x[order].tolist()):
-            if uf.union(u, t):
-                chosen.append((u, t, wt))
-                if len(chosen) == v - 1:
-                    break
+        key, x = key[order], x[order]
+        for lo in range(0, x.size, KRUSKAL_CHUNK):
+            iu, ju = np.divmod(key[lo : lo + KRUSKAL_CHUNK], v)
+            wts = x[lo : lo + KRUSKAL_CHUNK]
+            if lo:
+                roots = uf.roots()
+                apart = roots[iu] != roots[ju]
+                iu, ju, wts = iu[apart], ju[apart], wts[apart]
+            for u, t, wt in zip(iu.tolist(), ju.tolist(), wts.tolist()):
+                if uf.union(u, t):
+                    chosen.append((u, t, wt))
+                    if len(chosen) == v - 1:
+                        break
+            if len(chosen) == v - 1:
+                break
         k *= 4
     chosen.sort(key=lambda e: (e[0], e[1]))
     return ChowLiuTree(v, tuple(chosen))
 
 
 def chow_liu(bd: BinaryDataset) -> ChowLiuTree:
-    """Weight feature pairs by mutual information and keep the best tree."""
-    return max_spanning_tree(mi_matrix(bd))
+    """Weight feature pairs by mutual information and keep the best tree.
+
+    The MI row blocks stream straight into the tree's band selection, so no
+    more than a few blocks of MI are held at once.
+    """
+    return max_spanning_tree(MiBlocks(bd))
 
 
 def hop_distances(t: ChowLiuTree, source: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from trfnet.data import Dataset
+from trfnet.data import BinaryDataset, Dataset
 from trfnet.stats import MiMatrix
 from trfnet.tree import ChowLiuTree, max_spanning_tree
 
@@ -66,6 +67,24 @@ def random_binary_dataset(n: int, v: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     values = (rng.random((n, v)) < rng.uniform(0.2, 0.8, size=v)).astype(np.float64)
     return Dataset(values)
+
+
+@st.composite
+def sparse_binaries(draw, v_range):
+    """Bag-of-words-like 0/1 data: mostly-zero columns, so most pairs never
+    co-occur, mixed with never-present and always-present columns and with
+    rolled copies, which share a column's marginal count but not its rows."""
+    n = draw(st.integers(1, 40))
+    v = draw(st.integers(*v_range))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random((n, v)) < density
+    kind = rng.integers(0, 6, size=v)
+    x[:, kind == 0] = False
+    x[:, kind == 1] = True
+    for j in np.flatnonzero(kind == 2):
+        x[:, j] = np.roll(x[:, rng.integers(v)], int(rng.integers(n)))
+    return BinaryDataset(x.astype(np.int8))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -101,6 +101,28 @@ class TestSparseBow:
         with pytest.raises(DataFormatError, match="duplicate"):
             load_sparse_bow(docs, vocab)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("1", "malformed entry '1'"),
+            ("1:x", "malformed entry '1:x'"),
+            ("1:2:3", "malformed entry '1:2:3'"),
+            ("1:0", "count 0 must be >= 1"),
+            ("1:" + "9" * 400, "count " + "9" * 400 + " above 2\\*\\*53"),
+            (f"1:{2**60 + 1}", f"count {2**60 + 1} above 2\\*\\*53"),
+        ],
+    )
+    def test_malformed_entry_names_line(self, tmp_path, entry, message):
+        vocab = write(tmp_path, "v.txt", "a\nb\nc\n")
+        docs = write(tmp_path, "d.txt", f"0 0:1\n1 {entry}\n")
+        with pytest.raises(DataFormatError, match=rf"d\.txt: line 2: {message}"):
+            load_sparse_bow(docs, vocab)
+
+    def test_count_of_two_to_the_53_is_exact(self, tmp_path):
+        vocab = write(tmp_path, "v.txt", "a\nb\n")
+        docs = write(tmp_path, "d.txt", f"0 1:{2**53}\n")
+        assert load_sparse_bow(docs, vocab).values[0, 1] == 2**53
+
     @pytest.mark.parametrize("damaged", ["v.txt", "d.txt"])
     def test_undecodable_bytes_rejected(self, tmp_path, damaged):
         vocab = write(tmp_path, "v.txt", "a\nb\nc\n")

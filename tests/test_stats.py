@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_binary_dataset
+from conftest import random_binary_dataset, sparse_binaries
 from oracles import ContingencyCounts, empirical_mi, entropy_reference, mi_reference, pair_counts
 from trfnet.data import BinaryDataset
 from trfnet import stats
@@ -138,24 +138,6 @@ def dense_binaries(draw, v_range):
     """0/1 data whose columns are each present in 20-80% of the rows."""
     v = draw(st.integers(*v_range))
     return binary(random_binary_dataset(40, v, seed=draw(st.integers(0, 10_000))).values)
-
-
-@st.composite
-def sparse_binaries(draw, v_range):
-    """Bag-of-words-like 0/1 data: mostly-zero columns, so most pairs never
-    co-occur, mixed with never-present and always-present columns and with
-    rolled copies, which share a column's marginal count but not its rows."""
-    n = draw(st.integers(1, 40))
-    v = draw(st.integers(*v_range))
-    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.2]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.random((n, v)) < density
-    kind = rng.integers(0, 6, size=v)
-    x[:, kind == 0] = False
-    x[:, kind == 1] = True
-    for j in np.flatnonzero(kind == 2):
-        x[:, j] = np.roll(x[:, rng.integers(v)], int(rng.integers(n)))
-    return binary(x)
 
 
 def binaries(v_range):

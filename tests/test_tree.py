@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_pairs, make_path_tree, make_star_tree, random_binary_dataset, tree_from_edges
+from conftest import (
+    edge_pairs,
+    make_path_tree,
+    make_star_tree,
+    random_binary_dataset,
+    sparse_binaries,
+    tree_from_edges,
+)
 from oracles import (
     all_spanning_trees,
     best_tree_weight,
@@ -16,10 +24,11 @@ from oracles import (
     pair_counts,
     tree_loglik_reference,
 )
-from trfnet.data import BinaryDataset, Dataset
+from trfnet.data import BinaryDataset, Dataset, DiscretizationPolicy, discretize
+from trfnet import stats
 from trfnet import tree as tree_module
 from trfnet.stats import MiMatrix, mi_matrix
-from trfnet.synth import markov_chain
+from trfnet.synth import markov_chain, news_corpus
 from trfnet.tree import (
     WEIGHT_CLAMP,
     ChowLiuTree,
@@ -142,14 +151,21 @@ def matrix_of(n, upper) -> np.ndarray:
 
 
 class TestPrefixKruskal:
-    # row blocks of 1-3 rows put ties across block edges
-    @given(tied_matrices, st.sampled_from([1, 2, 32]), st.sampled_from([1, 2, 3, 256]))
+    # row blocks of 1-3 rows put ties across block edges, and Kruskal chunks
+    # of 1-3 edges drop joined edges between nearly every union
+    @given(
+        tied_matrices,
+        st.sampled_from([1, 2, 32]),
+        st.sampled_from([1, 2, 3, 256]),
+        st.sampled_from([1, 2, 3, tree_module.KRUSKAL_CHUNK]),
+    )
     @settings(max_examples=300, deadline=None)
-    def test_matches_full_lexsort_reference_under_ties(self, spec, per_node, row_block):
+    def test_matches_full_lexsort_reference_under_ties(self, spec, per_node, row_block, chunk):
         n, upper = spec
         w = matrix_of(n, upper)
         with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", per_node), \
-                mock.patch.object(tree_module, "TREE_ROW_BLOCK", row_block):
+                mock.patch.object(tree_module, "TREE_ROW_BLOCK", row_block), \
+                mock.patch.object(tree_module, "KRUSKAL_CHUNK", chunk):
             t = max_spanning_tree(MiMatrix(w))
         assert t.edges == full_order_kruskal(w)
 
@@ -209,6 +225,31 @@ class TestPrefixKruskal:
     def test_infinite_weights_are_kept(self):
         w = matrix_of(4, [np.inf, 0.5, 0.5, 0.2, np.inf, 0.1])
         assert max_spanning_tree(MiMatrix(w)).edges == full_order_kruskal(w)
+
+
+class TestStreamedChowLiu:
+    # MI blocks of 1-3 rows and one edge per node make most trees need later
+    # bands, each of which streams the MI blocks again
+    @given(sparse_binaries((2, 13)), st.sampled_from([1, 2, 3, 256]), st.sampled_from([1, 32]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_edges_as_the_whole_matrix(self, bd, row_block, per_node):
+        with mock.patch.object(stats, "MI_ROW_BLOCK", row_block), \
+                mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", per_node):
+            assert chow_liu(bd).edges == max_spanning_tree(mi_matrix(bd)).edges
+
+    def test_memory_stays_below_half_the_mi_matrix(self):
+        # the whole V x V float64 matrix would take v * v * 8 bytes
+        v = 2048
+        corpus = news_corpus(n_docs=500, vocab_size=v, seed=0)
+        bd = discretize(corpus, DiscretizationPolicy.fixed(0.0))
+        with mock.patch.object(stats, "MI_ROW_BLOCK", 32):
+            tracemalloc.start()
+            try:
+                chow_liu(bd)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < v * v * 8 / 2
 
 
 class TestChowLiu:
