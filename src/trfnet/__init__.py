@@ -23,7 +23,7 @@ from .data import (
     load_sparse_bow,
     split,
 )
-from .stats import MiBlocks, MiMatrix, mi_matrix
+from .stats import MiBlocks, mi_matrix
 from .tree import ChowLiuTree, chow_liu, hop_distances, max_spanning_tree
 from .receptive_field import ReceptiveFieldPlan, build_masks
 from .nn import DenseLayer, MaskedLayer, Adam, dropout, masked_forward, reconstruction_loss
@@ -61,7 +61,6 @@ __all__ = [
     "FinetuneHyper",
     "MaskedLayer",
     "MiBlocks",
-    "MiMatrix",
     "ReceptiveFieldPlan",
     "TrfNetwork",
     "attach_head",

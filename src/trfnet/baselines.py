@@ -7,6 +7,7 @@ are sparse layers that hold every connection; pruning keeps a subset of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .builder import (
     attach_head,
     clone,
     finetune,
+    n_classes,
 )
 from .data import Dataset
 
@@ -38,7 +40,8 @@ class DenseNetConfig:
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
-            raise ValueError("hidden widths must all be >= 1")
+            raise ValueError(f"hidden_widths must all be >= 1, got {self.hidden_widths}")
+        hyper_from_config(self)  # the training fields are checked as a FinetuneHyper's
 
 
 def hyper_from_config(cfg: DenseNetConfig) -> FinetuneHyper:
@@ -51,14 +54,6 @@ def hyper_from_config(cfg: DenseNetConfig) -> FinetuneHyper:
         activation=cfg.activation,
         seed=cfg.seed,
     )
-
-
-def _n_classes(d: Dataset) -> int:
-    if d.labels is None:
-        raise ValueError("labeled data required")
-    if d.labels.ndim == 2:
-        return d.labels.shape[1]
-    return int(d.labels.max()) + 1
 
 
 def dense_network(input_width: int, cfg: DenseNetConfig, classes: int, head_mode: str = "softmax") -> TrfNetwork:
@@ -74,7 +69,7 @@ def dense_network(input_width: int, cfg: DenseNetConfig, classes: int, head_mode
 
 def train_dense(train: Dataset, cfg: DenseNetConfig, valid: Dataset | None = None, head_mode: str = "softmax"):
     """Fully connected baseline trained like any other network here."""
-    net = dense_network(train.n_features, cfg, _n_classes(train), head_mode)
+    net = dense_network(train.n_features, cfg, n_classes(train), head_mode)
     return finetune(net, train, valid, hyper_from_config(cfg))
 
 
@@ -92,8 +87,7 @@ def prune_and_retrain(
     left dense; sparsity is a hidden-layer metric throughout.  The input
     network is not modified.
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
+    check_keep_fraction(keep_fraction)
     pruned = clone(net)
     for layer in pruned.layers:
         k = int(np.ceil(keep_fraction * layer.hidden_count * layer.visible_count))
@@ -101,6 +95,11 @@ def prune_and_retrain(
         layer.index, layer.values = layer.index[kept], layer.values[kept]
     pruned.plans = [None] * pruned.depth
     return finetune(pruned, train, valid, hyper)
+
+
+def check_keep_fraction(keep_fraction: float) -> None:
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
 
 
 def magnitude_top_k(weights: np.ndarray, k: int) -> np.ndarray:
@@ -121,15 +120,19 @@ def train_l1(
     at exactly zero is taken as zero.  The report's effective_sparsity is the
     fraction of hidden weights with |w| >= 0.001 after training.
     """
-    if strength < 0:
-        raise ValueError(f"strength must be >= 0, got {strength}")
-    net = dense_network(train.n_features, cfg, _n_classes(train), head_mode)
+    check_l1_strength(strength)
+    net = dense_network(train.n_features, cfg, n_classes(train), head_mode)
     hook = None if strength == 0 else (lambda model: l1_gradients(model, strength))
     net, report = finetune(net, train, valid, hyper_from_config(cfg), penalty_grads=hook)
     alive = sum(int((np.abs(l.values) >= L1_DEAD_THRESHOLD).sum()) for l in net.layers)
     total = sum(l.hidden_count * l.visible_count for l in net.layers)
     report.effective_sparsity = alive / total
     return net, report
+
+
+def check_l1_strength(strength: float) -> None:
+    if not (math.isfinite(strength) and strength >= 0):
+        raise ValueError(f"strength must be finite and >= 0, got {strength}")
 
 
 def l1_penalty(net: TrfNetwork, strength: float) -> float:

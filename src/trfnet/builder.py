@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import copy
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -42,7 +43,7 @@ def _per_layer(value, depth: int, what: str) -> tuple[int, ...]:
         return (int(value),) * depth
     out = tuple(int(x) for x in value)
     if len(out) != depth:
-        raise ValueError(f"{what}: need {depth} per-layer values, got {len(out)}")
+        raise ValueError(f"{what} needs {depth} per-layer values, got {len(out)}")
     return out
 
 
@@ -68,6 +69,10 @@ class BuildConfig:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         object.__setattr__(self, "radius", _per_layer(self.radius, self.depth, "radius"))
         object.__setattr__(self, "stride", _per_layer(self.stride, self.depth, "stride"))
+        if min(self.radius) < 0:
+            raise ValueError(f"radius must be >= 0, got {self.radius}")
+        if min(self.stride) < 1:
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
         if not 0.0 <= self.global_fraction <= 1.0:
             raise ValueError(f"global_fraction must be in [0, 1], got {self.global_fraction}")
 
@@ -187,6 +192,13 @@ def build_trf_net(d: Dataset, cfg: BuildConfig) -> TrfNetwork:
     return TrfNetwork(layers=layers, plans=plans, config=cfg, training_logs=logs)
 
 
+def n_classes(d: Dataset) -> int:
+    """Head width for d's labels: one output per task column, or per class index."""
+    if d.labels is None:
+        raise ValueError("labeled data required")
+    return d.labels.shape[1] if d.labels.ndim == 2 else int(d.labels.max()) + 1
+
+
 def attach_head(net: TrfNetwork, classes: int, mode: str = SOFTMAX, seed: int | None = None) -> TrfNetwork:
     """Put a fresh dense classifier on top; replaces any existing head.
 
@@ -219,6 +231,10 @@ class FinetuneHyper:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ValueError("epochs, batch_size, and patience must be >= 1")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
 def _check_labels(d: Dataset, head: nn.DenseLayer, mode: str, what: str):
@@ -370,25 +386,31 @@ def _logits(net: TrfNetwork, values: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _score_dataset(net: TrfNetwork, d: Dataset) -> float:
-    logits = _logits(net, d.values)
-    if net.head_mode == SOFTMAX:
-        return float((logits.argmax(axis=1) == d.labels).mean())
-    aucs = _multitask_aucs(logits, d.labels)
-    scored = [a for a in aucs if a is not None]
-    return float(np.mean(scored)) if scored else 0.0
+def _scores(logits: np.ndarray, labels: np.ndarray, head_mode: str):
+    """(accuracy, per-task AUCs, AUC mean) of logits against labels.
 
-
-def _multitask_aucs(logits: np.ndarray, labels: np.ndarray):
+    Softmax heads get an accuracy only; multitask heads get an AUC per task,
+    None for a task whose labels hold only one class, and the mean over the
+    scored tasks, None when there is none.
+    """
+    if head_mode == SOFTMAX:
+        return float((logits.argmax(axis=1) == labels).mean()), None, None
     aucs = []
     for task in range(labels.shape[1]):
         observed = labels[:, task] >= 0
         y = labels[observed, task]
-        if (y == 1).sum() == 0 or (y == 0).sum() == 0:
-            aucs.append(None)
-            continue
-        aucs.append(binary_auc(logits[observed, task], y))
-    return aucs
+        both = (y == 1).any() and (y == 0).any()
+        aucs.append(binary_auc(logits[observed, task], y) if both else None)
+    scored = [a for a in aucs if a is not None]
+    return None, aucs, (float(np.mean(scored)) if scored else None)
+
+
+def _score_dataset(net: TrfNetwork, d: Dataset) -> float:
+    """The validation score early stopping tracks: accuracy or AUC mean, 0.0 if unscored."""
+    accuracy, _, auc_mean = _scores(_logits(net, d.values), d.labels, net.head_mode)
+    if accuracy is not None:
+        return accuracy
+    return 0.0 if auc_mean is None else auc_mean
 
 
 def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
@@ -397,21 +419,12 @@ def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
         raise ValueError("attach a head before evaluating")
     _check_labels(test, net.head, net.head_mode, "test")
     t0 = time.perf_counter()
-    logits = _logits(net, test.values)
-    if net.head_mode == SOFTMAX:
-        accuracy = float((logits.argmax(axis=1) == test.labels).mean())
-        auc_list, auc_mean = None, None
-    else:
-        accuracy = None
-        aucs = _multitask_aucs(logits, test.labels)
-        scored = [a for a in aucs if a is not None]
-        auc_list = tuple(-1.0 if a is None else a for a in aucs)
-        auc_mean = float(np.mean(scored)) if scored else None
+    accuracy, aucs, auc_mean = _scores(_logits(net, test.values), test.labels, net.head_mode)
     return EvalReport(
         parameter_count=net.parameter_count(),
         sparsity=net.hidden_sparsity(),
         accuracy=accuracy,
-        auc_per_task=auc_list,
+        auc_per_task=None if aucs is None else tuple(-1.0 if a is None else a for a in aucs),
         auc_mean=auc_mean,
         wall_clock={"evaluate": time.perf_counter() - t0},
     )

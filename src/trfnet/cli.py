@@ -11,10 +11,12 @@ Set TRFNET_THREADS to cap the BLAS thread count for a run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 
 
 class CliError(Exception):
@@ -129,6 +131,36 @@ def _require_counts(args, *names):
             raise CliError(f"--{name}: expected a count >= 1, got {value}")
 
 
+# the flag that sets each library field whose range a config or check enforces
+_FIELD_FLAGS = {
+    "radius": "--radius",
+    "stride": "--stride",
+    "global_fraction": "--globals",
+    "loss_family": "--family",
+    "step_size": "--step",
+    "dropout_rate": "--dropout",
+    "hidden_widths": "--widths",
+    "keep_fraction": "--keep",
+    "strength": "--strength",
+    "train_frac": "--train-frac",
+    "valid_frac": "--valid-frac",
+}
+
+
+@contextlib.contextmanager
+def _flag_errors():
+    """Report a range check's ValueError as a usage error naming the flag.
+
+    The library's messages begin with the field they reject; configs are
+    built inside this before any input is read.
+    """
+    try:
+        yield
+    except ValueError as e:
+        field = str(e).split(" ", 1)[0]
+        raise CliError(f"{_FIELD_FLAGS.get(field, field)}: {e}") from None
+
+
 def _split_labeled(d, args):
     from .data import split
 
@@ -179,23 +211,24 @@ def cmd_build(args) -> int:
 
     _require_counts(args, "epochs", "depth", "batch")
     t0 = time.perf_counter()
-    d, inputs = _load_data(args)
-    cfg = builder.BuildConfig(
-        radius=_parse_int_list(args.radius, "--radius"),
-        stride=_parse_int_list(args.stride, "--stride"),
-        depth=args.depth,
-        global_fraction=args.globals_fraction,
-        policy=_parse_policy(args.policy, _default_policy(args, d)),
-        dae=DaeHyper(
-            epochs=args.epochs,
-            batch_size=args.batch,
-            step_size=args.step,
-            loss_family=args.family,
+    with _flag_errors():
+        cfg = builder.BuildConfig(
+            radius=_parse_int_list(args.radius, "--radius"),
+            stride=_parse_int_list(args.stride, "--stride"),
+            depth=args.depth,
+            global_fraction=args.globals_fraction,
+            dae=DaeHyper(
+                epochs=args.epochs,
+                batch_size=args.batch,
+                step_size=args.step,
+                loss_family=args.family,
+                seed=args.seed,
+            ),
+            corruption=_parse_corruption(args.corruption, args.seed),
             seed=args.seed,
-        ),
-        corruption=_parse_corruption(args.corruption, args.seed),
-        seed=args.seed,
-    )
+        )
+    d, inputs = _load_data(args)
+    cfg = replace(cfg, policy=_parse_policy(args.policy, _default_policy(args, d)))
     from .errors import DomainError
 
     try:
@@ -221,31 +254,33 @@ def _ensure_head(net, d) -> None:
     from . import builder
 
     if net.head is None:
-        classes = d.labels.shape[1] if d.labels.ndim == 2 else int(d.labels.max()) + 1
         mode = builder.MULTITASK if d.labels.ndim == 2 else builder.SOFTMAX
-        builder.attach_head(net, classes, mode=mode)
+        builder.attach_head(net, builder.n_classes(d), mode=mode)
 
 
 def cmd_finetune(args) -> int:
     from . import builder
+    from .data import check_split_fractions
 
     _require_counts(args, "epochs", "batch", "patience")
     t0 = time.perf_counter()
+    with _flag_errors():
+        hyper = builder.FinetuneHyper(
+            epochs=args.epochs,
+            batch_size=args.batch,
+            step_size=args.step,
+            dropout_rate=args.dropout,
+            patience=args.patience,
+            activation=args.activation,
+            reinit=args.reinit,
+            seed=args.seed,
+        )
+        check_split_fractions(args.train_frac, args.valid_frac)
     d, inputs = _load_data(args, need_labels=True)
     inputs = [args.model] + inputs
     net = builder.load(args.model)
     train, valid, _ = _split_labeled(d, args)
     _ensure_head(net, d)
-    hyper = builder.FinetuneHyper(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        step_size=args.step,
-        dropout_rate=args.dropout,
-        patience=args.patience,
-        activation=args.activation,
-        reinit=args.reinit,
-        seed=args.seed,
-    )
     net, report = builder.finetune(net, train, valid, hyper)
     builder.save(net, args.out)
     report_path = args.report or (args.out + ".report")
@@ -276,20 +311,25 @@ def cmd_eval(args) -> int:
 
 def cmd_baseline(args) -> int:
     from . import baselines, builder
+    from .data import check_split_fractions
 
     _require_counts(args, "epochs", "batch", "patience")
     t0 = time.perf_counter()
+    with _flag_errors():
+        cfg = baselines.DenseNetConfig(
+            hidden_widths=_parse_widths(args.widths),
+            dropout_rate=args.dropout,
+            epochs=args.epochs,
+            batch_size=args.batch,
+            step_size=args.step,
+            patience=args.patience,
+            seed=args.seed,
+        )
+        check_split_fractions(args.train_frac, args.valid_frac)
+        baselines.check_keep_fraction(args.keep)
+        baselines.check_l1_strength(args.strength)
     d, inputs = _load_data(args, need_labels=True)
     train, valid, test = _split_labeled(d, args)
-    cfg = baselines.DenseNetConfig(
-        hidden_widths=_parse_widths(args.widths),
-        dropout_rate=args.dropout,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        step_size=args.step,
-        patience=args.patience,
-        seed=args.seed,
-    )
     effective = None
     if args.kind == "dense":
         net, report = baselines.train_dense(train, cfg, valid)
@@ -331,7 +371,7 @@ def cmd_inspect(args) -> int:
 
     from . import builder
     from .errors import DegenerateUnitWarning
-    from .interpret import _rank_units, load_embeddings, unit_interpretability
+    from .interpret import _rank_units, load_embeddings, model_interpretability, unit_interpretability
 
     _require_counts(args, "top")
     t0 = time.perf_counter()
@@ -352,12 +392,11 @@ def cmd_inspect(args) -> int:
             line = f"unit {unit}\t{shown}"
             if emb is not None:
                 score = unit_interpretability([names[j] for j, _ in top], emb)
-                if score is not None:
-                    unit_scores.append(score)
+                unit_scores.append(score)
                 line += f"\tscore {'-' if score is None else repr(score)}"
             lines.append(line)
-    if emb is not None and unit_scores:
-        mean = sum(unit_scores) / len(unit_scores)
+    mean = model_interpretability(unit_scores)
+    if mean is not None:
         lines.append(f"model_interpretability {mean!r}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

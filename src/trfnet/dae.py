@@ -58,8 +58,10 @@ class DaeHyper:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.loss_family not in ("auto",) + nn.FAMILIES:
-            raise ValueError(f"unknown loss family {self.loss_family!r}")
+            raise ValueError(f"loss_family must be auto, {' or '.join(nn.FAMILIES)}, got {self.loss_family!r}")
 
 
 def corrupt(x: np.ndarray, c: CorruptionConfig, rng: np.random.Generator | None = None) -> np.ndarray:

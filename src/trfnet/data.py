@@ -302,6 +302,14 @@ def discretize(d: Dataset, policy: DiscretizationPolicy) -> BinaryDataset:
     return BinaryDataset(binary)
 
 
+def check_split_fractions(train_frac: float, valid_frac: float) -> None:
+    """ValueError unless 0 < train_frac, 0 <= valid_frac and train_frac + valid_frac < 1."""
+    if not 0 < train_frac < 1:
+        raise ValueError(f"train_frac must be in (0, 1), got {train_frac}")
+    if not (0 <= valid_frac and train_frac + valid_frac < 1):
+        raise ValueError(f"valid_frac must be >= 0 with train_frac + valid_frac < 1, got {valid_frac} and {train_frac}")
+
+
 def split(d: Dataset, train_frac: float, valid_frac: float, seed: int):
     """Seeded disjoint train/valid/test partition.
 
@@ -309,11 +317,7 @@ def split(d: Dataset, train_frac: float, valid_frac: float, seed: int):
     A fraction small enough to floor to zero rows yields None for that piece
     (a Dataset cannot be empty).
     """
-    if not (0 < train_frac and 0 <= valid_frac and train_frac + valid_frac < 1):
-        raise ValueError(
-            f"need 0 < train_frac, 0 <= valid_frac, train_frac + valid_frac < 1; "
-            f"got {train_frac}, {valid_frac}"
-        )
+    check_split_fractions(train_frac, valid_frac)
     n = d.n_samples
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(n * train_frac)

@@ -145,6 +145,15 @@ def unit_interpretability(names: list[str], emb: EmbeddingTable) -> float | None
     return float(np.mean(sims))
 
 
+def model_interpretability(unit_scores: list[float | None]) -> float | None:
+    """Mean of the unit scores that are not None; None when every one is.
+
+    The one aggregation behind interpretability_score and `trfnet inspect`.
+    """
+    scored = [s for s in unit_scores if s is not None]
+    return float(np.mean(scored)) if scored else None
+
+
 def interpretability_score(net: TrfNetwork, d: Dataset, emb: EmbeddingTable, k: int) -> float:
     """Mean unit coherence over top-layer units with at least one scored pair."""
     if k < 2:
@@ -153,12 +162,9 @@ def interpretability_score(net: TrfNetwork, d: Dataset, emb: EmbeddingTable, k: 
         raise ValueError("interpretability needs feature names")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateUnitWarning)
-        per_unit = []
-        for top in _rank_units(net, d, k):
-            names = [d.feature_names[j] for j, _ in top]
-            score = unit_interpretability(names, emb)
-            if score is not None:
-                per_unit.append(score)
-    if not per_unit:
+        score = model_interpretability(
+            [unit_interpretability([d.feature_names[j] for j, _ in top], emb) for top in _rank_units(net, d, k)]
+        )
+    if score is None:
         raise NoCoverageError("no top-layer unit has an embedding-covered feature pair")
-    return float(np.mean(per_unit))
+    return score

@@ -15,29 +15,6 @@ import numpy as np
 from .data import BinaryDataset
 
 
-@dataclass(frozen=True)
-class MiMatrix:
-    """Symmetric V x V matrix of pairwise mutual information; diagonal fixed to 0."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = self.m
-        # a read-only float64 array that owns its data cannot change under us,
-        # so it is kept as is; anything else is copied
-        if not (isinstance(m, np.ndarray) and m.dtype == np.float64
-                and m.base is None and not m.flags.writeable):
-            m = np.array(m, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-            raise ValueError(f"expected a square V x V matrix with V >= 2, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
-
-    @property
-    def n_features(self) -> int:
-        return self.m.shape[0]
-
-
 def _mi_from_cells(n: np.ndarray, row_marg: np.ndarray, col_marg: np.ndarray, total: float):
     """Per-cell p * ln(p / (p_row * p_col)) with zero cells contributing 0.
 
@@ -126,11 +103,11 @@ class MiBlocks:
             yield lo, upper
 
 
-def mi_matrix(d: BinaryDataset) -> MiMatrix:
-    """All-pairs mutual information from exact co-occurrence counts.
+def mi_matrix(d: BinaryDataset) -> np.ndarray:
+    """All-pairs mutual information as a read-only, symmetric V x V array.
 
     The row blocks of MiBlocks(d), each mirrored into the lower triangle as
-    it arrives.
+    it arrives; the diagonal is 0.
     """
     v = d.n_features
     out = np.empty((v, v))
@@ -140,4 +117,4 @@ def mi_matrix(d: BinaryDataset) -> MiMatrix:
         out[lo:hi, lo:hi] += upper[:, : hi - lo].T
         out[hi:, lo:hi] = upper[:, hi - lo :].T
     out.setflags(write=False)
-    return MiMatrix(out)
+    return out

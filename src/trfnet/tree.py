@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import BinaryDataset
-from .stats import MiBlocks, MiMatrix
+from .stats import MiBlocks
 
 # weights this close to zero are treated as exact ties at zero, so float
 # noise cannot reorder otherwise-equal edges
@@ -88,20 +88,6 @@ class ChowLiuTree:
         return adj
 
 
-def _is_symmetric(w: np.ndarray) -> bool:
-    """w == w.T, compared tile by tile so the transposed reads stay in cache."""
-    v, tile = w.shape[0], 128
-    for lo in range(0, v, tile):
-        for lo2 in range(lo, v, tile):
-            if not np.array_equal(w[lo : lo + tile, lo2 : lo2 + tile], w[lo2 : lo2 + tile, lo : lo + tile].T):
-                return False
-    return True
-
-
-# rows of a caller's weight matrix max_spanning_tree reads at a time
-TREE_ROW_BLOCK = 256
-
-
 def _band(blocks, v: int, k: int, roots: np.ndarray | None):
     """Every candidate edge at least as heavy as the k-th heaviest candidate.
 
@@ -135,12 +121,11 @@ def _band(blocks, v: int, k: int, roots: np.ndarray | None):
     return np.concatenate(xs), np.concatenate(keys)
 
 
-def max_spanning_tree(m: MiMatrix | MiBlocks) -> ChowLiuTree:
+def max_spanning_tree(blocks: MiBlocks) -> ChowLiuTree:
     """Kruskal over edges sorted by weight descending, ties by (u, v) ascending.
 
-    The weights are an MiMatrix, which must be symmetric and is read
-    TREE_ROW_BLOCK rows at a time, or the MiBlocks of a dataset, whose row
-    blocks are computed again for each band and never held together.
+    The weights are the MI row blocks of a dataset, computed again for each
+    band and never held together.
 
     Only the heaviest edges are sorted: every edge of weight >= theta, where
     theta is the weight of the k-th heaviest, so edges tied at theta come
@@ -154,14 +139,7 @@ def max_spanning_tree(m: MiMatrix | MiBlocks) -> ChowLiuTree:
     sorted band after the first drops the edges whose ends are already
     joined before it is scanned.
     """
-    v = m.n_features
-    if isinstance(m, MiMatrix):
-        w = m.m
-        if not _is_symmetric(w):
-            raise ValueError("weight matrix must be symmetric")
-        blocks = [(lo, w[lo : lo + TREE_ROW_BLOCK, lo:]) for lo in range(0, v - 1, TREE_ROW_BLOCK)]
-    else:
-        blocks = m
+    v = blocks.n_features
     uf = _UnionFind(v)
     chosen = []
     k = PREFIX_EDGES_PER_NODE * v

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 
-from conftest import edge_pairs
+from conftest import MatrixBlocks, edge_pairs
 from oracles import (
     ContingencyCounts,
     central_diff_grads,
@@ -44,7 +44,7 @@ from trfnet.builder import (
 from trfnet.dae import CorruptionConfig, DaeHyper
 from trfnet.data import BinaryDataset, DiscretizationPolicy, discretize, save_sparse_bow, split
 from trfnet.interpret import EmbeddingTable, interpretability_score, top_correlated_features
-from trfnet.stats import MiMatrix, mi_matrix
+from trfnet.stats import mi_matrix
 from trfnet.synth import correlated_blocks, gaussian_blobs, markov_chain, news_corpus
 from trfnet.tree import chow_liu, max_spanning_tree
 
@@ -135,7 +135,7 @@ def test_criterion_01_mst_matches_exhaustive_enumeration():
         v = 4 + i % 4
         upper = np.triu(rng.random((v, v)), k=1)
         w = upper + upper.T
-        tree = max_spanning_tree(MiMatrix(w))
+        tree = max_spanning_tree(MatrixBlocks(w))
         mine = math.fsum(sorted(weight for _, _, weight in tree.edges))
         if v == 2:
             trees = [[(0, 1)]]
@@ -165,9 +165,9 @@ def test_criterion_02_mutual_information_oracle():
         assert mi >= -1e-12
         # the library's all-pairs path on the two-column dataset realising the table
         rows = np.repeat([[0, 0], [0, 1], [1, 0], [1, 1]], cells, axis=0)
-        lib = mi_matrix(BinaryDataset(rows)).m[0, 1]
+        lib = mi_matrix(BinaryDataset(rows))[0, 1]
         worst = max(worst, abs(lib - mi_reference(table)))
-        swapped = mi_matrix(BinaryDataset(rows[:, ::-1])).m[0, 1]
+        swapped = mi_matrix(BinaryDataset(rows[:, ::-1]))[0, 1]
         assert np.float64(swapped).tobytes() == np.float64(lib).tobytes()
     check(
         2,

@@ -512,6 +512,19 @@ class TestSaveLoad:
         lines = [ln for ln in self.saved_lines(tmp_path, small_corpus) if not ln.startswith("seed ")]
         self.rejects(tmp_path, lines, "seed")
 
+    # the DAE step size is the third value of the "dae" line
+    @pytest.mark.parametrize(
+        "key, at, bad, match",
+        [("radius", 1, "-1", "radius"), ("stride", 1, "0", "stride"), ("dae", 3, "0.0", "step_size")],
+    )
+    def test_out_of_range_config_value_rejected(self, tmp_path, small_corpus, key, at, bad, match):
+        lines = self.saved_lines(tmp_path, small_corpus)
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(key + " "))
+        fields = lines[i].split(" ")
+        fields[at] = bad
+        lines[i] = " ".join(fields)
+        self.rejects(tmp_path, lines, match)
+
     def test_unknown_head_mode_rejected(self, tmp_path, small_corpus):
         lines = self.saved_lines(tmp_path, small_corpus)
         lines[1] = "head_mode banana"

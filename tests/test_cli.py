@@ -147,6 +147,25 @@ class TestBuildAndDownstream:
         assert body[0].split()[:2] == ["model", "accuracy/auc"]
         assert len(body) == 3
 
+    def test_inspect_prints_the_library_score(self, corpus_files, model_path, tmp_path):
+        from trfnet.builder import load
+        from trfnet.data import load_sparse_bow
+        from trfnet.interpret import interpretability_score, load_embeddings
+
+        table = tmp_path / "units.txt"
+        rc = main(
+            [
+                "inspect", "--model", model_path, *bow_flags(corpus_files),
+                "--top", "6", "--embeddings", corpus_files["emb"], "--out", str(table),
+            ]
+        )
+        assert rc == 0
+        key, printed = table.read_text().splitlines()[-1].split(" ")
+        d = load_sparse_bow(corpus_files["docs"], corpus_files["vocab"])
+        score = interpretability_score(load(model_path), d, load_embeddings(corpus_files["emb"]), 6)
+        assert key == "model_interpretability"
+        assert float(printed) == score
+
     @pytest.mark.parametrize("top", ["0", "-2"])
     def test_inspect_top_below_one_is_usage_error(self, corpus_files, model_path, tmp_path, capsys, top):
         out = tmp_path / "units.txt"
@@ -209,6 +228,19 @@ class TestBaselineCommand:
         assert rc == 2
 
 
+def main_without_inputs(tmp_path, command, flag, value) -> int:
+    """Run command with flag set to value on inputs that do not exist, so a
+    flag that is not rejected before any input is read fails with exit 1."""
+    missing = str(tmp_path / "missing.txt")
+    data = ["--bow", missing, "--vocab", missing]
+    argv = {
+        "build": ["build", *data],
+        "finetune": ["finetune", "--model", missing, *data],
+        "baseline": ["baseline", "dense", *data],
+    }[command]
+    return main([*argv, flag, value, "--out", str(tmp_path / "m.trf")])
+
+
 class TestCountFlags:
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -225,18 +257,39 @@ class TestCountFlags:
         ],
     )
     def test_count_below_one_is_usage_error(self, tmp_path, capsys, command, flag, value):
-        # the inputs do not exist: the flag must be rejected before any is read
-        missing = str(tmp_path / "missing.txt")
-        data = ["--bow", missing, "--vocab", missing]
-        out = tmp_path / "m.trf"
-        argv = {
-            "build": ["build", *data],
-            "finetune": ["finetune", "--model", missing, *data],
-            "baseline": ["baseline", "dense", *data],
-        }[command]
-        assert main([*argv, flag, value, "--out", str(out)]) == 2
+        assert main_without_inputs(tmp_path, command, flag, value) == 2
         assert f"{flag}: expected a count >= 1, got {value}" in capsys.readouterr().err
-        assert not out.exists()
+        assert not (tmp_path / "m.trf").exists()
+
+
+class TestRangeFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("build", "--radius", "-1"),
+            ("build", "--radius", "1,2"),
+            ("build", "--stride", "0"),
+            ("build", "--globals", "1.5"),
+            ("build", "--family", "foo"),
+            ("build", "--step", "0"),
+            ("build", "--step", "-1"),
+            ("build", "--step", "nan"),
+            ("finetune", "--step", "0"),
+            ("finetune", "--dropout", "1.0"),
+            ("finetune", "--train-frac", "1.5"),
+            ("finetune", "--valid-frac", "-0.1"),
+            ("baseline", "--widths", "0"),
+            ("baseline", "--step", "-1"),
+            ("baseline", "--dropout", "1.0"),
+            ("baseline", "--keep", "0"),
+            ("baseline", "--strength", "-1"),
+            ("baseline", "--train-frac", "1.5"),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        assert main_without_inputs(tmp_path, command, flag, value) == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "m.trf").exists()
 
 
 class TestDeterminism:

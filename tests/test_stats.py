@@ -10,7 +10,7 @@ from conftest import random_binary_dataset, sparse_binaries
 from oracles import ContingencyCounts, empirical_mi, entropy_reference, mi_reference, pair_counts
 from trfnet.data import BinaryDataset
 from trfnet import stats
-from trfnet.stats import MiMatrix, _count_dtype, _mi_from_cells, mi_matrix
+from trfnet.stats import _count_dtype, _mi_from_cells, mi_matrix
 
 # frozen from oracles.mi_reference([[40, 10], [10, 40]])
 MI_40_10 = 0.19274475702175753
@@ -83,13 +83,13 @@ class TestMiMatrix:
         a = (rng.random(600) < 0.5).astype(np.int8)
         c = (rng.random(600) < 0.5).astype(np.int8)
         d = binary(np.column_stack([a, a, c]))
-        m = mi_matrix(d).m
+        m = mi_matrix(d)
         assert m[0, 1] > m[0, 2]
         assert m[0, 1] == pytest.approx(math.log(2), abs=0.05)
 
     def test_smallest_case_mirrored(self):
         d = binary([[0, 0], [1, 1], [0, 1], [1, 1]])
-        m = mi_matrix(d).m
+        m = mi_matrix(d)
         assert m.shape == (2, 2)
         assert m[0, 1] == m[1, 0]
         assert m[0, 0] == 0.0 and m[1, 1] == 0.0
@@ -97,7 +97,7 @@ class TestMiMatrix:
     def test_every_entry_matches_single_pair_recomputation(self):
         d = random_binary_dataset(200, 6, seed=42)
         bd = binary(d.values)
-        m = mi_matrix(bd).m
+        m = mi_matrix(bd)
         for s in range(6):
             for t in range(6):
                 if s == t:
@@ -109,7 +109,7 @@ class TestMiMatrix:
     @settings(max_examples=25, deadline=None)
     def test_symmetric_and_nonnegative(self, seed):
         d = random_binary_dataset(50, 5, seed=seed)
-        m = mi_matrix(binary(d.values)).m
+        m = mi_matrix(binary(d.values))
         np.testing.assert_array_equal(m, m.T)
         assert (m >= -1e-12).all()
 
@@ -150,7 +150,7 @@ class TestRowBlockedMiMatrix:
     def test_every_entry_bit_identical_to_pair_mi(self, bd, block):
         v = bd.n_features
         with mock.patch.object(stats, "MI_ROW_BLOCK", block):
-            m = mi_matrix(bd).m
+            m = mi_matrix(bd)
         assert m.tobytes() == untiled_mi_matrix(bd).tobytes()
         for s in range(v):
             assert bits(m[s, s]) == bits(0.0)
@@ -165,7 +165,7 @@ class TestRowBlockedMiMatrix:
     def test_block_boundary_matches_untiled_formula(self, offset, data):
         v = stats.MI_ROW_BLOCK + offset
         bd = data.draw(binaries((v, v)))
-        m = mi_matrix(bd).m
+        m = mi_matrix(bd)
         assert m.tobytes() == untiled_mi_matrix(bd).tobytes()
         rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
         for s, t in rng.integers(0, v, size=(100, 2)):
@@ -190,23 +190,16 @@ class TestRowBlockedMiMatrix:
             return out
 
         with mock.patch.object(stats, "_pair_mi", pair_mi):
-            m = mi_matrix(bd).m
+            m = mi_matrix(bd)
         assert np.unique(x.sum(axis=0)).size == v
         assert m.tobytes() == untiled_mi_matrix(bd).tobytes()
         assert max(sizes) <= stats.MI_ROW_BLOCK * v
 
     def test_result_is_read_only_and_not_copied(self):
         bd = binary(random_binary_dataset(30, 7, seed=3).values)
-        m = mi_matrix(bd).m
+        m = mi_matrix(bd)
         assert not m.flags.writeable
         assert m.base is None
-
-    def test_caller_array_is_copied(self):
-        w = np.zeros((3, 3))
-        mi = MiMatrix(w)
-        w[0, 1] = 1.0
-        assert mi.m[0, 1] == 0.0
-        assert w.flags.writeable
 
 
 class TestCountDtype:
@@ -220,5 +213,5 @@ class TestCountDtype:
     def test_float32_counts_give_the_float64_bytes(self):
         bd = binary(random_binary_dataset(300, 40, seed=11).values)
         with mock.patch.object(stats, "_count_dtype", lambda n: np.float64):
-            wide = mi_matrix(bd).m
-        assert mi_matrix(bd).m.tobytes() == wide.tobytes()
+            wide = mi_matrix(bd)
+        assert mi_matrix(bd).tobytes() == wide.tobytes()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    MatrixBlocks,
     edge_pairs,
     make_path_tree,
     make_star_tree,
@@ -27,7 +28,7 @@ from oracles import (
 from trfnet.data import BinaryDataset, Dataset, DiscretizationPolicy, discretize
 from trfnet import stats
 from trfnet import tree as tree_module
-from trfnet.stats import MiMatrix, mi_matrix
+from trfnet.stats import mi_matrix
 from trfnet.synth import markov_chain, news_corpus
 from trfnet.tree import (
     WEIGHT_CLAMP,
@@ -43,13 +44,13 @@ def symmetric(entries, n):
     w = np.zeros((n, n))
     for u, v, x in entries:
         w[u, v] = w[v, u] = x
-    return MiMatrix(w)
+    return w
 
 
 def random_mi_matrix(n, seed):
     rng = np.random.default_rng(seed)
     w = np.triu(rng.random((n, n)), k=1)
-    return MiMatrix(w + w.T)
+    return w + w.T
 
 
 def as_binary(d: Dataset) -> BinaryDataset:
@@ -66,26 +67,20 @@ random_trees = st.integers(3, 10).flatmap(
 class TestMaxSpanningTree:
     def test_triangle_drops_weakest_edge(self):
         m = symmetric([(0, 1, 0.5), (0, 2, 0.3), (1, 2, 0.1)], 3)
-        t = max_spanning_tree(m)
+        t = max_spanning_tree(MatrixBlocks(m))
         assert edge_pairs(t) == {(0, 1), (0, 2)}
 
     def test_equal_weights_lexicographic_star(self):
         m = symmetric([(u, v, 0.25) for u in range(4) for v in range(u + 1, 4)], 4)
-        t = max_spanning_tree(m)
+        t = max_spanning_tree(MatrixBlocks(m))
         assert edge_pairs(t) == {(0, 1), (0, 2), (0, 3)}
 
     def test_matches_exhaustive_enumeration(self):
         for seed in range(6):
             m = random_mi_matrix(6, seed)
-            t = max_spanning_tree(m)
+            t = max_spanning_tree(MatrixBlocks(m))
             total = sum(w for _, _, w in t.edges)
-            assert total == pytest.approx(best_tree_weight(m.m), abs=1e-12)
-
-    def test_asymmetric_rejected(self):
-        w = np.zeros((3, 3))
-        w[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            max_spanning_tree(MiMatrix(w))
+            assert total == pytest.approx(best_tree_weight(m), abs=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -98,12 +93,12 @@ class TestMaxSpanningTree:
         w = np.zeros((n, n))
         w[np.triu_indices(n, 1)] = vals
         w = w + w.T
-        base = edge_pairs(max_spanning_tree(MiMatrix(w)))
+        base = edge_pairs(max_spanning_tree(MatrixBlocks(w)))
         perm = rng.permutation(n)
         wp = w[np.ix_(perm, perm)]
         mapped_back = {
             (min(perm[u], perm[v]), max(perm[u], perm[v]))
-            for u, v in edge_pairs(max_spanning_tree(MiMatrix(wp)))
+            for u, v in edge_pairs(max_spanning_tree(MatrixBlocks(wp)))
         }
         assert mapped_back == base
 
@@ -164,9 +159,8 @@ class TestPrefixKruskal:
         n, upper = spec
         w = matrix_of(n, upper)
         with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", per_node), \
-                mock.patch.object(tree_module, "TREE_ROW_BLOCK", row_block), \
                 mock.patch.object(tree_module, "KRUSKAL_CHUNK", chunk):
-            t = max_spanning_tree(MiMatrix(w))
+            t = max_spanning_tree(MatrixBlocks(w, rows=row_block))
         assert t.edges == full_order_kruskal(w)
 
     def test_clamped_negative_weight_ties_at_zero_across_row_blocks(self):
@@ -175,9 +169,8 @@ class TestPrefixKruskal:
         # with (3, 4) on (u, v) order
         upper = [0.5, 0.5, -0.1, 0.5, 0.0, -0.1, 0.0, -4e-13, 0.0, 0.0]
         w = matrix_of(5, upper)
-        with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", 1), \
-                mock.patch.object(tree_module, "TREE_ROW_BLOCK", 1):
-            t = max_spanning_tree(MiMatrix(w))
+        with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", 1):
+            t = max_spanning_tree(MatrixBlocks(w, rows=1))
         assert t.edges == full_order_kruskal(w)
         assert (2, 3) in edge_pairs(t)
 
@@ -195,15 +188,15 @@ class TestPrefixKruskal:
         values = np.column_stack([never[:, :1], x[:, :20], always[:, :1], x[:, 20:], never[:, 1:], always[:, 1:]])
         m = mi_matrix(BinaryDataset(values.astype(np.int8)))
         with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", per_node):
-            t = max_spanning_tree(m)
-        assert t.edges == full_order_kruskal(m.m)
+            t = max_spanning_tree(MatrixBlocks(m))
+        assert t.edges == full_order_kruskal(m)
         constant = {0, 21, *range(values.shape[1] - 3, values.shape[1])}
         assert sum(w == 0.0 for _, _, w in t.edges) >= len(constant)
         assert all(w == 0.0 for u, v, w in t.edges if u in constant or v in constant)
 
     def test_all_zero_matrix_takes_the_full_order(self):
         n = 150  # more edges than the first prefix, all tied at zero
-        t = max_spanning_tree(MiMatrix(np.zeros((n, n))))
+        t = max_spanning_tree(MatrixBlocks(np.zeros((n, n))))
         assert t.edges == full_order_kruskal(np.zeros((n, n)))
         assert edge_pairs(t) == {(0, v) for v in range(1, n)}
 
@@ -215,16 +208,16 @@ class TestPrefixKruskal:
         w[:clique, :clique] += 10.0 * np.triu(np.ones((clique, clique)), k=1)
         w = w + w.T
         assert clique * (clique - 1) // 2 > tree_module.PREFIX_EDGES_PER_NODE * n
-        assert max_spanning_tree(MiMatrix(w)).edges == full_order_kruskal(w)
+        assert max_spanning_tree(MatrixBlocks(w)).edges == full_order_kruskal(w)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_real_weights(self, seed):
-        w = random_mi_matrix(200, seed).m
-        assert max_spanning_tree(MiMatrix(w)).edges == full_order_kruskal(w)
+        w = random_mi_matrix(200, seed)
+        assert max_spanning_tree(MatrixBlocks(w)).edges == full_order_kruskal(w)
 
     def test_infinite_weights_are_kept(self):
         w = matrix_of(4, [np.inf, 0.5, 0.5, 0.2, np.inf, 0.1])
-        assert max_spanning_tree(MiMatrix(w)).edges == full_order_kruskal(w)
+        assert max_spanning_tree(MatrixBlocks(w)).edges == full_order_kruskal(w)
 
 
 class TestStreamedChowLiu:
@@ -235,7 +228,7 @@ class TestStreamedChowLiu:
     def test_same_edges_as_the_whole_matrix(self, bd, row_block, per_node):
         with mock.patch.object(stats, "MI_ROW_BLOCK", row_block), \
                 mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", per_node):
-            assert chow_liu(bd).edges == max_spanning_tree(mi_matrix(bd)).edges
+            assert chow_liu(bd).edges == full_order_kruskal(mi_matrix(bd))
 
     def test_memory_stays_below_half_the_mi_matrix(self):
         # the whole V x V float64 matrix would take v * v * 8 bytes
