@@ -235,6 +235,8 @@ class FinetuneHyper:
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if self.activation not in nn.ACTIVATIONS:
+            raise ValueError(f"activation must be one of {', '.join(nn.ACTIVATIONS)}, got {self.activation!r}")
 
 
 def _check_labels(d: Dataset, head: nn.DenseLayer, mode: str, what: str):
@@ -271,15 +273,15 @@ def _named_params(net: TrfNetwork):
     return params
 
 
-def _batch_loss_grads(net: TrfNetwork, x, y, hyper, rng):
+def _batch_loss_grads(net: TrfNetwork, bufs, x, y, hyper, rng):
     logits, caches = nn.stack_forward(
-        net.layers, net.head, x, dropout_rate=hyper.dropout_rate, rng=rng, training=True
+        net.layers, net.head, x, bufs, dropout_rate=hyper.dropout_rate, rng=rng, training=True
     )
     if net.head_mode == SOFTMAX:
         loss, dlogits = nn.softmax_cross_entropy(logits, y)
     else:
         loss, dlogits = nn.multitask_sigmoid_loss(logits, y)
-    g = nn.stack_backward(net.layers, net.head, caches, dlogits)
+    g = nn.stack_backward(net.layers, net.head, caches, dlogits, bufs)
     grads = {"head_w": g["head"]["weights"], "head_b": g["head"]["bias"]}
     for i, gl in enumerate(g["layers"]):
         grads[f"w{i}"] = gl["weights"]
@@ -301,6 +303,8 @@ def finetune(
     during training, and early stopping tracks the validation score with the
     given patience.  The returned report is computed from the best-validation
     snapshot on the validation set (on the training set when valid is None).
+    Training and validation scoring share one pair of dense buffers per
+    layer, dropped before the report is computed.
 
     penalty_grads, when given, is called with the network before each step
     and must return extra gradient terms keyed like the parameter dict; the
@@ -323,6 +327,7 @@ def finetune(
             layer.bias_hidden[...] = 0.0
             layer.bias_visible[...] = 0.0
     params = _named_params(net)
+    bufs = [nn.buffers(layer) for layer in net.layers]
     adam = nn.Adam(hyper.step_size)
     n = train.n_samples
     best_score, best_state, since_best = -np.inf, None, 0
@@ -330,13 +335,13 @@ def finetune(
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
-            _, grads = _batch_loss_grads(net, train.values[idx], train.labels[idx], hyper, rng)
+            _, grads = _batch_loss_grads(net, bufs, train.values[idx], train.labels[idx], hyper, rng)
             if penalty_grads is not None:
                 for name, extra in penalty_grads(net).items():
                     grads[name] = grads[name] + extra
             adam.step(params, grads)
         gate = valid if valid is not None else train
-        score = _score_dataset(net, gate)
+        score = _score_dataset(net, gate, bufs)
         if score > best_score:
             best_score = score
             best_state = {k: v.copy() for k, v in params.items()}
@@ -348,6 +353,7 @@ def finetune(
     if best_state is not None:
         for k, v in params.items():
             v[...] = best_state[k]
+    del bufs
     train_seconds = time.perf_counter() - t0
     report = evaluate(net, valid if valid is not None else train)
     report.wall_clock["finetune"] = train_seconds
@@ -381,8 +387,8 @@ def binary_auc(scores: np.ndarray, targets: np.ndarray) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _logits(net: TrfNetwork, values: np.ndarray) -> np.ndarray:
-    logits, _ = nn.stack_forward(net.layers, net.head, values, training=False)
+def _logits(net: TrfNetwork, values: np.ndarray, bufs) -> np.ndarray:
+    logits, _ = nn.stack_forward(net.layers, net.head, values, bufs, training=False)
     return logits
 
 
@@ -405,9 +411,9 @@ def _scores(logits: np.ndarray, labels: np.ndarray, head_mode: str):
     return None, aucs, (float(np.mean(scored)) if scored else None)
 
 
-def _score_dataset(net: TrfNetwork, d: Dataset) -> float:
+def _score_dataset(net: TrfNetwork, d: Dataset, bufs) -> float:
     """The validation score early stopping tracks: accuracy or AUC mean, 0.0 if unscored."""
-    accuracy, _, auc_mean = _scores(_logits(net, d.values), d.labels, net.head_mode)
+    accuracy, _, auc_mean = _scores(_logits(net, d.values, bufs), d.labels, net.head_mode)
     if accuracy is not None:
         return accuracy
     return 0.0 if auc_mean is None else auc_mean
@@ -419,7 +425,8 @@ def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
         raise ValueError("attach a head before evaluating")
     _check_labels(test, net.head, net.head_mode, "test")
     t0 = time.perf_counter()
-    accuracy, aucs, auc_mean = _scores(_logits(net, test.values), test.labels, net.head_mode)
+    bufs = [nn.buffers(layer) for layer in net.layers]
+    accuracy, aucs, auc_mean = _scores(_logits(net, test.values, bufs), test.labels, net.head_mode)
     return EvalReport(
         parameter_count=net.parameter_count(),
         sparsity=net.hidden_sparsity(),

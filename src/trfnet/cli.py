@@ -71,11 +71,13 @@ def _load_data(args, need_labels=False):
     return d, inputs
 
 
-def _parse_policy(spec: str | None, default):
+def _parse_policy(spec: str | None):
+    """The policy --policy names, or None when the flag is absent; the
+    data-dependent default is filled in after loading (_default_policy)."""
     from .data import DiscretizationPolicy
 
     if spec is None:
-        return default
+        return None
     if spec == "median":
         return DiscretizationPolicy.median()
     if spec == "binary":
@@ -139,6 +141,7 @@ _FIELD_FLAGS = {
     "loss_family": "--family",
     "step_size": "--step",
     "dropout_rate": "--dropout",
+    "activation": "--activation",
     "hidden_widths": "--widths",
     "keep_fraction": "--keep",
     "strength": "--strength",
@@ -185,9 +188,11 @@ def cmd_tree(args) -> int:
 
     if args.top_edges < 0:
         raise CliError(f"--top-edges: expected a count >= 0, got {args.top_edges}")
+    policy = _parse_policy(args.policy)
     t0 = time.perf_counter()
     d, inputs = _load_data(args)
-    policy = _parse_policy(args.policy, _default_policy(args, d))
+    if policy is None:
+        policy = _default_policy(args, d)
     tree = chow_liu(discretize(d, policy))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(to_dot(tree, d.feature_names))
@@ -227,8 +232,9 @@ def cmd_build(args) -> int:
             corruption=_parse_corruption(args.corruption, args.seed),
             seed=args.seed,
         )
+    policy = _parse_policy(args.policy)
     d, inputs = _load_data(args)
-    cfg = replace(cfg, policy=_parse_policy(args.policy, _default_policy(args, d)))
+    cfg = replace(cfg, policy=_default_policy(args, d) if policy is None else policy)
     from .errors import DomainError
 
     try:

@@ -90,8 +90,8 @@ def train_dae(
     flat row-major positions, as nn.init_masked_layer takes them.  All
     randomness (init, epoch shuffles, corruption draws) comes from a
     single generator seeded with h.seed, so runs are exactly repeatable.
-    Returns the layer and its training log: the sample-weighted mean batch
-    loss per epoch.
+    One pair of dense buffers serves every step.  Returns the layer and its
+    training log: the sample-weighted mean batch loss per epoch.
     """
     if shape[1] != d.n_features:
         raise ValueError(f"layer width {shape[1]} != data width {d.n_features}")
@@ -100,6 +100,7 @@ def train_dae(
         raise DomainError("bernoulli family needs data in [0, 1]")
     rng = np.random.default_rng(h.seed)
     layer = nn.init_masked_layer(index, shape, rng, activation="sigmoid")
+    buf = nn.buffers(layer)
     adam = nn.Adam(h.step_size, h.beta1, h.beta2, h.eps)
     params = {
         "weights": layer.values,
@@ -114,7 +115,7 @@ def train_dae(
         for start in range(0, n, h.batch_size):
             batch = d.values[order[start : start + h.batch_size]]
             x_tilde = corrupt(batch, c, rng)
-            loss, grads = nn.dae_gradients(layer, batch, x_tilde, family)
+            loss, grads = nn.dae_gradients(layer, batch, x_tilde, family, buf)
             adam.step(params, grads)
             total += loss * batch.shape[0]
         log.append(total / n)

@@ -5,13 +5,19 @@ fixed connectivity, a tied-transpose decoder, stable Bernoulli/Gaussian
 reconstruction losses, softmax and multi-task sigmoid classification losses
 with exact analytic gradients, Adam, and inverted dropout.
 
-A sparse layer stores one value per connection.  Compute scatters them into a
-dense buffer once per call and gathers weight gradients back at the same places.
+A sparse layer stores one value per connection.  Compute keeps dense BLAS
+products: each call writes the values into a dense H x V weight buffer and
+gathers the weight gradient from a dense H x V product buffer.  Those two
+buffers (Buffers) belong to the training loop that made them, which keeps one
+pair per layer for all its steps; dae_gradients, stack_forward and
+stack_backward take them.  A one-shot caller makes a fresh pair.  A pair is
+tied to the layer's index: a loop that changes the index must make a new one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,12 +52,12 @@ def identity(z: np.ndarray) -> np.ndarray:
     return z
 
 
-_ACTIVATIONS = {"sigmoid": sigmoid, "relu": relu, "identity": identity}
+ACTIVATIONS = {"sigmoid": sigmoid, "relu": relu, "identity": identity}
 
 
 def activation_fn(name: str):
     try:
-        return _ACTIVATIONS[name]
+        return ACTIVATIONS[name]
     except KeyError:
         raise ValueError(f"unknown activation {name!r}") from None
 
@@ -104,6 +110,33 @@ class MaskedLayer:
     def mask(self) -> np.ndarray:
         """Read-only dense H x V 0/1 connectivity."""
         return self._scatter(1.0)
+
+
+class Buffers(NamedTuple):
+    """Dense H x V scratch for one layer, reused by the loop that owns it.
+
+    w holds the weights: zero off the layer's index, and the values are
+    written at the index before every use.  g receives each weight-gradient
+    product, which is then gathered at the index.
+    """
+
+    w: np.ndarray
+    g: np.ndarray
+
+
+def buffers(layer: MaskedLayer) -> Buffers:
+    """A fresh pair for layer; valid for as long as its index is unchanged."""
+    shape = (layer.hidden_count, layer.visible_count)
+    return Buffers(np.zeros(shape), np.empty(shape))
+
+
+def _write_weights(layer: MaskedLayer, buf: Buffers) -> np.ndarray:
+    """Write layer.values into buf.w at layer.index; return buf.w."""
+    shape = (layer.hidden_count, layer.visible_count)
+    if buf.w.shape != shape:
+        raise ValueError(f"buffer shape {buf.w.shape} does not fit a layer of shape {shape}")
+    buf.w.ravel()[layer.index] = layer.values
+    return buf.w
 
 
 # rows of the init uniform drawn at a time, so no dense H x V array is built
@@ -212,15 +245,16 @@ def _bernoulli_loss(x: np.ndarray, z: np.ndarray, e: np.ndarray) -> float:
     return float(elem.sum(axis=1).mean())
 
 
-def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, family: str):
+def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, family: str, buf: Buffers):
     """Loss and exact gradients of the tied denoising autoencoder.
 
     Forward is corrupt -> sigmoid encoder -> tied-transpose decoder ->
     reconstruction loss against the clean batch.  The weight gradient sums
     the encoder and decoder contributions at the layer's index positions.
+    buf is the layer's pair from buffers().
     """
     x_clean = np.asarray(x_clean, dtype=np.float64)
-    we = layer.weights
+    we = _write_weights(layer, buf)
     a_pre = x_tilde @ we.T + layer.bias_hidden
     h = sigmoid(a_pre)
     z = h @ we + layer.bias_visible
@@ -236,8 +270,12 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
         dz = (z - x_clean) / b
     dh = dz @ we.T
     da = dh * h * (1.0 - h)
+    np.matmul(da.T, x_tilde, out=buf.g)
+    gw = buf.g.ravel()[layer.index]
+    np.matmul(h.T, dz, out=buf.g)
+    gw += buf.g.ravel()[layer.index]
     grads = {
-        "weights": (da.T @ x_tilde).ravel()[layer.index] + (h.T @ dz).ravel()[layer.index],
+        "weights": gw,
         "bias_hidden": da.sum(axis=0),
         "bias_visible": dz.sum(axis=0),
     }
@@ -343,44 +381,48 @@ def stack_forward(
     layers: list[MaskedLayer],
     head: DenseLayer,
     x: np.ndarray,
+    bufs: list[Buffers],
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
     training: bool = False,
 ):
     """Forward through sparse hidden layers then the dense head.
 
-    Returns (logits, caches); caches, holding each layer's dense weights, feed
-    stack_backward.  Dropout applies to hidden outputs during training only.
+    bufs holds one pair from buffers() per layer; each layer's weights are
+    written into its w.  Returns (logits, caches); caches feed stack_backward
+    with the same bufs.  Dropout applies to hidden outputs during training only.
     """
+    if len(bufs) != len(layers):
+        raise ValueError(f"need one buffer pair per layer: {len(bufs)} for {len(layers)}")
     caches = []
     out = np.asarray(x, dtype=np.float64)
-    for layer in layers:
-        w = layer.weights
+    for layer, buf in zip(layers, bufs):
+        w = _write_weights(layer, buf)
         pre = _check_width(out, layer.visible_count, "encoder input") @ w.T + layer.bias_hidden
         act = activation_fn(layer.activation)(pre)
         dropped, scale = dropout(act, dropout_rate, rng, training) if training else (act, None)
-        caches.append({"x": out, "w": w, "pre": pre, "act": act, "scale": scale})
+        caches.append({"x": out, "pre": pre, "act": act, "scale": scale})
         out = dropped
     logits = out @ head.weights.T + head.bias
     caches.append({"x": out})
     return logits, caches
 
 
-def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits: np.ndarray):
-    """Exact gradients for stack_forward; returns {'head': ..., 'layers': [...]}."""
+def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits: np.ndarray, bufs: list[Buffers]):
+    """Exact gradients for stack_forward, given the bufs it filled; returns
+    {'head': ..., 'layers': [...]}."""
     head_in = caches[-1]["x"]
     grads_head = {"weights": dlogits.T @ head_in, "bias": dlogits.sum(axis=0)}
     dx, w = dlogits, head.weights
     grads_layers = []
-    for layer, cache in zip(reversed(layers), reversed(caches[:-1])):
+    for layer, cache, buf in zip(reversed(layers), reversed(caches[:-1]), reversed(bufs)):
         dx = dx @ w  # formed only for layer outputs, never for the network input
         if cache["scale"] is not None:
             dx = dx * cache["scale"]
         dpre = dx * activation_grad(layer.activation, cache["pre"], cache["act"])
-        grads_layers.append(
-            {"weights": (dpre.T @ cache["x"]).ravel()[layer.index], "bias_hidden": dpre.sum(axis=0)}
-        )
-        dx, w = dpre, cache["w"]
+        np.matmul(dpre.T, cache["x"], out=buf.g)
+        grads_layers.append({"weights": buf.g.ravel()[layer.index], "bias_hidden": dpre.sum(axis=0)})
+        dx, w = dpre, buf.w
     grads_layers.reverse()
     return {"head": grads_head, "layers": grads_layers}
 

@@ -197,14 +197,15 @@ def test_criterion_03_gradient_checks():
     for family in (nn.BERNOULLI, nn.GAUSSIAN):
         for seed in range(20):
             layer, x, x_tilde = masked_instance(seed, family)
-            _, analytic = nn.dae_gradients(layer, x, x_tilde, family)
+            buf = nn.buffers(layer)
+            _, analytic = nn.dae_gradients(layer, x, x_tilde, family, buf)
             arrays = {
                 "weights": layer.values,
                 "bias_hidden": layer.bias_hidden,
                 "bias_visible": layer.bias_visible,
             }
             numeric = central_diff_grads(
-                lambda: nn.dae_gradients(layer, x, x_tilde, family)[0], arrays
+                lambda: nn.dae_gradients(layer, x, x_tilde, family, buf)[0], arrays
             )
             for name in arrays:
                 worst = max(worst, max_relative_error(analytic[name], numeric[name]))

@@ -14,9 +14,21 @@ from trfnet.baselines import (
     train_dense,
     train_l1,
 )
-from trfnet.builder import BuildConfig, FinetuneHyper, attach_head, build_trf_net, evaluate, load, save
+from trfnet.builder import (
+    BuildConfig,
+    FinetuneHyper,
+    attach_head,
+    build_trf_net,
+    clone,
+    evaluate,
+    finetune,
+    load,
+    report_to_text,
+    save,
+)
 from trfnet.dae import DaeHyper
 from trfnet.data import DiscretizationPolicy
+from trfnet.nn import MaskedLayer
 
 
 def blob_config(**kw):
@@ -113,6 +125,30 @@ class TestPrune:
             # sort oracle over the dense weights, unconnected zeros included
             order = sorted(range(weights.size), key=lambda i: (-abs(weights.ravel()[i]), i))
             np.testing.assert_array_equal(layer.index, np.sort(order[:k]))
+
+    def test_retrains_like_a_pruned_clone_built_by_hand(self, tmp_path, blob_data):
+        """Retraining sees the kept connections only: nothing left from the
+        dense training run, such as its dense weights, carries over."""
+        train, valid, _ = blob_data
+        hyper = hyper_from_config(blob_config(epochs=5))
+        net, _ = train_dense(train, blob_config(epochs=5), valid)
+        pruned, report = prune_and_retrain(net, 0.3, train, hyper, valid)
+        by_hand = clone(net)
+        layers = []
+        for layer in by_hand.layers:
+            k = int(np.ceil(0.3 * layer.hidden_count * layer.visible_count))
+            kept = np.sort(magnitude_top_k(layer.values, k))
+            layers.append(
+                MaskedLayer(
+                    layer.index[kept], layer.values[kept], layer.bias_hidden, layer.bias_visible, layer.activation
+                )
+            )
+        by_hand.layers, by_hand.plans = layers, [None] * len(layers)
+        _, hand_report = finetune(by_hand, train, valid, hyper)
+        save(pruned, tmp_path / "pruned.trf")
+        save(by_hand, tmp_path / "by_hand.trf")
+        assert (tmp_path / "pruned.trf").read_bytes() == (tmp_path / "by_hand.trf").read_bytes()
+        assert report_to_text(report) == report_to_text(hand_report)
 
     def test_bad_fraction(self, blob_data):
         train, valid, _ = blob_data

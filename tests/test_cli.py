@@ -234,6 +234,7 @@ def main_without_inputs(tmp_path, command, flag, value) -> int:
     missing = str(tmp_path / "missing.txt")
     data = ["--bow", missing, "--vocab", missing]
     argv = {
+        "tree": ["tree", *data],
         "build": ["build", *data],
         "finetune": ["finetune", "--model", missing, *data],
         "baseline": ["baseline", "dense", *data],
@@ -274,8 +275,11 @@ class TestRangeFlags:
             ("build", "--step", "0"),
             ("build", "--step", "-1"),
             ("build", "--step", "nan"),
+            ("build", "--policy", "bogus"),
+            ("tree", "--policy", "bogus"),
             ("finetune", "--step", "0"),
             ("finetune", "--dropout", "1.0"),
+            ("finetune", "--activation", "foo"),
             ("finetune", "--train-frac", "1.5"),
             ("finetune", "--valid-frac", "-0.1"),
             ("baseline", "--widths", "0"),

@@ -165,7 +165,7 @@ class TestDaeBernoulliLoss:
         self.x_tilde = self.x * (rng.random(self.x.shape) >= 0.3)
 
     def test_loss_equals_reconstruction_loss_bits(self):
-        loss, _ = nn.dae_gradients(self.layer, self.x, self.x_tilde, nn.BERNOULLI)
+        loss, _ = nn.dae_gradients(self.layer, self.x, self.x_tilde, nn.BERNOULLI, nn.buffers(self.layer))
         h = nn.masked_forward(self.layer, self.x_tilde)
         z = h @ self.layer.weights + self.layer.bias_visible  # tied-transpose decoder
         assert np.abs(z).max() > 30.0
@@ -177,4 +177,4 @@ class TestDaeBernoulliLoss:
         x = self.x.copy()
         x[3, 5] = bad
         with pytest.raises(DomainError):
-            nn.dae_gradients(self.layer, x, self.x_tilde, nn.BERNOULLI)
+            nn.dae_gradients(self.layer, x, self.x_tilde, nn.BERNOULLI, nn.buffers(self.layer))

@@ -196,14 +196,15 @@ class TestDaeGradients:
         else:
             x = rng.normal(size=(6, 7))
         x_tilde = x * (rng.random(x.shape) >= 0.3)
-        _, analytic = nn.dae_gradients(layer, x, x_tilde, family)
+        buf = nn.buffers(layer)
+        _, analytic = nn.dae_gradients(layer, x, x_tilde, family, buf)
         arrays = {
             "weights": layer.values,
             "bias_hidden": layer.bias_hidden,
             "bias_visible": layer.bias_visible,
         }
         numeric = central_diff_grads(
-            lambda: nn.dae_gradients(layer, x, x_tilde, family)[0], arrays
+            lambda: nn.dae_gradients(layer, x, x_tilde, family, buf)[0], arrays
         )
         for name in arrays:
             assert max_relative_error(analytic[name], numeric[name]) <= 1e-4
@@ -211,7 +212,7 @@ class TestDaeGradients:
     def test_masked_positions_get_zero_gradient(self):
         layer, rng = random_masked_layer(4, 6, seed=23)
         x = (rng.random((5, 6)) < 0.5).astype(np.float64)
-        _, grads = nn.dae_gradients(layer, x, x, nn.BERNOULLI)
+        _, grads = nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(layer))
         # one gradient per connection: an unconnected position has none to take
         assert grads["weights"].shape == layer.index.shape
 
@@ -219,7 +220,7 @@ class TestDaeGradients:
         layer, rng = random_masked_layer(4, 6, seed=29)
         x = (rng.random((5, 6)) < 0.5).astype(np.float64)
         x_tilde = x * (rng.random(x.shape) >= 0.2)
-        loss, _ = nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI)
+        loss, _ = nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, nn.buffers(layer))
         h = nn.masked_forward(layer, x_tilde)
         z = h @ layer.weights + layer.bias_visible  # tied-transpose decoder
         assert loss == nn.reconstruction_loss(x, z, nn.BERNOULLI)
@@ -232,14 +233,15 @@ class TestClassifierStack:
         head = nn.init_dense_layer(3, 5, rng)
         x = rng.normal(size=(6, 7))
         y = rng.integers(0, 3, size=6)
+        bufs = [nn.buffers(layer)]
 
         def loss_fn():
-            logits, _ = nn.stack_forward([layer], head, x, training=False)
+            logits, _ = nn.stack_forward([layer], head, x, bufs, training=False)
             return nn.softmax_cross_entropy(logits, y)[0]
 
-        logits, caches = nn.stack_forward([layer], head, x, training=False)
+        logits, caches = nn.stack_forward([layer], head, x, bufs, training=False)
         _, dlogits = nn.softmax_cross_entropy(logits, y)
-        g = nn.stack_backward([layer], head, caches, dlogits)
+        g = nn.stack_backward([layer], head, caches, dlogits, bufs)
         arrays = {
             "w": layer.values,
             "bh": layer.bias_hidden,
@@ -266,6 +268,67 @@ class TestClassifierStack:
             lambda: nn.multitask_sigmoid_loss(z, targets)[0], {"z": z}
         )
         assert max_relative_error(dlogits, numeric["z"]) <= 1e-4
+
+
+def repeat_allocation(call) -> int:
+    """Bytes a second call allocates above what is live before it, under
+    tracemalloc: the peak minus the current size after the first call."""
+    tracemalloc.start()
+    try:
+        call()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoopBuffers:
+    """A training loop's steps reuse its dense H x V buffers: a step after the
+    first allocates less than one H x V float64 array."""
+
+    H, V, B = 300, 400, 8
+
+    def test_dae_step_reuses_the_loops_buffers(self):
+        layer, rng = random_masked_layer(self.H, self.V, seed=43, density=0.1)
+        x = (rng.random((self.B, self.V)) < 0.5).astype(np.float64)
+        x_tilde = x * (rng.random(x.shape) >= 0.2)
+        buf = nn.buffers(layer)
+        grown = repeat_allocation(lambda: nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, buf))
+        assert grown < self.H * self.V * 8
+
+    def test_classifier_step_reuses_the_loops_buffers(self):
+        layer, rng = random_masked_layer(self.H, self.V, seed=47, density=0.1, activation="relu")
+        head = nn.init_dense_layer(3, self.H, rng)
+        x = rng.normal(size=(self.B, self.V))
+        bufs = [nn.buffers(layer)]
+
+        def step():
+            logits, caches = nn.stack_forward([layer], head, x, bufs, 0.5, rng, training=True)
+            _, dlogits = nn.softmax_cross_entropy(logits, np.zeros(self.B, dtype=np.int64))
+            return nn.stack_backward([layer], head, caches, dlogits, bufs)
+
+        assert repeat_allocation(step) < self.H * self.V * 8
+
+    def test_reused_pair_gives_a_fresh_pairs_bits(self):
+        layer, rng = random_masked_layer(7, 9, seed=53)
+        x = (rng.random((5, 9)) < 0.5).astype(np.float64)
+        buf = nn.buffers(layer)
+        nn.dae_gradients(layer, x, x, nn.BERNOULLI, buf)
+        layer.values[:] = rng.normal(size=layer.values.shape)
+        loss, grads = nn.dae_gradients(layer, x, x, nn.BERNOULLI, buf)
+        fresh_loss, fresh = nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(layer))
+        assert loss == fresh_loss
+        for name in fresh:
+            assert grads[name].tobytes() == fresh[name].tobytes()
+
+    def test_buffer_of_another_shape_rejected(self):
+        layer, rng = random_masked_layer(4, 6, seed=59)
+        other, _ = random_masked_layer(6, 4, seed=59)
+        x = (rng.random((3, 6)) < 0.5).astype(np.float64)
+        with pytest.raises(ValueError, match="buffer shape"):
+            nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(other))
 
 
 class TestSoftmaxLabels:
@@ -358,9 +421,10 @@ class TestMaskInvariance:
             "bv": layer.bias_visible,
         }
         x = (rng.random((30, 9)) < 0.5).astype(np.float64)
+        buf = nn.buffers(layer)
         for _ in range(25):
             x_tilde = x * (rng.random(x.shape) >= 0.2)
-            _, grads = nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI)
+            _, grads = nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, buf)
             adam.step(
                 params,
                 {"w": grads["weights"], "bh": grads["bias_hidden"], "bv": grads["bias_visible"]},
