@@ -26,7 +26,7 @@ from .data import (
 from .stats import MiBlocks, mi_matrix
 from .tree import ChowLiuTree, chow_liu, hop_distances, max_spanning_tree
 from .receptive_field import ReceptiveFieldPlan, build_masks
-from .nn import DenseLayer, MaskedLayer, Adam, dropout, masked_forward, reconstruction_loss
+from .nn import DenseLayer, MaskedLayer, Adam, dropout, reconstruction_loss
 from .dae import CorruptionConfig, DaeHyper, corrupt, project, train_dae
 from .builder import (
     BuildConfig,
@@ -78,7 +78,6 @@ __all__ = [
     "load_dense_csv",
     "load_embeddings",
     "load_sparse_bow",
-    "masked_forward",
     "max_spanning_tree",
     "mi_matrix",
     "project",

@@ -117,15 +117,15 @@ class TrfNetwork:
     def mask_violation(self) -> float:
         """Largest |weight| outside the intended connectivity; must be exactly 0.
 
-        It reads the dense weights the compute path scatters.  A layer with a
-        plan is held to the plan's fields and global rows, a layer without one
-        to its own index.
+        A layer with a plan is held to the plan's fields and global rows: its
+        values at index positions the plan does not list count.  A layer
+        without one holds only its own index, so it scores 0.0.
         """
         worst = 0.0
         for layer, plan in zip(self.layers, self.plans):
-            outside = np.abs(layer.weights).ravel()
-            outside[layer.index if plan is None else plan.index(layer.visible_count)] = 0.0
-            worst = max(worst, float(outside.max()))
+            if plan is not None:
+                outside = ~np.isin(layer.index, plan.index(layer.visible_count))
+                worst = max(worst, float(np.abs(layer.values[outside]).max(initial=0.0)))
         return worst
 
     def hidden_sparsity(self) -> float:
@@ -274,9 +274,7 @@ def _named_params(net: TrfNetwork):
 
 
 def _batch_loss_grads(net: TrfNetwork, bufs, x, y, hyper, rng):
-    logits, caches = nn.stack_forward(
-        net.layers, net.head, x, bufs, dropout_rate=hyper.dropout_rate, rng=rng, training=True
-    )
+    logits, caches = nn.stack_forward(net.layers, net.head, x, bufs, dropout_rate=hyper.dropout_rate, rng=rng)
     if net.head_mode == SOFTMAX:
         loss, dlogits = nn.softmax_cross_entropy(logits, y)
     else:
@@ -388,8 +386,7 @@ def binary_auc(scores: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _logits(net: TrfNetwork, values: np.ndarray, bufs) -> np.ndarray:
-    logits, _ = nn.stack_forward(net.layers, net.head, values, bufs, training=False)
-    return logits
+    return nn.hidden_representation(net.layers, values, bufs) @ net.head.weights.T + net.head.bias
 
 
 def _scores(logits: np.ndarray, labels: np.ndarray, head_mode: str):

@@ -373,11 +373,8 @@ def _parse_widths(spec: str):
 
 
 def cmd_inspect(args) -> int:
-    import warnings
-
     from . import builder
-    from .errors import DegenerateUnitWarning
-    from .interpret import _rank_units, load_embeddings, model_interpretability, unit_interpretability
+    from .interpret import describe_units, load_embeddings, model_interpretability
 
     _require_counts(args, "top")
     t0 = time.perf_counter()
@@ -389,19 +386,15 @@ def cmd_inspect(args) -> int:
         emb = load_embeddings(args.embeddings)
         inputs.append(args.embeddings)
     names = d.feature_names or tuple(str(j) for j in range(d.n_features))
+    units = describe_units(net, d, args.top, emb)
     lines = []
-    unit_scores = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateUnitWarning)
-        for unit, top in enumerate(_rank_units(net, d, args.top)):
-            shown = " ".join(f"{names[j]}({r:+.3f})" for j, r in top)
-            line = f"unit {unit}\t{shown}"
-            if emb is not None:
-                score = unit_interpretability([names[j] for j, _ in top], emb)
-                unit_scores.append(score)
-                line += f"\tscore {'-' if score is None else repr(score)}"
-            lines.append(line)
-    mean = model_interpretability(unit_scores)
+    for unit, (top, score) in enumerate(units):
+        shown = " ".join(f"{names[j]}({r:+.3f})" for j, r in top)
+        line = f"unit {unit}\t{shown}"
+        if emb is not None:
+            line += f"\tscore {'-' if score is None else repr(score)}"
+        lines.append(line)
+    mean = model_interpretability([score for _, score in units])
     if mean is not None:
         lines.append(f"model_interpretability {mean!r}")
     with open(args.out, "w", encoding="utf-8") as fh:

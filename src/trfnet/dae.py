@@ -131,5 +131,6 @@ def project(layer: nn.MaskedLayer, d: Dataset) -> tuple[Dataset, BinaryDataset]:
     """
     if d.n_features != layer.visible_count:
         raise ValueError(f"data width {d.n_features} != layer width {layer.visible_count}")
-    probs = Dataset(nn.masked_forward(layer, d.values), feature_names=None, labels=d.labels)
+    acts = nn.hidden_representation([layer], d.values, [nn.buffers(layer)])
+    probs = Dataset(acts, feature_names=None, labels=d.labels)
     return probs, discretize(probs, DiscretizationPolicy.fixed(0.5))

@@ -17,7 +17,7 @@ import numpy as np
 from .builder import TrfNetwork
 from .data import Dataset, open_utf8
 from .errors import DataFormatError, DegenerateUnitWarning, NoCoverageError
-from .nn import hidden_representation
+from .nn import buffers, hidden_representation
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ def load_embeddings(path) -> EmbeddingTable:
 
 
 def unit_activations(net: TrfNetwork, d: Dataset) -> np.ndarray:
-    """Top-layer activations over a dataset, eval mode."""
+    """Top-layer activations over a dataset, eval mode, through fresh buffer pairs."""
     if d.n_features != net.input_width:
         raise ValueError(f"data width {d.n_features} != network input {net.input_width}")
-    return hidden_representation(net.layers, d.values)
+    return hidden_representation(net.layers, d.values, [buffers(layer) for layer in net.layers])
 
 
 def _rank_units(
@@ -154,17 +154,32 @@ def model_interpretability(unit_scores: list[float | None]) -> float | None:
     return float(np.mean(scored)) if scored else None
 
 
+def describe_units(
+    net: TrfNetwork, d: Dataset, k: int, emb: EmbeddingTable | None = None
+) -> list[tuple[list[tuple[int, float]], float | None]]:
+    """(top features, coherence) for every top-layer unit, in unit order.
+
+    The top features are top_correlated_features for each unit, from one
+    forward pass, with no DegenerateUnitWarning for a constant unit.  The
+    coherence is unit_interpretability of their names (d.feature_names, or
+    the column numbers when it has none); None without emb.
+    """
+    names = d.feature_names or tuple(str(j) for j in range(d.n_features))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateUnitWarning)
+        rankings = _rank_units(net, d, k)
+    return [
+        (top, None if emb is None else unit_interpretability([names[j] for j, _ in top], emb)) for top in rankings
+    ]
+
+
 def interpretability_score(net: TrfNetwork, d: Dataset, emb: EmbeddingTable, k: int) -> float:
     """Mean unit coherence over top-layer units with at least one scored pair."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if d.feature_names is None:
         raise ValueError("interpretability needs feature names")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateUnitWarning)
-        score = model_interpretability(
-            [unit_interpretability([d.feature_names[j] for j, _ in top], emb) for top in _rank_units(net, d, k)]
-        )
+    score = model_interpretability([score for _, score in describe_units(net, d, k, emb)])
     if score is None:
         raise NoCoverageError("no top-layer unit has an embedding-covered feature pair")
     return score

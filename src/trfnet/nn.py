@@ -8,10 +8,16 @@ with exact analytic gradients, Adam, and inverted dropout.
 A sparse layer stores one value per connection.  Compute keeps dense BLAS
 products: each call writes the values into a dense H x V weight buffer and
 gathers the weight gradient from a dense H x V product buffer.  Those two
-buffers (Buffers) belong to the training loop that made them, which keeps one
-pair per layer for all its steps; dae_gradients, stack_forward and
-stack_backward take them.  A one-shot caller makes a fresh pair.  A pair is
-tied to the layer's index: a loop that changes the index must make a new one.
+buffers (Buffers) belong to the caller that made them: a training loop keeps
+one pair per layer for all its steps, a one-shot caller makes a fresh pair.
+A pair is tied to the layer's index: a loop that changes the index must make
+a new one.
+
+There is one forward: every product of a sparse layer with a batch goes
+through _pre_activation, which writes the values into the pair's w.
+dae_gradients (its encoder), stack_forward (training, with dropout and
+caches) and hidden_representation (eval, neither) call it.  No function here
+reads MaskedLayer.weights or .mask.
 """
 
 from __future__ import annotations
@@ -103,12 +109,17 @@ class MaskedLayer:
 
     @property
     def weights(self) -> np.ndarray:
-        """Read-only dense H x V weights, zero outside the connectivity."""
+        """Read-only dense H x V weights, zero outside the connectivity.
+
+        A fresh scatter per read, kept for tests and the benchmark only: no
+        library function reads it (compute writes into a Buffers pair).
+        """
         return self._scatter(self.values)
 
     @property
     def mask(self) -> np.ndarray:
-        """Read-only dense H x V 0/1 connectivity."""
+        """Read-only dense H x V 0/1 connectivity; like weights, for tests
+        and the benchmark only."""
         return self._scatter(1.0)
 
 
@@ -203,17 +214,13 @@ def init_dense_layer(out_count: int, in_count: int, rng: np.random.Generator, ac
     return DenseLayer(weights=w, bias=np.zeros(out_count), activation=activation)
 
 
-def _check_width(x: np.ndarray, width: int, what: str) -> np.ndarray:
+def _pre_activation(layer: MaskedLayer, x: np.ndarray, buf: Buffers) -> np.ndarray:
+    """x @ W.T + bias_hidden, with W written into buf.w: the one product of a
+    sparse layer with a batch."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ValueError(f"{what}: expected a batch of width {width}, got shape {x.shape}")
-    return x
-
-
-def masked_forward(layer: MaskedLayer, x: np.ndarray) -> np.ndarray:
-    """Encoder direction: activation(W x + bias_hidden)."""
-    x = _check_width(x, layer.visible_count, "encoder input")
-    return activation_fn(layer.activation)(x @ layer.weights.T + layer.bias_hidden)
+    if x.ndim != 2 or x.shape[1] != layer.visible_count:
+        raise ValueError(f"encoder input: expected a batch of width {layer.visible_count}, got shape {x.shape}")
+    return x @ _write_weights(layer, buf).T + layer.bias_hidden
 
 
 def reconstruction_loss(x: np.ndarray, z_pre: np.ndarray, family: str) -> float:
@@ -254,9 +261,8 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
     buf is the layer's pair from buffers().
     """
     x_clean = np.asarray(x_clean, dtype=np.float64)
-    we = _write_weights(layer, buf)
-    a_pre = x_tilde @ we.T + layer.bias_hidden
-    h = sigmoid(a_pre)
+    h = sigmoid(_pre_activation(layer, x_tilde, buf))
+    we = buf.w
     z = h @ we + layer.bias_visible
 
     b = x_clean.shape[0]
@@ -319,9 +325,10 @@ def multitask_sigmoid_loss(logits: np.ndarray, targets: np.ndarray):
     if count == 0:
         raise ValueError("no observed labels in batch")
     t_safe = np.where(observed, t, 0.0)
-    elem = np.maximum(z, 0.0) - t_safe * z + np.log1p(np.exp(-np.abs(z)))
+    e = _exp_neg_abs(z)
+    elem = np.maximum(z, 0.0) - t_safe * z + np.log1p(e)
     loss = float((elem * observed).sum() / count)
-    dlogits = (sigmoid(z) - t_safe) * observed / count
+    dlogits = (_sigmoid_from(z, e) - t_safe) * observed / count
     return loss, dlogits
 
 
@@ -361,16 +368,16 @@ class Adam:
             p -= self.step_size * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, training: bool = True):
+def dropout(x: np.ndarray, rate: float, rng: np.random.Generator):
     """Inverted dropout; returns (output, scale) with output = x * scale.
 
-    The scale array re-multiplies gradients on the way back.  In eval mode or
-    at rate 0 the transform is the identity.
+    The scale array re-multiplies gradients on the way back.  At rate 0 the
+    transform is the identity and draws nothing from rng.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     x = np.asarray(x, dtype=np.float64)
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x, np.ones_like(x)
     keep = rng.random(x.shape) >= rate
     scale = keep / (1.0 - rate)
@@ -384,23 +391,21 @@ def stack_forward(
     bufs: list[Buffers],
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ):
-    """Forward through sparse hidden layers then the dense head.
+    """Training forward through sparse hidden layers then the dense head.
 
     bufs holds one pair from buffers() per layer; each layer's weights are
-    written into its w.  Returns (logits, caches); caches feed stack_backward
-    with the same bufs.  Dropout applies to hidden outputs during training only.
+    written into its w.  Dropout at dropout_rate applies to every hidden
+    output.  Returns (logits, caches); caches feed stack_backward with the
+    same bufs.  Scoring goes through hidden_representation instead.
     """
-    if len(bufs) != len(layers):
-        raise ValueError(f"need one buffer pair per layer: {len(bufs)} for {len(layers)}")
+    _check_pairs(layers, bufs)
     caches = []
     out = np.asarray(x, dtype=np.float64)
     for layer, buf in zip(layers, bufs):
-        w = _write_weights(layer, buf)
-        pre = _check_width(out, layer.visible_count, "encoder input") @ w.T + layer.bias_hidden
+        pre = _pre_activation(layer, out, buf)
         act = activation_fn(layer.activation)(pre)
-        dropped, scale = dropout(act, dropout_rate, rng, training) if training else (act, None)
+        dropped, scale = dropout(act, dropout_rate, rng)
         caches.append({"x": out, "pre": pre, "act": act, "scale": scale})
         out = dropped
     logits = out @ head.weights.T + head.bias
@@ -416,9 +421,8 @@ def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits:
     dx, w = dlogits, head.weights
     grads_layers = []
     for layer, cache, buf in zip(reversed(layers), reversed(caches[:-1]), reversed(bufs)):
-        dx = dx @ w  # formed only for layer outputs, never for the network input
-        if cache["scale"] is not None:
-            dx = dx * cache["scale"]
+        # formed only for layer outputs, never for the network input
+        dx = (dx @ w) * cache["scale"]
         dpre = dx * activation_grad(layer.activation, cache["pre"], cache["act"])
         np.matmul(dpre.T, cache["x"], out=buf.g)
         grads_layers.append({"weights": buf.g.ravel()[layer.index], "bias_hidden": dpre.sum(axis=0)})
@@ -427,9 +431,18 @@ def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits:
     return {"head": grads_head, "layers": grads_layers}
 
 
-def hidden_representation(layers: list[MaskedLayer], x: np.ndarray) -> np.ndarray:
-    """Eval-mode forward through the hidden stack only (no dropout, no head)."""
-    out = np.asarray(x, dtype=np.float64)
-    for layer in layers:
-        out = masked_forward(layer, out)
+def hidden_representation(layers: list[MaskedLayer], x: np.ndarray, bufs: list[Buffers]) -> np.ndarray:
+    """Eval forward through the hidden stack only: no dropout, no caches, no head.
+
+    bufs holds one pair per layer, as for stack_forward.
+    """
+    _check_pairs(layers, bufs)
+    out = x
+    for layer, buf in zip(layers, bufs):
+        out = activation_fn(layer.activation)(_pre_activation(layer, out, buf))
     return out
+
+
+def _check_pairs(layers: list[MaskedLayer], bufs: list[Buffers]) -> None:
+    if len(bufs) != len(layers):
+        raise ValueError(f"need one buffer pair per layer: {len(bufs)} for {len(layers)}")

@@ -179,6 +179,41 @@ class TestFinetune:
         net.plans = [None]  # without a plan the layer's own index is the reference
         assert net.mask_violation() == 0.0
 
+    def test_mask_violation_reads_what_the_dense_views_show(self, small_corpus):
+        net = build_trf_net(small_corpus, quick_config(depth=2))
+        rng = np.random.default_rng(7)
+        for layer in net.layers:
+            size = layer.hidden_count * layer.visible_count
+            strays = rng.choice(np.setdiff1d(np.arange(size), layer.index), size=5, replace=False)
+            layer.index = np.concatenate([layer.index, strays])
+            layer.values = np.concatenate([layer.values, rng.normal(size=5)])
+            order = np.argsort(layer.index)
+            layer.index, layer.values = layer.index[order], layer.values[order]
+        dense = 0.0
+        for layer, plan in zip(net.layers, net.plans):
+            outside = np.abs(layer.weights).ravel()
+            outside[plan.index(layer.visible_count)] = 0.0
+            dense = max(dense, float(outside.max()))
+        assert dense > 0.0
+        assert net.mask_violation() == dense
+
+    def test_reinit_forgets_the_pretrained_layers(self, small_corpus, tmp_path):
+        net = build_trf_net(small_corpus, quick_config())
+        attach_head(net, 3)
+        twin = clone(net)  # same index and head, other hidden values and biases
+        rng = np.random.default_rng(8)
+        for layer in twin.layers:
+            for array in (layer.values, layer.bias_hidden, layer.bias_visible):
+                array[...] = rng.normal(size=array.shape)
+
+        def tuned_bytes(model, reinit, name):
+            tuned, _ = finetune(clone(model), small_corpus, None, FinetuneHyper(epochs=2, reinit=reinit, seed=9))
+            save(tuned, tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        assert tuned_bytes(net, True, "a.trf") == tuned_bytes(twin, True, "b.trf")
+        assert tuned_bytes(net, False, "c.trf") != tuned_bytes(twin, False, "d.trf")
+
     def test_evaluation_is_deterministic(self, blob_data):
         train, valid, test = blob_data
         cfg = quick_config(

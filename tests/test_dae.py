@@ -166,7 +166,7 @@ class TestDaeBernoulliLoss:
 
     def test_loss_equals_reconstruction_loss_bits(self):
         loss, _ = nn.dae_gradients(self.layer, self.x, self.x_tilde, nn.BERNOULLI, nn.buffers(self.layer))
-        h = nn.masked_forward(self.layer, self.x_tilde)
+        h = nn.hidden_representation([self.layer], self.x_tilde, [nn.buffers(self.layer)])
         z = h @ self.layer.weights + self.layer.bias_visible  # tied-transpose decoder
         assert np.abs(z).max() > 30.0
         expected = nn.reconstruction_loss(self.x, z, nn.BERNOULLI)

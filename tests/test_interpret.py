@@ -253,9 +253,9 @@ class TestAllUnitsFromOneForward:
     def test_one_forward_per_score(self, monkeypatch):
         calls = []
 
-        def counting(layers, x):
+        def counting(layers, x, bufs):
             calls.append(1)
-            return nn.hidden_representation(layers, x)
+            return nn.hidden_representation(layers, x, bufs)
 
         monkeypatch.setattr(interpret, "hidden_representation", counting)
         interpretability_score(self.net, self.d, self.emb, k=5)

@@ -18,12 +18,17 @@ def random_masked_layer(h, v, seed, density=0.5, activation="sigmoid"):
     return layer, rng
 
 
+def encode(layer, x):
+    """One layer's eval forward through a fresh buffer pair."""
+    return nn.hidden_representation([layer], x, [nn.buffers(layer)])
+
+
 class TestForward:
     def test_sigmoid_at_zero(self):
         layer, _ = random_masked_layer(3, 4, seed=0)
         layer.values[:] = 0.0
         layer.bias_hidden[:] = 0.0
-        out = nn.masked_forward(layer, np.zeros((2, 4)))
+        out = encode(layer, np.zeros((2, 4)))
         np.testing.assert_array_equal(out, 0.5)
 
     def test_masked_input_has_no_influence(self):
@@ -31,17 +36,17 @@ class TestForward:
         keep = layer.index % 5 != 2  # cut every connection to input 2
         layer.index, layer.values = layer.index[keep], layer.values[keep]
         x = rng.normal(size=(4, 5))
-        base = nn.masked_forward(layer, x)
+        base = encode(layer, x)
         x2 = x.copy()
         x2[:, 2] += 100.0
-        np.testing.assert_array_equal(nn.masked_forward(layer, x2), base)
+        np.testing.assert_array_equal(encode(layer, x2), base)
 
     def test_hand_values_match_scalar_evaluation(self):
         # connections (0, 0), (1, 0), (1, 1); (0, 1) does not exist
         w = np.array([0.5, -0.25, 2.0])
         layer = nn.MaskedLayer(np.array([0, 2, 3]), w, np.array([0.1, -0.2]), np.zeros(2), "sigmoid")
         x = np.array([[2.0, 3.0]])
-        out = nn.masked_forward(layer, x)
+        out = encode(layer, x)
         import math
 
         expect0 = 1 / (1 + math.exp(-(0.5 * 2.0 + 0.1)))
@@ -52,7 +57,7 @@ class TestForward:
     def test_width_mismatch(self):
         layer, _ = random_masked_layer(3, 4, seed=2)
         with pytest.raises(ValueError):
-            nn.masked_forward(layer, np.zeros((2, 5)))
+            encode(layer, np.zeros((2, 5)))
 
     def test_dense_views_are_read_only(self):
         layer, _ = random_masked_layer(3, 4, seed=2)
@@ -221,7 +226,7 @@ class TestDaeGradients:
         x = (rng.random((5, 6)) < 0.5).astype(np.float64)
         x_tilde = x * (rng.random(x.shape) >= 0.2)
         loss, _ = nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, nn.buffers(layer))
-        h = nn.masked_forward(layer, x_tilde)
+        h = encode(layer, x_tilde)
         z = h @ layer.weights + layer.bias_visible  # tied-transpose decoder
         assert loss == nn.reconstruction_loss(x, z, nn.BERNOULLI)
 
@@ -236,10 +241,10 @@ class TestClassifierStack:
         bufs = [nn.buffers(layer)]
 
         def loss_fn():
-            logits, _ = nn.stack_forward([layer], head, x, bufs, training=False)
+            logits, _ = nn.stack_forward([layer], head, x, bufs)
             return nn.softmax_cross_entropy(logits, y)[0]
 
-        logits, caches = nn.stack_forward([layer], head, x, bufs, training=False)
+        logits, caches = nn.stack_forward([layer], head, x, bufs)
         _, dlogits = nn.softmax_cross_entropy(logits, y)
         g = nn.stack_backward([layer], head, caches, dlogits, bufs)
         arrays = {
@@ -268,6 +273,47 @@ class TestClassifierStack:
             lambda: nn.multitask_sigmoid_loss(z, targets)[0], {"z": z}
         )
         assert max_relative_error(dlogits, numeric["z"]) <= 1e-4
+
+
+class TestMultitaskLossBits:
+    """multitask_sigmoid_loss against the textbook form, bit for bit, out to
+    the logits where exp(-|z|) reaches the last subnormal."""
+
+    @staticmethod
+    def reference(z, t):
+        observed = t >= 0
+        count = int(observed.sum())
+        t_safe = np.where(observed, t, 0.0)
+        elem = np.maximum(z, 0.0) - t_safe * z + np.log1p(np.exp(-np.abs(z)))
+        loss = float((elem * observed).sum() / count)
+        return loss, (dense_sigmoid(z) - t_safe) * observed / count
+
+    def grid(self):
+        rng = np.random.default_rng(59)
+        z = rng.uniform(-745.0, 745.0, size=(9, 6))
+        z[0] = [745.0, -745.0, 744.5, -744.5, 0.0, -0.0]
+        z[1] = [36.8, -36.8, 1e-300, -1e-300, 709.0, -709.0]
+        t = rng.integers(-1, 2, size=z.shape).astype(np.float64)
+        t[0] = [1.0, 0.0, 0.0, 1.0, 1.0, -1.0]
+        t[1] = [1.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+        return z, t
+
+    def test_batch_matches_the_reference_bits(self):
+        z, t = self.grid()
+        loss, dlogits = nn.multitask_sigmoid_loss(z, t)
+        want_loss, want_dlogits = self.reference(z, t)
+        assert bits(loss) == bits(want_loss)
+        assert bits(dlogits) == bits(want_dlogits)
+        np.testing.assert_array_equal(dlogits[t < 0], 0.0)
+
+    def test_each_observed_entry_matches_the_reference_bits(self):
+        z, t = self.grid()
+        for i, j in zip(*np.nonzero(t >= 0)):
+            one_z, one_t = z[i : i + 1, j : j + 1], t[i : i + 1, j : j + 1]
+            loss, dlogits = nn.multitask_sigmoid_loss(one_z, one_t)
+            want_loss, want_dlogits = self.reference(one_z, one_t)
+            assert bits(loss) == bits(want_loss), (one_z, one_t)
+            assert bits(dlogits) == bits(want_dlogits), (one_z, one_t)
 
 
 def repeat_allocation(call) -> int:
@@ -305,7 +351,7 @@ class TestLoopBuffers:
         bufs = [nn.buffers(layer)]
 
         def step():
-            logits, caches = nn.stack_forward([layer], head, x, bufs, 0.5, rng, training=True)
+            logits, caches = nn.stack_forward([layer], head, x, bufs, 0.5, rng)
             _, dlogits = nn.softmax_cross_entropy(logits, np.zeros(self.B, dtype=np.int64))
             return nn.stack_backward([layer], head, caches, dlogits, bufs)
 
@@ -388,11 +434,6 @@ class TestDropout:
         y, scale = nn.dropout(x, 0.0, np.random.default_rng(1))
         np.testing.assert_array_equal(y, x)
         np.testing.assert_array_equal(scale, 1.0)
-
-    def test_eval_mode_is_identity(self):
-        x = np.random.default_rng(0).normal(size=(3, 4))
-        y, _ = nn.dropout(x, 0.9, np.random.default_rng(1), training=False)
-        np.testing.assert_array_equal(y, x)
 
     def test_zeroed_fraction_concentrates(self):
         x = np.ones((1, 100_000))
