@@ -361,15 +361,12 @@ def finetune(
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     order = np.argsort(x, kind="mergesort")
+    # unique groups values as == does (-0.0 ties 0.0, each nan stands alone);
+    # the group at sorted positions first .. first + count - 1 shares their
+    # mean 1-based rank, first + (count + 1) / 2
+    _, first, count = np.unique(x[order], return_index=True, return_counts=True, equal_nan=False)
     ranks = np.empty(len(x), dtype=np.float64)
-    sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(first + (count + 1) / 2, count)
     return ranks
 
 
@@ -731,7 +728,7 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
     for k in range(n_layers):
         parts = rd.next(f"layer {k} ").split(" ")
         h, v, activation = int(parts[2]), int(parts[3]), parts[4]
-        nn.activation_fn(activation)  # an unknown name raises ValueError
+        nn.get_activation(activation)  # an unknown name raises ValueError
         if h < 1 or v < 1:
             raise ModelFormatError(f"layer {k}: a {h} x {v} layer has no connections")
         plan = _read_plan(rd)
@@ -767,7 +764,7 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
     head = None
     if head_ln != "head none":
         _, o_s, i_s, act = head_ln.split(" ")
-        nn.activation_fn(act)
+        nn.get_activation(act)
         o, i_w = int(o_s), int(i_s)
         if v2:
             hw = floats(rd.rest("hw"))

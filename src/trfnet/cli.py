@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline: tree, build, finetune, eval, baseline,
-inspect, compare.  Every run writes a JSON manifest next to its primary
-output recording the flags, seeds, input digests, output paths, and
-timings.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
+inspect, compare.  Each command returns a Run: the files it read, the files
+it wrote (the primary output first), its seeds and the stage timings the
+library reported.  main is the one manifest writer.  It times the command
+and writes <primary output>.manifest.json with the flags, seeds, input
+digests, output paths and timings: `total` plus the library's stage timings.
+compare printing to stdout writes neither a file nor a manifest.  Exit codes:
+0 success, 1 runtime failure, 2 usage error.
 
 Set TRFNET_THREADS to cap the BLAS thread count for a run.
 """
@@ -17,10 +21,36 @@ import json
 import sys
 import time
 from dataclasses import replace
+from typing import NamedTuple
+
+import numpy as np
+
+from . import baselines, builder
+from .dae import CorruptionConfig, DaeHyper
+from .data import (
+    DiscretizationPolicy,
+    check_split_fractions,
+    discretize,
+    load_dense_csv,
+    load_sparse_bow,
+    split,
+)
+from .errors import DomainError
+from .interpret import describe_units, load_embeddings, model_interpretability
+from .tree import chow_liu, to_dot
 
 
 class CliError(Exception):
     """Usage error with a user-facing message (exit code 2)."""
+
+
+class Run(NamedTuple):
+    """What one command read and wrote; main records it in the manifest."""
+
+    inputs: list
+    outputs: list  # the primary output first: the manifest goes next to it
+    seeds: dict = {}
+    timings: dict = {}  # the library's stage timings; main adds "total"
 
 
 def _sha256(path) -> str:
@@ -31,17 +61,16 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(primary_output, command, args, inputs, outputs, timings, seeds):
+def _write_manifest(args, run: Run, total: float) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "seeds": seeds,
-        "inputs": {str(p): f"sha256:{_sha256(p)}" for p in inputs},
-        "outputs": [str(p) for p in outputs],
-        "timings": timings,
+        "seeds": run.seeds,
+        "inputs": {str(p): f"sha256:{_sha256(p)}" for p in run.inputs},
+        "outputs": [str(p) for p in run.outputs],
+        "timings": {"total": total, **run.timings},
     }
-    path = str(primary_output) + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(f"{run.outputs[0]}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -54,8 +83,6 @@ def _add_data_flags(p: argparse.ArgumentParser):
 
 
 def _load_data(args, need_labels=False):
-    from .data import load_dense_csv, load_sparse_bow
-
     if args.bow is not None:
         if args.vocab is None:
             raise CliError("--bow requires --vocab")
@@ -74,8 +101,6 @@ def _load_data(args, need_labels=False):
 def _parse_policy(spec: str | None):
     """The policy --policy names, or None when the flag is absent; the
     data-dependent default is filled in after loading (_default_policy)."""
-    from .data import DiscretizationPolicy
-
     if spec is None:
         return None
     if spec == "median":
@@ -91,10 +116,6 @@ def _parse_policy(spec: str | None):
 
 
 def _default_policy(args, d):
-    import numpy as np
-
-    from .data import DiscretizationPolicy
-
     # presence/absence for bag-of-words counts; dense data keeps {0,1}
     # matrices as-is and median-splits anything real-valued
     if args.bow is not None:
@@ -105,8 +126,6 @@ def _default_policy(args, d):
 
 
 def _parse_corruption(spec: str, seed: int):
-    from .dae import CorruptionConfig
-
     kind, _, rate = spec.partition(":")
     if kind not in ("masking", "gaussian"):
         raise CliError(f"--corruption: expected masking:RATE or gaussian:STD, got {spec!r}")
@@ -118,10 +137,11 @@ def _parse_corruption(spec: str, seed: int):
 
 
 def _parse_int_list(spec: str, flag: str):
+    """One int, or a tuple of them for a comma-separated list."""
     try:
         values = tuple(int(x) for x in spec.split(","))
     except ValueError:
-        raise CliError(f"{flag}: expected an int or comma-separated ints, got {spec!r}") from None
+        raise CliError(f"{flag}: expected comma-separated ints, got {spec!r}") from None
     return values[0] if len(values) == 1 else values
 
 
@@ -165,31 +185,34 @@ def _flag_errors():
 
 
 def _split_labeled(d, args):
-    from .data import split
-
     train, valid, test = split(d, args.train_frac, args.valid_frac, args.split_seed)
     if train is None:
         raise CliError("--train-frac: training split is empty")
     return train, valid, test
 
 
-def _add_split_flags(p):
+def _add_fit_flags(p):
+    """The split and training flags that finetune and baseline share."""
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--valid-frac", type=float, default=0.15)
     p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--batch", type=int, default=128)
+    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--dropout", type=float, default=0.5)
+    p.add_argument("--patience", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, help="model output path")
+    p.add_argument("--report", help="report path (default: OUT.report)")
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_tree(args) -> int:
-    from .data import discretize
-    from .tree import chow_liu, to_dot
-
+def cmd_tree(args) -> Run:
     if args.top_edges < 0:
         raise CliError(f"--top-edges: expected a count >= 0, got {args.top_edges}")
     policy = _parse_policy(args.policy)
-    t0 = time.perf_counter()
     d, inputs = _load_data(args)
     if policy is None:
         policy = _default_policy(args, d)
@@ -203,19 +226,11 @@ def cmd_tree(args) -> int:
         fh.write("rank\tmi\tnode_u\tnode_v\n")
         for rank, (u, v, w) in enumerate(ranked, start=1):
             fh.write(f"{rank}\t{w:.6f}\t{names[u]}\t{names[v]}\n")
-    _write_manifest(
-        args.out, "tree", args, inputs, [args.out, edges_path],
-        {"total": time.perf_counter() - t0}, {},
-    )
-    return 0
+    return Run(inputs, [args.out, edges_path])
 
 
-def cmd_build(args) -> int:
-    from . import builder
-    from .dae import DaeHyper
-
+def cmd_build(args) -> Run:
     _require_counts(args, "epochs", "depth", "batch")
-    t0 = time.perf_counter()
     with _flag_errors():
         cfg = builder.BuildConfig(
             radius=_parse_int_list(args.radius, "--radius"),
@@ -235,8 +250,6 @@ def cmd_build(args) -> int:
     policy = _parse_policy(args.policy)
     d, inputs = _load_data(args)
     cfg = replace(cfg, policy=_default_policy(args, d) if policy is None else policy)
-    from .errors import DomainError
-
     try:
         net = builder.build_trf_net(d, cfg)
     except DomainError as e:
@@ -248,28 +261,18 @@ def cmd_build(args) -> int:
         for k, log in enumerate(net.training_logs):
             for epoch, loss in enumerate(log, start=1):
                 fh.write(f"{k},{epoch},{loss!r}\n")
-    _write_manifest(
-        args.out, "build", args, inputs, [args.out, log_path],
-        {"total": time.perf_counter() - t0}, {"seed": args.seed},
-    )
-    return 0
+    return Run(inputs, [args.out, log_path], {"seed": args.seed})
 
 
 def _ensure_head(net, d) -> None:
     """Attach a fresh head sized from d's labels to a network that has none."""
-    from . import builder
-
     if net.head is None:
         mode = builder.MULTITASK if d.labels.ndim == 2 else builder.SOFTMAX
         builder.attach_head(net, builder.n_classes(d), mode=mode)
 
 
-def cmd_finetune(args) -> int:
-    from . import builder
-    from .data import check_split_fractions
-
+def cmd_finetune(args) -> Run:
     _require_counts(args, "epochs", "batch", "patience")
-    t0 = time.perf_counter()
     with _flag_errors():
         hyper = builder.FinetuneHyper(
             epochs=args.epochs,
@@ -291,39 +294,24 @@ def cmd_finetune(args) -> int:
     builder.save(net, args.out)
     report_path = args.report or (args.out + ".report")
     builder.save_report(report, report_path, name=args.name)
-    _write_manifest(
-        args.out, "finetune", args, inputs, [args.out, report_path],
-        {"total": time.perf_counter() - t0, **report.wall_clock},
-        {"seed": args.seed, "split_seed": args.split_seed},
-    )
-    return 0
+    seeds = {"seed": args.seed, "split_seed": args.split_seed}
+    return Run(inputs, [args.out, report_path], seeds, report.wall_clock)
 
 
-def cmd_eval(args) -> int:
-    from . import builder
-
-    t0 = time.perf_counter()
+def cmd_eval(args) -> Run:
     d, inputs = _load_data(args, need_labels=True)
     inputs = [args.model] + inputs
     net = builder.load(args.model)
     report = builder.evaluate(net, d)
     builder.save_report(report, args.report, name=args.name)
-    _write_manifest(
-        args.report, "eval", args, inputs, [args.report],
-        {"total": time.perf_counter() - t0}, {},
-    )
-    return 0
+    return Run(inputs, [args.report], timings=report.wall_clock)
 
 
-def cmd_baseline(args) -> int:
-    from . import baselines, builder
-    from .data import check_split_fractions
-
+def cmd_baseline(args) -> Run:
     _require_counts(args, "epochs", "batch", "patience")
-    t0 = time.perf_counter()
     with _flag_errors():
         cfg = baselines.DenseNetConfig(
-            hidden_widths=_parse_widths(args.widths),
+            hidden_widths=np.atleast_1d(_parse_int_list(args.widths, "--widths")),
             dropout_rate=args.dropout,
             epochs=args.epochs,
             batch_size=args.batch,
@@ -351,33 +339,20 @@ def cmd_baseline(args) -> int:
             base, _ = baselines.train_dense(train, cfg, valid)
         hyper = baselines.hyper_from_config(cfg)
         net, report = baselines.prune_and_retrain(base, args.keep, train, hyper, valid)
+    timings = dict(report.wall_clock)
     if test is not None:
         report = builder.evaluate(net, test)
         report.effective_sparsity = effective
+        timings.update(report.wall_clock)
     builder.save(net, args.out)
     report_path = args.report or (args.out + ".report")
     builder.save_report(report, report_path, name=args.name or args.kind)
-    _write_manifest(
-        args.out, "baseline", args, inputs, [args.out, report_path],
-        {"total": time.perf_counter() - t0, **report.wall_clock},
-        {"seed": args.seed, "split_seed": args.split_seed},
-    )
-    return 0
+    seeds = {"seed": args.seed, "split_seed": args.split_seed}
+    return Run(inputs, [args.out, report_path], seeds, timings)
 
 
-def _parse_widths(spec: str):
-    try:
-        return tuple(int(x) for x in spec.split(","))
-    except ValueError:
-        raise CliError(f"--widths: expected comma-separated ints, got {spec!r}") from None
-
-
-def cmd_inspect(args) -> int:
-    from . import builder
-    from .interpret import describe_units, load_embeddings, model_interpretability
-
+def cmd_inspect(args) -> Run:
     _require_counts(args, "top")
-    t0 = time.perf_counter()
     d, inputs = _load_data(args)
     inputs = [args.model] + inputs
     net = builder.load(args.model)
@@ -399,19 +374,13 @@ def cmd_inspect(args) -> int:
         lines.append(f"model_interpretability {mean!r}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_manifest(
-        args.out, "inspect", args, inputs, [args.out],
-        {"total": time.perf_counter() - t0}, {},
-    )
-    return 0
+    return Run(inputs, [args.out])
 
 
-def cmd_compare(args) -> int:
-    from .builder import load_report
-
+def cmd_compare(args) -> Run | None:
     rows = []
     for path in args.reports:
-        name, r = load_report(path)
+        name, r = builder.load_report(path)
         score = r.accuracy if r.accuracy is not None else r.auc_mean
         rows.append(
             (
@@ -426,13 +395,12 @@ def cmd_compare(args) -> int:
     widths = [max(len(header[c]), *(len(row[c]) for row in rows)) for c in range(5)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     table = "\n".join([fmt.format(*header)] + [fmt.format(*row) for row in rows]) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table)
-        _write_manifest(args.out, "compare", args, list(args.reports), [args.out], {}, {})
-    else:
+    if not args.out:
         sys.stdout.write(table)
-    return 0
+        return None
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(table)
+    return Run(list(args.reports), [args.out])
 
 
 # ---------------------------------------------------------------- wiring
@@ -471,17 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finetune", help="attach a head and train with backpropagation")
     p.add_argument("--model", required=True)
     _add_data_flags(p)
-    _add_split_flags(p)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--patience", type=int, default=5)
+    _add_fit_flags(p)
     p.add_argument("--activation", default="relu")
     p.add_argument("--reinit", action="store_true", help="discard pretrained weights")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="model output path")
-    p.add_argument("--report", help="report path (default: OUT.report)")
     p.add_argument("--name", default="trf", help="row name used by compare")
     p.set_defaults(func=cmd_finetune)
 
@@ -495,19 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="train a comparison model")
     p.add_argument("kind", choices=("dense", "prune", "l1"))
     _add_data_flags(p)
-    _add_split_flags(p)
+    _add_fit_flags(p)
     p.add_argument("--widths", default="64", help="hidden widths, comma separated")
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--keep", type=float, default=0.1, help="prune: fraction of weights kept")
     p.add_argument("--strength", type=float, default=1e-5, help="l1: penalty strength")
     p.add_argument("--model", help="prune: existing dense model to start from")
-    p.add_argument("--out", required=True)
-    p.add_argument("--report", help="report path (default: OUT.report)")
     p.add_argument("--name", help="row name used by compare (default: the kind)")
     p.set_defaults(func=cmd_baseline)
 
@@ -530,7 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        run = args.func(args)
+        if run is not None:
+            _write_manifest(args, run, time.perf_counter() - t0)
+        return 0
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

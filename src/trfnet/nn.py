@@ -23,7 +23,7 @@ reads MaskedLayer.weights or .mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,25 +58,26 @@ def identity(z: np.ndarray) -> np.ndarray:
     return z
 
 
-ACTIVATIONS = {"sigmoid": sigmoid, "relu": relu, "identity": identity}
+class Activation(NamedTuple):
+    """An activation and its derivative: grad(pre, out) is d out / d pre,
+    from whichever of the preactivation and the output is cheaper."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def activation_fn(name: str):
+ACTIVATIONS = {
+    "sigmoid": Activation(sigmoid, lambda pre, out: out * (1.0 - out)),
+    "relu": Activation(relu, lambda pre, out: (pre > 0).astype(np.float64)),
+    "identity": Activation(identity, lambda pre, out: np.ones_like(pre)),
+}
+
+
+def get_activation(name: str) -> Activation:
     try:
         return ACTIVATIONS[name]
     except KeyError:
         raise ValueError(f"unknown activation {name!r}") from None
-
-
-def activation_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """d activation / d preactivation, from whichever of (pre, out) is cheaper."""
-    if name == "sigmoid":
-        return out * (1.0 - out)
-    if name == "relu":
-        return (pre > 0).astype(np.float64)
-    if name == "identity":
-        return np.ones_like(pre)
-    raise ValueError(f"unknown activation {name!r}")
 
 
 @dataclass
@@ -404,7 +405,7 @@ def stack_forward(
     out = np.asarray(x, dtype=np.float64)
     for layer, buf in zip(layers, bufs):
         pre = _pre_activation(layer, out, buf)
-        act = activation_fn(layer.activation)(pre)
+        act = get_activation(layer.activation).fn(pre)
         dropped, scale = dropout(act, dropout_rate, rng)
         caches.append({"x": out, "pre": pre, "act": act, "scale": scale})
         out = dropped
@@ -423,7 +424,7 @@ def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits:
     for layer, cache, buf in zip(reversed(layers), reversed(caches[:-1]), reversed(bufs)):
         # formed only for layer outputs, never for the network input
         dx = (dx @ w) * cache["scale"]
-        dpre = dx * activation_grad(layer.activation, cache["pre"], cache["act"])
+        dpre = dx * get_activation(layer.activation).grad(cache["pre"], cache["act"])
         np.matmul(dpre.T, cache["x"], out=buf.g)
         grads_layers.append({"weights": buf.g.ravel()[layer.index], "bias_hidden": dpre.sum(axis=0)})
         dx, w = dpre, buf.w
@@ -439,7 +440,7 @@ def hidden_representation(layers: list[MaskedLayer], x: np.ndarray, bufs: list[B
     _check_pairs(layers, bufs)
     out = x
     for layer, buf in zip(layers, bufs):
-        out = activation_fn(layer.activation)(_pre_activation(layer, out, buf))
+        out = get_activation(layer.activation).fn(_pre_activation(layer, out, buf))
     return out
 
 

@@ -232,6 +232,22 @@ def floyd_warshall_hops(n: int, edges) -> np.ndarray:
     return dist
 
 
+def average_ranks_reference(x: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their average rank, by walking each
+    run of == values in the stable sort order."""
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(len(x), dtype=np.float64)
+    sorted_x = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 def central_diff_grads(f, arrays: dict[str, np.ndarray], eps: float = 1e-5):
     """Central finite-difference gradient of scalar f() w.r.t. each array entry.
 

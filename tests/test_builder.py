@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import seed_with_first_center
+from oracles import average_ranks_reference
 from trfnet import nn
 from trfnet.builder import (
     BuildConfig,
     FinetuneHyper,
     TrfNetwork,
+    _average_ranks,
     attach_head,
     binary_auc,
     build_trf_net,
@@ -268,6 +270,17 @@ class TestEvaluate:
         scores = np.array([0.5, 0.5, 0.5, 0.5])
         targets = np.array([0, 1, 0, 1])
         assert binary_auc(scores, targets) == 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 1e-300, -1e-300, np.inf, -np.inf, np.nan]),
+            max_size=40,
+        )
+    )
+    def test_average_ranks_match_the_reference_bytes(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert _average_ranks(x).tobytes() == average_ranks_reference(x).tobytes()
 
     def test_dense_masks_report_full_sparsity(self, blob_data):
         train, _, _ = blob_data

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,7 +223,7 @@ class TestBaselineCommand:
         assert "sparsity" in open(out + ".report").read()
         assert load(out).head is not None
 
-    def test_bad_widths_usage_error(self, corpus_files, tmp_path):
+    def test_bad_widths_usage_error(self, corpus_files, tmp_path, capsys):
         rc = main(
             [
                 "baseline", "dense", *bow_flags(corpus_files),
@@ -226,6 +231,7 @@ class TestBaselineCommand:
             ]
         )
         assert rc == 2
+        assert "error: --widths: expected comma-separated ints, got 'x,y'" in capsys.readouterr().err
 
 
 def main_without_inputs(tmp_path, command, flag, value) -> int:
@@ -310,3 +316,72 @@ class TestDeterminism:
             )
             outs.append(open(out, "rb").read())
         assert outs[0] == outs[1]
+
+
+@pytest.fixture(scope="module")
+def quick_start(tmp_path_factory):
+    """The README quick start, with fewer epochs, on the fixture script's
+    data; maps each command to the first output it names."""
+    repo = Path(__file__).resolve().parents[1]
+    root = tmp_path_factory.mktemp("quick")
+    news = root / "news"
+    path = os.pathsep.join(p for p in (str(repo / "src"), os.environ.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, str(repo / "scripts" / "make_news_fixture.py"), "--out-dir", str(news),
+         "--docs", "300", "--vocab", "200", "--block-size", "8"],
+        check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    train = ["--bow", str(news / "train.txt"), "--vocab", str(news / "vocab.txt")]
+    test = ["--bow", str(news / "test.txt"), "--vocab", str(news / "vocab.txt")]
+    fit = ["--epochs", "3", "--seed", "7"]
+
+    def at(name):
+        return str(root / name)
+
+    commands = {
+        "tree": ["tree", *train, "--out", at("news.dot")],
+        "build": ["build", *train, "--radius", "3", "--stride", "3", "--depth", "2", *fit, "--out", at("news.trf")],
+        "finetune": ["finetune", "--model", at("news.trf"), *train, *fit, "--out", at("tuned.trf")],
+        "eval": ["eval", "--model", at("tuned.trf"), *test, "--report", at("test.report")],
+        "baseline dense": ["baseline", "dense", *train, "--widths", "32", *fit, "--out", at("dense.trf")],
+        "baseline prune": ["baseline", "prune", "--model", at("dense.trf"), *train, *fit, "--out", at("pruned.trf")],
+        "baseline l1": ["baseline", "l1", *train, "--widths", "32", *fit, "--out", at("l1.trf")],
+        "inspect": ["inspect", "--model", at("tuned.trf"), *train,
+                    "--embeddings", str(news / "embeddings.txt"), "--out", at("units.txt")],
+        "compare": ["compare", at("test.report"), at("dense.trf.report"), "--out", at("table.txt")],
+    }
+    for argv in commands.values():
+        assert main(argv) == 0, argv
+    return {name: argv[argv.index("--report" if name == "eval" else "--out") + 1]
+            for name, argv in commands.items()}
+
+
+class TestManifests:
+    """Every command writes <first output>.manifest.json: its command, the
+    digest of every input, and timings that hold a numeric total plus the
+    library's stage timings."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["tree", "build", "finetune", "eval", "baseline dense", "baseline prune", "baseline l1",
+         "inspect", "compare"],
+    )
+    def test_manifest_next_to_the_first_output(self, quick_start, name):
+        manifest = json.load(open(quick_start[name] + ".manifest.json"))
+        assert manifest["command"] == name.split()[0]
+        assert manifest["outputs"][0] == quick_start[name]
+        assert manifest["inputs"]
+        for path, digest in manifest["inputs"].items():
+            assert digest == "sha256:" + hashlib.sha256(open(path, "rb").read()).hexdigest()
+        total = manifest["timings"]["total"]
+        assert isinstance(total, float) and total > 0
+
+    def test_eval_records_its_evaluate_timing(self, quick_start):
+        timings = json.load(open(quick_start["eval"] + ".manifest.json"))["timings"]
+        assert set(timings) == {"total", "evaluate"}
+
+    @pytest.mark.parametrize("name", ["finetune", "baseline dense", "baseline prune", "baseline l1"])
+    def test_training_records_finetune_and_evaluate(self, quick_start, name):
+        timings = json.load(open(quick_start[name] + ".manifest.json"))["timings"]
+        assert set(timings) == {"total", "finetune", "evaluate"}
+        assert all(isinstance(t, float) for t in timings.values())

@@ -232,9 +232,10 @@ class TestDaeGradients:
 
 
 class TestClassifierStack:
-    def test_gradients_against_finite_differences(self):
+    @pytest.mark.parametrize("activation", sorted(nn.ACTIVATIONS))
+    def test_gradients_against_finite_differences(self, activation):
         rng = np.random.default_rng(31)
-        layer, _ = random_masked_layer(5, 7, seed=31, activation="relu")
+        layer, _ = random_masked_layer(5, 7, seed=31, activation=activation)
         head = nn.init_dense_layer(3, 5, rng)
         x = rng.normal(size=(6, 7))
         y = rng.integers(0, 3, size=6)
