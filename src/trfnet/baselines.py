@@ -122,7 +122,7 @@ def train_l1(
     """
     check_l1_strength(strength)
     net = dense_network(train.n_features, cfg, n_classes(train), head_mode)
-    hook = None if strength == 0 else (lambda model: l1_gradients(model, strength))
+    hook = None if strength == 0 else (lambda weights: l1_gradients(weights, strength))
     net, report = finetune(net, train, valid, hyper_from_config(cfg), penalty_grads=hook)
     alive = sum(int((np.abs(l.values) >= L1_DEAD_THRESHOLD).sum()) for l in net.layers)
     total = sum(l.hidden_count * l.visible_count for l in net.layers)
@@ -135,14 +135,10 @@ def check_l1_strength(strength: float) -> None:
         raise ValueError(f"strength must be finite and >= 0, got {strength}")
 
 
-def l1_penalty(net: TrfNetwork, strength: float) -> float:
-    weight_sum = sum(float(np.abs(l.values).sum()) for l in net.layers)
-    weight_sum += float(np.abs(net.head.weights).sum())
-    return strength * weight_sum
+def l1_penalty(weights: list[np.ndarray], strength: float) -> float:
+    return strength * sum(float(np.abs(w).sum()) for w in weights)
 
 
-def l1_gradients(net: TrfNetwork, strength: float) -> dict[str, np.ndarray]:
-    """Subgradient of the L1 penalty; sign(0) = 0 leaves zeros untouched."""
-    grads = {f"w{i}": strength * np.sign(l.values) for i, l in enumerate(net.layers)}
-    grads["head_w"] = strength * np.sign(net.head.weights)
-    return grads
+def l1_gradients(weights: list[np.ndarray], strength: float) -> list[np.ndarray]:
+    """Subgradient of l1_penalty, one term per array; sign(0) = 0 leaves zeros untouched."""
+    return [strength * np.sign(w) for w in weights]

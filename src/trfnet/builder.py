@@ -263,28 +263,14 @@ def _check_labels(d: Dataset, head: nn.DenseLayer, mode: str, what: str):
         raise ValueError(f"unknown head mode {mode!r}")
 
 
-def _named_params(net: TrfNetwork):
-    params = {}
-    for i, layer in enumerate(net.layers):
-        params[f"w{i}"] = layer.values
-        params[f"bh{i}"] = layer.bias_hidden
-    params["head_w"] = net.head.weights
-    params["head_b"] = net.head.bias
-    return params
-
-
 def _batch_loss_grads(net: TrfNetwork, bufs, x, y, hyper, rng):
+    """One batch's loss and gradients; its forward caches die on return, before the next forward."""
     logits, caches = nn.stack_forward(net.layers, net.head, x, bufs, dropout_rate=hyper.dropout_rate, rng=rng)
     if net.head_mode == SOFTMAX:
         loss, dlogits = nn.softmax_cross_entropy(logits, y)
     else:
         loss, dlogits = nn.multitask_sigmoid_loss(logits, y)
-    g = nn.stack_backward(net.layers, net.head, caches, dlogits, bufs)
-    grads = {"head_w": g["head"]["weights"], "head_b": g["head"]["bias"]}
-    for i, gl in enumerate(g["layers"]):
-        grads[f"w{i}"] = gl["weights"]
-        grads[f"bh{i}"] = gl["bias_hidden"]
-    return loss, grads
+    return loss, nn.stack_backward(net.layers, net.head, caches, dlogits, bufs)
 
 
 def finetune(
@@ -304,9 +290,9 @@ def finetune(
     Training and validation scoring share one pair of dense buffers per
     layer, dropped before the report is computed.
 
-    penalty_grads, when given, is called with the network before each step
-    and must return extra gradient terms keyed like the parameter dict; the
-    L1 baseline hooks in through it.
+    penalty_grads, when given, is called before each step with the weight
+    arrays, params[::2] of nn.stack_params, and returns one extra gradient
+    term for each; the L1 baseline hooks in through it.
     """
     if net.head is None:
         raise ValueError("attach a head before finetuning")
@@ -324,9 +310,9 @@ def finetune(
             layer.values[...] = fresh.values
             layer.bias_hidden[...] = 0.0
             layer.bias_visible[...] = 0.0
-    params = _named_params(net)
+    params = nn.stack_params(net.layers, net.head)
     bufs = [nn.buffers(layer) for layer in net.layers]
-    adam = nn.Adam(hyper.step_size)
+    adam = nn.Adam(params, hyper.step_size)
     n = train.n_samples
     best_score, best_state, since_best = -np.inf, None, 0
     for _ in range(hyper.epochs):
@@ -335,22 +321,22 @@ def finetune(
             idx = order[start : start + hyper.batch_size]
             _, grads = _batch_loss_grads(net, bufs, train.values[idx], train.labels[idx], hyper, rng)
             if penalty_grads is not None:
-                for name, extra in penalty_grads(net).items():
-                    grads[name] = grads[name] + extra
-            adam.step(params, grads)
+                for i, extra in enumerate(penalty_grads(params[::2])):
+                    grads[2 * i] = grads[2 * i] + extra
+            adam.step(grads)
         gate = valid if valid is not None else train
         score = _score_dataset(net, gate, bufs)
         if score > best_score:
             best_score = score
-            best_state = {k: v.copy() for k, v in params.items()}
+            best_state = [p.copy() for p in params]
             since_best = 0
         else:
             since_best += 1
             if since_best >= hyper.patience:
                 break
     if best_state is not None:
-        for k, v in params.items():
-            v[...] = best_state[k]
+        for p, best in zip(params, best_state):
+            p[...] = best
     del bufs
     train_seconds = time.perf_counter() - t0
     report = evaluate(net, valid if valid is not None else train)
@@ -537,7 +523,8 @@ def _config_lines(cfg: BuildConfig) -> list[str]:
         f"depth {cfg.depth}",
         f"global_fraction {cfg.global_fraction!r}",
         f"policy {pol_s}",
-        f"dae {d.epochs} {d.batch_size} {d.step_size!r} {d.beta1!r} {d.beta2!r} {d.eps!r} {d.loss_family} {d.seed}",
+        f"dae {d.epochs} {d.batch_size} {d.step_size!r} {nn.Adam.beta1!r} {nn.Adam.beta2!r} {nn.Adam.eps!r} "
+        f"{d.loss_family} {d.seed}",
         f"corruption {cfg.corruption.kind} {cfg.corruption.rate!r} {cfg.corruption.seed}",
         f"seed {cfg.seed}",
         "config end",
@@ -560,13 +547,12 @@ def _parse_config(lines: list[str]) -> BuildConfig:
         pol_parts[0], float(pol_parts[1]) if len(pol_parts) > 1 else None
     )
     dp = vals["dae"].split(" ")
+    if [float(x) for x in dp[3:6]] != [nn.Adam.beta1, nn.Adam.beta2, nn.Adam.eps]:
+        raise ModelFormatError(f"dae: Adam's beta1, beta2 and eps must be 0.9 0.999 1e-08, got {' '.join(dp[3:6])}")
     dae = DaeHyper(
         epochs=int(dp[0]),
         batch_size=int(dp[1]),
         step_size=float(dp[2]),
-        beta1=float(dp[3]),
-        beta2=float(dp[4]),
-        eps=float(dp[5]),
         loss_family=dp[6],
         seed=int(dp[7]),
     )
@@ -764,7 +750,8 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
     head = None
     if head_ln != "head none":
         _, o_s, i_s, act = head_ln.split(" ")
-        nn.get_activation(act)
+        if act != "identity":
+            raise ModelFormatError(f"head activation must be identity, got {act!r}")
         o, i_w = int(o_s), int(i_s)
         if v2:
             hw = floats(rd.rest("hw"))
@@ -783,7 +770,7 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
             raise ModelFormatError("head bias length mismatch")
         if not (np.isfinite(hw).all() and np.isfinite(hb).all()):
             raise ModelFormatError("head: non-finite weight or bias")
-        head = nn.DenseLayer(weights=hw, bias=hb, activation=act)
+        head = nn.DenseLayer(weights=hw, bias=hb)
     if v2:
         if rd.pos != len(lines):
             raise ModelFormatError(f"unexpected line after the head: {lines[rd.pos][:40]!r}")

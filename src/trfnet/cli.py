@@ -324,7 +324,7 @@ def cmd_baseline(args) -> Run:
         baselines.check_l1_strength(args.strength)
     d, inputs = _load_data(args, need_labels=True)
     train, valid, test = _split_labeled(d, args)
-    effective = None
+    effective, timings = None, {}
     if args.kind == "dense":
         net, report = baselines.train_dense(train, cfg, valid)
     elif args.kind == "l1":
@@ -336,10 +336,11 @@ def cmd_baseline(args) -> Run:
             inputs.append(args.model)
             _ensure_head(base, d)
         else:
-            base, _ = baselines.train_dense(train, cfg, valid)
+            base, base_report = baselines.train_dense(train, cfg, valid)
+            timings["base_finetune"] = base_report.wall_clock["finetune"]
         hyper = baselines.hyper_from_config(cfg)
         net, report = baselines.prune_and_retrain(base, args.keep, train, hyper, valid)
-    timings = dict(report.wall_clock)
+    timings.update(report.wall_clock)
     if test is not None:
         report = builder.evaluate(net, test)
         report.effective_sparsity = effective

@@ -47,9 +47,6 @@ class DaeHyper:
     epochs: int = 30
     batch_size: int = 128
     step_size: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     loss_family: str = "auto"
     seed: int = 0
 
@@ -101,12 +98,7 @@ def train_dae(
     rng = np.random.default_rng(h.seed)
     layer = nn.init_masked_layer(index, shape, rng, activation="sigmoid")
     buf = nn.buffers(layer)
-    adam = nn.Adam(h.step_size, h.beta1, h.beta2, h.eps)
-    params = {
-        "weights": layer.values,
-        "bias_hidden": layer.bias_hidden,
-        "bias_visible": layer.bias_visible,
-    }
+    adam = nn.Adam([layer.values, layer.bias_hidden, layer.bias_visible], h.step_size)
     n = d.n_samples
     log = []
     for _ in range(h.epochs):
@@ -116,7 +108,7 @@ def train_dae(
             batch = d.values[order[start : start + h.batch_size]]
             x_tilde = corrupt(batch, c, rng)
             loss, grads = nn.dae_gradients(layer, batch, x_tilde, family, buf)
-            adam.step(params, grads)
+            adam.step(grads)
             total += loss * batch.shape[0]
         log.append(total / n)
     return layer, log

@@ -73,10 +73,10 @@ class Dataset:
             object.__setattr__(self, "feature_names", names)
         if self.labels is not None:
             labels = _frozen(self.labels, np.int64)
-            if labels.shape[0] != n:
-                raise ValueError(f"expected {n} labels, got {labels.shape[0]}")
             if labels.ndim not in (1, 2):
                 raise ValueError("labels must be a vector or an N x C matrix")
+            if labels.shape[0] != n:
+                raise ValueError(f"expected {n} labels, got {labels.shape[0]}")
             object.__setattr__(self, "labels", labels)
 
     @property

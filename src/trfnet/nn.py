@@ -5,6 +5,11 @@ fixed connectivity, a tied-transpose decoder, stable Bernoulli/Gaussian
 reconstruction losses, softmax and multi-task sigmoid classification losses
 with exact analytic gradients, Adam, and inverted dropout.
 
+A training loop's trainable arrays form one list in one order: a layer's
+[values, bias_hidden, bias_visible] for dae_gradients, stack_params(layers,
+head) for stack_backward.  Each returns its gradients in that order, and
+Adam binds the list once and steps it with them; no array is named.
+
 A sparse layer stores one value per connection.  Compute keeps dense BLAS
 products: each call writes the values into a dense H x V weight buffer and
 gathers the weight gradient from a dense H x V product buffer.  Those two
@@ -194,7 +199,7 @@ def init_masked_layer(
 
 @dataclass
 class DenseLayer:
-    """Fully connected O x I layer; the classifier head emits raw logits."""
+    """Fully connected O x I layer; the classifier head emits raw logits (activation is always identity)."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -209,10 +214,10 @@ class DenseLayer:
         return self.weights.shape[1]
 
 
-def init_dense_layer(out_count: int, in_count: int, rng: np.random.Generator, activation: str = "identity") -> DenseLayer:
+def init_dense_layer(out_count: int, in_count: int, rng: np.random.Generator) -> DenseLayer:
     limit = np.sqrt(6.0 / (in_count + out_count))
     w = rng.uniform(-limit, limit, size=(out_count, in_count))
-    return DenseLayer(weights=w, bias=np.zeros(out_count), activation=activation)
+    return DenseLayer(weights=w, bias=np.zeros(out_count))
 
 
 def _pre_activation(layer: MaskedLayer, x: np.ndarray, buf: Buffers) -> np.ndarray:
@@ -259,7 +264,7 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
     Forward is corrupt -> sigmoid encoder -> tied-transpose decoder ->
     reconstruction loss against the clean batch.  The weight gradient sums
     the encoder and decoder contributions at the layer's index positions.
-    buf is the layer's pair from buffers().
+    buf is the layer's pair from buffers(); gradients are for [values, bias_hidden, bias_visible].
     """
     x_clean = np.asarray(x_clean, dtype=np.float64)
     h = sigmoid(_pre_activation(layer, x_tilde, buf))
@@ -281,12 +286,7 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
     gw = buf.g.ravel()[layer.index]
     np.matmul(h.T, dz, out=buf.g)
     gw += buf.g.ravel()[layer.index]
-    grads = {
-        "weights": gw,
-        "bias_hidden": da.sum(axis=0),
-        "bias_visible": dz.sum(axis=0),
-    }
-    return loss, grads
+    return loss, [gw, da.sum(axis=0), dz.sum(axis=0)]
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -334,34 +334,35 @@ def multitask_sigmoid_loss(logits: np.ndarray, targets: np.ndarray):
 
 
 class Adam:
-    """Standard bias-corrected Adam over a named-parameter dict.
+    """Bias-corrected Adam (Kingma & Ba, 2015) over one bound list of arrays.
 
-    step() mutates the parameter arrays in place.  A non-finite gradient
-    aborts the step before any state changes.
+    step(grads) updates params[i] in place by grads[i].  A gradient list of
+    another length or shape, or a non-finite gradient, aborts the step
+    before any state changes.
     """
 
-    def __init__(self, step_size: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.step_size = step_size
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name, g in grads.items():
+    def __init__(self, params: list[np.ndarray], step_size: float = 1e-3):
+        self.params = params
+        self.step_size = step_size
+        self.t = 0
+        self.moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+
+    def step(self, grads: list[np.ndarray]) -> None:
+        if len(grads) != len(self.params):
+            raise ValueError(f"need one gradient per parameter: {len(grads)} for {len(self.params)}")
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient for {name!r}; step aborted")
-            if g.shape != params[name].shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {params[name].shape} for {name!r}")
+                raise FloatingPointError(f"non-finite gradient for parameter {i}; step aborted")
+            if g.shape != p.shape:
+                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for parameter {i}")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for name, p in params.items():
-            g = grads[name]
-            if name not in self.moments:
-                self.moments[name] = (np.zeros_like(p), np.zeros_like(p))
-            m, v = self.moments[name]
+        for p, g, (m, v) in zip(self.params, grads, self.moments):
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -383,6 +384,12 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator):
     keep = rng.random(x.shape) >= rate
     scale = keep / (1.0 - rate)
     return x * scale, scale
+
+
+def stack_params(layers: list[MaskedLayer], head: DenseLayer) -> list[np.ndarray]:
+    """The stack's trainable arrays in stack_backward's order: each layer's
+    values and bias_hidden, then the head's weights and bias."""
+    return [a for layer in layers for a in (layer.values, layer.bias_hidden)] + [head.weights, head.bias]
 
 
 def stack_forward(
@@ -415,21 +422,19 @@ def stack_forward(
 
 
 def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits: np.ndarray, bufs: list[Buffers]):
-    """Exact gradients for stack_forward, given the bufs it filled; returns
-    {'head': ..., 'layers': [...]}."""
+    """Exact gradients for stack_forward, given the bufs it filled, in
+    stack_params order."""
     head_in = caches[-1]["x"]
-    grads_head = {"weights": dlogits.T @ head_in, "bias": dlogits.sum(axis=0)}
+    grads = [dlogits.T @ head_in, dlogits.sum(axis=0)]
     dx, w = dlogits, head.weights
-    grads_layers = []
     for layer, cache, buf in zip(reversed(layers), reversed(caches[:-1]), reversed(bufs)):
         # formed only for layer outputs, never for the network input
         dx = (dx @ w) * cache["scale"]
         dpre = dx * get_activation(layer.activation).grad(cache["pre"], cache["act"])
         np.matmul(dpre.T, cache["x"], out=buf.g)
-        grads_layers.append({"weights": buf.g.ravel()[layer.index], "bias_hidden": dpre.sum(axis=0)})
+        grads[:0] = [buf.g.ravel()[layer.index], dpre.sum(axis=0)]
         dx, w = dpre, buf.w
-    grads_layers.reverse()
-    return {"head": grads_head, "layers": grads_layers}
+    return grads
 
 
 def hidden_representation(layers: list[MaskedLayer], x: np.ndarray, bufs: list[Buffers]) -> np.ndarray:

@@ -207,8 +207,8 @@ def test_criterion_03_gradient_checks():
             numeric = central_diff_grads(
                 lambda: nn.dae_gradients(layer, x, x_tilde, family, buf)[0], arrays
             )
-            for name in arrays:
-                worst = max(worst, max_relative_error(analytic[name], numeric[name]))
+            for g, name in zip(analytic, arrays, strict=True):
+                worst = max(worst, max_relative_error(g, numeric[name]))
 
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)

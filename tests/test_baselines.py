@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import central_diff_grads, max_relative_error
-
+from trfnet import nn
 from trfnet.baselines import (
     DenseNetConfig,
     dense_network,
@@ -171,13 +171,16 @@ class TestL1:
         net.layers[0].values[:] = rng.normal(size=24)  # all 4 x 6 connections
         net.head.weights[:] = rng.normal(size=(3, 4))
         strength = 0.37
-        analytic = l1_gradients(net, strength)
+        weights = nn.stack_params(net.layers, net.head)[::2]
+        assert weights[0] is net.layers[0].values and weights[1] is net.head.weights
+        analytic = l1_gradients(weights, strength)
         numeric = central_diff_grads(
-            lambda: l1_penalty(net, strength),
+            lambda: l1_penalty(weights, strength),
             {"w0": net.layers[0].values, "head_w": net.head.weights},
         )
-        assert max_relative_error(analytic["w0"], numeric["w0"]) <= 1e-4
-        assert max_relative_error(analytic["head_w"], numeric["head_w"]) <= 1e-4
+        assert len(analytic) == 2
+        assert max_relative_error(analytic[0], numeric["w0"]) <= 1e-4
+        assert max_relative_error(analytic[1], numeric["head_w"]) <= 1e-4
 
     def test_effective_sparsity_non_increasing_in_strength(self, blob_data):
         train, valid, _ = blob_data

@@ -560,10 +560,12 @@ class TestSaveLoad:
         lines = [ln for ln in self.saved_lines(tmp_path, small_corpus) if not ln.startswith("seed ")]
         self.rejects(tmp_path, lines, "seed")
 
-    # the DAE step size is the third value of the "dae" line
+    # the DAE step size is the third value of the "dae" line, and Adam's
+    # beta1, beta2 and eps the fourth to sixth
     @pytest.mark.parametrize(
         "key, at, bad, match",
-        [("radius", 1, "-1", "radius"), ("stride", 1, "0", "stride"), ("dae", 3, "0.0", "step_size")],
+        [("radius", 1, "-1", "radius"), ("stride", 1, "0", "stride"), ("dae", 3, "0.0", "step_size"),
+         ("dae", 4, "0.8", "beta1"), ("dae", 5, "0.99", "beta2"), ("dae", 6, "1e-07", "eps")],
     )
     def test_out_of_range_config_value_rejected(self, tmp_path, small_corpus, key, at, bad, match):
         lines = self.saved_lines(tmp_path, small_corpus)
@@ -584,6 +586,14 @@ class TestSaveLoad:
         i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
         lines[i] = lines[i].rsplit(" ", 1)[0] + " swish"
         self.rejects(tmp_path, lines, "swish")
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+    def test_head_activation_other_than_identity_rejected(self, tmp_path, small_corpus, activation):
+        lines = self.saved_lines(tmp_path, small_corpus)
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("head "))
+        assert lines[i].endswith(" identity")
+        lines[i] = lines[i].rsplit(" ", 1)[0] + " " + activation
+        self.rejects(tmp_path, lines, f"head activation must be identity, got '{activation}'")
 
     @pytest.mark.parametrize(
         "prefix, bad", [("values ", "nan"), ("bh ", "inf"), ("bv ", "nan"), ("hw ", "-inf"), ("hb ", "nan")]

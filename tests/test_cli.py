@@ -345,6 +345,8 @@ def quick_start(tmp_path_factory):
         "eval": ["eval", "--model", at("tuned.trf"), *test, "--report", at("test.report")],
         "baseline dense": ["baseline", "dense", *train, "--widths", "32", *fit, "--out", at("dense.trf")],
         "baseline prune": ["baseline", "prune", "--model", at("dense.trf"), *train, *fit, "--out", at("pruned.trf")],
+        "baseline prune, no model": ["baseline", "prune", *train, "--widths", "32", *fit,
+                                     "--out", at("pruned-base.trf")],
         "baseline l1": ["baseline", "l1", *train, "--widths", "32", *fit, "--out", at("l1.trf")],
         "inspect": ["inspect", "--model", at("tuned.trf"), *train,
                     "--embeddings", str(news / "embeddings.txt"), "--out", at("units.txt")],
@@ -363,8 +365,8 @@ class TestManifests:
 
     @pytest.mark.parametrize(
         "name",
-        ["tree", "build", "finetune", "eval", "baseline dense", "baseline prune", "baseline l1",
-         "inspect", "compare"],
+        ["tree", "build", "finetune", "eval", "baseline dense", "baseline prune", "baseline prune, no model",
+         "baseline l1", "inspect", "compare"],
     )
     def test_manifest_next_to_the_first_output(self, quick_start, name):
         manifest = json.load(open(quick_start[name] + ".manifest.json"))
@@ -385,3 +387,9 @@ class TestManifests:
         timings = json.load(open(quick_start[name] + ".manifest.json"))["timings"]
         assert set(timings) == {"total", "finetune", "evaluate"}
         assert all(isinstance(t, float) for t in timings.values())
+
+    def test_prune_without_a_model_records_its_dense_base_training(self, quick_start):
+        timings = json.load(open(quick_start["baseline prune, no model"] + ".manifest.json"))["timings"]
+        assert set(timings) == {"total", "base_finetune", "finetune", "evaluate"}
+        assert all(isinstance(t, float) for t in timings.values())
+        assert timings["base_finetune"] + timings["finetune"] < timings["total"]

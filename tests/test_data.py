@@ -244,6 +244,10 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             Dataset(np.ones((3, 2)), labels=np.array([0, 1]))
 
+    def test_labels_without_an_axis_rejected(self):
+        with pytest.raises(ValueError, match="labels must be a vector"):
+            Dataset(np.ones((3, 2)), labels=5)
+
     def test_values_are_readonly(self):
         d = Dataset(np.ones((2, 2)))
         with pytest.raises(ValueError):

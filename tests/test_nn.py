@@ -211,15 +211,16 @@ class TestDaeGradients:
         numeric = central_diff_grads(
             lambda: nn.dae_gradients(layer, x, x_tilde, family, buf)[0], arrays
         )
-        for name in arrays:
-            assert max_relative_error(analytic[name], numeric[name]) <= 1e-4
+        assert len(analytic) == len(arrays)
+        for g, name in zip(analytic, arrays):
+            assert max_relative_error(g, numeric[name]) <= 1e-4
 
     def test_masked_positions_get_zero_gradient(self):
         layer, rng = random_masked_layer(4, 6, seed=23)
         x = (rng.random((5, 6)) < 0.5).astype(np.float64)
         _, grads = nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(layer))
         # one gradient per connection: an unconnected position has none to take
-        assert grads["weights"].shape == layer.index.shape
+        assert grads[0].shape == layer.index.shape
 
     def test_loss_equals_composed_operations(self):
         layer, rng = random_masked_layer(4, 6, seed=29)
@@ -254,11 +255,13 @@ class TestClassifierStack:
             "hw": head.weights,
             "hb": head.bias,
         }
+        assert [id(a) for a in nn.stack_params([layer], head)] == [id(a) for a in arrays.values()]
         numeric = central_diff_grads(loss_fn, arrays)
-        assert max_relative_error(g["layers"][0]["weights"], numeric["w"]) <= 1e-4
-        assert max_relative_error(g["layers"][0]["bias_hidden"], numeric["bh"]) <= 1e-4
-        assert max_relative_error(g["head"]["weights"], numeric["hw"]) <= 1e-4
-        assert max_relative_error(g["head"]["bias"], numeric["hb"]) <= 1e-4
+        assert len(g) == 4
+        assert max_relative_error(g[0], numeric["w"]) <= 1e-4
+        assert max_relative_error(g[1], numeric["bh"]) <= 1e-4
+        assert max_relative_error(g[2], numeric["hw"]) <= 1e-4
+        assert max_relative_error(g[3], numeric["hb"]) <= 1e-4
 
     def test_multitask_loss_gradients_and_missing_labels(self):
         rng = np.random.default_rng(37)
@@ -367,8 +370,9 @@ class TestLoopBuffers:
         loss, grads = nn.dae_gradients(layer, x, x, nn.BERNOULLI, buf)
         fresh_loss, fresh = nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(layer))
         assert loss == fresh_loss
-        for name in fresh:
-            assert grads[name].tobytes() == fresh[name].tobytes()
+        assert len(grads) == len(fresh) == 3
+        for g, f in zip(grads, fresh):
+            assert g.tobytes() == f.tobytes()
 
     def test_buffer_of_another_shape_rejected(self):
         layer, rng = random_masked_layer(4, 6, seed=59)
@@ -396,36 +400,45 @@ class TestSoftmaxLabels:
 
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
-        p = {"w": np.array([1.0, -2.0, 3.0])}
-        adam = nn.Adam()
+        p = [np.array([1.0, -2.0, 3.0])]
+        adam = nn.Adam(p)
         for _ in range(5):
-            adam.step(p, {"w": np.zeros(3)})
-        np.testing.assert_array_equal(p["w"], [1.0, -2.0, 3.0])
+            adam.step([np.zeros(3)])
+        np.testing.assert_array_equal(p[0], [1.0, -2.0, 3.0])
 
     def test_first_step_moves_by_stepsize_times_sign(self):
         # with constant gradient g, the bias-corrected first step is
         # -step * g / (|g| + eps') ~= -step * sign(g)
         for g in (0.3, -4.0):
-            p = {"w": np.array([0.0])}
-            nn.Adam(step_size=1e-3).step(p, {"w": np.array([g])})
-            assert p["w"][0] == pytest.approx(-1e-3 * np.sign(g), rel=1e-6)
+            p = [np.array([0.0])]
+            nn.Adam(p, step_size=1e-3).step([np.array([g])])
+            assert p[0][0] == pytest.approx(-1e-3 * np.sign(g), rel=1e-6)
 
     def test_mask_reapplied_after_step(self):
         # a 1 x 2 layer connected at (0, 0) only: the step updates its one value
         layer = nn.MaskedLayer(np.array([0]), np.array([0.5]), np.zeros(1), np.zeros(2))
-        p = {"w": layer.values}
+        p = [layer.values]
         with pytest.raises(ValueError):  # a gradient for the unconnected slot has no place
-            nn.Adam().step(p, {"w": np.array([0.1, 0.7])})
-        nn.Adam().step(p, {"w": np.array([0.1])})
+            nn.Adam(p).step([np.array([0.1, 0.7])])
+        nn.Adam(p).step([np.array([0.1])])
         assert layer.values[0] != 0.5
         assert layer.weights[0, 1] == 0.0
 
     def test_nan_gradient_aborts_without_state_change(self):
-        p = {"w": np.array([1.0])}
-        adam = nn.Adam()
+        p = [np.array([1.0])]
+        adam = nn.Adam(p)
         with pytest.raises(FloatingPointError):
-            adam.step(p, {"w": np.array([np.nan])})
-        assert p["w"][0] == 1.0
+            adam.step([np.array([np.nan])])
+        assert p[0][0] == 1.0
+        assert adam.t == 0
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_gradient_count_aborts_without_state_change(self, count):
+        p = [np.array([1.0]), np.array([2.0, 3.0])]
+        adam = nn.Adam(p)
+        with pytest.raises(ValueError, match=f"{count} for 2"):
+            adam.step([np.array([0.5]), np.array([0.5, 0.5]), np.array([0.5])][:count])
+        assert [a.tolist() for a in p] == [[1.0], [2.0, 3.0]]
         assert adam.t == 0
 
 
@@ -456,20 +469,12 @@ class TestMaskInvariance:
     def test_training_steps_never_write_masked_entries(self):
         rng = np.random.default_rng(41)
         layer, _ = random_masked_layer(6, 9, seed=41)
-        adam = nn.Adam(step_size=0.01)
-        params = {
-            "w": layer.values,
-            "bh": layer.bias_hidden,
-            "bv": layer.bias_visible,
-        }
+        adam = nn.Adam([layer.values, layer.bias_hidden, layer.bias_visible], step_size=0.01)
         x = (rng.random((30, 9)) < 0.5).astype(np.float64)
         buf = nn.buffers(layer)
         for _ in range(25):
             x_tilde = x * (rng.random(x.shape) >= 0.2)
             _, grads = nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, buf)
-            adam.step(
-                params,
-                {"w": grads["weights"], "bh": grads["bias_hidden"], "bv": grads["bias_visible"]},
-            )
+            adam.step(grads)
         np.testing.assert_array_equal(layer.weights * (1 - layer.mask), 0.0)
         assert np.isfinite(layer.weights).all()
