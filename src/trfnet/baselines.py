@@ -141,4 +141,7 @@ def l1_penalty(weights: list[np.ndarray], strength: float) -> float:
 
 def l1_gradients(weights: list[np.ndarray], strength: float) -> list[np.ndarray]:
     """Subgradient of l1_penalty, one term per array; sign(0) = 0 leaves zeros untouched."""
-    return [strength * np.sign(w) for w in weights]
+    terms = [np.sign(w) for w in weights]
+    for term in terms:
+        term *= strength
+    return terms

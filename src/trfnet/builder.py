@@ -292,7 +292,8 @@ def finetune(
 
     penalty_grads, when given, is called before each step with the weight
     arrays, params[::2] of nn.stack_params, and returns one extra gradient
-    term for each; the L1 baseline hooks in through it.
+    term for each, added to that gradient in place; the L1 baseline hooks in
+    through it.
     """
     if net.head is None:
         raise ValueError("attach a head before finetuning")
@@ -322,7 +323,7 @@ def finetune(
             _, grads = _batch_loss_grads(net, bufs, train.values[idx], train.labels[idx], hyper, rng)
             if penalty_grads is not None:
                 for i, extra in enumerate(penalty_grads(params[::2])):
-                    grads[2 * i] = grads[2 * i] + extra
+                    grads[2 * i] += extra
             adam.step(grads)
         gate = valid if valid is not None else train
         score = _score_dataset(net, gate, bufs)

@@ -16,7 +16,15 @@ gathers the weight gradient from a dense H x V product buffer.  Those two
 buffers (Buffers) belong to the caller that made them: a training loop keeps
 one pair per layer for all its steps, a one-shot caller makes a fresh pair.
 A pair is tied to the layer's index: a loop that changes the index must make
-a new one.
+a new one.  A layer that holds every connection (index.size == H * V, so its
+sorted index is arange(H * V)) is copied in and out whole; any other layer
+is scattered into w and gathered from g at its index.
+
+Adam runs its elementwise update over ADAM_BLOCK elements of a parameter at
+a time, into two block-sized scratch arrays it allocates when it binds the
+list, so a step maps no parameter-sized temporary and works in cache.  The
+operations and their order are those of the whole-array update, so the
+results are the same bits.
 
 There is one forward: every product of a sparse layer with a batch goes
 through _pre_activation, which writes the values into the pair's w.
@@ -142,9 +150,24 @@ class Buffers(NamedTuple):
 
 
 def buffers(layer: MaskedLayer) -> Buffers:
-    """A fresh pair for layer; valid for as long as its index is unchanged."""
+    """A fresh pair for layer; valid for as long as its index is unchanged.
+
+    The index must rise strictly inside [0, H * V): that makes a full-size
+    index arange(H * V), which _write_weights and _gather copy whole.
+    """
     shape = (layer.hidden_count, layer.visible_count)
+    _check_rising(layer.index, shape[0] * shape[1])
     return Buffers(np.zeros(shape), np.empty(shape))
+
+
+def _check_rising(index: np.ndarray, size: int) -> None:
+    if index.size and (index[0] < 0 or index[-1] >= size or (np.diff(index) <= 0).any()):
+        raise ValueError(f"index must rise strictly inside [0, {size})")
+
+
+def _is_full(layer: MaskedLayer) -> bool:
+    """Whether the layer holds every connection; its index is then arange(H * V), as buffers() checks."""
+    return layer.index.size == layer.hidden_count * layer.visible_count
 
 
 def _write_weights(layer: MaskedLayer, buf: Buffers) -> np.ndarray:
@@ -152,8 +175,18 @@ def _write_weights(layer: MaskedLayer, buf: Buffers) -> np.ndarray:
     shape = (layer.hidden_count, layer.visible_count)
     if buf.w.shape != shape:
         raise ValueError(f"buffer shape {buf.w.shape} does not fit a layer of shape {shape}")
-    buf.w.ravel()[layer.index] = layer.values
+    if _is_full(layer):
+        np.copyto(buf.w.reshape(-1), layer.values)
+    else:
+        buf.w.ravel()[layer.index] = layer.values
     return buf.w
+
+
+def _gather(layer: MaskedLayer, buf: Buffers) -> np.ndarray:
+    """A fresh array of buf.g at layer.index: the weight gradient of the product in g."""
+    if _is_full(layer):
+        return buf.g.reshape(-1).copy()
+    return buf.g.ravel()[layer.index]
 
 
 # rows of the init uniform drawn at a time, so no dense H x V array is built
@@ -176,8 +209,7 @@ def init_masked_layer(
     index = np.asarray(index)
     if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
         raise ValueError(f"index must be a 1-D integer array, got {index.dtype} of shape {index.shape}")
-    if index.size and (index[0] < 0 or index[-1] >= h * v or (np.diff(index) <= 0).any()):
-        raise ValueError(f"index must rise strictly inside [0, {h * v})")
+    _check_rising(index, h * v)
     index = index.astype(np.int64)
     bounds = np.searchsorted(index, np.arange(h + 1) * v)
     limit = np.sqrt(6.0 / (np.diff(bounds) + h))
@@ -283,9 +315,9 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
     dh = dz @ we.T
     da = dh * h * (1.0 - h)
     np.matmul(da.T, x_tilde, out=buf.g)
-    gw = buf.g.ravel()[layer.index]
+    gw = _gather(layer, buf)
     np.matmul(h.T, dz, out=buf.g)
-    gw += buf.g.ravel()[layer.index]
+    gw += _gather(layer, buf)
     return loss, [gw, da.sum(axis=0), dz.sum(axis=0)]
 
 
@@ -333,12 +365,18 @@ def multitask_sigmoid_loss(logits: np.ndarray, targets: np.ndarray):
     return loss, dlogits
 
 
+# elements of a parameter that Adam updates at a time: its two scratch blocks
+# and the matching blocks of parameter, gradient and moments stay in cache
+ADAM_BLOCK = 1 << 15
+
+
 class Adam:
     """Bias-corrected Adam (Kingma & Ba, 2015) over one bound list of arrays.
 
     step(grads) updates params[i] in place by grads[i].  A gradient list of
     another length or shape, or a non-finite gradient, aborts the step
-    before any state changes.
+    before any state changes.  Every parameter must be C-contiguous, since
+    the update runs on flat views of it, ADAM_BLOCK elements at a time.
     """
 
     beta1 = 0.9
@@ -346,10 +384,15 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, params: list[np.ndarray], step_size: float = 1e-3):
+        for i, p in enumerate(params):
+            if not p.flags.c_contiguous:
+                raise ValueError(f"parameter {i} is not C-contiguous; Adam updates it through a flat view")
         self.params = params
         self.step_size = step_size
         self.t = 0
         self.moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+        block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
+        self._scratch = (np.empty(block), np.empty(block))
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
@@ -363,11 +406,29 @@ class Adam:
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for p, g, (m, v) in zip(self.params, grads, self.moments):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.step_size * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+            for lo in range(0, p.size, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, p.size)
+                self._update(p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], c1, c2)
+
+    def _update(self, p, g, m, v, c1: float, c2: float) -> None:
+        """The whole-array update p -= step * (m / c1) / (sqrt(v / c2) + eps)
+        after the moment updates, on one block, operation for operation."""
+        a, b = (s[: p.size] for s in self._scratch)
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, c1, out=a)
+        np.multiply(self.step_size, a, out=a)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        p -= a
 
 
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator):
@@ -432,7 +493,7 @@ def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits:
         dx = (dx @ w) * cache["scale"]
         dpre = dx * get_activation(layer.activation).grad(cache["pre"], cache["act"])
         np.matmul(dpre.T, cache["x"], out=buf.g)
-        grads[:0] = [buf.g.ravel()[layer.index], dpre.sum(axis=0)]
+        grads[:0] = [_gather(layer, buf), dpre.sum(axis=0)]
         dx, w = dpre, buf.w
     return grads
 

@@ -306,7 +306,10 @@ def dense_sigmoid(z):
 
 
 class DenseMaskedAdam:
-    """Bias-corrected Adam over full arrays, re-masking after every update."""
+    """Bias-corrected Adam over full arrays, re-masking after every update.
+
+    With no masks it is the whole-array update that nn.Adam's blocked step
+    must match bit for bit."""
 
     def __init__(self, step_size=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.step_size, self.beta1, self.beta2, self.eps = step_size, beta1, beta2, eps

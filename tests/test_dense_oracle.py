@@ -16,8 +16,11 @@ from trfnet.dae import CorruptionConfig, DaeHyper, train_dae
 from trfnet.data import Dataset
 
 
-def random_mask(h, v, seed, global_rows=2):
-    """Random sparse rows, none empty, with the last rows all ones like global units."""
+def random_mask(h, v, seed, global_rows=2, full=False):
+    """Random sparse rows, none empty, with the last rows all ones like global
+    units; with full, every connection (the layer is copied, not scattered)."""
+    if full:
+        return np.ones((h, v), dtype=np.uint8)
     rng = np.random.default_rng(seed)
     a = (rng.random((h, v)) < 0.3).astype(np.uint8)
     a[np.arange(h), rng.integers(0, v, h)] = 1
@@ -35,9 +38,13 @@ def assert_same_bits(layer, dense_w):
     assert not flat[outside].any()
 
 
-@pytest.mark.parametrize("family", [nn.BERNOULLI, nn.GAUSSIAN])
-def test_dae_matches_dense_masked_oracle(family):
-    a = random_mask(9, 14, seed=1)
+@pytest.mark.parametrize(
+    ("family", "full"),
+    [(nn.BERNOULLI, False), (nn.GAUSSIAN, False), (nn.BERNOULLI, True), (nn.GAUSSIAN, True)],
+    ids=["bernoulli", "gaussian", "bernoulli-full", "gaussian-full"],
+)
+def test_dae_matches_dense_masked_oracle(family, full):
+    a = random_mask(9, 14, seed=1, full=full)
     rng = np.random.default_rng(2)
     if family == nn.BERNOULLI:
         values = (rng.random((40, 14)) < 0.4).astype(np.float64)
@@ -61,8 +68,17 @@ def test_dae_matches_dense_masked_oracle(family):
 
 
 def test_finetune_with_dropout_and_l1_matches_dense_masked_oracle():
+    check_finetune_against_oracle(full=False)
+
+
+def test_finetune_of_full_layers_matches_dense_masked_oracle():
+    check_finetune_against_oracle(full=True)
+
+
+def check_finetune_against_oracle(full):
+    """Fine-tuning with dropout and L1 over two ReLU layers against dense_finetune."""
     rng = np.random.default_rng(4)
-    masks = [random_mask(10, 12, seed=5), random_mask(6, 10, seed=6)]
+    masks = [random_mask(10, 12, seed=5, full=full), random_mask(6, 10, seed=6, full=full)]
     layers = [nn.init_masked_layer(np.flatnonzero(a), a.shape, rng, activation="relu") for a in masks]
     for layer in layers:
         layer.bias_hidden[:] = rng.normal(scale=0.1, size=layer.hidden_count)

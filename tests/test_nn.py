@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import central_diff_grads, dense_sigmoid, max_relative_error
+from oracles import DenseMaskedAdam, central_diff_grads, dense_sigmoid, max_relative_error
 from trfnet import nn
 from trfnet.errors import DomainError
 
@@ -374,6 +374,22 @@ class TestLoopBuffers:
         for g, f in zip(grads, fresh):
             assert g.tobytes() == f.tobytes()
 
+    @pytest.mark.parametrize(
+        "index",
+        [
+            np.random.default_rng(61).permutation(12),  # every connection, out of order
+            np.array([0, 5, 3]),
+            np.array([0, 3, 3]),
+            np.array([-1, 2]),
+            np.array([4, 12]),
+        ],
+        ids=["permuted-arange", "unsorted", "duplicate", "negative", "past-end"],
+    )
+    def test_index_that_does_not_rise_strictly_rejected(self, index):
+        layer = nn.MaskedLayer(index, np.zeros(index.size), np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError, match=r"index must rise strictly inside \[0, 12\)"):
+            nn.buffers(layer)
+
     def test_buffer_of_another_shape_rejected(self):
         layer, rng = random_masked_layer(4, 6, seed=59)
         other, _ = random_masked_layer(6, 4, seed=59)
@@ -431,6 +447,43 @@ class TestAdam:
             adam.step([np.array([np.nan])])
         assert p[0][0] == 1.0
         assert adam.t == 0
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1,), (nn.ADAM_BLOCK - 1,), (nn.ADAM_BLOCK + 1,), (3 * nn.ADAM_BLOCK + 5,), (37, 1000)],
+        ids=["1", "block-1", "block+1", "3block+5", "2-d"],
+    )
+    def test_blocked_steps_match_the_whole_array_update_bits(self, shape):
+        rng = np.random.default_rng(67)
+        # a small bias next to the parameter: both share the scratch blocks
+        params = [rng.normal(size=shape), rng.normal(size=3)]
+        ref = {"p": params[0].copy(), "b": params[1].copy()}
+        adam, oracle = nn.Adam(params, step_size=0.01), DenseMaskedAdam(step_size=0.01)
+        for scale in (1.0, 1e-3, 50.0, 0.0):
+            grads = [rng.normal(scale=scale, size=shape), rng.normal(scale=scale, size=3)]
+            adam.step(grads)
+            oracle.step(ref, {"p": grads[0], "b": grads[1]}, {})
+        for p, name in zip(params, ("p", "b")):
+            assert bits(p) == bits(ref[name])
+        for (m, v), name in zip(adam.moments, ("p", "b")):
+            assert bits(m) == bits(oracle.moments[name][0])
+            assert bits(v) == bits(oracle.moments[name][1])
+
+    @pytest.mark.parametrize(
+        "param",
+        [np.zeros((4, 6))[:, ::2], np.zeros((4, 6)).T],
+        ids=["strided", "fortran-order"],
+    )
+    def test_parameter_that_is_not_c_contiguous_rejected(self, param):
+        with pytest.raises(ValueError, match="parameter 1 is not C-contiguous"):
+            nn.Adam([np.zeros(3), param])
+
+    def test_step_allocates_less_than_one_parameter(self):
+        rng = np.random.default_rng(71)
+        p = rng.normal(size=(200, 1000))
+        adam = nn.Adam([p, np.zeros(200)])
+        grads = [rng.normal(size=p.shape), rng.normal(size=200)]
+        assert repeat_allocation(lambda: adam.step(grads)) < p.nbytes
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_wrong_gradient_count_aborts_without_state_change(self, count):
