@@ -23,7 +23,7 @@ from .data import (
     load_sparse_bow,
     split,
 )
-from .stats import MiBlocks, mi_matrix
+from .stats import MiBlocks, MiPairs, mi_matrix
 from .tree import ChowLiuTree, chow_liu, hop_distances, max_spanning_tree
 from .receptive_field import ReceptiveFieldPlan, build_masks
 from .nn import DenseLayer, MaskedLayer, Adam, dropout, reconstruction_loss
@@ -61,6 +61,7 @@ __all__ = [
     "FinetuneHyper",
     "MaskedLayer",
     "MiBlocks",
+    "MiPairs",
     "ReceptiveFieldPlan",
     "TrfNetwork",
     "attach_head",

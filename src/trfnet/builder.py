@@ -666,18 +666,47 @@ def _check_plan(k: int, plan: ReceptiveFieldPlan, h: int, v: int) -> None:
         raise ModelFormatError(f"layer {k}: plan has {plan.hidden_count} units, layer has {h}")
 
 
+def _check_positions(k: int, h: int, v: int) -> None:
+    """The flat positions of an h x v layer must fit int64."""
+    if h * v >= 2**63:
+        raise ModelFormatError(f"layer {k}: a {h} x {v} layer has more positions than int64 holds")
+
+
+def _check_declared(k: int, h: int, v: int, n_values: int, plan: ReceptiveFieldPlan | None, stored: str | None):
+    """The positions a v2 layer declares through h and v alone, against its decoded values.
+
+    A dense index holds h * v positions and a plan's global rows v each, so
+    the file must hold at least that many values before they are built; a
+    plan's field rows and a stored index are as long as the file allows and
+    are checked once built.
+    """
+    if plan is not None:
+        declared = plan.global_count * v
+        count = sum(len(members) for members in plan.fields) + declared
+    elif stored == "dense":
+        declared = count = h * v
+    else:
+        return
+    if declared > n_values:
+        raise ModelFormatError(f"layer {k}: {n_values} weights for {count} connections")
+
+
 def _v1_rows(rd: _Reader, k: int, h: int, v: int) -> tuple[np.ndarray, np.ndarray]:
     """A v1 layer body: per unit, its mask columns and then their weights."""
     index, values = [], []
     for i in range(h):
         mtoks = rd.next(f"maskrow {i} ").split(" ")
         if mtoks[2] == "dense":
-            cols = np.arange(v, dtype=np.int64)
+            cols = None
         else:
             cols = np.array([int(x) for x in mtoks[3:] if x], dtype=np.int64)
-        if cols.size and (cols[0] < 0 or cols[-1] >= v or (np.diff(cols) <= 0).any()):
-            raise ModelFormatError(f"layer {k} row {i}: mask columns must rise inside [0, {v})")
+            if cols.size and (cols[0] < 0 or cols[-1] >= v or (np.diff(cols) <= 0).any()):
+                raise ModelFormatError(f"layer {k} row {i}: mask columns must rise inside [0, {v})")
         wvals = _v1_floats(rd.rest(f"w {i}"))
+        if cols is None:
+            if wvals.size != v:  # checked before a dense row's v columns are built
+                raise ModelFormatError(f"layer {k} row {i}: weight count mismatch")
+            cols = np.arange(v, dtype=np.int64)
         if wvals.size != cols.size:
             raise ModelFormatError(f"layer {k} row {i}: weight count mismatch")
         index.append(i * v + cols)
@@ -718,6 +747,7 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
         nn.get_activation(activation)  # an unknown name raises ValueError
         if h < 1 or v < 1:
             raise ModelFormatError(f"layer {k}: a {h} x {v} layer has no connections")
+        _check_positions(k, h, v)
         plan = _read_plan(rd)
         if plan is not None:
             _check_plan(k, plan, h, v)
@@ -728,12 +758,13 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
                     f"layer {k}: mask rows disagree with the plan (field rows, then all-ones global rows)"
                 )
         else:
+            stored = None if plan is not None else rd.rest("index")
+            values = floats(rd.rest("values"))
+            _check_declared(k, h, v, values.size, plan, stored)
             if plan is not None:
                 index = plan.index(v)
             else:
-                stored = rd.rest("index")
                 index = np.arange(h * v, dtype=np.int64) if stored == "dense" else _unb64(stored, _I8)
-            values = floats(rd.rest("values"))
         if index.size and (index[0] < 0 or index[-1] >= h * v or (np.diff(index) <= 0).any()):
             raise ModelFormatError(f"layer {k}: connections must rise strictly inside [0, {h * v})")
         if values.size != index.size:

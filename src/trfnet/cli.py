@@ -216,11 +216,13 @@ def cmd_tree(args) -> Run:
     d, inputs = _load_data(args)
     if policy is None:
         policy = _default_policy(args, d)
-    tree = chow_liu(discretize(d, policy))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(to_dot(tree, d.feature_names))
-    edges_path = args.out + ".edges.txt"
     names = d.feature_names or tuple(str(i) for i in range(d.n_features))
+    binary = discretize(d, policy)
+    del d  # the float values are not needed for the tree
+    tree = chow_liu(binary)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(to_dot(tree, names))
+    edges_path = args.out + ".edges.txt"
     ranked = sorted(tree.edges, key=lambda e: (-e[2], e[0], e[1]))[: args.top_edges]
     with open(edges_path, "w", encoding="utf-8") as fh:
         fh.write("rank\tmi\tnode_u\tnode_v\n")

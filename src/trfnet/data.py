@@ -24,7 +24,22 @@ FIXED = "fixed-threshold"
 ALREADY_BINARY = "already-binary"
 
 
+class _Fresh:
+    """An array this module has just made for one container, which no one else holds."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _frozen(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype: a _Fresh array of that dtype is frozen in place, anything else copied."""
+    if isinstance(values, _Fresh):
+        values = values.array
+        if values.dtype == dtype:
+            values.setflags(write=False)
+            return values
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -47,7 +62,9 @@ class Dataset:
     ``labels`` is either a length-N integer vector (single-task classes) or
     an N x C matrix of {0, 1, -1} entries for multi-task binary problems,
     -1 marking a missing task label.  Arrays are copied and made read-only,
-    so a Dataset is safe to share across threads.
+    so a Dataset is safe to share across threads; only the arrays this
+    module makes for a Dataset (the loaders' and subset's) are frozen
+    without a copy.
     """
 
     values: np.ndarray
@@ -91,7 +108,7 @@ class Dataset:
         """Row subset preserving names and labels."""
         idx = np.asarray(indices, dtype=np.int64)
         labels = None if self.labels is None else self.labels[idx]
-        return Dataset(self.values[idx], self.feature_names, labels)
+        return Dataset(_Fresh(self.values[idx]), self.feature_names, labels)
 
 
 @dataclass(frozen=True)
@@ -128,17 +145,25 @@ class DiscretizationPolicy:
 
 @dataclass(frozen=True)
 class BinaryDataset:
-    """An N x V matrix of {0, 1} values, as discretize makes it from a Dataset."""
+    """An N x V matrix of {0, 1} values, as discretize makes it from a Dataset.
+
+    The values are copied to a read-only int8 array, except discretize's own
+    fresh array, which is frozen in place.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.ndim != 2:
-            raise ValueError(f"binary values must be 2-D, got shape {values.shape}")
-        if not np.isin(values, (0, 1)).all():
+        given = self.values.array if isinstance(self.values, _Fresh) else np.asarray(self.values)
+        if given.ndim != 2:
+            raise ValueError(f"binary values must be 2-D, got shape {given.shape}")
+        if given.dtype == np.int8:
+            binary = (given.view(np.uint8) <= 1).all()  # -1 reads as 255; no widened copy
+        else:
+            binary = np.isin(given, (0, 1)).all()
+        if not binary:
             raise ValueError("binary values must be exactly 0 or 1")
-        object.__setattr__(self, "values", _frozen(values, np.int8))
+        object.__setattr__(self, "values", _frozen(self.values, np.int8))
 
     @property
     def n_samples(self) -> int:
@@ -264,23 +289,33 @@ def load_sparse_bow(doc_path, vocab_path) -> Dataset:
         raise EmptyInputError(f"{doc_path}: no documents")
     values = np.zeros((len(labels), v))
     values[rows, cols] = counts
-    return Dataset(values, feature_names=tuple(vocab), labels=np.array(labels, dtype=np.int64))
+    return Dataset(_Fresh(values), feature_names=tuple(vocab), labels=np.array(labels, dtype=np.int64))
 
 
 def save_sparse_bow(d: Dataset, doc_path, vocab_path) -> None:
-    """Inverse of load_sparse_bow.  Requires integer counts and 1-D labels."""
+    """Inverse of load_sparse_bow.  Requires 1-D labels and, for every
+    nonzero value, an integer count from 1 to 2**53; otherwise ValueError
+    names the first row at fault and nothing is written."""
     if d.labels is None or d.labels.ndim != 1:
         raise ValueError("bag-of-words export needs single-task labels")
+    rows, cols = np.nonzero(d.values)  # columns ascend within each row
+    counts = d.values[rows, cols]
+    bad = np.flatnonzero((counts < 1) | (counts > 2.0**53) | (counts != np.floor(counts)))
+    if bad.size:
+        at = bad[0]
+        raise ValueError(
+            f"row {rows[at]}: value {counts[at]!r} in column {cols[at]} is not an integer count from 1 to 2**53"
+        )
     names = d.feature_names or tuple(f"w{i}" for i in range(d.n_features))
     with open(vocab_path, "w", encoding="utf-8") as fh:
         for name in names:
             fh.write(name + "\n")
+    starts = np.searchsorted(rows, np.arange(d.n_samples + 1)).tolist()
+    cols, counts = cols.tolist(), counts.astype(np.int64).tolist()
     with open(doc_path, "w", encoding="utf-8") as fh:
-        for i in range(d.n_samples):
-            row = d.values[i]
-            nz = np.flatnonzero(row)
-            toks = [f"{j}:{int(row[j])}" for j in nz]
-            fh.write(" ".join([str(int(d.labels[i]))] + toks) + "\n")
+        for i, label in enumerate(d.labels.tolist()):
+            toks = [f"{j}:{c}" for j, c in zip(cols[starts[i] : starts[i + 1]], counts[starts[i] : starts[i + 1]])]
+            fh.write(" ".join([str(label)] + toks) + "\n")
 
 
 def discretize(d: Dataset, policy: DiscretizationPolicy) -> BinaryDataset:
@@ -294,12 +329,10 @@ def discretize(d: Dataset, policy: DiscretizationPolicy) -> BinaryDataset:
         if not np.isin(d.values, (0.0, 1.0)).all():
             raise PolicyViolationError("already-binary policy given non-binary values")
         binary = d.values.astype(np.int8)
-    elif policy.kind == MEDIAN:
-        med = np.median(d.values, axis=0)
-        binary = (d.values > med).astype(np.int8)
     else:
-        binary = (d.values > policy.threshold).astype(np.int8)
-    return BinaryDataset(binary)
+        threshold = np.median(d.values, axis=0) if policy.kind == MEDIAN else policy.threshold
+        binary = (d.values > threshold).view(np.int8)  # a bool is one byte of 0 or 1
+    return BinaryDataset(_Fresh(binary))
 
 
 def check_split_fractions(train_frac: float, valid_frac: float) -> None:

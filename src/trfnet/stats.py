@@ -4,6 +4,12 @@ All information quantities are in nats.  The cell counts of each 2x2 table
 are exact integers, turned into probabilities only at the final division,
 and zero joint counts contribute exactly zero, per the 0 * ln(0 / q) = 0
 convention.
+
+Two sources give the same weights, bit for bit, in two shapes: MiBlocks
+streams the strict upper triangle in row blocks from dense co-occurrence
+products; MiPairs counts co-occurrences from each row's nonzero columns and
+lists only the pairs that co-occur, with one table of marginal levels for
+every other pair.  mi_source picks the cheaper one for a dataset.
 """
 
 from __future__ import annotations
@@ -101,6 +107,212 @@ class MiBlocks:
             )
             upper[:, : hi - lo][np.tril_indices(hi - lo)] = 0.0  # strict upper triangle only
             yield lo, upper
+
+
+# pairs handled together from the nonzeros: co-occurrence increments
+# generated and sorted at once, listed pairs read at once, never-co-occurring
+# pairs enumerated at once; a few int64 arrays of this length are all the
+# pair list needs on top of itself
+PAIR_BLOCK = 1 << 16
+
+# mi_source counts from the nonzeros when the dense product's N * V^2 / 2
+# multiply-adds are at least this many times the co-occurrence increments.
+# Measured with max_spanning_tree on random 1400-row data whose column rates
+# follow a Pareto law (2-core box, best of 3, pairs against blocks): at
+# V = 2000, ratio 2,461 took 0.18 s against 0.28 s, 1,122 took 0.23 against
+# 0.31, 497 took 0.37 against 0.34; at V = 4000, 1,104 took 0.89 against
+# 1.00 and 496 took 1.25 against 1.31.  The two cost the same near 500; the
+# list also holds memory in proportion to the pairs, not to V.  Ratios of
+# the perfbench train splits: wide-v4000 about 9,000, news-d2 layer 0 about
+# 2,300, news-d2 layer 1 (23.4% dense) about 18.
+PAIR_PATH_MIN_RATIO = 1000
+
+
+def _later_pairs(first: np.ndarray, end: np.ndarray):
+    """Entry index pairs (i, j) with i in first and i < j < end of i's group.
+
+    Entries are grouped contiguously and end[m] is one past the group of
+    first[m]; the pairs come in the order of first, then of j.
+    """
+    span = end - first - 1
+    i = np.repeat(first, span)
+    j = np.arange(i.size) + np.repeat(first + 1 - (np.cumsum(span) - span), span)
+    return i, j
+
+
+@dataclass(frozen=True)
+class PairMi:
+    """The MI of every feature pair: a list of the pairs that co-occur, a table for the rest.
+
+    keys holds u * V + t (u < t) of every pair whose joint count is above 0,
+    ascending, and weights their MI.  Every other pair never co-occurs, so its
+    MI depends only on its two marginal counts: levels holds the L distinct
+    marginal counts, ascending, level maps each feature to its index in
+    levels, and absent[a, b] is the MI of a pair whose ends have levels a
+    and b (symmetric, bit for bit).  The distinct counts are distinct
+    integers summing to at most the number of nonzeros, so L * (L - 1) / 2
+    is at most that number too.
+    """
+
+    keys: np.ndarray
+    weights: np.ndarray
+    levels: np.ndarray
+    level: np.ndarray
+    absent: np.ndarray
+
+    @property
+    def n_features(self) -> int:
+        return self.level.size
+
+    def apart(self, roots: np.ndarray) -> np.ndarray:
+        """Whether the ends of each listed pair have different roots."""
+        out = np.empty(self.keys.size, dtype=bool)
+        for lo in range(0, self.keys.size, PAIR_BLOCK):
+            u, t = np.divmod(self.keys[lo : lo + PAIR_BLOCK], self.n_features)
+            out[lo : lo + PAIR_BLOCK] = roots[u] != roots[t]
+        return out
+
+    def absent_counts(self, roots: np.ndarray | None = None) -> np.ndarray:
+        """Pairs that never co-occur, by level pair: an L x L upper triangle.
+
+        With roots, only pairs whose ends have different roots are counted.
+        """
+        n_levels = self.absent.shape[0]
+        per_level = np.bincount(self.level, minlength=n_levels)
+        count = np.triu(np.outer(per_level, per_level))
+        count[np.diag_indices(n_levels)] = per_level * (per_level - 1) // 2
+        if roots is not None:
+            count -= _same_root_counts(roots, self.level, n_levels)
+        listed = np.zeros(n_levels**2, dtype=np.int64)
+        for lo in range(0, self.keys.size, PAIR_BLOCK):
+            u, t = np.divmod(self.keys[lo : lo + PAIR_BLOCK], self.n_features)
+            if roots is not None:
+                apart = roots[u] != roots[t]
+                u, t = u[apart], t[apart]
+            a, b = self.level[u], self.level[t]
+            listed += np.bincount(np.minimum(a, b) * n_levels + np.maximum(a, b), minlength=n_levels**2)
+        return count - listed.reshape(n_levels, n_levels)
+
+    def absent_pairs(self, wanted: np.ndarray, roots: np.ndarray | None = None) -> np.ndarray:
+        """Keys u * V + t of the pairs that never co-occur and whose level pair is wanted.
+
+        wanted is an L x L boolean upper triangle.  With roots, only pairs
+        whose ends have different roots are kept.  Features are paired
+        PAIR_BLOCK candidates at a time.
+        """
+        v = self.n_features
+        by_level = np.argsort(self.level, kind="stable")
+        sorted_level = self.level[by_level]
+        bounds = np.searchsorted(sorted_level, np.arange(self.absent.shape[0] + 1))
+        out = [np.empty(0, dtype=np.int64)]
+        for a in np.flatnonzero(wanted.any(axis=1)):
+            # the features of every wanted level b >= a; a pair inside level a
+            # comes up from both ends, and keep takes it once
+            partners = by_level[wanted[a][sorted_level]]
+            ends = by_level[bounds[a] : bounds[a + 1]]
+            step = max(1, PAIR_BLOCK // max(1, partners.size))
+            for lo in range(0, ends.size, step):
+                u = np.repeat(ends[lo : lo + step], partners.size)
+                t = np.tile(partners, min(step, ends.size - lo))
+                keep = (self.level[t] != a) | (u < t)
+                if roots is not None:
+                    keep &= roots[u] != roots[t]
+                u, t = u[keep], t[keep]
+                key = np.minimum(u, t) * v + np.maximum(u, t)
+                if self.levels[a] > 0:  # a feature that never occurs co-occurs with nothing
+                    key = key[~_member(key, self.keys)]
+                out.append(key)
+        return np.concatenate(out)
+
+
+def _member(key: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Whether each key is in sorted_keys."""
+    if not sorted_keys.size:
+        return np.zeros(key.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, key), sorted_keys.size - 1)
+    return sorted_keys[at] == key
+
+
+def _same_root_counts(roots: np.ndarray, level: np.ndarray, n_levels: int) -> np.ndarray:
+    """Feature pairs with the same root, by level pair: an L x L upper triangle."""
+    group, size = np.unique(roots * n_levels + level, return_counts=True)
+    root, lev = np.divmod(group, n_levels)
+    # (root, level) groups sorted by level inside each root, so lev[i] < lev[j]
+    i, j = _later_pairs(np.arange(root.size), np.searchsorted(root, root, side="right"))
+    flat = np.zeros(n_levels**2)
+    flat += np.bincount(lev[i] * n_levels + lev[j], weights=size[i] * size[j], minlength=n_levels**2)
+    flat += np.bincount(lev * (n_levels + 1), weights=size * (size - 1) // 2, minlength=n_levels**2)
+    # every count is an integer below 2**53, exact in float64
+    return flat.astype(np.int64).reshape(n_levels, n_levels)
+
+
+@dataclass(frozen=True)
+class MiPairs:
+    """The MI of data's feature pairs from its nonzeros, computed on demand by compute().
+
+    Meant for sparse data: the work grows with the co-occurrence increments
+    (sum over rows of L(L - 1) / 2 for a row of L ones), not with V^2.
+    """
+
+    data: BinaryDataset
+
+    @property
+    def n_features(self) -> int:
+        return self.data.n_features
+
+    def compute(self) -> PairMi:
+        """Count every pair's co-occurrences exactly, as integers, and weigh the pairs that co-occur.
+
+        Each weight is the single-pair formula on the pair's 2x2 table, the
+        same float operations on the same integer counts as MiBlocks, so the
+        bits agree.
+        """
+        d = self.data
+        # 0/1 bytes read as bool: the flat scan is several times faster than a 2-D nonzero
+        rows, cols = np.divmod(np.flatnonzero(d.values.view(bool)), d.n_features)
+        ones = np.bincount(cols, minlength=d.n_features).astype(np.float64)
+        levels, level = np.unique(ones, return_inverse=True)
+        absent = _pair_mi(0.0, levels[:, None], levels[None, :], float(d.n_samples))
+        blocks = [(np.empty(0, dtype=np.int64), np.empty(0)), *self._weighed(rows, cols, ones)]
+        keys, weights = zip(*blocks)
+        return PairMi(np.concatenate(keys), np.concatenate(weights), levels, level, absent)
+
+    def _weighed(self, rows: np.ndarray, cols: np.ndarray, ones: np.ndarray):
+        """(keys, MI) of the pairs that co-occur, one range of first columns at a time.
+
+        Each row's nonzero columns are paired with its later ones.  A range
+        holds at most PAIR_BLOCK increments (or one column), so its keys are
+        sorted and counted apart from the others and already come out in
+        order.
+        """
+        n_samples = float(self.data.n_samples)
+        v = self.n_features
+        row_end = np.cumsum(np.bincount(rows, minlength=self.data.n_samples))[rows]
+        by_col = np.argsort(cols, kind="stable")
+        col_start = np.searchsorted(cols[by_col], np.arange(v + 1))
+        # increments generated before each column's first entry, in column order
+        before = np.concatenate(([0], np.cumsum(row_end[by_col] - by_col - 1)))[col_start]
+        lo = 0
+        while lo < v:
+            hi = max(lo + 1, int(np.searchsorted(before, before[lo] + PAIR_BLOCK, side="right")) - 1)
+            first = by_col[col_start[lo] : col_start[hi]]
+            i, j = _later_pairs(first, row_end[first])
+            key, n11 = np.unique(cols[i] * v + cols[j], return_counts=True)
+            u, t = np.divmod(key, v)
+            yield key, _pair_mi(n11.astype(np.float64), ones[u], ones[t], n_samples)
+            lo = hi
+
+
+def mi_source(d: BinaryDataset) -> MiPairs | MiBlocks:
+    """MiPairs when the co-occurrence increments are few against the dense product, else MiBlocks.
+
+    Both give the same weights, bit for bit; PAIR_PATH_MIN_RATIO says where
+    the list is the cheaper of the two.
+    """
+    per_row = np.count_nonzero(d.values, axis=1).astype(np.float64)
+    increments = float(np.sum(per_row * (per_row - 1) / 2))
+    product = d.n_samples * float(d.n_features) ** 2 / 2
+    return MiPairs(d) if product >= PAIR_PATH_MIN_RATIO * increments else MiBlocks(d)
 
 
 def mi_matrix(d: BinaryDataset) -> np.ndarray:

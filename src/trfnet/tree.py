@@ -3,18 +3,21 @@
 The learned tree is the classic Chow-Liu structure: weight every feature
 pair by its empirical mutual information and keep a maximum-weight spanning
 tree.  Kruskal's algorithm with a fixed tie order makes the result
-deterministic.
+deterministic.  The weights come from either source in stats, the MI block
+stream or the pair list of sparse data; both give the same tree, weights
+bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .data import BinaryDataset
-from .stats import MiBlocks
+from .stats import MiBlocks, MiPairs, PairMi, mi_source
 
 # weights this close to zero are treated as exact ties at zero, so float
 # noise cannot reorder otherwise-equal edges
@@ -102,7 +105,7 @@ def _band(blocks, v: int, k: int, roots: np.ndarray | None):
     xs, keys = [], []
     held, floor = 0, -np.inf
     for lo, block in blocks:
-        block = np.where(np.abs(block) < WEIGHT_CLAMP, 0.0, block)
+        block = _clamp(block)
         sel = block >= floor
         if roots is not None:
             sel &= roots[lo : lo + block.shape[0], None] != roots[None, lo:]
@@ -121,11 +124,59 @@ def _band(blocks, v: int, k: int, roots: np.ndarray | None):
     return np.concatenate(xs), np.concatenate(keys)
 
 
-def max_spanning_tree(blocks: MiBlocks) -> ChowLiuTree:
+def _clamp(x: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(x) < WEIGHT_CLAMP, 0.0, x)
+
+
+def _kth_heaviest(x: np.ndarray, w: np.ndarray, copies: np.ndarray, k: int) -> float:
+    """The k-th heaviest of the weights x, one each, and w, copies[i] of w[i]; the lightest if fewer than k."""
+    weights = np.concatenate([x, w])
+    order = np.argsort(-weights, kind="stable")
+    reach = np.cumsum(np.concatenate([np.ones(x.size, dtype=np.int64), copies])[order])
+    return weights[order[min(int(np.searchsorted(reach, k)), weights.size - 1)]]
+
+
+def _pair_band(mi: PairMi, k: int, roots: np.ndarray | None):
+    """_band's result from a clamped pair list: every candidate at least as heavy as the k-th heaviest.
+
+    Candidates are the listed pairs and the absent ones (pairs that never
+    co-occur), counted by level pair; theta is the k-th heaviest of both.
+    It is at least the k-th heaviest listed candidate, so the absent pairs
+    are counted only when some level pair weighs that much.  The band is
+    every listed candidate of weight >= theta plus every absent candidate
+    whose level pair weighs >= theta; absent pairs are enumerated for those
+    level pairs only.
+    """
+    apart = None if roots is None else mi.apart(roots)
+    x = mi.weights if apart is None else mi.weights[apart]
+    theta = np.partition(x, x.size - k)[x.size - k] if x.size >= k else -np.inf
+    wanted = np.zeros(mi.absent.shape, dtype=bool)
+    if (mi.absent >= theta).any():
+        count = mi.absent_counts(roots)
+        some = (count > 0) & (mi.absent >= theta)
+        theta = _kth_heaviest(x[x >= theta], mi.absent[some], count[some], k)
+        wanted = some & (mi.absent >= theta)
+    held = mi.weights >= theta
+    if apart is not None:
+        held &= apart
+    extra = mi.absent_pairs(wanted, roots)
+    u, t = np.divmod(extra, mi.n_features)
+    return (
+        np.concatenate([mi.weights[held], mi.absent[mi.level[u], mi.level[t]]]),
+        np.concatenate([mi.keys[held], extra]),
+    )
+
+
+def _clamped(mi: PairMi) -> PairMi:
+    return replace(mi, weights=_clamp(mi.weights), absent=_clamp(mi.absent))
+
+
+def max_spanning_tree(weights: MiBlocks | MiPairs) -> ChowLiuTree:
     """Kruskal over edges sorted by weight descending, ties by (u, v) ascending.
 
-    The weights are the MI row blocks of a dataset, computed again for each
-    band and never held together.
+    The weights are either the MI row blocks of a dataset, computed again
+    for each band and never held together, or the pair list of an MiPairs
+    source, computed once here and read by every band.
 
     Only the heaviest edges are sorted: every edge of weight >= theta, where
     theta is the weight of the k-th heaviest, so edges tied at theta come
@@ -139,12 +190,16 @@ def max_spanning_tree(blocks: MiBlocks) -> ChowLiuTree:
     sorted band after the first drops the edges whose ends are already
     joined before it is scanned.
     """
-    v = blocks.n_features
+    v = weights.n_features
+    if isinstance(weights, MiPairs):
+        band = partial(_pair_band, _clamped(weights.compute()))
+    else:
+        band = partial(_band, weights, v)
     uf = _UnionFind(v)
     chosen = []
     k = PREFIX_EDGES_PER_NODE * v
     while len(chosen) < v - 1:
-        x, key = _band(blocks, v, k, uf.roots() if chosen else None)
+        x, key = band(k, uf.roots() if chosen else None)
         # lexsort's last key is primary: -weight first, then u * V + t
         order = np.lexsort((key, -x))
         key, x = key[order], x[order]
@@ -170,10 +225,11 @@ def max_spanning_tree(blocks: MiBlocks) -> ChowLiuTree:
 def chow_liu(bd: BinaryDataset) -> ChowLiuTree:
     """Weight feature pairs by mutual information and keep the best tree.
 
-    The MI row blocks stream straight into the tree's band selection, so no
-    more than a few blocks of MI are held at once.
+    stats.mi_source picks the weights: the pair list for sparse data, else
+    the MI row blocks, which stream straight into the band selection.  The
+    tree is the same either way.
     """
-    return max_spanning_tree(MiBlocks(bd))
+    return max_spanning_tree(mi_source(bd))
 
 
 def hop_distances(t: ChowLiuTree, source: int) -> np.ndarray:

@@ -89,18 +89,25 @@ def random_binary_dataset(n: int, v: int, seed: int) -> Dataset:
 @st.composite
 def sparse_binaries(draw, v_range):
     """Bag-of-words-like 0/1 data: mostly-zero columns, so most pairs never
-    co-occur, mixed with never-present and always-present columns and with
-    rolled copies, which share a column's marginal count but not its rows."""
+    co-occur, with some nearly full draws, mixed with never-present and
+    always-present columns, rolled copies (which share a column's marginal
+    count but not its rows), exact copies (which co-occur wherever either is
+    present) and complements (which never co-occur with their column, at a
+    high MI)."""
     n = draw(st.integers(1, 40))
     v = draw(st.integers(*v_range))
-    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.2]))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.2, 0.5, 0.9]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.random((n, v)) < density
-    kind = rng.integers(0, 6, size=v)
+    kind = rng.integers(0, 8, size=v)
     x[:, kind == 0] = False
     x[:, kind == 1] = True
     for j in np.flatnonzero(kind == 2):
         x[:, j] = np.roll(x[:, rng.integers(v)], int(rng.integers(n)))
+    for j in np.flatnonzero(kind == 3):
+        x[:, j] = x[:, rng.integers(v)]
+    for j in np.flatnonzero(kind == 4):
+        x[:, j] = ~x[:, rng.integers(v)]
     return BinaryDataset(x.astype(np.int8))
 
 

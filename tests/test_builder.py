@@ -1,5 +1,6 @@
 import base64
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -691,6 +692,44 @@ class TestSaveLoad:
         net = attach_head(TrfNetwork(layers=layers, plans=[None, None]), 2)
         save(net, tmp_path / "m.trf")
         return (tmp_path / "m.trf").read_text().splitlines()
+
+    def rejects_in_small_memory(self, tmp_path, data: bytes, match):
+        """load raises ModelFormatError without allocating what the file declares."""
+        (tmp_path / "bad.trf").write_bytes(data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match=match):
+                load(tmp_path / "bad.trf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @staticmethod
+    def resized(lines: list[str], k: int, h: int, v: int) -> list[str]:
+        """lines with layer k's line declaring an h x v layer."""
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(f"layer {k} "))
+        parts = lines[i].split(" ")
+        return lines[:i] + [" ".join(parts[:2] + [str(h), str(v)] + parts[4:])] + lines[i + 1 :]
+
+    def test_dense_layer_declaring_two_to_the_40_positions_rejected(self, tmp_path):
+        lines = self.resized(self.dense_stack_lines(tmp_path), 0, 2**20, 2**20)
+        self.rejects_in_small_memory(tmp_path, reseal(lines), f"32 weights for {2**40} connections")
+
+    def test_global_rows_declaring_two_to_the_40_positions_rejected(self, tmp_path):
+        save(v1_fixture_network(), tmp_path / "m.trf")
+        lines = self.resized((tmp_path / "m.trf").read_text().splitlines(), 0, 4, 2**40)
+        self.rejects_in_small_memory(tmp_path, reseal(lines), f"weights for {10 + 2**40} connections")
+
+    def test_v1_dense_row_declaring_two_to_the_40_columns_rejected(self, tmp_path):
+        lines = self.resized(V1_FIXTURE.read_text().splitlines(), 0, 4, 2**40)
+        data = ("\n".join(lines) + "\n").encode()
+        self.rejects_in_small_memory(tmp_path, data, "layer 0 row 3: weight count mismatch")
+
+    @pytest.mark.parametrize("h, v", [(2**32, 2**32), (3, 2**62)])
+    def test_positions_beyond_int64_rejected(self, tmp_path, h, v):
+        lines = self.resized(self.dense_stack_lines(tmp_path), 0, h, v)
+        self.rejects_in_small_memory(tmp_path, reseal(lines), "more positions than int64 holds")
 
     def test_zero_layers_rejected(self, tmp_path):
         lines = self.dense_stack_lines(tmp_path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,91 @@ class TestSparseBow:
         np.testing.assert_array_equal(back.values, d.values)
         np.testing.assert_array_equal(back.labels, d.labels)
 
+    def test_roundtrip_of_the_largest_counts(self, tmp_path):
+        values = np.array([[1.0, 0.0, 2.0**53], [0.0, 0.0, 0.0], [3.0, 2.0**52 + 1, 0.0]])
+        d = Dataset(values, feature_names=("a", "b", "c"), labels=np.array([2, 0, 1]))
+        save_sparse_bow(d, tmp_path / "d.txt", tmp_path / "v.txt")
+        assert (tmp_path / "d.txt").read_text() == f"2 0:1 2:{2**53}\n0\n1 0:3 1:{2**52 + 1}\n"
+        back = load_sparse_bow(tmp_path / "d.txt", tmp_path / "v.txt")
+        np.testing.assert_array_equal(back.values, d.values)
+        np.testing.assert_array_equal(back.labels, d.labels)
+        assert back.feature_names == d.feature_names
+
+    # each of these the loader would refuse (a count of 0 or a malformed entry)
+    @pytest.mark.parametrize("bad", [0.5, -1.0, 1.5, 2.0**53 + 2, 1e300])
+    def test_writer_rejects_a_value_that_is_not_a_count(self, tmp_path, bad):
+        values = np.ones((4, 3))
+        values[2, 1] = bad
+        d = Dataset(values, labels=np.zeros(4, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"row 2: value .* in column 1 is not an integer count"):
+            save_sparse_bow(d, tmp_path / "d.txt", tmp_path / "v.txt")
+        assert not (tmp_path / "d.txt").exists() and not (tmp_path / "v.txt").exists()
+
+
+class TestCopyFreeContainers:
+    """The arrays trfnet makes for a container are frozen, not copied; a caller's are copied."""
+
+    def test_loaded_values_are_read_only_and_as_before(self, tmp_path):
+        vocab = write(tmp_path, "v.txt", "a\nb\nc\nd\n")
+        docs = write(tmp_path, "d.txt", "1 0:2 3:1\n0\n2 1:5 2:1 3:7\n")
+        d = load_sparse_bow(docs, vocab)
+        assert not d.values.flags.writeable and d.values.dtype == np.float64
+        expected = Dataset(np.array([[2.0, 0, 0, 1], [0, 0, 0, 0], [0, 5, 1, 7]]),
+                           feature_names=("a", "b", "c", "d"), labels=np.array([1, 0, 2]))
+        np.testing.assert_array_equal(d.values, expected.values)
+        np.testing.assert_array_equal(d.labels, expected.labels)
+        assert d.feature_names == expected.feature_names
+        with pytest.raises(ValueError):
+            d.values[0, 0] = 1.0
+
+    def test_loader_holds_one_values_array(self, tmp_path):
+        n, v = 200, 2500
+        rng = np.random.default_rng(3)
+        lines = []
+        for i in range(n):
+            cols = np.sort(rng.choice(v, size=5, replace=False))
+            lines.append(" ".join([str(i % 3)] + [f"{j}:{i % 4 + 1}" for j in cols]))
+        vocab = write(tmp_path, "v.txt", "".join(f"w{j}\n" for j in range(v)))
+        docs = write(tmp_path, "d.txt", "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            d = load_sparse_bow(docs, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a second copy of the values would take the peak past 2 * nbytes
+        assert peak < 1.5 * d.values.nbytes
+
+    def test_callers_array_is_copied(self):
+        a = np.zeros((3, 4))
+        d = Dataset(a)
+        a[0, 0] = 7.0
+        assert d.values[0, 0] == 0.0 and a.flags.writeable
+        b = np.zeros((3, 4), dtype=np.int8)
+        bd = BinaryDataset(b)
+        b[0, 0] = 1
+        assert bd.values[0, 0] == 0 and b.flags.writeable
+
+    def test_subset_rows_are_frozen(self):
+        d = Dataset(np.arange(12.0).reshape(4, 3), labels=np.arange(4))
+        part = d.subset([2, 0])
+        np.testing.assert_array_equal(part.values, [[6.0, 7, 8], [0, 1, 2]])
+        assert not part.values.flags.writeable
+
+    def test_discretize_freezes_its_own_array(self):
+        n, v = 300, 3000
+        d = Dataset((np.random.default_rng(5).random((n, v)) < 0.05) * 3.0)
+        tracemalloc.start()
+        try:
+            bd = discretize(d, DiscretizationPolicy.fixed(0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(bd.values, d.values > 0)
+        assert bd.values.dtype == np.int8 and not bd.values.flags.writeable
+        # the comparison's bytes and one check's bytes; a cast or a copy would add N * V more
+        assert peak < 2.5 * n * v
+
 
 class TestDiscretize:
     def test_median_split(self):
@@ -219,10 +306,16 @@ class TestSplit:
 
 
 class TestBinaryDataset:
-    @pytest.mark.parametrize("bad", [0.5, 256, -1])
+    @pytest.mark.parametrize("bad", [0.5, 256, -1, 2])
     def test_non_binary_value_rejected_before_the_cast(self, bad):
         with pytest.raises(ValueError, match="exactly 0 or 1"):
             BinaryDataset(np.array([[bad, 1.0], [0, 0]]))
+
+    # int8 is checked as unsigned bytes, where -1 reads as 255
+    @pytest.mark.parametrize("bad", [2, -1, 127, -128])
+    def test_int8_value_other_than_0_and_1_rejected(self, bad):
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            BinaryDataset(np.array([[0, 1, 1], [1, bad, 0]], dtype=np.int8))
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.float64])
     def test_zero_one_values_accepted(self, dtype):

@@ -215,3 +215,59 @@ class TestCountDtype:
         with mock.patch.object(stats, "_count_dtype", lambda n: np.float64):
             wide = mi_matrix(bd)
         assert mi_matrix(bd).tobytes() == wide.tobytes()
+
+
+def brute_pairs(bd: BinaryDataset, roots=None):
+    """Every pair u < t (ends in different roots when roots is given) as (co-occurs, level pair)."""
+    x = bd.values.astype(np.int64)
+    joint = x.T @ x
+    ones = x.sum(axis=0)
+    level = np.unique(ones, return_inverse=True)[1]
+    v = bd.n_features
+    return {
+        u * v + t: (joint[u, t] > 0, (min(level[u], level[t]), max(level[u], level[t])))
+        for u in range(v)
+        for t in range(u + 1, v)
+        if roots is None or roots[u] != roots[t]
+    }
+
+
+class TestPairList:
+    @given(binaries((2, 13)), st.sampled_from([1, 3, stats.PAIR_BLOCK]))
+    @settings(max_examples=100, deadline=None)
+    def test_listed_and_absent_weights_are_the_matrix_bits(self, bd, pair_block):
+        with mock.patch.object(stats, "PAIR_BLOCK", pair_block):
+            mi = stats.MiPairs(bd).compute()
+        m = mi_matrix(bd)
+        v = bd.n_features
+        pairs = brute_pairs(bd)
+        assert mi.keys.tolist() == sorted(key for key, (co, _) in pairs.items() if co)
+        for key, w in zip(mi.keys.tolist(), mi.weights.tolist()):
+            assert bits(w) == bits(m[key // v, key % v])
+        np.testing.assert_array_equal(mi.levels[mi.level], bd.values.sum(axis=0))
+        for key, (co, _) in pairs.items():
+            u, t = divmod(key, v)
+            if not co:
+                assert bits(mi.absent[mi.level[u], mi.level[t]]) == bits(m[u, t])
+        assert mi.absent.tobytes() == mi.absent.T.tobytes()
+
+    @given(binaries((2, 13)), st.integers(0, 2**32 - 1), st.sampled_from([1, 5, stats.PAIR_BLOCK]))
+    @settings(max_examples=100, deadline=None)
+    def test_absent_pairs_counted_and_enumerated_by_level_pair(self, bd, seed, pair_block):
+        mi = stats.MiPairs(bd).compute()
+        v, n_levels = bd.n_features, mi.absent.shape[0]
+        rng = np.random.default_rng(seed)
+        roots = rng.integers(0, max(1, v // 2), size=v)
+        wanted = np.triu(rng.random((n_levels, n_levels)) < 0.6)
+        with mock.patch.object(stats, "PAIR_BLOCK", pair_block):
+            for r in (None, roots):
+                absent = {key: lp for key, (co, lp) in brute_pairs(bd, r).items() if not co}
+                count = np.zeros((n_levels, n_levels), dtype=np.int64)
+                for a, b in absent.values():
+                    count[a, b] += 1
+                np.testing.assert_array_equal(mi.absent_counts(r), count)
+                got = mi.absent_pairs(wanted, r)
+                assert sorted(got.tolist()) == sorted(k for k, lp in absent.items() if wanted[lp])
+                if r is not None:
+                    u, t = np.divmod(mi.keys, v)
+                    np.testing.assert_array_equal(mi.apart(r), r[u] != r[t])

@@ -28,7 +28,7 @@ from oracles import (
 from trfnet.data import BinaryDataset, Dataset, DiscretizationPolicy, discretize
 from trfnet import stats
 from trfnet import tree as tree_module
-from trfnet.stats import mi_matrix
+from trfnet.stats import MiBlocks, MiPairs, mi_matrix, mi_source
 from trfnet.synth import markov_chain, news_corpus
 from trfnet.tree import (
     WEIGHT_CLAMP,
@@ -243,6 +243,98 @@ class TestStreamedChowLiu:
             finally:
                 tracemalloc.stop()
         assert peak < v * v * 8 / 2
+
+    def test_block_stream_memory_stays_below_half_the_mi_matrix(self):
+        v = 2048
+        corpus = news_corpus(n_docs=500, vocab_size=v, seed=0)
+        bd = discretize(corpus, DiscretizationPolicy.fixed(0.0))
+        with mock.patch.object(stats, "MI_ROW_BLOCK", 32):
+            tracemalloc.start()
+            try:
+                max_spanning_tree(MiBlocks(bd))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < v * v * 8 / 2
+
+
+def weight_bits(t: ChowLiuTree) -> bytes:
+    return np.array([w for _, _, w in t.edges]).tobytes()
+
+
+def same_tree(a: ChowLiuTree, b: ChowLiuTree) -> bool:
+    """The same edges, with weights of the same bits."""
+    return a.edges == b.edges and weight_bits(a) == weight_bits(b)
+
+
+class TestPairList:
+    # ranges of 1-7 increments split rows of the pair count across many sorts,
+    # and one edge per node makes most trees need later bands
+    @given(
+        sparse_binaries((2, 14)),
+        st.sampled_from([1, 7, stats.PAIR_BLOCK]),
+        st.sampled_from([1, 32]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_tree_as_the_block_stream(self, bd, pair_block, per_node):
+        with mock.patch.object(stats, "PAIR_BLOCK", pair_block), \
+                mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", per_node):
+            reference = max_spanning_tree(MiBlocks(bd))
+            assert same_tree(max_spanning_tree(MiPairs(bd)), reference)
+            assert same_tree(chow_liu(bd), reference)
+
+    @pytest.mark.parametrize("ratio", [0, np.inf])
+    def test_chow_liu_gives_the_same_tree_on_either_path(self, ratio):
+        bd = as_binary(random_binary_dataset(60, 12, seed=6))
+        with mock.patch.object(stats, "PAIR_PATH_MIN_RATIO", ratio):
+            assert isinstance(mi_source(bd), MiPairs if ratio == 0 else MiBlocks)
+            assert same_tree(chow_liu(bd), max_spanning_tree(MiBlocks(bd)))
+
+    def test_path_chosen_by_the_increment_count(self):
+        # 40 rows of 2 ones: 40 increments against 40 * 50**2 / 2 = 50,000
+        sparse = np.zeros((40, 50), dtype=np.int8)
+        sparse[np.arange(40), np.arange(40) % 50] = 1
+        sparse[np.arange(40), (np.arange(40) + 7) % 50] = 1
+        assert isinstance(mi_source(BinaryDataset(sparse)), MiPairs)
+        assert isinstance(mi_source(BinaryDataset(np.ones((40, 50), dtype=np.int8))), MiBlocks)
+
+    def test_absent_pairs_enter_the_first_band(self):
+        # columns 2i and 2i + 1 are complements: they never co-occur, and each
+        # pair is the heaviest there is; the pairs that do co-occur weigh less
+        rng = np.random.default_rng(11)
+        base = rng.random((80, 10)) < 0.5
+        noise = rng.random((80, 20)) < 0.05
+        x = np.column_stack([np.column_stack([base[:, i], ~base[:, i]]) for i in range(10)] + [noise])
+        bd = BinaryDataset(x.astype(np.int8))
+        mi = tree_module._clamped(MiPairs(bd).compute())
+        _, keys = tree_module._pair_band(mi, 10, None)
+        absent = keys[~np.isin(keys, mi.keys)]
+        v = x.shape[1]
+        assert set(absent.tolist()) == {2 * i * v + 2 * i + 1 for i in range(10)}
+        with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", 1):
+            t = max_spanning_tree(MiPairs(bd))
+        assert same_tree(t, max_spanning_tree(MiBlocks(bd)))
+        assert {(2 * i, 2 * i + 1) for i in range(10)} <= edge_pairs(t)
+
+    def test_later_bands_read_the_list_again(self):
+        # one edge per node cannot span a corpus of topic blocks and constant words
+        corpus = news_corpus(n_docs=200, vocab_size=120, block_size=8, seed=2)
+        bd = discretize(corpus, DiscretizationPolicy.fixed(0.0))
+        calls = []
+        band = tree_module._pair_band
+
+        def counted(mi, k, roots):
+            calls.append(roots is not None)
+            return band(mi, k, roots)
+
+        with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", 1), \
+                mock.patch.object(tree_module, "_pair_band", counted), \
+                mock.patch.object(MiPairs, "compute", wraps=MiPairs(bd).compute) as compute:
+            t = max_spanning_tree(MiPairs(bd))
+        assert len(calls) >= 2 and calls[1:] == [True] * (len(calls) - 1)
+        assert compute.call_count == 1
+        with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", 1):
+            assert same_tree(t, max_spanning_tree(MiBlocks(bd)))
 
 
 class TestChowLiu:
