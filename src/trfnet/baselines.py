@@ -29,7 +29,6 @@ L1_DEAD_THRESHOLD = 1e-3
 @dataclass(frozen=True)
 class DenseNetConfig:
     hidden_widths: tuple[int, ...] = (64,)
-    activation: str = "relu"
     dropout_rate: float = 0.5
     epochs: int = 100
     batch_size: int = 128
@@ -51,25 +50,24 @@ def hyper_from_config(cfg: DenseNetConfig) -> FinetuneHyper:
         step_size=cfg.step_size,
         dropout_rate=cfg.dropout_rate,
         patience=cfg.patience,
-        activation=cfg.activation,
         seed=cfg.seed,
     )
 
 
-def dense_network(input_width: int, cfg: DenseNetConfig, classes: int, head_mode: str = "softmax") -> TrfNetwork:
+def dense_network(input_width: int, cfg: DenseNetConfig, classes: int) -> TrfNetwork:
     """An untrained fully connected network in sparse-layer form."""
     rng = np.random.default_rng(cfg.seed)
     layers = []
     widths = (input_width,) + cfg.hidden_widths
     for v, h in zip(widths[:-1], widths[1:]):
-        layers.append(nn.init_masked_layer(np.arange(h * v), (h, v), rng, activation=cfg.activation))
+        layers.append(nn.init_masked_layer(np.arange(h * v), (h, v), rng, activation=FinetuneHyper.activation))
     net = TrfNetwork(layers=layers, plans=[None] * len(layers))
-    return attach_head(net, classes, mode=head_mode, seed=cfg.seed + 1)
+    return attach_head(net, classes, seed=cfg.seed + 1)
 
 
-def train_dense(train: Dataset, cfg: DenseNetConfig, valid: Dataset | None = None, head_mode: str = "softmax"):
-    """Fully connected baseline trained like any other network here."""
-    net = dense_network(train.n_features, cfg, n_classes(train), head_mode)
+def train_dense(train: Dataset, cfg: DenseNetConfig, valid: Dataset | None = None):
+    """Fully connected baseline with a softmax head, trained like any other network here."""
+    net = dense_network(train.n_features, cfg, n_classes(train))
     return finetune(net, train, valid, hyper_from_config(cfg))
 
 
@@ -107,21 +105,15 @@ def magnitude_top_k(weights: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-np.abs(weights).ravel(), kind="stable")[:k]
 
 
-def train_l1(
-    train: Dataset,
-    cfg: DenseNetConfig,
-    strength: float,
-    valid: Dataset | None = None,
-    head_mode: str = "softmax",
-):
-    """Dense training with an L1 weight penalty added to every batch loss.
+def train_l1(train: Dataset, cfg: DenseNetConfig, strength: float, valid: Dataset | None = None):
+    """Dense training with the L1 penalty strength * sum |w| added to every batch loss.
 
     The penalty covers hidden and head weights, never biases; its subgradient
     at exactly zero is taken as zero.  The report's effective_sparsity is the
     fraction of hidden weights with |w| >= 0.001 after training.
     """
     check_l1_strength(strength)
-    net = dense_network(train.n_features, cfg, n_classes(train), head_mode)
+    net = dense_network(train.n_features, cfg, n_classes(train))
     hook = None if strength == 0 else (lambda weights: l1_gradients(weights, strength))
     net, report = finetune(net, train, valid, hyper_from_config(cfg), penalty_grads=hook)
     alive = sum(int((np.abs(l.values) >= L1_DEAD_THRESHOLD).sum()) for l in net.layers)
@@ -135,12 +127,8 @@ def check_l1_strength(strength: float) -> None:
         raise ValueError(f"strength must be finite and >= 0, got {strength}")
 
 
-def l1_penalty(weights: list[np.ndarray], strength: float) -> float:
-    return strength * sum(float(np.abs(w).sum()) for w in weights)
-
-
 def l1_gradients(weights: list[np.ndarray], strength: float) -> list[np.ndarray]:
-    """Subgradient of l1_penalty, one term per array; sign(0) = 0 leaves zeros untouched."""
+    """Subgradient of strength * sum |w|, one term per array; sign(0) = 0 leaves zeros untouched."""
     terms = [np.sign(w) for w in weights]
     for term in terms:
         term *= strength

@@ -826,7 +826,7 @@ def load(path) -> TrfNetwork:
         if data.startswith(MODEL_MAGIC_V1.encode()):
             return _parse_model(data.decode("utf-8").splitlines(), v2=False)
         raise ModelFormatError("not a model file, or unsupported version")
-    except (ValueError, IndexError) as e:
+    except (ValueError, IndexError, OverflowError) as e:  # OverflowError: an integer too large for int64
         if isinstance(e, ModelFormatError):
             raise
         raise ModelFormatError(f"corrupted model file: {e}") from None

@@ -5,7 +5,8 @@ inspect, compare.  Each command returns a Run: the files it read, the files
 it wrote (the primary output first), its seeds and the stage timings the
 library reported.  main is the one manifest writer.  It times the command
 and writes <primary output>.manifest.json with the flags, seeds, input
-digests, output paths and timings: `total` plus the library's stage timings.
+digests, output paths, BLAS build and thread settings (the bytes of a model
+depend on both) and timings: `total` plus the library's stage timings.
 compare printing to stdout writes neither a file nor a manifest.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.
 
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -61,6 +63,18 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _blas_environment() -> dict:
+    """numpy's BLAS build, the thread variables BLAS reads, and the CPUs it may use (its default thread count)."""
+    if np.lib.NumpyVersion(np.__version__) >= "1.25.0":
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    else:
+        build = np.__config__.get_info("blas_opt")
+    names = ("TRFNET_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    threads = {name: os.environ.get(name) for name in names}
+    threads["cpu_affinity"] = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"blas": build, "threads": threads}
+
+
 def _write_manifest(args, run: Run, total: float) -> None:
     manifest = {
         "command": args.command,
@@ -68,6 +82,7 @@ def _write_manifest(args, run: Run, total: float) -> None:
         "seeds": run.seeds,
         "inputs": {str(p): f"sha256:{_sha256(p)}" for p in run.inputs},
         "outputs": [str(p) for p in run.outputs],
+        **_blas_environment(),
         "timings": {"total": total, **run.timings},
     }
     with open(f"{run.outputs[0]}.manifest.json", "w", encoding="utf-8") as fh:
@@ -267,10 +282,9 @@ def cmd_build(args) -> Run:
 
 
 def _ensure_head(net, d) -> None:
-    """Attach a fresh head sized from d's labels to a network that has none."""
+    """Attach a fresh softmax head sized from d's class labels (the loaders' only kind) to a network without one."""
     if net.head is None:
-        mode = builder.MULTITASK if d.labels.ndim == 2 else builder.SOFTMAX
-        builder.attach_head(net, builder.n_classes(d), mode=mode)
+        builder.attach_head(net, builder.n_classes(d))
 
 
 def cmd_finetune(args) -> Run:

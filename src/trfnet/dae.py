@@ -61,9 +61,8 @@ class DaeHyper:
             raise ValueError(f"loss_family must be auto, {' or '.join(nn.FAMILIES)}, got {self.loss_family!r}")
 
 
-def corrupt(x: np.ndarray, c: CorruptionConfig, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Draw one corrupted copy of a batch."""
-    rng = rng if rng is not None else np.random.default_rng(c.seed)
+def corrupt(x: np.ndarray, c: CorruptionConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw one corrupted copy of a batch from rng."""
     x = np.asarray(x, dtype=np.float64)
     if c.kind == MASKING:
         return x * (rng.random(x.shape) >= c.rate)

@@ -225,19 +225,6 @@ def load_dense_csv(path, has_labels: bool = False) -> Dataset:
     )
 
 
-def save_dense_csv(d: Dataset, path) -> None:
-    """Inverse of load_dense_csv; floats are written with round-trip precision."""
-    names = d.feature_names or tuple(f"f{i}" for i in range(d.n_features))
-    with open(path, "w", encoding="utf-8") as fh:
-        header = list(names) + (["label"] if d.labels is not None else [])
-        fh.write(",".join(header) + "\n")
-        for i in range(d.n_samples):
-            cells = [repr(x) for x in d.values[i].tolist()]
-            if d.labels is not None:
-                cells.append(str(int(d.labels[i])))
-            fh.write(",".join(cells) + "\n")
-
-
 def load_sparse_bow(doc_path, vocab_path) -> Dataset:
     """Read a sparse bag-of-words corpus; see the module docstring for the format."""
     with open_utf8(vocab_path) as fh:

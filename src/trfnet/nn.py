@@ -20,11 +20,11 @@ a new one.  A layer that holds every connection (index.size == H * V, so its
 sorted index is arange(H * V)) is copied in and out whole; any other layer
 is scattered into w and gathered from g at its index.
 
-Adam runs its elementwise update over ADAM_BLOCK elements of a parameter at
-a time, into two block-sized scratch arrays it allocates when it binds the
-list, so a step maps no parameter-sized temporary and works in cache.  The
-operations and their order are those of the whole-array update, so the
-results are the same bits.
+Adam runs its finite check and then its elementwise update over ADAM_BLOCK
+elements of a parameter at a time, into block-sized scratch it allocates
+when it binds the list, so a step maps no parameter-sized temporary and
+works in cache.  The operations and their order are those of the
+whole-array update, so the results are the same bits.
 
 There is one forward: every product of a sparse layer with a batch goes
 through _pre_activation, which writes the values into the pair's w.
@@ -36,7 +36,7 @@ reads MaskedLayer.weights or .mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -231,11 +231,11 @@ def init_masked_layer(
 
 @dataclass
 class DenseLayer:
-    """Fully connected O x I layer; the classifier head emits raw logits (activation is always identity)."""
+    """Fully connected O x I layer: the classifier head, which emits raw logits."""
 
     weights: np.ndarray
     bias: np.ndarray
-    activation: str = "identity"
+    activation: ClassVar[str] = "identity"  # the model file names it, and load accepts no other
 
     @property
     def out_count(self) -> int:
@@ -393,15 +393,19 @@ class Adam:
         self.moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
         block = min(ADAM_BLOCK, max((p.size for p in params), default=0))
         self._scratch = (np.empty(block), np.empty(block))
+        self._finite = np.empty(block, dtype=bool)
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != len(self.params):
             raise ValueError(f"need one gradient per parameter: {len(grads)} for {len(self.params)}")
         for i, (p, g) in enumerate(zip(self.params, grads)):
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient for parameter {i}; step aborted")
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for parameter {i}")
+            g = g.reshape(-1)
+            for lo in range(0, g.size, ADAM_BLOCK):
+                part = g[lo : lo + ADAM_BLOCK]
+                if not np.isfinite(part, out=self._finite[: part.size]).all():
+                    raise FloatingPointError(f"non-finite gradient for parameter {i}; step aborted")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t

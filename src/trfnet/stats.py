@@ -81,12 +81,9 @@ class MiBlocks:
     def __iter__(self):
         """Each block from one co-occurrence product against the columns from the block onwards.
 
-        A pair that never co-occurs has an MI that depends only on its two
-        marginal counts, so it is read from a table of the block's rows
-        against the distinct marginal counts (at most min(V, N + 1) of them);
-        only pairs with a joint count above 0 are computed one by one.  Each
-        entry is the single-pair formula on its 2x2 table, bit for bit: the
-        same float operations on the same integer counts.
+        Every entry is the single-pair formula on its own 2x2 table, as in
+        MiPairs, so the bits agree.  mi_source sends only dense data here,
+        where most pairs co-occur and a table of marginal levels saves little.
         """
         d = self.data
         n_samples = float(d.n_samples)
@@ -94,17 +91,10 @@ class MiBlocks:
         # features as rows, so every block product reads contiguous memory
         xt = np.ascontiguousarray(d.values.T, dtype=_count_dtype(d.n_samples))
         ones = d.values.sum(axis=0, dtype=np.float64)
-        levels, level = np.unique(ones, return_inverse=True)
         for lo in range(0, v, MI_ROW_BLOCK):
             hi = min(lo + MI_ROW_BLOCK, v)
-            n11 = xt[lo:hi] @ xt[lo:].T
-            absent = _pair_mi(0.0, ones[lo:hi, None], levels[None, :], n_samples)
-            # every index is in range, so "clip" only skips take's buffered bounds check
-            upper = np.take(absent, level[lo:], axis=1, mode="clip")
-            rows, cols = np.divmod(np.flatnonzero(n11 > 0), v - lo)
-            upper[rows, cols] = _pair_mi(
-                n11[rows, cols].astype(np.float64), ones[lo + rows], ones[lo + cols], n_samples
-            )
+            n11 = (xt[lo:hi] @ xt[lo:].T).astype(np.float64, copy=False)
+            upper = _pair_mi(n11, ones[lo:hi, None], ones[None, lo:], n_samples)
             upper[:, : hi - lo][np.tril_indices(hi - lo)] = 0.0  # strict upper triangle only
             yield lo, upper
 

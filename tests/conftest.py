@@ -62,10 +62,71 @@ def seed_with_first_center(node_count: int, target: int, limit: int = 100000) ->
     raise AssertionError(f"no seed below {limit} picks node {target} of {node_count}")
 
 
+def markov_chain(n_features: int, n_samples: int, flip_prob: float, seed: int) -> Dataset:
+    """Binary chain x0 -> x1 -> ... where each bit copies its predecessor and
+    flips with probability flip_prob.  Adjacent features carry the most
+    mutual information, so the planted structure is the path 0-1-...-(V-1)."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n_samples, n_features), dtype=np.float64)
+    x[:, 0] = rng.random(n_samples) < 0.5
+    for j in range(1, n_features):
+        flips = rng.random(n_samples) < flip_prob
+        x[:, j] = np.where(flips, 1.0 - x[:, j - 1], x[:, j - 1])
+    return Dataset(x)
+
+
+def correlated_blocks(
+    n_blocks: int, block_size: int, n_samples: int, correlation: float, seed: int
+) -> Dataset:
+    """Independent blocks of binary features with a planted intra-block
+    Pearson correlation.
+
+    Each block has a hidden fair coin; members copy it with independent flip
+    probability eps, giving pairwise correlation (1 - 2 * eps)^2.  eps is
+    solved from the requested correlation.
+    """
+    if not 0.0 < correlation <= 1.0:
+        raise ValueError(f"correlation must be in (0, 1], got {correlation}")
+    eps = (1.0 - np.sqrt(correlation)) / 2.0
+    rng = np.random.default_rng(seed)
+    cols = []
+    for _ in range(n_blocks):
+        root = (rng.random(n_samples) < 0.5).astype(np.float64)
+        for _ in range(block_size):
+            flips = rng.random(n_samples) < eps
+            cols.append(np.where(flips, 1.0 - root, root))
+    return Dataset(np.column_stack(cols))
+
+
+def gaussian_blobs(
+    n_samples: int = 400, n_features: int = 8, separation: float = 6.0, seed: int = 0
+) -> Dataset:
+    """Two unit-variance Gaussian blobs with class centers +-separation/sqrt(V)
+    per coordinate: linearly separable with a wide margin."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, size=n_samples)
+    shift = separation / np.sqrt(n_features)
+    centers = np.where(labels[:, None] == 1, shift, -shift)
+    values = centers + rng.normal(size=(n_samples, n_features))
+    return Dataset(values, labels=labels)
+
+
+def save_dense_csv(d: Dataset, path) -> None:
+    """Inverse of load_dense_csv; floats are written with round-trip precision."""
+    names = d.feature_names or tuple(f"f{i}" for i in range(d.n_features))
+    with open(path, "w", encoding="utf-8") as fh:
+        header = list(names) + (["label"] if d.labels is not None else [])
+        fh.write(",".join(header) + "\n")
+        for i in range(d.n_samples):
+            cells = [repr(x) for x in d.values[i].tolist()]
+            if d.labels is not None:
+                cells.append(str(int(d.labels[i])))
+            fh.write(",".join(cells) + "\n")
+
+
 @pytest.fixture(scope="session")
 def blob_data():
     from trfnet.data import split
-    from trfnet.synth import gaussian_blobs
 
     d = gaussian_blobs(n_samples=400, n_features=8, separation=6.0, seed=11)
     train, valid, test = split(d, 0.7, 0.15, seed=0)

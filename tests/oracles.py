@@ -269,6 +269,11 @@ def central_diff_grads(f, arrays: dict[str, np.ndarray], eps: float = 1e-5):
     return grads
 
 
+def l1_penalty(weights: list[np.ndarray], strength: float) -> float:
+    """The L1 baseline's penalty, whose subgradient baselines.l1_gradients adds."""
+    return strength * sum(float(np.abs(w).sum()) for w in weights)
+
+
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:
     """Worst elementwise |a - n| / max(|a|, |n|, floor)."""
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 
-from conftest import MatrixBlocks, edge_pairs
+from conftest import MatrixBlocks, correlated_blocks, edge_pairs, gaussian_blobs, markov_chain
 from oracles import (
     ContingencyCounts,
     central_diff_grads,
@@ -45,7 +45,7 @@ from trfnet.dae import CorruptionConfig, DaeHyper
 from trfnet.data import BinaryDataset, DiscretizationPolicy, discretize, save_sparse_bow, split
 from trfnet.interpret import EmbeddingTable, interpretability_score, top_correlated_features
 from trfnet.stats import mi_matrix
-from trfnet.synth import correlated_blocks, gaussian_blobs, markov_chain, news_corpus
+from trfnet.synth import news_corpus
 from trfnet.tree import chow_liu, max_spanning_tree
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import central_diff_grads, max_relative_error
+from oracles import central_diff_grads, l1_penalty, max_relative_error
 from trfnet import nn
 from trfnet.baselines import (
     DenseNetConfig,
     dense_network,
     hyper_from_config,
     l1_gradients,
-    l1_penalty,
     magnitude_top_k,
     prune_and_retrain,
     train_dense,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seed_with_first_center
+from conftest import markov_chain, seed_with_first_center
 from oracles import average_ranks_reference
 from trfnet import nn
 from trfnet.builder import (
@@ -31,7 +31,6 @@ from trfnet.dae import CorruptionConfig, DaeHyper
 from trfnet.data import Dataset, DiscretizationPolicy
 from trfnet.errors import EmptyStructureError, ModelFormatError
 from trfnet.receptive_field import ReceptiveFieldPlan
-from trfnet.synth import markov_chain
 
 
 def quick_config(**kw):
@@ -408,7 +407,7 @@ def v1_fixture_network() -> TrfNetwork:
     layer0 = nn.MaskedLayer(index0, values0, rng.normal(size=4), rng.normal(size=10), "relu")
     index1 = np.array([0, 2, 5, 8, 9, 10, 11])
     layer1 = nn.MaskedLayer(index1, rng.normal(size=7), rng.normal(size=3), rng.normal(size=4), "relu")
-    head = nn.DenseLayer(rng.normal(size=(2, 3)), rng.normal(size=2), "identity")
+    head = nn.DenseLayer(rng.normal(size=(2, 3)), rng.normal(size=2))
     cfg = BuildConfig(
         radius=(1, 1), stride=(2, 2), depth=2, global_fraction=0.1,
         policy=DiscretizationPolicy.fixed(0.0), dae=DaeHyper(epochs=3, batch_size=64, seed=7),
@@ -726,6 +725,14 @@ class TestSaveLoad:
         data = ("\n".join(lines) + "\n").encode()
         self.rejects_in_small_memory(tmp_path, data, "layer 0 row 3: weight count mismatch")
 
+    def test_v1_mask_column_beyond_int64_rejected(self, tmp_path):
+        lines = V1_FIXTURE.read_text().splitlines()
+        i = lines.index("maskrow 0 sparse 0 1 2")
+        lines[i] = f"maskrow 0 sparse 0 1 {2**63}"
+        (tmp_path / "bad.trf").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match="corrupted model file"):
+            load(tmp_path / "bad.trf")
+
     @pytest.mark.parametrize("h, v", [(2**32, 2**32), (3, 2**62)])
     def test_positions_beyond_int64_rejected(self, tmp_path, h, v):
         lines = self.resized(self.dense_stack_lines(tmp_path), 0, h, v)
@@ -782,6 +789,55 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+# what a mutated token becomes: the edges of the integer and float parsers,
+# an empty token, and keywords of the format in the wrong place
+BOUNDARY_TOKENS = [
+    "0", "-1", str(2**63), "9" * 400, "nan", "", "none", "dense", "layer", "plan", "field", "head",
+    "identity", "sigmoid", "multitask", "config", "begin", "end",
+]
+
+
+@st.composite
+def mutated(draw, lines: list[str]) -> list[str]:
+    """lines after one to three edits: a line dropped, duplicated or swapped
+    with another, or one token of a line replaced by a boundary token."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap", "token"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(BOUNDARY_TOKENS))
+            lines[i] = " ".join(tokens)
+    return lines
+
+
+@pytest.fixture(scope="module")
+def saved_bodies(fuzz_dir, small_corpus, blob_data):
+    """The body lines of a 2-layer TRF-net, a dense and a pruned baseline as
+    saved, checksum line dropped, and of the v1 fixture, which has none."""
+    from trfnet.baselines import DenseNetConfig, hyper_from_config, prune_and_retrain, train_dense
+
+    trf = attach_head(build_trf_net(small_corpus, quick_config(depth=2, seed=5)), 3)
+    train, valid, _ = blob_data
+    cfg = DenseNetConfig(hidden_widths=(6,), epochs=1, seed=3)
+    dense, _ = train_dense(train, cfg, valid)
+    pruned, _ = prune_and_retrain(dense, 0.3, train, hyper_from_config(cfg), valid)
+    bodies = {}
+    for name, net in (("trf", trf), ("dense", dense), ("pruned", pruned)):
+        save(net, fuzz_dir / f"{name}.trf")
+        bodies[name] = (fuzz_dir / f"{name}.trf").read_text().splitlines()[:-1]
+    bodies["v1"] = V1_FIXTURE.read_text().splitlines()
+    return bodies
+
+
 class TestLoaderFuzz:
     """Damaged files raise their typed error; nothing else escapes."""
 
@@ -806,6 +862,31 @@ class TestLoaderFuzz:
             load(fuzz_dir / "bad.trf")
         except ModelFormatError:
             pass
+
+    @pytest.mark.parametrize("name", ["trf", "dense", "pruned", "v1"])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_model_rejected_or_round_trips(self, fuzz_dir, saved_bodies, name, data):
+        """A body edited and sealed again (a checksum, not a signature) still
+        parses to ModelFormatError or to a network that saves and reloads
+        to the same bytes, and load allocates in proportion to the file."""
+        lines = data.draw(mutated(saved_bodies[name]))
+        path = fuzz_dir / "mutated.trf"
+        path.write_bytes(("\n".join(lines) + "\n").encode() if name == "v1" else reseal(lines))
+        tracemalloc.start()
+        try:
+            try:
+                back = load(path)
+            except ModelFormatError:
+                back = None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * path.stat().st_size + (1 << 20)
+        if back is not None:
+            save(back, fuzz_dir / "again.trf")
+            save(load(fuzz_dir / "again.trf"), fuzz_dir / "twice.trf")
+            assert (fuzz_dir / "twice.trf").read_bytes() == (fuzz_dir / "again.trf").read_bytes()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

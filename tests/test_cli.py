@@ -358,16 +358,17 @@ def quick_start(tmp_path_factory):
             for name, argv in commands.items()}
 
 
+COMMAND_NAMES = ["tree", "build", "finetune", "eval", "baseline dense", "baseline prune", "baseline prune, no model",
+                 "baseline l1", "inspect", "compare"]
+THREAD_KEYS = {"TRFNET_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "cpu_affinity"}
+
+
 class TestManifests:
     """Every command writes <first output>.manifest.json: its command, the
-    digest of every input, and timings that hold a numeric total plus the
-    library's stage timings."""
+    digest of every input, its BLAS environment, and timings that hold a
+    numeric total plus the library's stage timings."""
 
-    @pytest.mark.parametrize(
-        "name",
-        ["tree", "build", "finetune", "eval", "baseline dense", "baseline prune", "baseline prune, no model",
-         "baseline l1", "inspect", "compare"],
-    )
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
     def test_manifest_next_to_the_first_output(self, quick_start, name):
         manifest = json.load(open(quick_start[name] + ".manifest.json"))
         assert manifest["command"] == name.split()[0]
@@ -377,6 +378,24 @@ class TestManifests:
             assert digest == "sha256:" + hashlib.sha256(open(path, "rb").read()).hexdigest()
         total = manifest["timings"]["total"]
         assert isinstance(total, float) and total > 0
+
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
+    def test_manifest_names_its_blas_environment(self, quick_start, name):
+        manifest = json.load(open(quick_start[name] + ".manifest.json"))
+        assert manifest["blas"] == json.loads(json.dumps(np.show_config(mode="dicts")["Build Dependencies"]["blas"]))
+        threads = manifest["threads"]
+        assert set(threads) == THREAD_KEYS
+        assert all(threads[var] == os.environ.get(var) for var in THREAD_KEYS - {"cpu_affinity"})
+        assert isinstance(threads["cpu_affinity"], int) and 1 <= threads["cpu_affinity"] <= os.cpu_count()
+
+    def test_manifest_records_the_thread_variables_a_run_sees(self, quick_start, tmp_path, monkeypatch):
+        monkeypatch.setenv("TRFNET_THREADS", "3")
+        monkeypatch.setenv("MKL_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "table.txt"
+        assert main(["compare", quick_start["eval"], "--out", str(out)]) == 0
+        threads = json.load(open(f"{out}.manifest.json"))["threads"]
+        assert (threads["TRFNET_THREADS"], threads["MKL_NUM_THREADS"], threads["OMP_NUM_THREADS"]) == ("3", "1", None)
 
     def test_eval_records_its_evaluate_timing(self, quick_start):
         timings = json.load(open(quick_start["eval"] + ".manifest.json"))["timings"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import save_dense_csv
 from trfnet.data import (
     BinaryDataset,
     Dataset,
@@ -12,7 +13,6 @@ from trfnet.data import (
     discretize,
     load_dense_csv,
     load_sparse_bow,
-    save_dense_csv,
     save_sparse_bow,
     split,
 )

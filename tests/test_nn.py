@@ -448,6 +448,28 @@ class TestAdam:
         assert p[0][0] == 1.0
         assert adam.t == 0
 
+    def test_nan_in_the_last_block_aborts_without_state_change(self):
+        rng = np.random.default_rng(73)
+        size = 3 * nn.ADAM_BLOCK + 5
+        params = [rng.normal(size=size), rng.normal(size=3)]
+        adam = nn.Adam(params)
+        adam.step([rng.normal(size=size), rng.normal(size=3)])
+        before = [bits(p) for p in params] + [bits(a) for pair in adam.moments for a in pair]
+        # the first parameter's gradient fails only in its last, partial block
+        grads = [rng.normal(size=size), rng.normal(size=3)]
+        grads[0][-1] = np.nan
+        with pytest.raises(FloatingPointError, match="parameter 0"):
+            adam.step(grads)
+        assert [bits(p) for p in params] + [bits(a) for pair in adam.moments for a in pair] == before
+        assert adam.t == 1
+
+    def test_step_allocates_less_than_two_blocks(self):
+        rng = np.random.default_rng(79)
+        p = rng.normal(size=4 * nn.ADAM_BLOCK)
+        adam = nn.Adam([p])
+        grads = [rng.normal(size=p.shape)]
+        assert repeat_allocation(lambda: adam.step(grads)) < 2 * nn.ADAM_BLOCK
+
     @pytest.mark.parametrize(
         "shape",
         [(1,), (nn.ADAM_BLOCK - 1,), (nn.ADAM_BLOCK + 1,), (3 * nn.ADAM_BLOCK + 5,), (37, 1000)],

@@ -173,9 +173,8 @@ class TestRowBlockedMiMatrix:
                 assert bits(m[s, t]) == bits(empirical_mi(pair_counts(bd, int(s), int(t))))
 
     def test_every_marginal_count_distinct(self):
-        # V distinct marginal counts, most pairs never co-occurring: the
-        # marginal-count table is as wide as the matrix, and must still be
-        # built one row block at a time
+        # V distinct marginal counts, most pairs never co-occurring: every
+        # pair is still weighed from its own 2x2 table, one row block at a time
         v, n = 2 * stats.MI_ROW_BLOCK + 5, 1200
         rng = np.random.default_rng(5)
         x = np.zeros((n, v), dtype=bool)

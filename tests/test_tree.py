@@ -10,6 +10,7 @@ from conftest import (
     MatrixBlocks,
     edge_pairs,
     make_path_tree,
+    markov_chain,
     make_star_tree,
     random_binary_dataset,
     sparse_binaries,
@@ -29,7 +30,7 @@ from trfnet.data import BinaryDataset, Dataset, DiscretizationPolicy, discretize
 from trfnet import stats
 from trfnet import tree as tree_module
 from trfnet.stats import MiBlocks, MiPairs, mi_matrix, mi_source
-from trfnet.synth import markov_chain, news_corpus
+from trfnet.synth import news_corpus
 from trfnet.tree import (
     WEIGHT_CLAMP,
     ChowLiuTree,
