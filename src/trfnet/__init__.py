@@ -18,6 +18,7 @@ from .data import (
     BinaryDataset,
     Dataset,
     DiscretizationPolicy,
+    Nonzeros,
     discretize,
     load_dense_csv,
     load_sparse_bow,
@@ -62,6 +63,7 @@ __all__ = [
     "MaskedLayer",
     "MiBlocks",
     "MiPairs",
+    "Nonzeros",
     "ReceptiveFieldPlan",
     "TrfNetwork",
     "attach_head",

@@ -320,7 +320,7 @@ def finetune(
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
-            _, grads = _batch_loss_grads(net, bufs, train.values[idx], train.labels[idx], hyper, rng)
+            _, grads = _batch_loss_grads(net, bufs, train.rows(idx), train.labels[idx], hyper, rng)
             if penalty_grads is not None:
                 for i, extra in enumerate(penalty_grads(params[::2])):
                     grads[2 * i] += extra
@@ -394,7 +394,7 @@ def _scores(logits: np.ndarray, labels: np.ndarray, head_mode: str):
 
 def _score_dataset(net: TrfNetwork, d: Dataset, bufs) -> float:
     """The validation score early stopping tracks: accuracy or AUC mean, 0.0 if unscored."""
-    accuracy, _, auc_mean = _scores(_logits(net, d.values, bufs), d.labels, net.head_mode)
+    accuracy, _, auc_mean = _scores(_logits(net, d.dense(), bufs), d.labels, net.head_mode)
     if accuracy is not None:
         return accuracy
     return 0.0 if auc_mean is None else auc_mean
@@ -407,7 +407,7 @@ def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
     _check_labels(test, net.head, net.head_mode, "test")
     t0 = time.perf_counter()
     bufs = [nn.buffers(layer) for layer in net.layers]
-    accuracy, aucs, auc_mean = _scores(_logits(net, test.values, bufs), test.labels, net.head_mode)
+    accuracy, aucs, auc_mean = _scores(_logits(net, test.dense(), bufs), test.labels, net.head_mode)
     return EvalReport(
         parameter_count=net.parameter_count(),
         sparsity=net.hidden_sparsity(),

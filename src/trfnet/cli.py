@@ -135,7 +135,7 @@ def _default_policy(args, d):
     # matrices as-is and median-splits anything real-valued
     if args.bow is not None:
         return DiscretizationPolicy.fixed(0.0)
-    if np.isin(d.values, (0.0, 1.0)).all():
+    if d.is_binary():
         return DiscretizationPolicy.already_binary()
     return DiscretizationPolicy.median()
 

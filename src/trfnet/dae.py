@@ -70,7 +70,11 @@ def corrupt(x: np.ndarray, c: CorruptionConfig, rng: np.random.Generator) -> np.
 
 
 def resolve_family(values: np.ndarray, requested: str) -> str:
-    """'auto' picks bernoulli for data inside [0, 1], gaussian otherwise."""
+    """'auto' picks bernoulli for values inside [0, 1], gaussian otherwise.
+
+    Only the smallest and largest value count, so an array of a dataset's
+    bounds serves as well as its values.
+    """
     if requested != "auto":
         return requested
     lo, hi = float(values.min()), float(values.max())
@@ -80,19 +84,21 @@ def resolve_family(values: np.ndarray, requested: str) -> str:
 def train_dae(
     index: np.ndarray, shape: tuple[int, int], d: Dataset, c: CorruptionConfig, h: DaeHyper
 ) -> tuple[nn.MaskedLayer, list[float]]:
-    """Train one sparse layer as a denoising autoencoder on d.values.
+    """Train one sparse layer as a denoising autoencoder on d's rows.
 
     The layer is H x V, shape = (H, V), with its connections at index: sorted
     flat row-major positions, as nn.init_masked_layer takes them.  All
     randomness (init, epoch shuffles, corruption draws) comes from a
     single generator seeded with h.seed, so runs are exactly repeatable.
-    One pair of dense buffers serves every step.  Returns the layer and its
+    One pair of dense buffers serves every step, and each batch is made
+    dense from d.rows alone.  Returns the layer and its
     training log: the sample-weighted mean batch loss per epoch.
     """
     if shape[1] != d.n_features:
         raise ValueError(f"layer width {shape[1]} != data width {d.n_features}")
-    family = resolve_family(d.values, h.loss_family)
-    if family == nn.BERNOULLI and ((d.values < 0).any() or (d.values > 1).any()):
+    lo, hi = d.bounds()
+    family = resolve_family(np.array([lo, hi]), h.loss_family)
+    if family == nn.BERNOULLI and (lo < 0 or hi > 1):
         raise DomainError("bernoulli family needs data in [0, 1]")
     rng = np.random.default_rng(h.seed)
     layer = nn.init_masked_layer(index, shape, rng, activation="sigmoid")
@@ -104,7 +110,7 @@ def train_dae(
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, h.batch_size):
-            batch = d.values[order[start : start + h.batch_size]]
+            batch = d.rows(order[start : start + h.batch_size])
             x_tilde = corrupt(batch, c, rng)
             loss, grads = nn.dae_gradients(layer, batch, x_tilde, family, buf)
             adam.step(grads)
@@ -122,6 +128,6 @@ def project(layer: nn.MaskedLayer, d: Dataset) -> tuple[Dataset, BinaryDataset]:
     """
     if d.n_features != layer.visible_count:
         raise ValueError(f"data width {d.n_features} != layer width {layer.visible_count}")
-    acts = nn.hidden_representation([layer], d.values, [nn.buffers(layer)])
+    acts = nn.hidden_representation([layer], d.dense(), [nn.buffers(layer)])
     probs = Dataset(acts, feature_names=None, labels=d.labels)
     return probs, discretize(probs, DiscretizationPolicy.fixed(0.5))

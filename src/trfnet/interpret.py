@@ -72,7 +72,7 @@ def unit_activations(net: TrfNetwork, d: Dataset) -> np.ndarray:
     """Top-layer activations over a dataset, eval mode, through fresh buffer pairs."""
     if d.n_features != net.input_width:
         raise ValueError(f"data width {d.n_features} != network input {net.input_width}")
-    return hidden_representation(net.layers, d.values, [buffers(layer) for layer in net.layers])
+    return hidden_representation(net.layers, d.dense(), [buffers(layer) for layer in net.layers])
 
 
 def _rank_units(
@@ -92,7 +92,8 @@ def _rank_units(
     for unit in units:
         if not 0 <= unit < acts.shape[1]:
             raise ValueError(f"unit {unit} out of range for top width {acts.shape[1]}")
-    xc = d.values - d.values.mean(axis=0)
+    x = d.dense()
+    xc = x - x.mean(axis=0)
     sx = np.sqrt((xc**2).sum(axis=0))
     rankings = []
     for unit in units:

@@ -9,7 +9,9 @@ Two sources give the same weights, bit for bit, in two shapes: MiBlocks
 streams the strict upper triangle in row blocks from dense co-occurrence
 products; MiPairs counts co-occurrences from each row's nonzero columns and
 lists only the pairs that co-occur, with one table of marginal levels for
-every other pair.  mi_source picks the cheaper one for a dataset.
+every other pair.  mi_source picks the cheaper one for a dataset.  All three
+read the data through BinaryDataset.ones, the (row, column) pairs of its
+ones, so a corpus held as its nonzeros is never made dense for MiPairs.
 """
 
 from __future__ import annotations
@@ -88,9 +90,12 @@ class MiBlocks:
         d = self.data
         n_samples = float(d.n_samples)
         v = d.n_features
+        rows, cols = d.ones()
         # features as rows, so every block product reads contiguous memory
-        xt = np.ascontiguousarray(d.values.T, dtype=_count_dtype(d.n_samples))
-        ones = d.values.sum(axis=0, dtype=np.float64)
+        xt = np.zeros((v, d.n_samples), dtype=_count_dtype(d.n_samples))
+        xt[cols, rows] = 1
+        ones = np.bincount(cols, minlength=v).astype(np.float64)
+        del rows, cols
         for lo in range(0, v, MI_ROW_BLOCK):
             hi = min(lo + MI_ROW_BLOCK, v)
             n11 = (xt[lo:hi] @ xt[lo:].T).astype(np.float64, copy=False)
@@ -105,17 +110,22 @@ class MiBlocks:
 # pair list needs on top of itself
 PAIR_BLOCK = 1 << 16
 
-# mi_source counts from the nonzeros when the dense product's N * V^2 / 2
-# multiply-adds are at least this many times the co-occurrence increments.
-# Measured with max_spanning_tree on random 1400-row data whose column rates
-# follow a Pareto law (2-core box, best of 3, pairs against blocks): at
-# V = 2000, ratio 2,461 took 0.18 s against 0.28 s, 1,122 took 0.23 against
-# 0.31, 497 took 0.37 against 0.34; at V = 4000, 1,104 took 0.89 against
-# 1.00 and 496 took 1.25 against 1.31.  The two cost the same near 500; the
-# list also holds memory in proportion to the pairs, not to V.  Ratios of
-# the perfbench train splits: wide-v4000 about 9,000, news-d2 layer 0 about
-# 2,300, news-d2 layer 1 (23.4% dense) about 18.
-PAIR_PATH_MIN_RATIO = 1000
+# mi_source counts from the nonzeros when the V^2 / 2 pairs MiBlocks weighs
+# are at least this many times the co-occurrence increments.  Weighing every
+# pair, not the N * V^2 / 2 multiply-adds of its product, is what the block
+# path's time follows at these sizes: at V = 2000 it took 0.24-0.29 s at
+# N = 1400 and 0.27-0.48 s at N = 300.  Measured with max_spanning_tree on
+# random V = 2000 data held as nonzeros, column rates uniform or Pareto
+# (2-core box, best of 3 or 5, pairs against blocks; BENCH_21.json): at N = 1400, ratio 1.15 took
+# 0.22 s against 0.28 (uniform) and 0.19 against 0.26 (Pareto), 0.80 took
+# 0.28 against 0.27 and 0.81 took 0.22 against 0.26, 0.58 took 0.36 against
+# 0.26 and 0.60 took 0.27 against 0.24; at N = 700, 0.90 took 0.24 against
+# 0.25 and 0.40 took 0.54 against 0.21; at N = 300, 1.36 took 0.18 against
+# 0.29 and 0.94 took 0.23 against 0.21.  The two cost the same near 0.75;
+# the list also holds memory in proportion to the pairs, not to V.  Ratios
+# of the perfbench train splits: wide-v4000 about 6.5, news-d2 layer 0 about
+# 1.6, news-d2 layer 1 (23.4% dense) about 0.013.
+PAIR_PATH_MIN_RATIO = 0.75
 
 
 def _later_pairs(first: np.ndarray, end: np.ndarray):
@@ -258,8 +268,7 @@ class MiPairs:
         bits agree.
         """
         d = self.data
-        # 0/1 bytes read as bool: the flat scan is several times faster than a 2-D nonzero
-        rows, cols = np.divmod(np.flatnonzero(d.values.view(bool)), d.n_features)
+        rows, cols = d.ones()
         ones = np.bincount(cols, minlength=d.n_features).astype(np.float64)
         levels, level = np.unique(ones, return_inverse=True)
         absent = _pair_mi(0.0, levels[:, None], levels[None, :], float(d.n_samples))
@@ -294,15 +303,15 @@ class MiPairs:
 
 
 def mi_source(d: BinaryDataset) -> MiPairs | MiBlocks:
-    """MiPairs when the co-occurrence increments are few against the dense product, else MiBlocks.
+    """MiPairs when the co-occurrence increments are few against the V^2 / 2 pairs, else MiBlocks.
 
     Both give the same weights, bit for bit; PAIR_PATH_MIN_RATIO says where
     the list is the cheaper of the two.
     """
-    per_row = np.count_nonzero(d.values, axis=1).astype(np.float64)
+    per_row = np.bincount(d.ones()[0], minlength=d.n_samples).astype(np.float64)
     increments = float(np.sum(per_row * (per_row - 1) / 2))
-    product = d.n_samples * float(d.n_features) ** 2 / 2
-    return MiPairs(d) if product >= PAIR_PATH_MIN_RATIO * increments else MiBlocks(d)
+    pairs = float(d.n_features) ** 2 / 2
+    return MiPairs(d) if pairs >= PAIR_PATH_MIN_RATIO * increments else MiBlocks(d)
 
 
 def mi_matrix(d: BinaryDataset) -> np.ndarray:

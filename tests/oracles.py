@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from trfnet.errors import DataFormatError, EmptyInputError
+
 
 def mi_reference(table) -> float:
     """Mutual information of a 2x2 count table by direct summation."""
@@ -442,3 +444,70 @@ def dense_finetune(masks, ws, bhs, head_w, head_b, train, valid, epochs, batch_s
             best_state = {k: v.copy() for k, v in params.items()}
     for k, v in params.items():
         v[...] = best_state[k]
+
+
+# ---------------------------------------------------------------------------
+# the bag-of-words loader as it was before it kept the nonzeros: one Python
+# pass per token, a dense N x V result.  load_sparse_bow must return its
+# numbers or raise its exception, message for message.
+# ---------------------------------------------------------------------------
+
+
+def _read_utf8_lines(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+def load_sparse_bow_reference(doc_path, vocab_path):
+    """(dense N x V float64 values, int64 labels, vocabulary tuple) of a bag-of-words corpus."""
+    vocab = [ln.strip() for ln in _read_utf8_lines(vocab_path) if ln.strip() != ""]
+    if len(vocab) < 2:
+        raise EmptyInputError(f"{vocab_path}: need at least 2 vocabulary tokens")
+    if len(set(vocab)) != len(vocab):
+        raise DataFormatError(f"{vocab_path}: duplicate tokens in vocabulary")
+    v = len(vocab)
+    labels, rows, cols, counts = [], [], [], []
+    for lineno, ln in enumerate(_read_utf8_lines(doc_path), start=1):
+        if ln.strip() == "":
+            continue
+        parts = ln.split()
+        try:
+            labels.append(int(parts[0]))
+        except ValueError:
+            raise DataFormatError(
+                f"{doc_path}: line {lineno}: label {parts[0]!r} is not an integer"
+            ) from None
+        row = len(labels) - 1
+        seen = set()
+        for tok in parts[1:]:
+            try:
+                idx_s, cnt_s = tok.split(":")
+                idx, cnt = int(idx_s), int(cnt_s)
+            except ValueError:
+                raise DataFormatError(
+                    f"{doc_path}: line {lineno}: malformed entry {tok!r}"
+                ) from None
+            if idx < 0 or idx >= v:
+                raise DataFormatError(
+                    f"{doc_path}: line {lineno}: index {idx} outside vocabulary of size {v}"
+                )
+            if idx in seen:
+                raise DataFormatError(f"{doc_path}: line {lineno}: duplicate index {idx}")
+            if cnt < 1:
+                raise DataFormatError(f"{doc_path}: line {lineno}: count {cnt} must be >= 1")
+            if cnt > 2**53:
+                raise DataFormatError(
+                    f"{doc_path}: line {lineno}: count {cnt} above 2**53 is not exact in float64"
+                )
+            seen.add(idx)
+            rows.append(row)
+            cols.append(idx)
+            counts.append(cnt)
+    if not labels:
+        raise EmptyInputError(f"{doc_path}: no documents")
+    values = np.zeros((len(labels), v))
+    values[rows, cols] = counts
+    return values, np.array(labels, dtype=np.int64), tuple(vocab)

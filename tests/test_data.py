@@ -80,7 +80,7 @@ class TestSparseBow:
         vocab = write(tmp_path, "v.txt", "cat\ndog\nfish\n")
         docs = write(tmp_path, "d.txt", "1 0:2 2:1\n")
         d = load_sparse_bow(docs, vocab)
-        np.testing.assert_array_equal(d.values, [[2.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(d.dense(), [[2.0, 0.0, 1.0]])
         assert d.labels.tolist() == [1]
         assert d.feature_names == ("cat", "dog", "fish")
 
@@ -88,7 +88,7 @@ class TestSparseBow:
         vocab = write(tmp_path, "v.txt", "a\nb\nc\n")
         docs = write(tmp_path, "d.txt", "0\n")
         d = load_sparse_bow(docs, vocab)
-        np.testing.assert_array_equal(d.values, [[0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(d.dense(), [[0.0, 0.0, 0.0]])
         assert d.labels.tolist() == [0]
 
     def test_out_of_vocabulary_index(self, tmp_path):
@@ -123,7 +123,7 @@ class TestSparseBow:
     def test_count_of_two_to_the_53_is_exact(self, tmp_path):
         vocab = write(tmp_path, "v.txt", "a\nb\n")
         docs = write(tmp_path, "d.txt", f"0 1:{2**53}\n")
-        assert load_sparse_bow(docs, vocab).values[0, 1] == 2**53
+        assert load_sparse_bow(docs, vocab).dense()[0, 1] == 2**53
 
     @pytest.mark.parametrize("damaged", ["v.txt", "d.txt"])
     def test_undecodable_bytes_rejected(self, tmp_path, damaged):
@@ -140,7 +140,7 @@ class TestSparseBow:
         d = Dataset(values, labels=rng.integers(0, 2, 6))
         save_sparse_bow(d, tmp_path / "d.txt", tmp_path / "v.txt")
         back = load_sparse_bow(tmp_path / "d.txt", tmp_path / "v.txt")
-        np.testing.assert_array_equal(back.values, d.values)
+        np.testing.assert_array_equal(back.dense(), d.values)
         np.testing.assert_array_equal(back.labels, d.labels)
 
     def test_roundtrip_of_the_largest_counts(self, tmp_path):
@@ -149,7 +149,7 @@ class TestSparseBow:
         save_sparse_bow(d, tmp_path / "d.txt", tmp_path / "v.txt")
         assert (tmp_path / "d.txt").read_text() == f"2 0:1 2:{2**53}\n0\n1 0:3 1:{2**52 + 1}\n"
         back = load_sparse_bow(tmp_path / "d.txt", tmp_path / "v.txt")
-        np.testing.assert_array_equal(back.values, d.values)
+        np.testing.assert_array_equal(back.dense(), d.values)
         np.testing.assert_array_equal(back.labels, d.labels)
         assert back.feature_names == d.feature_names
 
@@ -171,14 +171,18 @@ class TestCopyFreeContainers:
         vocab = write(tmp_path, "v.txt", "a\nb\nc\nd\n")
         docs = write(tmp_path, "d.txt", "1 0:2 3:1\n0\n2 1:5 2:1 3:7\n")
         d = load_sparse_bow(docs, vocab)
-        assert not d.values.flags.writeable and d.values.dtype == np.float64
+        # the corpus is held as its nonzeros: row pointers, columns and float64 counts
+        nz = d.values
+        for a in (nz.indptr, nz.columns, nz.entries):
+            assert not a.flags.writeable
+        assert nz.entries.dtype == np.float64
         expected = Dataset(np.array([[2.0, 0, 0, 1], [0, 0, 0, 0], [0, 5, 1, 7]]),
                            feature_names=("a", "b", "c", "d"), labels=np.array([1, 0, 2]))
-        np.testing.assert_array_equal(d.values, expected.values)
+        np.testing.assert_array_equal(d.dense(), expected.values)
         np.testing.assert_array_equal(d.labels, expected.labels)
         assert d.feature_names == expected.feature_names
         with pytest.raises(ValueError):
-            d.values[0, 0] = 1.0
+            nz.entries[0] = 1.0
 
     def test_loader_holds_one_values_array(self, tmp_path):
         n, v = 200, 2500
@@ -195,8 +199,9 @@ class TestCopyFreeContainers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a second copy of the values would take the peak past 2 * nbytes
-        assert peak < 1.5 * d.values.nbytes
+        # the dense N x V float64 array the loader once made would take the
+        # peak past this on its own; TestLoaderMemory bounds it tightly
+        assert peak < 1.5 * d.n_samples * d.n_features * 8
 
     def test_callers_array_is_copied(self):
         a = np.zeros((3, 4))
@@ -345,3 +350,159 @@ class TestDatasetInvariants:
         d = Dataset(np.ones((2, 2)))
         with pytest.raises(ValueError):
             d.values[0, 0] = 5.0
+
+
+# tokens a mutation may put in place of a label, an index, a count or an entry:
+# signs, separators, non-ASCII digits and spaces, and the edges of int64 and
+# of the counts float64 holds exactly
+ODD_TOKENS = [
+    "", "0", "00", "-0", "-1", "+1", "1_0", "٣", "1.0", "1e3", "x", ":", "1:", ":1",
+    "1:2:3", "0:1", "1:0", "2:1", "1:1", "9" * 15, "9" * 16, "9" * 19, "9" * 40,
+    str(2**53), str(2**53 + 1), str(2**63), "\t", "\x0b", "\x1c", " ", " ", "\r", "\r\n", "\n",
+]
+
+
+@st.composite
+def bow_files(draw):
+    """A valid corpus written as text, then one to four edits of its document
+    or vocabulary text: a token replaced, a character inserted or deleted, a
+    line dropped, doubled or swapped, or a byte that is not UTF-8."""
+    v = draw(st.integers(2, 6))
+    vocab = [f"w{j}" for j in range(v)]
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        cols = draw(st.lists(st.integers(0, v - 1), unique=True, max_size=v))
+        counts = draw(st.lists(st.integers(1, 5), min_size=len(cols), max_size=len(cols)))
+        lines.append(" ".join([str(draw(st.integers(-2, 3)))] + [f"{j}:{c}" for j, c in zip(cols, counts)]))
+    texts = {"docs": "\n".join(lines) + "\n", "vocab": "\n".join(vocab) + "\n"}
+    broken = {"docs": b"", "vocab": b""}
+    for _ in range(draw(st.integers(1, 4))):
+        which = draw(st.sampled_from(["docs", "docs", "docs", "vocab"]))
+        text = texts[which]
+        kind = draw(st.sampled_from(["token", "token", "insert", "delete", "lines", "bytes"]))
+        if kind == "token":
+            tokens = text.replace("\n", " \n ").replace(":", " : ").split(" ")
+            if tokens:
+                at = draw(st.integers(0, len(tokens) - 1))
+                tokens[at] = draw(st.sampled_from(ODD_TOKENS))
+            text = " ".join(tokens).replace(" \n ", "\n").replace(" : ", ":")
+        elif kind == "insert":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(list(":- 0123456789\n\t\r\x0bx") + [" "])) + text[at:]
+        elif kind == "delete" and text:
+            at = draw(st.integers(0, len(text) - 1))
+            text = text[:at] + text[at + 1 :]
+        elif kind == "lines":
+            rows = text.split("\n")
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            op = draw(st.sampled_from(["drop", "double", "swap"]))
+            if op == "drop":
+                del rows[i]
+            elif op == "double":
+                rows.insert(i, rows[j])
+            else:
+                rows[i], rows[j] = rows[j], rows[i]
+            text = "\n".join(rows)
+        elif kind == "bytes":
+            broken[which] = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+        texts[which] = text
+    return {k: (texts[k].encode("utf-8"), broken[k], draw(st.floats(0, 1))) for k in texts}
+
+
+def outcome(load, docs, vocab):
+    """("ok", result) or (exception type, message) of one loader call."""
+    try:
+        return "ok", load(docs, vocab)
+    except Exception as e:  # noqa: BLE001 -- the point is to compare whatever escapes
+        return type(e), str(e)
+
+
+class TestLoaderAgainstReference:
+    """load_sparse_bow against the per-line loader it replaced (oracles.load_sparse_bow_reference)."""
+
+    @given(files=bow_files())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_files_load_alike_or_fail_alike(self, files, tmp_path_factory):
+        from oracles import load_sparse_bow_reference
+
+        tmp = tmp_path_factory.mktemp("bow")
+        paths = {}
+        for name, (body, bad, where) in files.items():
+            at = int(where * len(body))
+            paths[name] = tmp / f"{name}.txt"
+            paths[name].write_bytes(body[:at] + bad + body[at:])
+        new = outcome(load_sparse_bow, paths["docs"], paths["vocab"])
+        ref = outcome(load_sparse_bow_reference, paths["docs"], paths["vocab"])
+        assert new[0] == ref[0]
+        if ref[0] != "ok":
+            assert new[1] == ref[1]
+            return
+        d, (values, labels, vocab) = new[1], ref[1]
+        assert d.dense().tobytes() == values.tobytes() and d.dense().shape == values.shape
+        assert d.labels.tobytes() == labels.tobytes()
+        assert d.feature_names == vocab
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "+1 0:1", f"1 0:{2**53}", "1 1:1 0:2", "1 ١:1", "1\x0b0:1", "-0 0:01", "1 0:1\r\n2 1:1\r",
+            "9" * 18 + " 0:1", "9" * 19 + " 0:1", f"-{2**63} 0:1", f"{2**63} 0:1", "1 0:" + "9" * 16, "1 1:2 1:3",
+        ],
+        ids=[
+            "plus-label", "count-2**53", "columns-out-of-order", "arabic-digit", "vertical-tab", "zeros", "crlf",
+            "18-digit-label", "19-digit-label", "label-below-int64", "label-above-int64", "16-digit-count",
+            "duplicate-out-of-order",
+        ],
+    )
+    def test_lines_the_whole_file_parse_passes_on_load_alike(self, tmp_path, line):
+        from oracles import load_sparse_bow_reference
+
+        vocab = write(tmp_path, "v.txt", "a\nb\n")
+        docs = tmp_path / "d.txt"
+        docs.write_bytes(line.encode("utf-8"))
+        new = outcome(load_sparse_bow, docs, vocab)
+        ref = outcome(load_sparse_bow_reference, docs, vocab)
+        assert new[0] == ref[0]
+        if ref[0] != "ok":
+            assert new[1] == ref[1]
+            return
+        values, labels, _ = ref[1]
+        np.testing.assert_array_equal(new[1].dense(), values)
+        np.testing.assert_array_equal(new[1].labels, labels)
+
+    def test_well_formed_file_never_reaches_the_per_line_parser(self, tmp_path, monkeypatch, small_corpus):
+        import trfnet.data
+
+        save_sparse_bow(small_corpus, tmp_path / "d.txt", tmp_path / "v.txt")
+
+        def refuse(*_):
+            raise AssertionError("the whole-file parse passed a well-formed file on")
+
+        monkeypatch.setattr(trfnet.data, "_parse_lines", refuse)
+        d = load_sparse_bow(tmp_path / "d.txt", tmp_path / "v.txt")
+        np.testing.assert_array_equal(d.dense(), small_corpus.dense())
+
+
+class TestLoaderMemory:
+    def test_v16000_train_split_loads_far_below_its_dense_array(self, tmp_path):
+        """The train split of make_news_fixture.py --docs 2000 --vocab 16000
+        --block-size 16 --seed 3: 1400 x 16000, 59,301 nonzeros.
+
+        The dense float64 array the loader once built is 171 MB.  Held as
+        its nonzeros, the load peaked at 4.8 MB under tracemalloc (the text,
+        its lines and the parsed numbers); the 12 MB bound leaves 2.5x
+        headroom and is 1/14 of the dense array.
+        """
+        from trfnet.synth import news_corpus
+
+        corpus = news_corpus(n_docs=2000, vocab_size=16000, n_classes=4, block_size=16, confusion=0.025, seed=3)
+        save_sparse_bow(split(corpus, 0.7, 0.15, seed=3)[0], tmp_path / "d.txt", tmp_path / "v.txt")
+        del corpus
+        tracemalloc.start()
+        try:
+            d = load_sparse_bow(tmp_path / "d.txt", tmp_path / "v.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (d.n_samples, d.n_features) == (1400, 16000)
+        assert peak < 12 * 2**20, f"peak {peak / 2**20:.1f} MB"
