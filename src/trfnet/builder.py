@@ -287,8 +287,8 @@ def finetune(
     during training, and early stopping tracks the validation score with the
     given patience.  The returned report is computed from the best-validation
     snapshot on the validation set (on the training set when valid is None).
-    Training and validation scoring share one pair of dense buffers per
-    layer, dropped before the report is computed.
+    Training and validation scoring share what nn.buffers gives each layer
+    (a dense buffer pair if it is sparse), dropped before the report.
 
     penalty_grads, when given, is called before each step with the weight
     arrays, params[::2] of nn.stack_params, and returns one extra gradient

@@ -65,10 +65,7 @@ def _sha256(path) -> str:
 
 def _blas_environment() -> dict:
     """numpy's BLAS build, the thread variables BLAS reads, and the CPUs it may use (its default thread count)."""
-    if np.lib.NumpyVersion(np.__version__) >= "1.25.0":
-        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    else:
-        build = np.__config__.get_info("blas_opt")
+    build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     names = ("TRFNET_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     threads = {name: os.environ.get(name) for name in names}
     threads["cpu_affinity"] = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

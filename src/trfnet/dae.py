@@ -90,7 +90,7 @@ def train_dae(
     flat row-major positions, as nn.init_masked_layer takes them.  All
     randomness (init, epoch shuffles, corruption draws) comes from a
     single generator seeded with h.seed, so runs are exactly repeatable.
-    One pair of dense buffers serves every step, and each batch is made
+    What nn.buffers gives the layer serves every step, and each batch is made
     dense from d.rows alone.  Returns the layer and its
     training log: the sample-weighted mean batch loss per epoch.
     """

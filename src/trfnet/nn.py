@@ -10,15 +10,15 @@ A training loop's trainable arrays form one list in one order: a layer's
 head) for stack_backward.  Each returns its gradients in that order, and
 Adam binds the list once and steps it with them; no array is named.
 
-A sparse layer stores one value per connection.  Compute keeps dense BLAS
-products: each call writes the values into a dense H x V weight buffer and
-gathers the weight gradient from a dense H x V product buffer.  Those two
-buffers (Buffers) belong to the caller that made them: a training loop keeps
-one pair per layer for all its steps, a one-shot caller makes a fresh pair.
-A pair is tied to the layer's index: a loop that changes the index must make
-a new one.  A layer that holds every connection (index.size == H * V, so its
-sorted index is arange(H * V)) is copied in and out whole; any other layer
-is scattered into w and gathered from g at its index.
+A layer stores one value per connection; compute keeps dense BLAS products.
+A full layer, one that holds every connection (index.size == H * V, so its
+sorted index is arange(H * V)), computes on values.reshape(H, V).  Any other
+layer writes its values into a dense H x V weight buffer at its index and
+gathers the weight gradient there from a dense H x V product buffer.  Those
+two buffers (Buffers) belong to the caller that made them: a training loop
+keeps one pair per sparse layer for all its steps, a one-shot caller makes a
+fresh pair.  A pair is tied to the layer's index: a loop that changes the
+index must make a new one.
 
 Adam runs its finite check and then its elementwise update over ADAM_BLOCK
 elements of a parameter at a time, into block-sized scratch it allocates
@@ -26,11 +26,10 @@ when it binds the list, so a step maps no parameter-sized temporary and
 works in cache.  The operations and their order are those of the
 whole-array update, so the results are the same bits.
 
-There is one forward: every product of a sparse layer with a batch goes
-through _pre_activation, which writes the values into the pair's w.
-dae_gradients (its encoder), stack_forward (training, with dropout and
-caches) and hidden_representation (eval, neither) call it.  No function here
-reads MaskedLayer.weights or .mask.
+There is one forward, _pre_activation on the weights from _weights, and one
+weight-gradient product, _weight_gradient.  dae_gradients, stack_forward
+(training, with dropout and caches) and hidden_representation (eval,
+neither) call them.  No function here reads MaskedLayer.weights or .mask.
 """
 
 from __future__ import annotations
@@ -138,7 +137,7 @@ class MaskedLayer:
 
 
 class Buffers(NamedTuple):
-    """Dense H x V scratch for one layer, reused by the loop that owns it.
+    """Dense H x V scratch for one sparse layer, reused by the loop that owns it.
 
     w holds the weights: zero off the layer's index, and the values are
     written at the index before every use.  g receives each weight-gradient
@@ -149,19 +148,21 @@ class Buffers(NamedTuple):
     g: np.ndarray
 
 
-def buffers(layer: MaskedLayer) -> Buffers:
-    """A fresh pair for layer; valid for as long as its index is unchanged.
+def buffers(layer: MaskedLayer) -> Buffers | None:
+    """A fresh pair for layer, or None if it is full; valid while its index is unchanged.
 
     The index must rise strictly inside [0, H * V): that makes a full-size
-    index arange(H * V), which _write_weights and _gather copy whole.
+    index arange(H * V), so values.reshape(H, V) is the weight matrix.
     """
     shape = (layer.hidden_count, layer.visible_count)
     _check_rising(layer.index, shape[0] * shape[1])
+    if _is_full(layer):
+        return None
     return Buffers(np.zeros(shape), np.empty(shape))
 
 
 def _check_rising(index: np.ndarray, size: int) -> None:
-    if index.size and (index[0] < 0 or index[-1] >= size or (np.diff(index) <= 0).any()):
+    if index.size and (index[0] < 0 or index[-1] >= size or (index[1:] <= index[:-1]).any()):
         raise ValueError(f"index must rise strictly inside [0, {size})")
 
 
@@ -170,22 +171,22 @@ def _is_full(layer: MaskedLayer) -> bool:
     return layer.index.size == layer.hidden_count * layer.visible_count
 
 
-def _write_weights(layer: MaskedLayer, buf: Buffers) -> np.ndarray:
-    """Write layer.values into buf.w at layer.index; return buf.w."""
+def _weights(layer: MaskedLayer, buf: Buffers | None) -> np.ndarray:
+    """The dense H x V weights: a full layer's values in place, else written into buf.w at the index."""
     shape = (layer.hidden_count, layer.visible_count)
-    if buf.w.shape != shape:
-        raise ValueError(f"buffer shape {buf.w.shape} does not fit a layer of shape {shape}")
     if _is_full(layer):
-        np.copyto(buf.w.reshape(-1), layer.values)
-    else:
-        buf.w.ravel()[layer.index] = layer.values
+        return layer.values.reshape(shape)
+    if buf is None or buf.w.shape != shape:
+        raise ValueError(f"buffer shape {buf and buf.w.shape} does not fit a sparse layer of shape {shape}")
+    buf.w.ravel()[layer.index] = layer.values
     return buf.w
 
 
-def _gather(layer: MaskedLayer, buf: Buffers) -> np.ndarray:
-    """A fresh array of buf.g at layer.index: the weight gradient of the product in g."""
+def _weight_gradient(layer: MaskedLayer, a: np.ndarray, b: np.ndarray, buf: Buffers | None) -> np.ndarray:
+    """A fresh array of a.T @ b at the index: whole for a full layer, else gathered from buf.g."""
     if _is_full(layer):
-        return buf.g.reshape(-1).copy()
+        return np.matmul(a.T, b).reshape(-1)
+    np.matmul(a.T, b, out=buf.g)
     return buf.g.ravel()[layer.index]
 
 
@@ -252,13 +253,12 @@ def init_dense_layer(out_count: int, in_count: int, rng: np.random.Generator) ->
     return DenseLayer(weights=w, bias=np.zeros(out_count))
 
 
-def _pre_activation(layer: MaskedLayer, x: np.ndarray, buf: Buffers) -> np.ndarray:
-    """x @ W.T + bias_hidden, with W written into buf.w: the one product of a
-    sparse layer with a batch."""
+def _pre_activation(layer: MaskedLayer, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T + bias_hidden, for w from _weights: the one product of a layer with a batch."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.visible_count:
         raise ValueError(f"encoder input: expected a batch of width {layer.visible_count}, got shape {x.shape}")
-    return x @ _write_weights(layer, buf).T + layer.bias_hidden
+    return x @ w.T + layer.bias_hidden
 
 
 def reconstruction_loss(x: np.ndarray, z_pre: np.ndarray, family: str) -> float:
@@ -296,11 +296,11 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
     Forward is corrupt -> sigmoid encoder -> tied-transpose decoder ->
     reconstruction loss against the clean batch.  The weight gradient sums
     the encoder and decoder contributions at the layer's index positions.
-    buf is the layer's pair from buffers(); gradients are for [values, bias_hidden, bias_visible].
+    buf is what buffers() gave the layer; gradients are for [values, bias_hidden, bias_visible].
     """
     x_clean = np.asarray(x_clean, dtype=np.float64)
-    h = sigmoid(_pre_activation(layer, x_tilde, buf))
-    we = buf.w
+    we = _weights(layer, buf)
+    h = sigmoid(_pre_activation(layer, x_tilde, we))
     z = h @ we + layer.bias_visible
 
     b = x_clean.shape[0]
@@ -314,10 +314,8 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
         dz = (z - x_clean) / b
     dh = dz @ we.T
     da = dh * h * (1.0 - h)
-    np.matmul(da.T, x_tilde, out=buf.g)
-    gw = _gather(layer, buf)
-    np.matmul(h.T, dz, out=buf.g)
-    gw += _gather(layer, buf)
+    gw = _weight_gradient(layer, da, x_tilde, buf)
+    gw += _weight_gradient(layer, h, dz, buf)
     return loss, [gw, da.sum(axis=0), dz.sum(axis=0)]
 
 
@@ -461,32 +459,32 @@ def stack_forward(
     layers: list[MaskedLayer],
     head: DenseLayer,
     x: np.ndarray,
-    bufs: list[Buffers],
+    bufs: list[Buffers | None],
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ):
     """Training forward through sparse hidden layers then the dense head.
 
-    bufs holds one pair from buffers() per layer; each layer's weights are
-    written into its w.  Dropout at dropout_rate applies to every hidden
-    output.  Returns (logits, caches); caches feed stack_backward with the
+    bufs holds what buffers() gave each layer.  Dropout at dropout_rate
+    applies to every hidden output.  Returns (logits, caches); caches feed stack_backward with the
     same bufs.  Scoring goes through hidden_representation instead.
     """
     _check_pairs(layers, bufs)
     caches = []
     out = np.asarray(x, dtype=np.float64)
     for layer, buf in zip(layers, bufs):
-        pre = _pre_activation(layer, out, buf)
+        w = _weights(layer, buf)
+        pre = _pre_activation(layer, out, w)
         act = get_activation(layer.activation).fn(pre)
         dropped, scale = dropout(act, dropout_rate, rng)
-        caches.append({"x": out, "pre": pre, "act": act, "scale": scale})
+        caches.append({"x": out, "w": w, "pre": pre, "act": act, "scale": scale})
         out = dropped
     logits = out @ head.weights.T + head.bias
     caches.append({"x": out})
     return logits, caches
 
 
-def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits: np.ndarray, bufs: list[Buffers]):
+def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits: np.ndarray, bufs: list[Buffers | None]):
     """Exact gradients for stack_forward, given the bufs it filled, in
     stack_params order."""
     head_in = caches[-1]["x"]
@@ -496,24 +494,23 @@ def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits:
         # formed only for layer outputs, never for the network input
         dx = (dx @ w) * cache["scale"]
         dpre = dx * get_activation(layer.activation).grad(cache["pre"], cache["act"])
-        np.matmul(dpre.T, cache["x"], out=buf.g)
-        grads[:0] = [_gather(layer, buf), dpre.sum(axis=0)]
-        dx, w = dpre, buf.w
+        grads[:0] = [_weight_gradient(layer, dpre, cache["x"], buf), dpre.sum(axis=0)]
+        dx, w = dpre, cache["w"]
     return grads
 
 
-def hidden_representation(layers: list[MaskedLayer], x: np.ndarray, bufs: list[Buffers]) -> np.ndarray:
+def hidden_representation(layers: list[MaskedLayer], x: np.ndarray, bufs: list[Buffers | None]) -> np.ndarray:
     """Eval forward through the hidden stack only: no dropout, no caches, no head.
 
-    bufs holds one pair per layer, as for stack_forward.
+    bufs holds what buffers() gave each layer, as for stack_forward.
     """
     _check_pairs(layers, bufs)
     out = x
     for layer, buf in zip(layers, bufs):
-        out = get_activation(layer.activation).fn(_pre_activation(layer, out, buf))
+        out = get_activation(layer.activation).fn(_pre_activation(layer, out, _weights(layer, buf)))
     return out
 
 
-def _check_pairs(layers: list[MaskedLayer], bufs: list[Buffers]) -> None:
+def _check_pairs(layers: list[MaskedLayer], bufs: list[Buffers | None]) -> None:
     if len(bufs) != len(layers):
         raise ValueError(f"need one buffer pair per layer: {len(bufs)} for {len(layers)}")

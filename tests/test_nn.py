@@ -19,7 +19,7 @@ def random_masked_layer(h, v, seed, density=0.5, activation="sigmoid"):
 
 
 def encode(layer, x):
-    """One layer's eval forward through a fresh buffer pair."""
+    """One layer's eval forward through what a fresh buffers() call gives it."""
     return nn.hidden_representation([layer], x, [nn.buffers(layer)])
 
 
@@ -396,6 +396,61 @@ class TestLoopBuffers:
         x = (rng.random((3, 6)) < 0.5).astype(np.float64)
         with pytest.raises(ValueError, match="buffer shape"):
             nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(other))
+
+    def test_sparse_layer_without_a_pair_rejected(self):
+        layer, rng = random_masked_layer(4, 6, seed=59)
+        head = nn.init_dense_layer(2, 4, rng)
+        x = (rng.random((3, 6)) < 0.5).astype(np.float64)
+        with pytest.raises(ValueError, match="buffer shape None"):
+            nn.dae_gradients(layer, x, x, nn.BERNOULLI, None)
+        with pytest.raises(ValueError, match="buffer shape None"):
+            nn.stack_forward([layer], head, x, [None])
+        with pytest.raises(ValueError, match="buffer shape None"):
+            nn.hidden_representation([layer], x, [None])
+
+
+def full_layer(h, v, seed):
+    """A layer that holds all h x v connections, with random biases."""
+    layer, rng = random_masked_layer(h, v, seed=seed, density=1.0)
+    assert layer.index.size == h * v
+    return layer, rng
+
+
+class TestFullLayer:
+    """A full layer computes on values.reshape(H, V): it needs no buffer pair
+    and keeps no view of its values between calls."""
+
+    def test_buffers_allocate_less_than_one_weight_array(self):
+        layer, _ = full_layer(300, 400, seed=67)
+        tracemalloc.start()
+        try:
+            buf = nn.buffers(layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 400 * 8
+        assert buf is None
+
+    def test_rebound_values_are_read_at_the_next_call(self):
+        layer, rng = full_layer(5, 7, seed=71)
+        head = nn.init_dense_layer(3, 5, rng)
+        x = (rng.random((6, 7)) < 0.5).astype(np.float64)
+        y = rng.integers(0, 3, size=6)
+
+        def results(net_layer):
+            loss, grads = nn.dae_gradients(net_layer, x, x, nn.BERNOULLI, None)
+            logits, caches = nn.stack_forward([net_layer], head, x, [None])
+            _, dlogits = nn.softmax_cross_entropy(logits, y)
+            back = nn.stack_backward([net_layer], head, caches, dlogits, [None])
+            hidden = nn.hidden_representation([net_layer], x, [None])
+            return [bits(loss), *map(bits, grads), bits(logits), *map(bits, back), bits(hidden)]
+
+        old = results(layer)
+        layer.values = rng.normal(size=layer.values.size)
+        twin = nn.MaskedLayer(layer.index, layer.values.copy(), layer.bias_hidden, layer.bias_visible)
+        new = results(layer)
+        assert new == results(twin)
+        assert new[0] != old[0]
 
 
 class TestSoftmaxLabels:
