@@ -90,6 +90,15 @@ class TestPrune:
         twin, _ = prune_and_retrain(net, 1.0, train, hyper_from_config(blob_config()), valid)
         np.testing.assert_array_equal(pruned.layers[0].weights, twin.layers[0].weights)
 
+    def test_pruned_entries_stay_zero_through_retraining(self, blob_data):
+        train, valid, _ = blob_data
+        net, _ = train_dense(train, blob_config(), valid)
+        pruned, _ = prune_and_retrain(net, 0.2, train, hyper_from_config(blob_config()), valid)
+        assert pruned.mask_violation() == 0.0
+        for layer in pruned.layers:
+            # every weight off the mask is exactly zero after retraining
+            assert not np.any(layer.weights[layer.mask == 0])
+
     def test_input_network_untouched(self, blob_data):
         train, valid, _ = blob_data
         net, _ = train_dense(train, blob_config(), valid)
