@@ -89,7 +89,7 @@ def prune_and_retrain(
     pruned = clone(net)
     for layer in pruned.layers:
         k = int(np.ceil(keep_fraction * layer.hidden_count * layer.visible_count))
-        kept = np.sort(magnitude_top_k(layer.values, k))
+        kept = magnitude_top_k(layer.values, k)
         layer.index, layer.values = layer.index[kept], layer.values[kept]
     pruned.plans = [None] * pruned.depth
     return finetune(pruned, train, valid, hyper)
@@ -101,8 +101,23 @@ def check_keep_fraction(keep_fraction: float) -> None:
 
 
 def magnitude_top_k(weights: np.ndarray, k: int) -> np.ndarray:
-    """Flat indices of the k largest |w|, ties toward lower index."""
-    return np.argsort(-np.abs(weights).ravel(), kind="stable")[:k]
+    """Flat indices of the k largest |w| (all if fewer) in rising order, ties toward lower index.
+
+    A partition finds the k-th largest magnitude; every entry above it is
+    kept, and the lowest-index entries at it fill the rest.  A nan ranks
+    below every number, as in a stable sort of -|w|.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    key = -np.abs(np.asarray(weights, dtype=np.float64)).ravel()
+    if k >= key.size:
+        return np.arange(key.size)
+    np.copyto(key, np.inf, where=np.isnan(key))  # -|w| <= 0 < inf, so a nan sorts last
+    kth = np.partition(key, k - 1)[k - 1] if k else -np.inf
+    kept = key < kth
+    ties = np.flatnonzero(key == kth)
+    kept[ties[: k - np.count_nonzero(kept)]] = True
+    return np.flatnonzero(kept)
 
 
 def train_l1(train: Dataset, cfg: DenseNetConfig, strength: float, valid: Dataset | None = None):

@@ -369,8 +369,9 @@ def binary_auc(scores: np.ndarray, targets: np.ndarray) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _logits(net: TrfNetwork, values: np.ndarray, bufs) -> np.ndarray:
-    return nn.hidden_representation(net.layers, values, bufs) @ net.head.weights.T + net.head.bias
+def _logits(net: TrfNetwork, d: Dataset, bufs) -> np.ndarray:
+    """Head outputs over d; its dense matrix is a temporary the forward frees after layer 0's product."""
+    return nn.hidden_representation(net.layers, d.dense(), bufs) @ net.head.weights.T + net.head.bias
 
 
 def _scores(logits: np.ndarray, labels: np.ndarray, head_mode: str):
@@ -394,7 +395,7 @@ def _scores(logits: np.ndarray, labels: np.ndarray, head_mode: str):
 
 def _score_dataset(net: TrfNetwork, d: Dataset, bufs) -> float:
     """The validation score early stopping tracks: accuracy or AUC mean, 0.0 if unscored."""
-    accuracy, _, auc_mean = _scores(_logits(net, d.dense(), bufs), d.labels, net.head_mode)
+    accuracy, _, auc_mean = _scores(_logits(net, d, bufs), d.labels, net.head_mode)
     if accuracy is not None:
         return accuracy
     return 0.0 if auc_mean is None else auc_mean
@@ -407,7 +408,7 @@ def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
     _check_labels(test, net.head, net.head_mode, "test")
     t0 = time.perf_counter()
     bufs = [nn.buffers(layer) for layer in net.layers]
-    accuracy, aucs, auc_mean = _scores(_logits(net, test.dense(), bufs), test.labels, net.head_mode)
+    accuracy, aucs, auc_mean = _scores(_logits(net, test, bufs), test.labels, net.head_mode)
     return EvalReport(
         parameter_count=net.parameter_count(),
         sparsity=net.hidden_sparsity(),

@@ -124,7 +124,9 @@ def project(layer: nn.MaskedLayer, d: Dataset) -> tuple[Dataset, BinaryDataset]:
 
     Returns (probabilities, binary): sigmoid activations as a real dataset of
     width H, and their strict > 0.5 threshold for structure learning.  Labels
-    ride along; feature names do not (hidden units are anonymous).
+    ride along; feature names do not (hidden units are anonymous).  The dense
+    input is a temporary that the forward frees after its product, and the
+    sigmoid runs in place on that product.
     """
     if d.n_features != layer.visible_count:
         raise ValueError(f"data width {d.n_features} != layer width {layer.visible_count}")

@@ -92,8 +92,10 @@ def _rank_units(
     for unit in units:
         if not 0 <= unit < acts.shape[1]:
             raise ValueError(f"unit {unit} out of range for top width {acts.shape[1]}")
-    x = d.dense()
-    xc = x - x.mean(axis=0)
+    xc = d.dense()
+    if not xc.flags.writeable:  # the stored array; one made from the nonzeros is this call's own
+        xc = xc.copy()
+    xc -= xc.mean(axis=0)
     sx = np.sqrt((xc**2).sum(axis=0))
     rankings = []
     for unit in units:

@@ -30,6 +30,13 @@ There is one forward, _pre_activation on the weights from _weights, and one
 weight-gradient product, _weight_gradient.  dae_gradients, stack_forward
 (training, with dropout and caches) and hidden_representation (eval,
 neither) call them.  No function here reads MaskedLayer.weights or .mask.
+
+Each activation takes out=.  The eval forward consumes its input: it keeps
+no reference to it once layer 0's product exists and writes each activation
+into the pre-activation array it just made, so a caller that passes the
+N x V input as a temporary holds it only until that product, and one N x H
+array (and a sigmoid's scratch) after.  stack_forward activates out of
+place, because its caches keep both the pre-activation and the output.
 """
 
 from __future__ import annotations
@@ -46,35 +53,56 @@ GAUSSIAN = "gaussian"
 FAMILIES = (BERNOULLI, GAUSSIAN)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function."""
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Overflow-safe logistic function, into out (fresh if None).
+
+    out=z overwrites z: one scratch array the size of z and a bool mask.
+    """
     z = np.asarray(z, dtype=np.float64)
-    return _sigmoid_from(z, _exp_neg_abs(z))
+    return _sigmoid_from(z, _exp_neg_abs(z), out)
 
 
 def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
-    """exp(-|z|); min(z, -z) rather than -abs(z) so a nan keeps its sign bit."""
-    return np.exp(np.minimum(z, -z))
+    """exp(-|z|) in one fresh array; min(z, -z) rather than -abs(z) so a nan keeps its sign bit."""
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    return np.exp(e, out=e)
 
 
-def _sigmoid_from(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """sigmoid(z) given e = exp(-|z|): 1 / (1 + e) where z >= 0, else e / (1 + e)."""
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid_from(z: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sigmoid(z) given e = exp(-|z|): 1 / (1 + e) where z >= 0, else e / (1 + e).
+
+    e is overwritten.  The result goes into out (fresh if None), which may be z.
+    """
+    positive = z >= 0
+    if out is None:
+        out = np.where(positive, 1.0, e)
+    else:
+        np.copyto(out, e)
+        np.copyto(out, 1.0, where=positive)
+    np.add(1.0, e, out=e)
+    return np.divide(out, e, out=out)
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+def relu(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out)
 
 
-def identity(z: np.ndarray) -> np.ndarray:
-    return z
+def identity(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None or out is z:
+        return z
+    np.copyto(out, z)
+    return out
 
 
 class Activation(NamedTuple):
     """An activation and its derivative: grad(pre, out) is d out / d pre,
-    from whichever of the preactivation and the output is cheaper."""
+    from whichever of the preactivation and the output is cheaper.
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn(z, out=None) writes into out when given; out=z activates in place.
+    """
+
+    fn: Callable[..., np.ndarray]
     grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -254,11 +282,16 @@ def init_dense_layer(out_count: int, in_count: int, rng: np.random.Generator) ->
 
 
 def _pre_activation(layer: MaskedLayer, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w.T + bias_hidden, for w from _weights: the one product of a layer with a batch."""
+    """x @ w.T + bias_hidden, for w from _weights: the one product of a layer with a batch.
+
+    The bias is added in place, so the result is the only N x H array made.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.visible_count:
         raise ValueError(f"encoder input: expected a batch of width {layer.visible_count}, got shape {x.shape}")
-    return x @ w.T + layer.bias_hidden
+    pre = x @ w.T
+    pre += layer.bias_hidden
+    return pre
 
 
 def reconstruction_loss(x: np.ndarray, z_pre: np.ndarray, family: str) -> float:
@@ -502,13 +535,18 @@ def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits:
 def hidden_representation(layers: list[MaskedLayer], x: np.ndarray, bufs: list[Buffers | None]) -> np.ndarray:
     """Eval forward through the hidden stack only: no dropout, no caches, no head.
 
-    bufs holds what buffers() gave each layer, as for stack_forward.
+    bufs holds what buffers() gave each layer, as for stack_forward.  x is
+    consumed: it is never written to, and no reference to it is kept once
+    layer 0's product exists, so a caller that passes it as a temporary has
+    it freed there.  Each activation runs in place on the pre-activation
+    array just made, so it holds at most one layer's input and product, or
+    one product and a sigmoid's scratch.
     """
     _check_pairs(layers, bufs)
-    out = x
     for layer, buf in zip(layers, bufs):
-        out = get_activation(layer.activation).fn(_pre_activation(layer, out, _weights(layer, buf)))
-    return out
+        x = _pre_activation(layer, x, _weights(layer, buf))
+        get_activation(layer.activation).fn(x, out=x)
+    return x
 
 
 def _check_pairs(layers: list[MaskedLayer], bufs: list[Buffers | None]) -> None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import central_diff_grads, l1_penalty, max_relative_error
 from trfnet import nn
@@ -160,6 +162,35 @@ class TestPrune:
         net, _ = train_dense(train, blob_config(), valid)
         with pytest.raises(ValueError):
             prune_and_retrain(net, 0.0, train, hyper_from_config(blob_config()), valid)
+
+
+# magnitudes that tie often: zeros of both signs and each value with its negation
+TIE_HEAVY = st.lists(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1e-300, -1e-300]), min_size=1, max_size=60
+)
+
+
+class TestMagnitudeTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(values=TIE_HEAVY, data=st.data())
+    def test_kept_set_is_the_sort_oracles_in_index_order(self, values, data):
+        weights = np.array(values)
+        k = data.draw(st.integers(0, weights.size + 2))
+        order = sorted(range(weights.size), key=lambda i: (-abs(weights[i]), i))
+        np.testing.assert_array_equal(magnitude_top_k(weights, k), sorted(order[:k]))
+
+    def test_nan_ranks_below_every_number(self):
+        weights = np.array([np.nan, 0.0, -np.inf, np.nan, 1.0, -0.0])
+        for k, expected in enumerate([[], [2], [2, 4], [1, 2, 4], [1, 2, 4, 5], [0, 1, 2, 4, 5]]):
+            np.testing.assert_array_equal(magnitude_top_k(weights, k), expected)
+
+    def test_two_dimensional_weights_give_flat_indices(self):
+        weights = np.array([[0.1, -3.0], [3.0, 0.2]])
+        np.testing.assert_array_equal(magnitude_top_k(weights, 3), [1, 2, 3])
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be"):
+            magnitude_top_k(np.ones(3), -1)
 
 
 class TestL1:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import dense_sigmoid, mean_pairwise_cosine
 from trfnet import interpret, nn
 from trfnet.builder import TrfNetwork
-from trfnet.data import Dataset
+from trfnet.data import Dataset, Nonzeros
 from trfnet.errors import DataFormatError, DegenerateUnitWarning, NoCoverageError
 from trfnet.interpret import (
     EmbeddingTable,
@@ -245,6 +245,24 @@ class TestAllUnitsFromOneForward:
         expected = float(np.mean(per_unit))
         got = interpretability_score(self.net, self.d, self.emb, k=5)
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_centring_in_place_leaves_the_dataset(self):
+        """The features are centred in a dense copy the call owns: made from the
+        nonzeros, or copied from a stored array, which keeps its bits."""
+        rows, cols = np.nonzero(self.d.values)
+        indptr = np.searchsorted(rows, np.arange(self.d.n_samples + 1))
+        nz = Nonzeros(self.d.values.shape, indptr, cols, self.d.values[rows, cols])
+        stored = self.d.values.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateUnitWarning)
+            for d in (Dataset(nz, feature_names=self.names), self.d):
+                for unit in range(self.net.top_width):
+                    expected = reference_ranking(self.net.layers, self.d.values, unit, 6)
+                    got = top_correlated_features(self.net, d, unit, 6)
+                    assert [(j, np.float64(r).tobytes()) for j, r in got] == [
+                        (j, np.float64(r).tobytes()) for j, r in expected
+                    ]
+        assert self.d.values.tobytes() == stored
 
     def test_constant_unit_still_warns(self):
         with pytest.warns(DegenerateUnitWarning, match="unit 1 "):

@@ -90,6 +90,83 @@ class TestSigmoidOracle:
         assert bits(out) == bits(dense_sigmoid(z))
 
 
+# every class of input the in-place activations must treat as the fresh ones do
+SPECIAL_INPUTS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0,
+                           745.0, -745.0, 746.0, -746.0, 1e4, -1e4, 1e-300, -1e-300, 2.5, -2.5])
+
+
+class TestInPlaceActivations:
+    """fn(z, out=z) overwrites z with the bits the out-of-place call gives."""
+
+    def test_sigmoid_in_place_matches_oracle_bits(self):
+        z = np.concatenate([SPECIAL_INPUTS, np.random.default_rng(19).normal(size=5000) * 400.0])
+        expected = bits(dense_sigmoid(z))
+        work = z.copy()
+        out = nn.sigmoid(work, out=work)
+        assert out is work
+        assert bits(work) == expected
+        assert bits(nn.sigmoid(z)) == expected
+
+    def test_relu_in_place_matches_maximum_bits(self):
+        z = np.concatenate([SPECIAL_INPUTS, np.random.default_rng(23).normal(size=5000)])
+        work = z.copy()
+        assert nn.relu(work, out=work) is work
+        assert bits(work) == bits(np.maximum(z, 0.0))
+
+    def test_out_of_place_calls_leave_their_input(self):
+        z = np.concatenate([SPECIAL_INPUTS, np.random.default_rng(29).normal(size=100)])
+        before = bits(z)
+        for name, act in nn.ACTIVATIONS.items():
+            act.fn(z)
+            assert bits(z) == before, name
+
+
+def two_layer_stack(activation, seed):
+    """A sparse 9 x 12 layer feeding a full 5 x 9 layer, both of one activation."""
+    first, rng = random_masked_layer(9, 12, seed=seed, activation=activation)
+    second = nn.init_masked_layer(np.arange(5 * 9), (5, 9), rng, activation=activation)
+    second.bias_hidden[:] = rng.normal(scale=0.3, size=5)
+    return [first, second], rng
+
+
+def dense_weights(layer):
+    w = np.zeros((layer.hidden_count, layer.visible_count))
+    w.ravel()[layer.index] = layer.values
+    return w
+
+
+class TestEvalForwardInPlace:
+    """hidden_representation activates in place and lets go of its input; the
+    bits are those of the chained out-of-place forward, and no array the caller
+    holds is written."""
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "identity"])
+    def test_two_layers_match_chained_out_of_place_reference(self, activation):
+        layers, rng = two_layer_stack(activation, seed=31)
+        x = rng.normal(scale=3.0, size=(20, 12))
+        x[0, :4] = [1e4, -1e4, 5e3, -5e3]  # pre-activations past |z| = 745
+        x[1, :2] = [800.0, -800.0]
+        reference = {"sigmoid": dense_sigmoid, "relu": lambda z: np.maximum(z, 0.0), "identity": lambda z: z}
+        expected = x
+        for layer in layers:
+            expected = reference[activation](expected @ dense_weights(layer).T + layer.bias_hidden)
+        got = nn.hidden_representation(layers, x, [nn.buffers(layer) for layer in layers])
+        assert bits(got) == bits(expected)
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "identity"])
+    def test_callers_arrays_are_never_written(self, activation):
+        """Neither the input nor the values, which the full second layer computes on in place."""
+        layers, rng = two_layer_stack(activation, seed=37)
+        x = rng.normal(size=(8, 12))
+        before = [bits(x)] + [bits(layer.values) for layer in layers]
+        bufs = [nn.buffers(layer) for layer in layers]
+        nn.hidden_representation(layers, x, bufs)
+        nn.hidden_representation(layers[:1], x, bufs[:1])
+        assert [bits(x)] + [bits(layer.values) for layer in layers] == before
+        x.flags.writeable = False  # a read-only input needs no copy either
+        nn.hidden_representation(layers, x, bufs)
+
+
 def single_draw_init(mask, rng):
     """init_masked_layer as one H x V uniform draw, gathered at the mask."""
     m = np.asarray(mask, dtype=np.float64)
