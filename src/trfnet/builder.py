@@ -14,12 +14,14 @@ master_seed + depth.
 from __future__ import annotations
 
 import base64
+import binascii
 import copy
 import hashlib
 import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -371,7 +373,9 @@ def binary_auc(scores: np.ndarray, targets: np.ndarray) -> float:
 
 def _logits(net: TrfNetwork, d: Dataset, bufs) -> np.ndarray:
     """Head outputs over d; its dense matrix is a temporary the forward frees after layer 0's product."""
-    return nn.hidden_representation(net.layers, d.dense(), bufs) @ net.head.weights.T + net.head.bias
+    logits = nn.hidden_representation(net.layers, d.dense(), bufs) @ net.head.weights.T
+    logits += net.head.bias
+    return logits
 
 
 def _scores(logits: np.ndarray, labels: np.ndarray, head_mode: str):
@@ -509,8 +513,9 @@ def _b64(a: np.ndarray, dtype: np.dtype) -> str:
 
 def _unb64(text: str, dtype: np.dtype) -> np.ndarray:
     """Inverse of _b64 as a fresh writable array; text that is not base64 of
-    whole items raises ValueError."""
-    raw = base64.b64decode(text, validate=True)
+    whole items raises ValueError.  binascii reads an ASCII str in place, where
+    base64.b64decode would first copy it to bytes."""
+    raw = binascii.a2b_base64(text, strict_mode=True)
     return np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
 
 
@@ -572,45 +577,55 @@ def _parse_config(lines: list[str]) -> BuildConfig:
     )
 
 
+def _model_lines(net: TrfNetwork) -> Iterator[str]:
+    """The lines of net's v2 file before its checksum line, one at a time."""
+    yield MODEL_MAGIC
+    yield f"head_mode {net.head_mode}"
+    if net.config is not None:
+        yield from _config_lines(net.config)
+    else:
+        yield "config none"
+    yield f"layers {net.depth}"
+    for k, layer in enumerate(net.layers):
+        h, v = layer.hidden_count, layer.visible_count
+        yield f"layer {k} {h} {v} {layer.activation}"
+        plan = net.plans[k]
+        if plan is None:
+            yield "plan none"
+            yield "index dense" if layer.index.size == h * v else "index " + _b64(layer.index, _I8)
+        else:
+            yield f"plan {plan.radius} {plan.stride} {plan.global_count}"
+            yield "centers " + " ".join(str(c) for c in plan.centers)
+            for i, members in enumerate(plan.fields):
+                yield f"field {i} " + " ".join(str(m) for m in members)
+        yield "values " + _b64(layer.values, _F8)
+        yield "bh " + _b64(layer.bias_hidden, _F8)
+        yield "bv " + _b64(layer.bias_visible, _F8)
+    if net.head is None:
+        yield "head none"
+    else:
+        o, i = net.head.weights.shape
+        yield f"head {o} {i} {net.head.activation}"
+        yield "hw " + _b64(net.head.weights, _F8)
+        yield "hb " + _b64(net.head.bias, _F8)
+
+
 def save(net: TrfNetwork, path) -> None:
     """Write the canonical v2 serialization; see load for the inverse.
 
     A layer with a plan stores the plan alone as its connectivity; a layer
     without one stores its index.  Every array is one base64 line, so the
     same network always produces the same bytes and reloads bit for bit.
+    Each line goes to the file and to the checksum in turn, so the whole
+    body is never held at once.
     """
-    out = [MODEL_MAGIC, f"head_mode {net.head_mode}"]
-    if net.config is not None:
-        out.extend(_config_lines(net.config))
-    else:
-        out.append("config none")
-    out.append(f"layers {net.depth}")
-    for k, layer in enumerate(net.layers):
-        h, v = layer.hidden_count, layer.visible_count
-        out.append(f"layer {k} {h} {v} {layer.activation}")
-        plan = net.plans[k]
-        if plan is None:
-            out.append("plan none")
-            out.append("index dense" if layer.index.size == h * v else "index " + _b64(layer.index, _I8))
-        else:
-            out.append(f"plan {plan.radius} {plan.stride} {plan.global_count}")
-            out.append("centers " + " ".join(str(c) for c in plan.centers))
-            for i, members in enumerate(plan.fields):
-                out.append(f"field {i} " + " ".join(str(m) for m in members))
-        out.append("values " + _b64(layer.values, _F8))
-        out.append("bh " + _b64(layer.bias_hidden, _F8))
-        out.append("bv " + _b64(layer.bias_visible, _F8))
-    if net.head is None:
-        out.append("head none")
-    else:
-        o, i = net.head.weights.shape
-        out.append(f"head {o} {i} {net.head.activation}")
-        out.append("hw " + _b64(net.head.weights, _F8))
-        out.append("hb " + _b64(net.head.bias, _F8))
-    body = ("\n".join(out) + "\n").encode("utf-8")
+    seal = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(f"{_SEAL}{hashlib.sha256(body).hexdigest()}\n".encode("ascii"))
+        for line in _model_lines(net):
+            data = f"{line}\n".encode("utf-8")
+            seal.update(data)
+            fh.write(data)
+        fh.write(f"{_SEAL}{seal.hexdigest()}\n".encode("ascii"))
 
 
 class _Reader:
@@ -633,14 +648,18 @@ class _Reader:
 
 
 def _unseal(data: bytes) -> list[str]:
-    """The lines before a v2 file's checksum line, once the checksum matches."""
+    """The lines before a v2 file's checksum line, once the checksum matches.
+
+    The body is hashed and decoded through a memoryview, so it is never copied as bytes.
+    """
+    view = memoryview(data)
     start = data.rfind(b"\n", 0, len(data) - 1) + 1
-    seal = data[start:]
-    if not (seal.startswith(_SEAL.encode()) and seal.endswith(b"\n")):
+    seal = view[start:]
+    if not (seal[: len(_SEAL)] == _SEAL.encode() and seal[-1:] == b"\n"):
         raise ModelFormatError("file truncated: no checksum line")
-    if seal[len(_SEAL) : -1] != hashlib.sha256(data[:start]).hexdigest().encode():
+    if seal[len(_SEAL) : -1] != hashlib.sha256(view[:start]).hexdigest().encode():
         raise ModelFormatError("checksum mismatch: the file is damaged")
-    return data[: start - 1].decode("utf-8").split("\n")
+    return str(view[: start - 1], "utf-8").split("\n")
 
 
 def _read_plan(rd: _Reader) -> ReceptiveFieldPlan | None:
@@ -765,9 +784,11 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
             if plan is not None:
                 index = plan.index(v)
             else:
-                index = np.arange(h * v, dtype=np.int64) if stored == "dense" else _unb64(stored, _I8)
-        if index.size and (index[0] < 0 or index[-1] >= h * v or (np.diff(index) <= 0).any()):
+                index = nn.full_index(h * v) if stored == "dense" else _unb64(stored, _I8)
+        if index.size and (index[0] < 0 or index[-1] >= h * v or (index[1:] <= index[:-1]).any()):
             raise ModelFormatError(f"layer {k}: connections must rise strictly inside [0, {h * v})")
+        if index.size == h * v:
+            index = nn.full_index(index.size)
         if values.size != index.size:
             raise ModelFormatError(f"layer {k}: {values.size} weights for {index.size} connections")
         bh, bv = floats(rd.rest("bh")), floats(rd.rest("bv"))
@@ -823,10 +844,13 @@ def load(path) -> TrfNetwork:
         data = fh.read()
     try:
         if data.startswith(MODEL_MAGIC.encode()):
-            return _parse_model(_unseal(data), v2=True)
-        if data.startswith(MODEL_MAGIC_V1.encode()):
-            return _parse_model(data.decode("utf-8").splitlines(), v2=False)
-        raise ModelFormatError("not a model file, or unsupported version")
+            lines, v2 = _unseal(data), True
+        elif data.startswith(MODEL_MAGIC_V1.encode()):
+            lines, v2 = data.decode("utf-8").splitlines(), False
+        else:
+            raise ModelFormatError("not a model file, or unsupported version")
+        del data  # the lines hold the file from here on
+        return _parse_model(lines, v2)
     except (ValueError, IndexError, OverflowError) as e:  # OverflowError: an integer too large for int64
         if isinstance(e, ModelFormatError):
             raise
@@ -834,5 +858,10 @@ def load(path) -> TrfNetwork:
 
 
 def clone(net: TrfNetwork) -> TrfNetwork:
-    """Deep copy; training one copy never touches the other."""
-    return copy.deepcopy(net)
+    """Deep copy; training one copy never touches the other.
+
+    A full layer's index is the read-only shared nn.full_index view, so the
+    copy views it too instead of copying it.
+    """
+    shared = {id(l.index): l.index for l in net.layers if nn.is_full_index(l.index)}
+    return copy.deepcopy(net, shared)

@@ -12,13 +12,21 @@ Adam binds the list once and steps it with them; no array is named.
 
 A layer stores one value per connection; compute keeps dense BLAS products.
 A full layer, one that holds every connection (index.size == H * V, so its
-sorted index is arange(H * V)), computes on values.reshape(H, V).  Any other
-layer writes its values into a dense H x V weight buffer at its index and
-gathers the weight gradient there from a dense H x V product buffer.  Those
-two buffers (Buffers) belong to the caller that made them: a training loop
-keeps one pair per sparse layer for all its steps, a one-shot caller makes a
-fresh pair.  A pair is tied to the layer's index: a loop that changes the
-index must make a new one.
+sorted index is arange(H * V)), computes on values.reshape(H, V).  Its index
+is a read-only view of one int64 arange per size (full_index), shared by
+every full layer of that size and held only through their views, so a dense
+network stores each connection once, as its value.  Any other layer writes
+its values into a dense H x V weight buffer at its index and gathers the
+weight gradient there from a dense H x V product buffer.  Those two buffers
+(Buffers) belong to the caller that made them: a training loop keeps one
+pair per sparse layer for all its steps, a one-shot caller makes a fresh
+pair.  A pair is tied to the layer's index: a loop that changes the index
+must make a new one.
+
+dae_gradients adds the decoder bias in place, works out its output gradient
+in the decoder output's own array and takes the Bernoulli loss
+LOSS_ROW_BLOCK rows at a time, so a step holds two batch x V float64 arrays
+at most, with the same bits as the whole-batch expressions.
 
 Adam runs its finite check and then its elementwise update over ADAM_BLOCK
 elements of a parameter at a time, into block-sized scratch it allocates
@@ -41,6 +49,7 @@ place, because its caches keep both the pre-activation and the output.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple
 
@@ -126,6 +135,9 @@ class MaskedLayer:
 
     index: sorted flat row-major positions (row * V + column); values: their
     weights.  bias_hidden (H) feeds the encoder, bias_visible (V) the decoder.
+    A full layer's index, as init_masked_layer and the model loader make it,
+    is the read-only view full_index(H * V): layers share it, so it is never
+    written in place; a layer that changes its connectivity assigns a new index.
     """
 
     index: np.ndarray
@@ -199,6 +211,26 @@ def _is_full(layer: MaskedLayer) -> bool:
     return layer.index.size == layer.hidden_count * layer.visible_count
 
 
+# size -> the read-only int64 arange(size) that full layers of that size view;
+# weak, so an array lives only while some layer (or caller) holds a view of it
+_FULL_INDEXES: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
+def full_index(size: int) -> np.ndarray:
+    """A read-only view of the one shared int64 arange(size): the index of a full layer of size connections."""
+    base = _FULL_INDEXES.get(size)
+    if base is None:
+        base = np.arange(size, dtype=np.int64)
+        base.flags.writeable = False
+        _FULL_INDEXES[size] = base
+    return base.view()
+
+
+def is_full_index(index: np.ndarray) -> bool:
+    """Whether index is a view of the shared arange that full_index gives."""
+    return index.base is not None and index.base is _FULL_INDEXES.get(index.size)
+
+
 def _weights(layer: MaskedLayer, buf: Buffers | None) -> np.ndarray:
     """The dense H x V weights: a full layer's values in place, else written into buf.w at the index."""
     shape = (layer.hidden_count, layer.visible_count)
@@ -228,7 +260,9 @@ def init_masked_layer(
     """Uniform +-sqrt(6 / (fan_in + fan_out)) init with per-row fan-in.
 
     index holds the sorted flat row-major positions (row * V + column) of the
-    connections of an H x V layer, shape = (H, V).  fan_in of row i is its
+    connections of an H x V layer, shape = (H, V).  The layer keeps a copy
+    of it, or full_index(H * V) if it holds every connection, so it never
+    aliases the caller's array.  fan_in of row i is its
     connection count (the unit's true input width); fan_out is taken as the
     hidden width.  The full H x V uniform is drawn, in blocks of
     INIT_ROW_BLOCK rows, so the generator advances the same way whatever the
@@ -239,7 +273,7 @@ def init_masked_layer(
     if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
         raise ValueError(f"index must be a 1-D integer array, got {index.dtype} of shape {index.shape}")
     _check_rising(index, h * v)
-    index = index.astype(np.int64)
+    index = full_index(index.size) if index.size == h * v else index.astype(np.int64)
     bounds = np.searchsorted(index, np.arange(h + 1) * v)
     limit = np.sqrt(6.0 / (np.diff(bounds) + h))
     values = np.empty(index.size)
@@ -315,12 +349,25 @@ def _check_same_shape(x: np.ndarray, z: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: x {x.shape} vs z {z.shape}")
 
 
+# rows of a batch the Bernoulli loss takes at a time, so its elementwise terms
+# are block-sized temporaries, not batch-sized ones
+LOSS_ROW_BLOCK = 16
+
+
 def _bernoulli_loss(x: np.ndarray, z: np.ndarray, e: np.ndarray) -> float:
-    """Bernoulli reconstruction_loss given e = exp(-|z|)."""
+    """Bernoulli reconstruction_loss given e = exp(-|z|), LOSS_ROW_BLOCK rows at a time.
+
+    Each row sums on its own, so the row sums, and the loss, are the bits of
+    the whole-batch expression.
+    """
     if (x < 0).any() or (x > 1).any():
         raise DomainError("bernoulli loss needs targets in [0, 1]")
-    elem = np.maximum(z, 0.0) - x * z + np.log1p(e)
-    return float(elem.sum(axis=1).mean())
+    row_sums = np.empty(z.shape[0])
+    for r0 in range(0, z.shape[0], LOSS_ROW_BLOCK):
+        rows = slice(r0, r0 + LOSS_ROW_BLOCK)
+        elem = np.maximum(z[rows], 0.0) - x[rows] * z[rows] + np.log1p(e[rows])
+        row_sums[rows] = elem.sum(axis=1)
+    return float(row_sums.mean())
 
 
 def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, family: str, buf: Buffers):
@@ -334,17 +381,21 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
     x_clean = np.asarray(x_clean, dtype=np.float64)
     we = _weights(layer, buf)
     h = sigmoid(_pre_activation(layer, x_tilde, we))
-    z = h @ we + layer.bias_visible
+    z = h @ we
+    z += layer.bias_visible
 
     b = x_clean.shape[0]
     if family == BERNOULLI:
         _check_same_shape(x_clean, z)
         e = _exp_neg_abs(z)
         loss = _bernoulli_loss(x_clean, z, e)
-        dz = (_sigmoid_from(z, e) - x_clean) / b
+        dz = _sigmoid_from(z, e, out=z)
+        del e  # _sigmoid_from's scratch now
     else:
         loss = reconstruction_loss(x_clean, z, family)
-        dz = (z - x_clean) / b
+        dz = z
+    dz -= x_clean
+    dz /= b
     dh = dz @ we.T
     da = dh * h * (1.0 - h)
     gw = _weight_gradient(layer, da, x_tilde, buf)
@@ -512,7 +563,8 @@ def stack_forward(
         dropped, scale = dropout(act, dropout_rate, rng)
         caches.append({"x": out, "w": w, "pre": pre, "act": act, "scale": scale})
         out = dropped
-    logits = out @ head.weights.T + head.bias
+    logits = out @ head.weights.T
+    logits += head.bias
     caches.append({"x": out})
     return logits, caches
 
