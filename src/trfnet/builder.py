@@ -14,7 +14,6 @@ master_seed + depth.
 from __future__ import annotations
 
 import base64
-import binascii
 import copy
 import hashlib
 import math
@@ -513,9 +512,8 @@ def _b64(a: np.ndarray, dtype: np.dtype) -> str:
 
 def _unb64(text: str, dtype: np.dtype) -> np.ndarray:
     """Inverse of _b64 as a fresh writable array; text that is not base64 of
-    whole items raises ValueError.  binascii reads an ASCII str in place, where
-    base64.b64decode would first copy it to bytes."""
-    raw = binascii.a2b_base64(text, strict_mode=True)
+    whole items raises ValueError."""
+    raw = base64.b64decode(text, validate=True)
     return np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
 
 
@@ -787,8 +785,6 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
                 index = nn.full_index(h * v) if stored == "dense" else _unb64(stored, _I8)
         if index.size and (index[0] < 0 or index[-1] >= h * v or (index[1:] <= index[:-1]).any()):
             raise ModelFormatError(f"layer {k}: connections must rise strictly inside [0, {h * v})")
-        if index.size == h * v:
-            index = nn.full_index(index.size)
         if values.size != index.size:
             raise ModelFormatError(f"layer {k}: {values.size} weights for {index.size} connections")
         bh, bv = floats(rd.rest("bh")), floats(rd.rest("bv"))
@@ -858,10 +854,6 @@ def load(path) -> TrfNetwork:
 
 
 def clone(net: TrfNetwork) -> TrfNetwork:
-    """Deep copy; training one copy never touches the other.
-
-    A full layer's index is the read-only shared nn.full_index view, so the
-    copy views it too instead of copying it.
-    """
-    shared = {id(l.index): l.index for l in net.layers if nn.is_full_index(l.index)}
-    return copy.deepcopy(net, shared)
+    """Deep copy; training one copy never touches the other (a full layer's
+    read-only index stays shared, see nn.MaskedLayer)."""
+    return copy.deepcopy(net)

@@ -23,10 +23,10 @@ pair per sparse layer for all its steps, a one-shot caller makes a fresh
 pair.  A pair is tied to the layer's index: a loop that changes the index
 must make a new one.
 
-dae_gradients adds the decoder bias in place, works out its output gradient
-in the decoder output's own array and takes the Bernoulli loss
-LOSS_ROW_BLOCK rows at a time, so a step holds two batch x V float64 arrays
-at most, with the same bits as the whole-batch expressions.
+dae_gradients adds the decoder bias in place and builds the Bernoulli loss
+terms, then the output gradient, in the decoder output's own array, so a
+step holds three batch x V float64 arrays at most (that one, exp(-|z|) and
+the loss's scratch), with the same bits as the out-of-place expressions.
 
 Adam runs its finite check and then its elementwise update over ADAM_BLOCK
 elements of a parameter at a time, into block-sized scratch it allocates
@@ -49,8 +49,9 @@ place, because its caches keep both the pre-activation and the output.
 
 from __future__ import annotations
 
+import copy
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -68,7 +69,7 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out=z overwrites z: one scratch array the size of z and a bool mask.
     """
     z = np.asarray(z, dtype=np.float64)
-    return _sigmoid_from(z, _exp_neg_abs(z), out)
+    return _sigmoid_from(z >= 0, _exp_neg_abs(z), out)
 
 
 def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
@@ -78,12 +79,12 @@ def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def _sigmoid_from(z: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sigmoid(z) given e = exp(-|z|): 1 / (1 + e) where z >= 0, else e / (1 + e).
+def _sigmoid_from(positive: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sigmoid(z) given positive = z >= 0 and e = exp(-|z|): 1 / (1 + e) where
+    positive, else e / (1 + e).
 
     e is overwritten.  The result goes into out (fresh if None), which may be z.
     """
-    positive = z >= 0
     if out is None:
         out = np.where(positive, 1.0, e)
     else:
@@ -129,15 +130,35 @@ def get_activation(name: str) -> Activation:
         raise ValueError(f"unknown activation {name!r}") from None
 
 
+# size -> the read-only int64 arange(size) that full layers of that size view;
+# weak, so an array lives only while some layer (or caller) holds a view of it
+_FULL_INDEXES: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
+def full_index(size: int) -> np.ndarray:
+    """A read-only view of the one shared int64 arange(size): the index of a full layer of size connections."""
+    base = _FULL_INDEXES.get(size)
+    if base is None:
+        base = np.arange(size, dtype=np.int64)
+        base.flags.writeable = False
+        _FULL_INDEXES[size] = base
+    return base.view()
+
+
+def _views_full_index(index: np.ndarray) -> bool:
+    return index.base is not None and index.base is _FULL_INDEXES.get(index.size)
+
+
 @dataclass
 class MaskedLayer:
     """One sparse H x V layer: connections as non-zeros, and two biases.
 
     index: sorted flat row-major positions (row * V + column); values: their
     weights.  bias_hidden (H) feeds the encoder, bias_visible (V) the decoder.
-    A full layer's index, as init_masked_layer and the model loader make it,
-    is the read-only view full_index(H * V): layers share it, so it is never
-    written in place; a layer that changes its connectivity assigns a new index.
+    A full layer's index, arange(H * V), is the read-only view
+    full_index(H * V): construction swaps an index equal to it for the view,
+    and deepcopy keeps the view.  Layers share it, so it is never written in
+    place; a layer that changes its connectivity assigns a new index.
     """
 
     index: np.ndarray
@@ -145,6 +166,18 @@ class MaskedLayer:
     bias_hidden: np.ndarray
     bias_visible: np.ndarray
     activation: str = "sigmoid"
+
+    def __post_init__(self) -> None:
+        size = self.hidden_count * self.visible_count
+        if self.index.size == size and not _views_full_index(self.index):
+            shared = full_index(size)
+            if np.array_equal(self.index, shared):
+                self.index = shared
+
+    def __deepcopy__(self, memo) -> MaskedLayer:
+        copies = {f.name: copy.deepcopy(getattr(self, f.name), memo) for f in fields(self) if f.name != "index"}
+        index = self.index if _views_full_index(self.index) else copy.deepcopy(self.index, memo)
+        return replace(self, index=index, **copies)
 
     @property
     def hidden_count(self) -> int:
@@ -211,26 +244,6 @@ def _is_full(layer: MaskedLayer) -> bool:
     return layer.index.size == layer.hidden_count * layer.visible_count
 
 
-# size -> the read-only int64 arange(size) that full layers of that size view;
-# weak, so an array lives only while some layer (or caller) holds a view of it
-_FULL_INDEXES: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
-
-
-def full_index(size: int) -> np.ndarray:
-    """A read-only view of the one shared int64 arange(size): the index of a full layer of size connections."""
-    base = _FULL_INDEXES.get(size)
-    if base is None:
-        base = np.arange(size, dtype=np.int64)
-        base.flags.writeable = False
-        _FULL_INDEXES[size] = base
-    return base.view()
-
-
-def is_full_index(index: np.ndarray) -> bool:
-    """Whether index is a view of the shared arange that full_index gives."""
-    return index.base is not None and index.base is _FULL_INDEXES.get(index.size)
-
-
 def _weights(layer: MaskedLayer, buf: Buffers | None) -> np.ndarray:
     """The dense H x V weights: a full layer's values in place, else written into buf.w at the index."""
     shape = (layer.hidden_count, layer.visible_count)
@@ -261,8 +274,8 @@ def init_masked_layer(
 
     index holds the sorted flat row-major positions (row * V + column) of the
     connections of an H x V layer, shape = (H, V).  The layer keeps a copy
-    of it, or full_index(H * V) if it holds every connection, so it never
-    aliases the caller's array.  fan_in of row i is its
+    of it, or views full_index(H * V) if it holds every connection (see
+    MaskedLayer), so it never aliases the caller's array.  fan_in of row i is its
     connection count (the unit's true input width); fan_out is taken as the
     hidden width.  The full H x V uniform is drawn, in blocks of
     INIT_ROW_BLOCK rows, so the generator advances the same way whatever the
@@ -273,7 +286,8 @@ def init_masked_layer(
     if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
         raise ValueError(f"index must be a 1-D integer array, got {index.dtype} of shape {index.shape}")
     _check_rising(index, h * v)
-    index = full_index(index.size) if index.size == h * v else index.astype(np.int64)
+    if index.size < h * v:
+        index = index.astype(np.int64)
     bounds = np.searchsorted(index, np.arange(h + 1) * v)
     limit = np.sqrt(6.0 / (np.diff(bounds) + h))
     values = np.empty(index.size)
@@ -349,25 +363,20 @@ def _check_same_shape(x: np.ndarray, z: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: x {x.shape} vs z {z.shape}")
 
 
-# rows of a batch the Bernoulli loss takes at a time, so its elementwise terms
-# are block-sized temporaries, not batch-sized ones
-LOSS_ROW_BLOCK = 16
+def _bernoulli_loss(x: np.ndarray, z: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Bernoulli reconstruction_loss given e = exp(-|z|).
 
-
-def _bernoulli_loss(x: np.ndarray, z: np.ndarray, e: np.ndarray) -> float:
-    """Bernoulli reconstruction_loss given e = exp(-|z|), LOSS_ROW_BLOCK rows at a time.
-
-    Each row sums on its own, so the row sums, and the loss, are the bits of
-    the whole-batch expression.
+    max(z, 0) - x * z + log1p(e) is built in place, left to right, in out
+    (fresh if None; out=z overwrites z), so it has the bits of that
+    expression and one scratch array the size of z.
     """
     if (x < 0).any() or (x > 1).any():
         raise DomainError("bernoulli loss needs targets in [0, 1]")
-    row_sums = np.empty(z.shape[0])
-    for r0 in range(0, z.shape[0], LOSS_ROW_BLOCK):
-        rows = slice(r0, r0 + LOSS_ROW_BLOCK)
-        elem = np.maximum(z[rows], 0.0) - x[rows] * z[rows] + np.log1p(e[rows])
-        row_sums[rows] = elem.sum(axis=1)
-    return float(row_sums.mean())
+    scratch = x * z
+    elem = np.maximum(z, 0.0, out=out)
+    elem -= scratch
+    elem += np.log1p(e, out=scratch)
+    return float(elem.sum(axis=1).mean())
 
 
 def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, family: str, buf: Buffers):
@@ -387,10 +396,11 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
     b = x_clean.shape[0]
     if family == BERNOULLI:
         _check_same_shape(x_clean, z)
+        positive = z >= 0
         e = _exp_neg_abs(z)
-        loss = _bernoulli_loss(x_clean, z, e)
-        dz = _sigmoid_from(z, e, out=z)
-        del e  # _sigmoid_from's scratch now
+        loss = _bernoulli_loss(x_clean, z, e, out=z)  # z is spent: the sigmoid needs only its sign
+        dz = _sigmoid_from(positive, e, out=z)
+        del e, positive  # _sigmoid_from's scratch now
     else:
         loss = reconstruction_loss(x_clean, z, family)
         dz = z
@@ -443,7 +453,7 @@ def multitask_sigmoid_loss(logits: np.ndarray, targets: np.ndarray):
     e = _exp_neg_abs(z)
     elem = np.maximum(z, 0.0) - t_safe * z + np.log1p(e)
     loss = float((elem * observed).sum() / count)
-    dlogits = (_sigmoid_from(z, e) - t_safe) * observed / count
+    dlogits = (_sigmoid_from(z >= 0, e) - t_safe) * observed / count
     return loss, dlogits
 
 

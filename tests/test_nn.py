@@ -267,13 +267,17 @@ class TestReconstructionLoss:
         with pytest.raises(DomainError):
             nn.reconstruction_loss(np.array([[1.5, 0.0]]), np.zeros((1, 2)), nn.BERNOULLI)
 
-    @pytest.mark.parametrize("rows", [1, nn.LOSS_ROW_BLOCK - 1, nn.LOSS_ROW_BLOCK, 2 * nn.LOSS_ROW_BLOCK + 3])
-    def test_bernoulli_row_blocks_give_the_whole_batch_bits(self, rows):
+    @pytest.mark.parametrize("rows", [1, 35])
+    def test_bernoulli_in_place_gives_the_expression_bits(self, rows):
         rng = np.random.default_rng(rows)
         x = (rng.random((rows, 37)) < 0.4).astype(np.float64)
         z = rng.normal(scale=30.0, size=x.shape)
+        z[0, :4] = [0.0, -0.0, 800.0, -800.0]
         whole = np.maximum(z, 0.0) - x * z + np.log1p(np.exp(-np.abs(z)))
-        assert bits(nn.reconstruction_loss(x, z, nn.BERNOULLI)) == bits(float(whole.sum(axis=1).mean()))
+        expected = bits(float(whole.sum(axis=1).mean()))
+        assert bits(nn.reconstruction_loss(x, z, nn.BERNOULLI)) == expected
+        spent = z.copy()
+        assert bits(nn._bernoulli_loss(x, spent, nn._exp_neg_abs(z), out=spent)) == expected
 
 
 class TestDaeGradients:
@@ -307,13 +311,14 @@ class TestDaeGradients:
         # one gradient per connection: an unconnected position has none to take
         assert grads[0].shape == layer.index.shape
 
-    def test_one_call_holds_two_batch_by_visible_arrays(self):
+    def test_one_call_holds_three_batch_by_visible_arrays(self):
         """At news-d2's layer-0 shape (550 x 2000, about 10% connected, batch
-        128) a call holds the decoder output, which becomes its gradient, and
-        exp(-|z|) as its only batch x V arrays, beside batch x H and
-        connection-sized ones: under 3.5 such arrays at its peak (2.8
-        measured).  With the bias added out of place, a fresh output gradient
-        and the whole-batch loss it held 4.7.
+        128) a call's batch x V arrays are the decoder output (which becomes
+        the loss terms, then the output gradient), exp(-|z|) and the loss's
+        one scratch array, beside batch x H and connection-sized ones: under
+        3.6 such arrays at its peak (3.4 measured).  With the bias added out
+        of place, a fresh output gradient and a fresh loss expression it held
+        4.7, one array more.
         """
         h, v, b = 550, 2000, 128
         layer, rng = random_masked_layer(h, v, seed=31, density=0.1)
@@ -327,7 +332,7 @@ class TestDaeGradients:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * b * v * 8
+        assert peak < 3.6 * b * v * 8
 
     def test_loss_equals_composed_operations(self):
         layer, rng = random_masked_layer(4, 6, seed=29)
