@@ -14,12 +14,13 @@ master_seed + depth.
 from __future__ import annotations
 
 import base64
+import binascii
 import copy
 import hashlib
 import math
+import re
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -264,9 +265,18 @@ def _check_labels(d: Dataset, head: nn.DenseLayer, mode: str, what: str):
         raise ValueError(f"unknown head mode {mode!r}")
 
 
-def _batch_loss_grads(net: TrfNetwork, bufs, x, y, hyper, rng):
-    """One batch's loss and gradients; its forward caches die on return, before the next forward."""
+def _batch_loss_grads(net: TrfNetwork, bufs, x, y, hyper, rng, spent: list):
+    """One batch's loss and gradients; its forward caches die on return, before the next forward.
+
+    spent, the last step's gradient list, is emptied once the forward has
+    run, so the backward never holds two gradient lists.  Emptied right
+    after its step instead, together with the L1 baseline's terms freed just
+    before it, it left two whole-layer arrays free at the top of the heap,
+    which glibc handed back to the system at every step: train_l1 at 2000 ->
+    256 took 263K minor page faults and 0.5 s more, against 7.4K here.
+    """
     logits, caches = nn.stack_forward(net.layers, net.head, x, bufs, dropout_rate=hyper.dropout_rate, rng=rng)
+    spent.clear()
     if net.head_mode == SOFTMAX:
         loss, dlogits = nn.softmax_cross_entropy(logits, y)
     else:
@@ -286,10 +296,15 @@ def finetune(
     Hidden activations are switched to hyper.activation (the pretrained
     weights are kept unless hyper.reinit), dropout applies to hidden layers
     during training, and early stopping tracks the validation score with the
-    given patience.  The returned report is computed from the best-validation
-    snapshot on the validation set (on the training set when valid is None).
-    Training and validation scoring share what nn.buffers gives each layer
-    (a dense buffer pair if it is sparse), dropped before the report.
+    given patience.  The validation set (the training set when valid is
+    None) is scored once per epoch, and no other pass scores it: the network
+    returned holds the best-scoring epoch's parameters, and its report is
+    built from that epoch's scores, the bits evaluate gives on it.  Training
+    and validation scoring share what nn.buffers gives each layer (a dense
+    buffer pair if it is sparse).  The best state is copied, into arrays
+    allocated once, only when a later epoch is about to train over it, and
+    copied back only when the last epoch run did not score best.  Each
+    step's gradients are dropped before the next backward makes new ones.
 
     penalty_grads, when given, is called before each step with the weight
     arrays, params[::2] of nn.stack_params, and returns one extra gradient
@@ -301,6 +316,7 @@ def finetune(
     _check_labels(train, net.head, net.head_mode, "train")
     if valid is not None:
         _check_labels(valid, net.head, net.head_mode, "valid")
+    gate = valid if valid is not None else train
     t0 = time.perf_counter()
     rng = np.random.default_rng(hyper.seed)
     for layer in net.layers:
@@ -316,33 +332,37 @@ def finetune(
     bufs = [nn.buffers(layer) for layer in net.layers]
     adam = nn.Adam(params, hyper.step_size)
     n = train.n_samples
-    best_score, best_state, since_best = -np.inf, None, 0
+    # each score is an accuracy or AUC mean in [0, 1], so the first epoch sets best
+    best_score, best, since_best = -np.inf, None, 0
+    snapshot, holds_best, grads = None, False, []
     for _ in range(hyper.epochs):
+        if holds_best:
+            if snapshot is None:
+                snapshot = [np.empty_like(p) for p in params]
+            for kept, p in zip(snapshot, params):
+                np.copyto(kept, p)
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
-            _, grads = _batch_loss_grads(net, bufs, train.rows(idx), train.labels[idx], hyper, rng)
+            _, grads = _batch_loss_grads(net, bufs, train.rows(idx), train.labels[idx], hyper, rng, grads)
             if penalty_grads is not None:
                 for i, extra in enumerate(penalty_grads(params[::2])):
                     grads[2 * i] += extra
             adam.step(grads)
-        gate = valid if valid is not None else train
-        score = _score_dataset(net, gate, bufs)
-        if score > best_score:
-            best_score = score
-            best_state = [p.copy() for p in params]
-            since_best = 0
+        scores, seconds = _score_dataset(net, gate, bufs)
+        score = _gate_score(scores)
+        holds_best = score > best_score
+        if holds_best:
+            best_score, best, since_best = score, (scores, seconds), 0
         else:
             since_best += 1
             if since_best >= hyper.patience:
                 break
-    if best_state is not None:
-        for p, best in zip(params, best_state):
-            p[...] = best
-    del bufs
-    train_seconds = time.perf_counter() - t0
-    report = evaluate(net, valid if valid is not None else train)
-    report.wall_clock["finetune"] = train_seconds
+    if not holds_best:
+        for p, kept in zip(params, snapshot):
+            np.copyto(p, kept)
+    report = _report(net, *best)
+    report.wall_clock["finetune"] = time.perf_counter() - t0
     return net, report
 
 
@@ -396,12 +416,32 @@ def _scores(logits: np.ndarray, labels: np.ndarray, head_mode: str):
     return None, aucs, (float(np.mean(scored)) if scored else None)
 
 
-def _score_dataset(net: TrfNetwork, d: Dataset, bufs) -> float:
+def _score_dataset(net: TrfNetwork, d: Dataset, bufs):
+    """_scores of net over d, and the seconds the pass took."""
+    t0 = time.perf_counter()
+    scores = _scores(_logits(net, d, bufs), d.labels, net.head_mode)
+    return scores, time.perf_counter() - t0
+
+
+def _gate_score(scores) -> float:
     """The validation score early stopping tracks: accuracy or AUC mean, 0.0 if unscored."""
-    accuracy, _, auc_mean = _scores(_logits(net, d, bufs), d.labels, net.head_mode)
+    accuracy, _, auc_mean = scores
     if accuracy is not None:
         return accuracy
     return 0.0 if auc_mean is None else auc_mean
+
+
+def _report(net: TrfNetwork, scores, seconds: float) -> EvalReport:
+    """The report of net from one scoring pass: its _scores and its seconds."""
+    accuracy, aucs, auc_mean = scores
+    return EvalReport(
+        parameter_count=net.parameter_count(),
+        sparsity=net.hidden_sparsity(),
+        accuracy=accuracy,
+        auc_per_task=None if aucs is None else tuple(-1.0 if a is None else a for a in aucs),
+        auc_mean=auc_mean,
+        wall_clock={"evaluate": seconds},
+    )
 
 
 def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
@@ -409,17 +449,7 @@ def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
     if net.head is None:
         raise ValueError("attach a head before evaluating")
     _check_labels(test, net.head, net.head_mode, "test")
-    t0 = time.perf_counter()
-    bufs = [nn.buffers(layer) for layer in net.layers]
-    accuracy, aucs, auc_mean = _scores(_logits(net, test, bufs), test.labels, net.head_mode)
-    return EvalReport(
-        parameter_count=net.parameter_count(),
-        sparsity=net.hidden_sparsity(),
-        accuracy=accuracy,
-        auc_per_task=None if aucs is None else tuple(-1.0 if a is None else a for a in aucs),
-        auc_mean=auc_mean,
-        wall_clock={"evaluate": time.perf_counter() - t0},
-    )
+    return _report(net, *_score_dataset(net, test, [nn.buffers(layer) for layer in net.layers]))
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +540,44 @@ def _b64(a: np.ndarray, dtype: np.dtype) -> str:
     return base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()).decode("ascii")
 
 
-def _unb64(text: str, dtype: np.dtype) -> np.ndarray:
-    """Inverse of _b64 as a fresh writable array; text that is not base64 of
-    whole items raises ValueError."""
-    raw = base64.b64decode(text, validate=True)
-    return np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
+# characters _unb64 decodes at a time: a multiple of 4, so each chunk starts a
+# quad and decodes on its own
+_B64_CHUNK = 1 << 16
+_B64_DIGITS = re.compile("[A-Za-z0-9+/]*")
+# whole quads, the last one padded if it is short; a full last quad may carry
+# one or two "=" (Python 3.10's b64decode and 3.11's strict decode both take those)
+_B64_LAST = re.compile("(?:[A-Za-z0-9+/]{4})*(?:[A-Za-z0-9+/]{2}==|[A-Za-z0-9+/]{3}=|[A-Za-z0-9+/]{4}={1,2})?")
+
+
+def _unb64(line: str, dtype: np.dtype, start: int) -> np.ndarray:
+    """Inverse of _b64 on line[start:], as a fresh writable array; text that
+    is not base64 of whole items raises ValueError.
+
+    The text is decoded _B64_CHUNK characters at a time, each chunk read at
+    its offset into line and written straight into the array, so neither the
+    text nor its bytes are held whole a second time.  It must be what
+    base64.b64decode(..., validate=True) takes on both Python 3.10 and 3.11.
+    The last chunk holds at least 6 characters, so the last quad and its
+    padding fall in it, and the chunks before it must hold digits only.
+    """
+    full = max(len(line) - start - 6, 0) // _B64_CHUNK
+    tail_at = start + full * _B64_CHUNK
+    if not _B64_LAST.fullmatch(line, tail_at):
+        raise ValueError("not padded base64")
+    tail = binascii.a2b_base64(line[tail_at:])
+    step = _B64_CHUNK // 4 * 3
+    size = full * step + len(tail)
+    if size % dtype.itemsize:
+        raise ValueError(f"{size} bytes are not whole {dtype.itemsize}-byte items")
+    out = np.empty(size // dtype.itemsize, dtype=dtype)
+    raw = out.view(np.uint8)
+    for k in range(full):
+        lo = start + k * _B64_CHUNK
+        if not _B64_DIGITS.fullmatch(line, lo, lo + _B64_CHUNK):
+            raise ValueError("not padded base64")
+        raw[k * step : (k + 1) * step] = np.frombuffer(binascii.a2b_base64(line[lo : lo + _B64_CHUNK]), np.uint8)
+    raw[full * step :] = np.frombuffer(tail, np.uint8)
+    return out.astype(dtype.newbyteorder("="), copy=False)
 
 
 def _config_lines(cfg: BuildConfig) -> list[str]:
@@ -690,7 +753,7 @@ def _check_positions(k: int, h: int, v: int) -> None:
         raise ModelFormatError(f"layer {k}: a {h} x {v} layer has more positions than int64 holds")
 
 
-def _check_declared(k: int, h: int, v: int, n_values: int, plan: ReceptiveFieldPlan | None, stored: str | None):
+def _check_declared(k: int, h: int, v: int, n_values: int, plan: ReceptiveFieldPlan | None, dense: bool):
     """The positions a v2 layer declares through h and v alone, against its decoded values.
 
     A dense index holds h * v positions and a plan's global rows v each, so
@@ -701,7 +764,7 @@ def _check_declared(k: int, h: int, v: int, n_values: int, plan: ReceptiveFieldP
     if plan is not None:
         declared = plan.global_count * v
         count = sum(len(members) for members in plan.fields) + declared
-    elif stored == "dense":
+    elif dense:
         declared = count = h * v
     else:
         return
@@ -738,8 +801,13 @@ def _v1_floats(text: str) -> np.ndarray:
 
 def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
     """The network in a model file's lines; v2 arrays are base64, v1 decimal."""
-    floats = partial(_unb64, dtype=_F8) if v2 else _v1_floats
     rd = _Reader(lines)
+
+    def floats(key: str) -> np.ndarray:
+        if v2:
+            return _unb64(rd.next(key + " "), _F8, len(key) + 1)
+        return _v1_floats(rd.rest(key))
+
     if rd.next() != (MODEL_MAGIC if v2 else MODEL_MAGIC_V1):
         raise ModelFormatError("not a model file, or unsupported version")
     head_mode = rd.next("head_mode ").split(" ")[1]
@@ -776,18 +844,18 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
                     f"layer {k}: mask rows disagree with the plan (field rows, then all-ones global rows)"
                 )
         else:
-            stored = None if plan is not None else rd.rest("index")
-            values = floats(rd.rest("values"))
-            _check_declared(k, h, v, values.size, plan, stored)
+            stored = None if plan is not None else rd.next("index ")
+            values = floats("values")
+            _check_declared(k, h, v, values.size, plan, stored == "index dense")
             if plan is not None:
                 index = plan.index(v)
             else:
-                index = nn.full_index(h * v) if stored == "dense" else _unb64(stored, _I8)
+                index = nn.full_index(h * v) if stored == "index dense" else _unb64(stored, _I8, len("index "))
         if index.size and (index[0] < 0 or index[-1] >= h * v or (index[1:] <= index[:-1]).any()):
             raise ModelFormatError(f"layer {k}: connections must rise strictly inside [0, {h * v})")
         if values.size != index.size:
             raise ModelFormatError(f"layer {k}: {values.size} weights for {index.size} connections")
-        bh, bv = floats(rd.rest("bh")), floats(rd.rest("bv"))
+        bh, bv = floats("bh"), floats("bv")
         if bh.size != h or bv.size != v:
             raise ModelFormatError(f"layer {k}: bias length mismatch")
         if not all(np.isfinite(a).all() for a in (values, bh, bv)):
@@ -804,18 +872,18 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
             raise ModelFormatError(f"head activation must be identity, got {act!r}")
         o, i_w = int(o_s), int(i_s)
         if v2:
-            hw = floats(rd.rest("hw"))
+            hw = floats("hw")
             if hw.size != o * i_w:
                 raise ModelFormatError(f"head: {hw.size} weights for {o} x {i_w}")
             hw = hw.reshape(o, i_w)
         else:
             hw = np.zeros((o, i_w), dtype=np.float64)
             for r in range(o):
-                vals = floats(rd.rest(f"hw {r}"))
+                vals = floats(f"hw {r}")
                 if vals.size != i_w:
                     raise ModelFormatError(f"head row {r}: weight count mismatch")
                 hw[r] = vals
-        hb = floats(rd.rest("hb"))
+        hb = floats("hb")
         if hb.size != o:
             raise ModelFormatError("head bias length mismatch")
         if not (np.isfinite(hw).all() and np.isfinite(hb).all()):

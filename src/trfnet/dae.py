@@ -114,6 +114,7 @@ def train_dae(
             x_tilde = corrupt(batch, c, rng)
             loss, grads = nn.dae_gradients(layer, batch, x_tilde, family, buf)
             adam.step(grads)
+            del grads  # freed before the next step's forward
             total += loss * batch.shape[0]
         log.append(total / n)
     return layer, log

@@ -386,6 +386,114 @@ class TestLabelRange:
             evaluate(self.dense_net(3, "multitask"), Dataset(train.values, labels=labels.clip(0, 1)))
 
 
+class TestFinetuneReport:
+    """finetune reports from its best epoch's validation pass: evaluate on the
+    network it returns, over the same gate, gives the same report."""
+
+    @pytest.fixture(scope="class")
+    def corpus_splits(self, small_corpus):
+        from trfnet.data import split
+
+        train, valid, _ = split(small_corpus, 0.7, 0.15, seed=0)
+        return build_trf_net(train, quick_config()), train, valid
+
+    @staticmethod
+    def instrument(monkeypatch):
+        """Records each gate score builder._scores gives, and counts the eval
+        forwards and the Adam steps."""
+        from trfnet import builder
+
+        seen = {"scores": [], "forwards": 0, "steps": 0}
+        scores, forward, step = builder._scores, nn.hidden_representation, nn.Adam.step
+
+        def recording(logits, labels, head_mode):
+            accuracy, aucs, auc_mean = scores(logits, labels, head_mode)
+            seen["scores"].append(accuracy if accuracy is not None else auc_mean)
+            return accuracy, aucs, auc_mean
+
+        def counted_forward(*args, **kw):
+            seen["forwards"] += 1
+            return forward(*args, **kw)
+
+        def counted_step(self, grads):
+            seen["steps"] += 1
+            return step(self, grads)
+
+        monkeypatch.setattr(builder, "_scores", recording)
+        monkeypatch.setattr(nn, "hidden_representation", counted_forward)
+        monkeypatch.setattr(nn.Adam, "step", counted_step)
+        return seen
+
+    @staticmethod
+    def epochs_run(seen, train, batch_size=32) -> int:
+        steps_per_epoch = -(-train.n_samples // batch_size)
+        epochs, rest = divmod(seen["steps"], steps_per_epoch)
+        assert rest == 0
+        return epochs
+
+    @staticmethod
+    def assert_reports_match(report, net, gate):
+        from dataclasses import replace
+
+        expected = evaluate(net, gate)
+        # repr is exact for floats, so this compares every field bit for bit
+        assert repr(replace(report, wall_clock={})) == repr(replace(expected, wall_clock={}))
+        assert sorted(report.wall_clock) == ["evaluate", "finetune"]
+
+    def tuned(self, corpus_splits, use_valid, **hyper):
+        base, train, valid = corpus_splits
+        net = attach_head(clone(base), 3, seed=0)
+        return finetune(net, train, valid if use_valid else None, FinetuneHyper(batch_size=32, seed=0, **hyper))
+
+    def test_softmax_with_validation(self, corpus_splits):
+        net, report = self.tuned(corpus_splits, True, epochs=3)
+        self.assert_reports_match(report, net, corpus_splits[2])
+
+    def test_without_validation_the_gate_is_the_training_set(self, corpus_splits):
+        net, report = self.tuned(corpus_splits, False, epochs=3)
+        self.assert_reports_match(report, net, corpus_splits[1])
+
+    def test_multitask(self):
+        from trfnet.data import split
+
+        rng = np.random.default_rng(21)
+        values = rng.normal(size=(300, 9))
+        labels = np.stack([(values[:, 3 * t : 3 * t + 3].sum(axis=1) > 0).astype(np.int64) for t in range(3)], axis=1)
+        labels[rng.random((300, 3)) < 0.15] = -1
+        train, valid, _ = split(Dataset(values, labels=labels), 0.7, 0.15, seed=0)
+        layer = nn.init_masked_layer(np.arange(0, 108, 2), (12, 9), np.random.default_rng(0), "relu")
+        net = attach_head(TrfNetwork(layers=[layer], plans=[None]), 3, mode="multitask", seed=1)
+        net, report = finetune(net, train, valid, FinetuneHyper(epochs=6, batch_size=32, seed=1))
+        assert len(report.auc_per_task) == 3
+        self.assert_reports_match(report, net, valid)
+
+    def test_early_stop_returns_the_best_epoch(self, corpus_splits, monkeypatch):
+        seen = self.instrument(monkeypatch)
+        net, report = self.tuned(corpus_splits, True, epochs=8, patience=2)
+        epochs_run = self.epochs_run(seen, corpus_splits[1])
+        best = int(np.argmax(seen["scores"][:epochs_run])) + 1
+        assert best < epochs_run < 8
+        self.assert_reports_match(report, net, corpus_splits[2])
+        # the same run cut at the best epoch holds the same parameters, bit for bit
+        cut, cut_report = self.tuned(corpus_splits, True, epochs=best, patience=2)
+        for a, b in zip(nn.stack_params(net.layers, net.head), nn.stack_params(cut.layers, cut.head)):
+            assert a.tobytes() == b.tobytes()
+        assert repr(report.accuracy) == repr(cut_report.accuracy)
+
+    def test_best_epoch_is_the_last(self, corpus_splits, monkeypatch):
+        seen = self.instrument(monkeypatch)
+        net, report = self.tuned(corpus_splits, True, epochs=3)
+        assert seen["scores"][2] > max(seen["scores"][:2])
+        self.assert_reports_match(report, net, corpus_splits[2])
+
+    def test_one_eval_forward_per_epoch_and_none_after(self, corpus_splits, monkeypatch):
+        seen = self.instrument(monkeypatch)
+        self.tuned(corpus_splits, True, epochs=8, patience=2)
+        epochs_run = self.epochs_run(seen, corpus_splits[1])
+        assert epochs_run < 8  # stopped early
+        assert seen["forwards"] == epochs_run
+
+
 V1_FIXTURE = Path(__file__).parent / "data" / "model_v1.trf"
 
 
@@ -658,6 +766,45 @@ class TestSaveLoad:
         i = next(i for i, ln in enumerate(lines) if ln.startswith("bh "))
         lines[i] = "bh " + text
         self.rejects(tmp_path, lines, "corrupted model file")
+
+    @pytest.mark.parametrize("chunk", [4, 8, 1 << 16])
+    @pytest.mark.parametrize(
+        "text, decoded",
+        [
+            ("", b""),
+            ("A" * 11 + "=", bytes(8)),
+            ("A" * 32, bytes(24)),
+            ("A" * 32 + "=", bytes(24)),  # a full last quad may carry padding
+            ("A" * 32 + "==", bytes(24)),
+            ("=", None),  # 3.10 gives an empty array, 3.11 rejects it
+            ("==", None),
+            ("A" * 11, None),
+            ("A" * 11 + "==", None),  # 3.10 gives 8 bytes, 3.11 rejects it
+            ("A" * 10 + "==", None),  # 7 bytes
+            ("A" * 8 + "=" + "A" * 3, None),
+            ("A" * 32 + "===", None),  # 3.10 rejects it, 3.11 gives 24 bytes
+            ("A" * 10 + "\u00e9=", None),
+        ],
+    )
+    def test_chunked_decode_takes_what_b64decode_takes(self, monkeypatch, chunk, text, decoded):
+        """_unb64 decodes a line's text chunk by chunk, padding only at its end."""
+        from trfnet import builder
+
+        monkeypatch.setattr(builder, "_B64_CHUNK", chunk)
+        if decoded is None:
+            with pytest.raises(ValueError):
+                builder._unb64("values " + text, np.dtype("<f8"), len("values "))
+        else:
+            out = builder._unb64("values " + text, np.dtype("<f8"), len("values "))
+            assert out.tobytes() == decoded and out.flags.writeable
+
+    def test_load_decodes_across_chunks(self, tmp_path, small_corpus, monkeypatch):
+        from trfnet import builder
+
+        save(build_trf_net(small_corpus, quick_config()), tmp_path / "m.trf")
+        monkeypatch.setattr(builder, "_B64_CHUNK", 8)
+        save(load(tmp_path / "m.trf"), tmp_path / "again.trf")
+        assert (tmp_path / "again.trf").read_bytes() == (tmp_path / "m.trf").read_bytes()
 
     def v1_rejects(self, tmp_path, lines, match):
         (tmp_path / "bad.trf").write_text("\n".join(lines) + "\n")
