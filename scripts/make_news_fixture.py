@@ -7,6 +7,7 @@ train/valid/test, plus a tiny random embedding table covering the vocabulary
 """
 
 import argparse
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ def main():
     ap.add_argument("--classes", type=int, default=4)
     ap.add_argument("--block-size", type=int, default=16, help="words per topic block")
     ap.add_argument("--confusion", type=float, default=0.025)
+    ap.add_argument("--doc-length", type=float, default=50.0, help="mean document length before the 10 added tokens")
+    ap.add_argument("--topic-share", type=float, default=0.8, help="share of a document's tokens from its topic blocks")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
@@ -34,12 +37,19 @@ def main():
     ):
         if value < least:
             ap.error(f"{flag} must be at least {least}, got {value}")
+    for flag, value in (("--confusion", args.confusion), ("--topic-share", args.topic_share)):
+        if not 0.0 <= value <= 1.0:
+            ap.error(f"{flag} must lie in [0, 1], got {value}")
+    if not 0.0 <= args.doc_length < math.inf:
+        ap.error(f"--doc-length must be finite and at least 0, got {args.doc_length}")
     try:
         corpus = news_corpus(
             n_docs=args.docs,
             vocab_size=args.vocab,
             n_classes=args.classes,
             block_size=args.block_size,
+            topic_token_share=args.topic_share,
+            doc_length_mean=args.doc_length,
             confusion=args.confusion,
             seed=args.seed,
         )

@@ -711,7 +711,9 @@ class _Reader:
 def _unseal(data: bytes) -> list[str]:
     """The lines before a v2 file's checksum line, once the checksum matches.
 
-    The body is hashed and decoded through a memoryview, so it is never copied as bytes.
+    The body is hashed through a memoryview and each line is decoded from it
+    in turn, so the file is never copied as bytes and its text is held only
+    as the lines, never as one string beside them.
     """
     view = memoryview(data)
     start = data.rfind(b"\n", 0, len(data) - 1) + 1
@@ -720,7 +722,12 @@ def _unseal(data: bytes) -> list[str]:
         raise ModelFormatError("file truncated: no checksum line")
     if seal[len(_SEAL) : -1] != hashlib.sha256(view[:start]).hexdigest().encode():
         raise ModelFormatError("checksum mismatch: the file is damaged")
-    return str(view[: start - 1], "utf-8").split("\n")
+    lines, pos, end = [], 0, start - 1
+    while (stop := data.find(b"\n", pos, end)) >= 0:
+        lines.append(str(view[pos:stop], "utf-8"))
+        pos = stop + 1
+    lines.append(str(view[pos:end], "utf-8"))
+    return lines
 
 
 def _read_plan(rd: _Reader) -> ReceptiveFieldPlan | None:

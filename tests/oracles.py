@@ -511,3 +511,76 @@ def load_sparse_bow_reference(doc_path, vocab_path):
     values = np.zeros((len(labels), v))
     values[rows, cols] = counts
     return values, np.array(labels, dtype=np.int64), tuple(vocab)
+
+
+# ---------------------------------------------------------------------------
+# the synthetic corpus generator as it was written first: one Python pass per
+# document, a choice and a unique per document.  synth.news_corpus makes the
+# same draws in the same order and must return the same arrays, byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def news_corpus_reference(
+    n_docs: int = 2000,
+    vocab_size: int = 2000,
+    n_classes: int = 4,
+    block_size: int = 16,
+    background_fraction: float = 0.2,
+    active_blocks: int = 3,
+    topic_token_share: float = 0.8,
+    doc_length_mean: float = 50.0,
+    confusion: float = 0.0,
+    seed: int = 0,
+):
+    """(labels, indptr, columns, entries, feature names) of news_corpus's corpus."""
+    rng = np.random.default_rng(seed)
+    n_background = int(vocab_size * background_fraction)
+    n_topic = vocab_size - n_background
+    per_class = n_topic // n_classes
+    blocks_per_class = per_class // block_size
+    if blocks_per_class < active_blocks:
+        raise ValueError("vocabulary too small for the requested block layout")
+
+    # topic words first (class-major, block-major), background words last
+    class_blocks = []
+    w = 0
+    for _ in range(n_classes):
+        blocks = []
+        for _ in range(blocks_per_class):
+            blocks.append(np.arange(w, w + block_size))
+            w += block_size
+        class_blocks.append(blocks)
+    background = np.arange(vocab_size - n_background, vocab_size)
+
+    columns, counts = [], []
+    labels = rng.integers(0, n_classes, size=n_docs)
+    for i in range(n_docs):
+        sources = np.full(active_blocks, labels[i])
+        borrowed = rng.random(active_blocks) < confusion
+        sources[borrowed] = rng.integers(0, n_classes, size=int(borrowed.sum()))
+        picked = set()
+        for cls in sources:
+            blocks = class_blocks[cls]
+            while True:
+                j = int(rng.integers(len(blocks)))
+                if (cls, j) not in picked:
+                    picked.add((cls, j))
+                    break
+        topic_words = np.concatenate([class_blocks[c][j] for c, j in sorted(picked)])
+        length = int(rng.poisson(doc_length_mean)) + 10
+        from_topic = rng.random(length) < topic_token_share
+        if n_background == 0:
+            from_topic[:] = True
+        n_topic_tokens = int(from_topic.sum())
+        tokens = np.concatenate(
+            [
+                rng.choice(topic_words, size=n_topic_tokens),
+                rng.choice(background, size=length - n_topic_tokens),
+            ]
+        )
+        words, times = np.unique(tokens, return_counts=True)
+        columns.append(words)
+        counts.append(times)
+    indptr = np.concatenate(([0], np.cumsum([c.size for c in columns])))
+    names = tuple(f"w{j:04d}" for j in range(vocab_size))
+    return labels, indptr, np.concatenate(columns), np.concatenate(counts).astype(np.float64), names

@@ -119,10 +119,12 @@ def test_dense_network_and_its_reload_hold_one_index(tmp_path):
     With W the bytes of one 256 x 2000 float64 array, the two networks hold
     their two value arrays and one shared index, about 3 W; with an index
     each they would hold 4 W.  The peak is the first network (2 W) and the
-    file's bytes, its text and its lines (4/3 W each) while load splits it,
-    6.03 W measured.  The values line is decoded in chunks straight into its
-    array (W) while only the lines are held, 4.3 W in all; slicing that line
-    and decoding it whole peaked at 7.01 W, above the 6.3 W asserted here.
+    file's bytes and its lines (4/3 W each) while load decodes it line by
+    line, 4.69 W measured; decoding the whole text before splitting it held
+    a third 4/3 W copy, 6.03 W.  The values line is decoded in chunks
+    straight into its array (W) while only the lines are held, 4.3 W in
+    all; slicing that line and decoding it whole peaked at 7.01 W.  4.9 W is
+    asserted here, 0.2 W above the measurement.
     """
     w = 256 * 2000 * 8
     cfg = DenseNetConfig(hidden_widths=(256,), seed=3)
@@ -137,4 +139,4 @@ def test_dense_network_and_its_reload_hold_one_index(tmp_path):
         tracemalloc.stop()
     assert np.shares_memory(net.layers[0].index, loaded.layers[0].index)
     assert held < 3.5 * w
-    assert peak < 6.3 * w
+    assert peak < 4.9 * w
