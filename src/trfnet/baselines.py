@@ -2,8 +2,8 @@
 
 All three reuse the builder's training loop and metric definitions, so their
 reports are directly comparable with structure-learned networks.  Dense nets
-are sparse layers that hold every connection, whose indexes all view one
-shared read-only arange (nn.full_index); pruning keeps a subset of them.
+are sparse layers that hold every connection, so they store no index (see
+nn.MaskedLayer); pruning keeps a subset of them.
 """
 
 from __future__ import annotations
@@ -56,12 +56,12 @@ def hyper_from_config(cfg: DenseNetConfig) -> FinetuneHyper:
 
 
 def dense_network(input_width: int, cfg: DenseNetConfig, classes: int) -> TrfNetwork:
-    """An untrained fully connected network in sparse-layer form; each layer views nn.full_index."""
+    """An untrained fully connected network in sparse-layer form: full layers, with no index."""
     rng = np.random.default_rng(cfg.seed)
     layers = []
     widths = (input_width,) + cfg.hidden_widths
     for v, h in zip(widths[:-1], widths[1:]):
-        layers.append(nn.init_masked_layer(nn.full_index(h * v), (h, v), rng, activation=FinetuneHyper.activation))
+        layers.append(nn.init_masked_layer(None, (h, v), rng, activation=FinetuneHyper.activation))
     net = TrfNetwork(layers=layers, plans=[None] * len(layers))
     return attach_head(net, classes, seed=cfg.seed + 1)
 
@@ -84,16 +84,18 @@ def prune_and_retrain(
 
     Ties in |w| break toward the lower flat index.  The classifier head is
     left dense; sparsity is a hidden-layer metric throughout.  The input
-    network is not modified.  A layer that keeps every connection keeps its
-    index as it is, so a full one still views nn.full_index.
+    network is not modified.  A layer that keeps every connection is left
+    as it is, so a full one stays full, with no index; a full layer pruned
+    takes the kept positions themselves as its index.
     """
     check_keep_fraction(keep_fraction)
     pruned = clone(net)
     for layer in pruned.layers:
         k = int(np.ceil(keep_fraction * layer.hidden_count * layer.visible_count))
-        if k < layer.index.size:
+        if k < layer.values.size:
             kept = magnitude_top_k(layer.values, k)
-            layer.index, layer.values = layer.index[kept], layer.values[kept]
+            layer.index = kept if layer.index is None else layer.index[kept]
+            layer.values = layer.values[kept]
     pruned.plans = [None] * pruned.depth
     return finetune(pruned, train, valid, hyper)
 

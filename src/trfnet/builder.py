@@ -120,25 +120,27 @@ class TrfNetwork:
         """Largest |weight| outside the intended connectivity; must be exactly 0.
 
         A layer with a plan is held to the plan's fields and global rows: its
-        values at index positions the plan does not list count.  A layer
-        without one holds only its own index, so it scores 0.0.
+        values at positions the plan does not list count, every position for
+        a full layer.  A layer without one holds only its own connections, so
+        it scores 0.0.
         """
         worst = 0.0
         for layer, plan in zip(self.layers, self.plans):
             if plan is not None:
-                outside = ~np.isin(layer.index, plan.index(layer.visible_count))
+                positions = np.arange(layer.values.size) if layer.index is None else layer.index
+                outside = ~np.isin(positions, plan.index(layer.visible_count))
                 worst = max(worst, float(np.abs(layer.values[outside]).max(initial=0.0)))
         return worst
 
     def hidden_sparsity(self) -> float:
         """Existing hidden connections over the fully connected count."""
-        nnz = sum(l.index.size for l in self.layers)
+        nnz = sum(l.values.size for l in self.layers)
         dense = sum(l.hidden_count * l.visible_count for l in self.layers)
         return nnz / dense
 
     def parameter_count(self) -> int:
         """Hidden connections plus hidden biases plus the head, if any."""
-        count = sum(l.index.size + l.hidden_count for l in self.layers)
+        count = sum(l.values.size + l.hidden_count for l in self.layers)
         if self.head is not None:
             count += self.head.weights.size + self.head.bias.size
         return count
@@ -653,7 +655,7 @@ def _model_lines(net: TrfNetwork) -> Iterator[str]:
         plan = net.plans[k]
         if plan is None:
             yield "plan none"
-            yield "index dense" if layer.index.size == h * v else "index " + _b64(layer.index, _I8)
+            yield "index dense" if layer.index is None else "index " + _b64(layer.index, _I8)
         else:
             yield f"plan {plan.radius} {plan.stride} {plan.global_count}"
             yield "centers " + " ".join(str(c) for c in plan.centers)
@@ -675,7 +677,8 @@ def save(net: TrfNetwork, path) -> None:
     """Write the canonical v2 serialization; see load for the inverse.
 
     A layer with a plan stores the plan alone as its connectivity; a layer
-    without one stores its index.  Every array is one base64 line, so the
+    without one stores its index, or "index dense" if it is full and has
+    none.  Every array is one base64 line, so the
     same network always produces the same bytes and reloads bit for bit.
     Each line goes to the file and to the checksum in turn, so the whole
     body is never held at once.
@@ -857,11 +860,14 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
             if plan is not None:
                 index = plan.index(v)
             else:
-                index = nn.full_index(h * v) if stored == "index dense" else _unb64(stored, _I8, len("index "))
-        if index.size and (index[0] < 0 or index[-1] >= h * v or (index[1:] <= index[:-1]).any()):
+                index = None if stored == "index dense" else _unb64(stored, _I8, len("index "))
+        if index is not None and index.size and (
+            index[0] < 0 or index[-1] >= h * v or (index[1:] <= index[:-1]).any()
+        ):
             raise ModelFormatError(f"layer {k}: connections must rise strictly inside [0, {h * v})")
-        if values.size != index.size:
-            raise ModelFormatError(f"layer {k}: {values.size} weights for {index.size} connections")
+        count = h * v if index is None else index.size
+        if values.size != count:
+            raise ModelFormatError(f"layer {k}: {values.size} weights for {count} connections")
         bh, bv = floats("bh"), floats("bv")
         if bh.size != h or bv.size != v:
             raise ModelFormatError(f"layer {k}: bias length mismatch")
@@ -909,7 +915,9 @@ def load(path) -> TrfNetwork:
     """Parse a model file written by save, or a v1 file written before it.
 
     A v2 file's checksum is verified before anything is parsed.  Damage of
-    any kind, undecodable bytes included, raises ModelFormatError.
+    any kind, undecodable bytes included, raises ModelFormatError.  A layer
+    stored as "index dense", or whose connections are all H * V positions,
+    loads as a full layer with no index (see nn.MaskedLayer).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -929,6 +937,5 @@ def load(path) -> TrfNetwork:
 
 
 def clone(net: TrfNetwork) -> TrfNetwork:
-    """Deep copy; training one copy never touches the other (a full layer's
-    read-only index stays shared, see nn.MaskedLayer)."""
+    """Deep copy; training one copy never touches the other."""
     return copy.deepcopy(net)

@@ -349,12 +349,7 @@ def load_dense_csv(path, has_labels: bool = False) -> Dataset:
                 f"{path}: line {lineno}: expected {n_cols} cells, got {len(cells)}"
             )
         if has_labels:
-            try:
-                labels.append(int(cells[-1]))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: label {cells[-1]!r} is not an integer"
-                ) from None
+            labels.append(_label(cells[-1], path, lineno))
             cells = cells[:-1]
         row = []
         for cell in cells:
@@ -376,6 +371,17 @@ def load_dense_csv(path, has_labels: bool = False) -> Dataset:
         feature_names=names,
         labels=np.array(labels, dtype=np.int64) if has_labels else None,
     )
+
+
+def _label(text: str, path, lineno: int) -> int:
+    """A class label cell as an int64 value, or DataFormatError naming the line."""
+    try:
+        label = int(text)
+    except ValueError:
+        raise DataFormatError(f"{path}: line {lineno}: label {text!r} is not an integer") from None
+    if not -(2**63) <= label < 2**63:
+        raise DataFormatError(f"{path}: line {lineno}: label {text!r} is outside int64")
+    return label
 
 
 # a line the whole-file parse accepts: a label of at most 18 digits fits int64
@@ -449,12 +455,7 @@ def _parse_lines(doc_path, v: int):
             if ln.strip() == "":
                 continue
             parts = ln.split()
-            try:
-                labels.append(int(parts[0]))
-            except ValueError:
-                raise DataFormatError(
-                    f"{doc_path}: line {lineno}: label {parts[0]!r} is not an integer"
-                ) from None
+            labels.append(_label(parts[0], doc_path, lineno))
             seen = {}
             for tok in parts[1:]:
                 try:

@@ -45,6 +45,8 @@ def load_embeddings(path) -> EmbeddingTable:
             count, dim = int(header[0]), int(header[1])
         except ValueError:
             raise DataFormatError(f"{path}: line 1: expected two integers") from None
+        if dim < 1:
+            raise DataFormatError(f"{path}: line 1: dimension {dim} must be >= 1")
         vectors: dict[str, np.ndarray] = {}
         for lineno, ln in enumerate(fh, start=2):
             if ln.strip() == "":

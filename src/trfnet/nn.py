@@ -11,13 +11,11 @@ head) for stack_backward.  Each returns its gradients in that order, and
 Adam binds the list once and steps it with them; no array is named.
 
 A layer stores one value per connection; compute keeps dense BLAS products.
-A full layer, one that holds every connection (index.size == H * V, so its
-sorted index is arange(H * V)), computes on values.reshape(H, V).  Its index
-is a read-only view of one int64 arange per size (full_index), shared by
-every full layer of that size and held only through their views, so a dense
-network stores each connection once, as its value.  Any other layer writes
-its values into a dense H x V weight buffer at its index and gathers the
-weight gradient there from a dense H x V product buffer.  Those two buffers
+A full layer, one that holds every connection, stores no index (index is
+None) and computes on values.reshape(H, V), so a dense network stores each
+connection once, as its value.  Any other layer writes its values into a
+dense H x V weight buffer at its index and gathers the weight gradient
+there from a dense H x V product buffer.  Those two buffers
 (Buffers) belong to the caller that made them: a training loop keeps one
 pair per sparse layer for all its steps, a one-shot caller makes a fresh
 pair.  A pair is tied to the layer's index: a loop that changes the index
@@ -49,9 +47,7 @@ place, because its caches keep both the pre-activation and the output.
 
 from __future__ import annotations
 
-import copy
-import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -130,38 +126,20 @@ def get_activation(name: str) -> Activation:
         raise ValueError(f"unknown activation {name!r}") from None
 
 
-# size -> the read-only int64 arange(size) that full layers of that size view;
-# weak, so an array lives only while some layer (or caller) holds a view of it
-_FULL_INDEXES: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
-
-
-def full_index(size: int) -> np.ndarray:
-    """A read-only view of the one shared int64 arange(size): the index of a full layer of size connections."""
-    base = _FULL_INDEXES.get(size)
-    if base is None:
-        base = np.arange(size, dtype=np.int64)
-        base.flags.writeable = False
-        _FULL_INDEXES[size] = base
-    return base.view()
-
-
-def _views_full_index(index: np.ndarray) -> bool:
-    return index.base is not None and index.base is _FULL_INDEXES.get(index.size)
-
-
 @dataclass
 class MaskedLayer:
     """One sparse H x V layer: connections as non-zeros, and two biases.
 
     index: sorted flat row-major positions (row * V + column); values: their
     weights.  bias_hidden (H) feeds the encoder, bias_visible (V) the decoder.
-    A full layer's index, arange(H * V), is the read-only view
-    full_index(H * V): construction swaps an index equal to it for the view,
-    and deepcopy keeps the view.  Layers share it, so it is never written in
-    place; a layer that changes its connectivity assigns a new index.
+    A full layer, one that holds every connection, has index None: its
+    positions are arange(H * V), which its shape gives, so values.reshape(H, V)
+    is its weight matrix.  Construction turns an index equal to arange(H * V)
+    into None; a full-size index that is not arange is kept, for buffers()
+    to reject.
     """
 
-    index: np.ndarray
+    index: np.ndarray | None
     values: np.ndarray
     bias_hidden: np.ndarray
     bias_visible: np.ndarray
@@ -169,15 +147,11 @@ class MaskedLayer:
 
     def __post_init__(self) -> None:
         size = self.hidden_count * self.visible_count
-        if self.index.size == size and not _views_full_index(self.index):
-            shared = full_index(size)
-            if np.array_equal(self.index, shared):
-                self.index = shared
-
-    def __deepcopy__(self, memo) -> MaskedLayer:
-        copies = {f.name: copy.deepcopy(getattr(self, f.name), memo) for f in fields(self) if f.name != "index"}
-        index = self.index if _views_full_index(self.index) else copy.deepcopy(self.index, memo)
-        return replace(self, index=index, **copies)
+        if self.index is None:
+            if self.values.size != size:
+                raise ValueError(f"a full layer holds {size} values, got {self.values.size}")
+        elif self.index.size == size and np.array_equal(self.index, np.arange(size)):
+            self.index = None
 
     @property
     def hidden_count(self) -> int:
@@ -189,7 +163,7 @@ class MaskedLayer:
 
     def _scatter(self, values) -> np.ndarray:
         out = np.zeros((self.hidden_count, self.visible_count))
-        out.ravel()[self.index] = values
+        out.ravel()[... if self.index is None else self.index] = values
         out.flags.writeable = False
         return out
 
@@ -224,13 +198,12 @@ class Buffers(NamedTuple):
 def buffers(layer: MaskedLayer) -> Buffers | None:
     """A fresh pair for layer, or None if it is full; valid while its index is unchanged.
 
-    The index must rise strictly inside [0, H * V): that makes a full-size
-    index arange(H * V), so values.reshape(H, V) is the weight matrix.
+    A sparse layer's index must rise strictly inside [0, H * V).
     """
-    shape = (layer.hidden_count, layer.visible_count)
-    _check_rising(layer.index, shape[0] * shape[1])
     if _is_full(layer):
         return None
+    shape = (layer.hidden_count, layer.visible_count)
+    _check_rising(layer.index, shape[0] * shape[1])
     return Buffers(np.zeros(shape), np.empty(shape))
 
 
@@ -240,8 +213,8 @@ def _check_rising(index: np.ndarray, size: int) -> None:
 
 
 def _is_full(layer: MaskedLayer) -> bool:
-    """Whether the layer holds every connection; its index is then arange(H * V), as buffers() checks."""
-    return layer.index.size == layer.hidden_count * layer.visible_count
+    """Whether the layer holds every connection, so values.reshape(H, V) is its weight matrix."""
+    return layer.index is None
 
 
 def _weights(layer: MaskedLayer, buf: Buffers | None) -> np.ndarray:
@@ -268,35 +241,42 @@ INIT_ROW_BLOCK = 64
 
 
 def init_masked_layer(
-    index: np.ndarray, shape: tuple[int, int], rng: np.random.Generator, activation: str = "sigmoid"
+    index: np.ndarray | None, shape: tuple[int, int], rng: np.random.Generator, activation: str = "sigmoid"
 ) -> MaskedLayer:
     """Uniform +-sqrt(6 / (fan_in + fan_out)) init with per-row fan-in.
 
     index holds the sorted flat row-major positions (row * V + column) of the
-    connections of an H x V layer, shape = (H, V).  The layer keeps a copy
-    of it, or views full_index(H * V) if it holds every connection (see
-    MaskedLayer), so it never aliases the caller's array.  fan_in of row i is its
-    connection count (the unit's true input width); fan_out is taken as the
-    hidden width.  The full H x V uniform is drawn, in blocks of
-    INIT_ROW_BLOCK rows, so the generator advances the same way whatever the
-    connectivity; each block keeps only its connected entries.
+    connections of an H x V layer, shape = (H, V); None, or a full-size
+    index, gives a full layer, which stores no index (see MaskedLayer).  A
+    sparse layer keeps a copy of its index, so it never aliases the caller's
+    array.  fan_in of row i is its connection count (the unit's true input
+    width); fan_out is taken as the hidden width.  The full H x V uniform is
+    drawn, in blocks of INIT_ROW_BLOCK rows, so the generator advances the
+    same way whatever the connectivity; each block keeps only its connected
+    entries, a full layer's block all of them.
     """
     h, v = shape
-    index = np.asarray(index)
-    if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
-        raise ValueError(f"index must be a 1-D integer array, got {index.dtype} of shape {index.shape}")
-    _check_rising(index, h * v)
-    if index.size < h * v:
+    if index is not None:
+        index = np.asarray(index)
+        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+            raise ValueError(f"index must be a 1-D integer array, got {index.dtype} of shape {index.shape}")
+        _check_rising(index, h * v)
+    if index is None or index.size == h * v:  # a rising full-size index is arange(H * V)
+        index, bounds = None, np.arange(h + 1) * v
+    else:
         index = index.astype(np.int64)
-    bounds = np.searchsorted(index, np.arange(h + 1) * v)
+        bounds = np.searchsorted(index, np.arange(h + 1) * v)
     limit = np.sqrt(6.0 / (np.diff(bounds) + h))
-    values = np.empty(index.size)
+    values = np.empty(bounds[-1])
     for r0 in range(0, h, INIT_ROW_BLOCK):
         r1 = min(r0 + INIT_ROW_BLOCK, h)
         u = rng.uniform(-1.0, 1.0, size=(r1 - r0, v))
         lo, hi = bounds[r0], bounds[r1]
-        pos = index[lo:hi] - r0 * v
-        values[lo:hi] = u.ravel()[pos] * limit[r0 + pos // v]
+        if index is None:
+            np.multiply(u, limit[r0:r1, None], out=values[lo:hi].reshape(r1 - r0, v))
+        else:
+            pos = index[lo:hi] - r0 * v
+            values[lo:hi] = u.ravel()[pos] * limit[r0 + pos // v]
     return MaskedLayer(
         index=index,
         values=values,

@@ -475,11 +475,14 @@ def load_sparse_bow_reference(doc_path, vocab_path):
             continue
         parts = ln.split()
         try:
-            labels.append(int(parts[0]))
+            label = int(parts[0])
         except ValueError:
             raise DataFormatError(
                 f"{doc_path}: line {lineno}: label {parts[0]!r} is not an integer"
             ) from None
+        if not -(2**63) <= label < 2**63:
+            raise DataFormatError(f"{doc_path}: line {lineno}: label {parts[0]!r} is outside int64")
+        labels.append(label)
         row = len(labels) - 1
         seen = set()
         for tok in parts[1:]:

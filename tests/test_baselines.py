@@ -176,11 +176,13 @@ class TestPrune:
         by_hand = clone(net)
         layers = []
         for layer in by_hand.layers:
+            assert layer.index is None  # a full layer: its positions are arange(H * V)
             k = int(np.ceil(0.3 * layer.hidden_count * layer.visible_count))
             kept = np.sort(magnitude_top_k(layer.values, k))
+            positions = np.arange(layer.hidden_count * layer.visible_count)
             layers.append(
                 MaskedLayer(
-                    layer.index[kept], layer.values[kept], layer.bias_hidden, layer.bias_visible, layer.activation
+                    positions[kept], layer.values[kept], layer.bias_hidden, layer.bias_visible, layer.activation
                 )
             )
         by_hand.layers, by_hand.plans = layers, [None] * len(layers)

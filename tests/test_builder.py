@@ -100,6 +100,64 @@ class TestBuild:
             quick_config(radius=(1, 2, 3), depth=2)
 
 
+class TestFullPlanLayer:
+    """A tiny tree that one field covers whole, plus a global row: the plan
+    lists every connection, so the layer is full and stores no index."""
+
+    @staticmethod
+    def built():
+        d = markov_chain(4, 300, flip_prob=0.1, seed=5)
+        x = d.dense()
+        labeled = Dataset(x, labels=(x[:, 0] == x[:, 3]).astype(np.int64))
+        cfg = quick_config(
+            radius=3, stride=4, global_fraction=1.0, policy=DiscretizationPolicy.already_binary()
+        )
+        return build_trf_net(labeled, cfg), labeled
+
+    def test_build_finetune_and_round_trip(self, tmp_path):
+        net, d = self.built()
+        assert net.plans[0].fields == ((0, 1, 2, 3),) and net.plans[0].global_count == 1
+        assert net.layers[0].index is None
+        assert net.hidden_sparsity() == 1.0
+        assert net.parameter_count() == 8 + 2
+        assert net.mask_violation() == 0.0
+        save(net, tmp_path / "built.trf")
+        again, _ = self.built()
+        save(again, tmp_path / "again.trf")
+        assert (tmp_path / "built.trf").read_bytes() == (tmp_path / "again.trf").read_bytes()
+
+        attach_head(net, 2)
+        tuned, _ = finetune(net, d, None, FinetuneHyper(epochs=3, seed=1))
+        assert tuned.mask_violation() == 0.0
+        save(tuned, tmp_path / "tuned.trf")
+        back = load(tmp_path / "tuned.trf")
+        assert back.layers[0].index is None
+        assert_same_bits(tuned, back)
+        save(back, tmp_path / "resaved.trf")
+        assert (tmp_path / "resaved.trf").read_bytes() == (tmp_path / "tuned.trf").read_bytes()
+
+    def test_finetune_has_the_bits_of_the_buffered_path(self, tmp_path):
+        """The same layer given its arange index after construction goes
+        through a buffer pair; both paths write the same file."""
+        net, d = self.built()
+        attach_head(net, 2)
+        buffered = clone(net)
+        buffered.layers[0].index = np.arange(8)
+        assert nn.buffers(buffered.layers[0]) is not None
+        for name, model in (("full", net), ("buffered", buffered)):
+            tuned, _ = finetune(model, d, None, FinetuneHyper(epochs=3, seed=1))
+            save(tuned, tmp_path / f"{name}.trf")
+        assert (tmp_path / "full.trf").read_bytes() == (tmp_path / "buffered.trf").read_bytes()
+
+    def test_a_narrower_plan_reports_the_off_plan_weight(self):
+        net, _ = self.built()
+        layer = net.layers[0]
+        layer.values[3] = -2.5  # unit 0, feature 3
+        narrower = ReceptiveFieldPlan(radius=1, stride=4, centers=(1,), fields=((0, 1, 2),), global_count=1)
+        net.plans = [narrower]
+        assert net.mask_violation() == 2.5
+
+
 class TestHead:
     def test_shapes(self, small_corpus):
         net = build_trf_net(small_corpus, quick_config())
@@ -524,9 +582,10 @@ def v1_fixture_network() -> TrfNetwork:
     return TrfNetwork([layer0, layer1], [plan, None], head, "softmax", cfg)
 
 
-def bits(a: np.ndarray) -> tuple:
-    """dtype, shape and raw bytes: equal bits, so -0.0 differs from 0.0."""
-    return a.dtype.str, a.shape, a.tobytes()
+def bits(a: np.ndarray | None) -> tuple | None:
+    """dtype, shape and raw bytes: equal bits, so -0.0 differs from 0.0.
+    None, a full layer's index, stays None."""
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
 
 
 def assert_same_bits(a: TrfNetwork, b: TrfNetwork) -> None:

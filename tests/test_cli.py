@@ -75,6 +75,14 @@ class TestTreeCommand:
         main(["tree", *bow_flags(corpus_files), "--out", b])
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_label_outside_int64_names_file_and_line(self, tmp_path, capsys):
+        (tmp_path / "v.txt").write_text("a\nb\n")
+        (tmp_path / "d.txt").write_text("0 1:1\n99999999999999999999999 0:1\n")
+        flags = ["--bow", str(tmp_path / "d.txt"), "--vocab", str(tmp_path / "v.txt")]
+        assert main(["tree", *flags, "--out", str(tmp_path / "t.dot")]) == 1
+        err = capsys.readouterr().err
+        assert "d.txt: line 2: label '99999999999999999999999' is outside int64" in err
+
     def test_inputs_never_mutated(self, corpus_files, tmp_path):
         before = (
             open(corpus_files["docs"], "rb").read(),

@@ -59,6 +59,16 @@ class TestDenseCsv:
         with pytest.raises(DataFormatError, match="label"):
             load_dense_csv(p, has_labels=True)
 
+    @pytest.mark.parametrize("label", ["99999999999999999999999", str(2**63), str(-(2**63) - 1)])
+    def test_label_outside_int64_names_line(self, tmp_path, label):
+        p = write(tmp_path, "d.csv", f"a,b,y\n1,2,0\n1,2,{label}\n")
+        with pytest.raises(DataFormatError, match=rf"d\.csv: line 3: label '{label}' is outside int64"):
+            load_dense_csv(p, has_labels=True)
+
+    def test_int64_extremes_are_labels(self, tmp_path):
+        p = write(tmp_path, "d.csv", f"a,b,y\n1,2,{2**63 - 1}\n1,2,{-(2**63)}\n")
+        assert load_dense_csv(p, has_labels=True).labels.tolist() == [2**63 - 1, -(2**63)]
+
     def test_undecodable_bytes_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_bytes(b"a,b\n1,2\n3,\xff\n")
@@ -90,6 +100,13 @@ class TestSparseBow:
         d = load_sparse_bow(docs, vocab)
         np.testing.assert_array_equal(d.dense(), [[0.0, 0.0, 0.0]])
         assert d.labels.tolist() == [0]
+
+    @pytest.mark.parametrize("label", ["99999999999999999999999", str(2**63), str(-(2**63) - 1)])
+    def test_label_outside_int64_names_line(self, tmp_path, label):
+        vocab = write(tmp_path, "v.txt", "a\nb\n")
+        docs = write(tmp_path, "d.txt", f"0 0:1\n{label} 0:1\n")
+        with pytest.raises(DataFormatError, match=rf"d\.txt: line 2: label '{label}' is outside int64"):
+            load_sparse_bow(docs, vocab)
 
     def test_out_of_vocabulary_index(self, tmp_path):
         vocab = write(tmp_path, "v.txt", "a\nb\nc\n")

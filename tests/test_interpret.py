@@ -100,6 +100,13 @@ class TestEmbeddings:
         with pytest.raises(DataFormatError, match="line 1"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_dimension_below_one_names_line_1(self, tmp_path, dim):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"1 {dim}\nfoo\n")
+        with pytest.raises(DataFormatError, match=rf"emb\.txt: line 1: dimension {dim} must be >= 1"):
+            load_embeddings(path)
+
     def test_wrong_arity_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("1 3\nfoo 1 2\n")

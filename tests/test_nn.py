@@ -522,9 +522,9 @@ class TestLoopBuffers:
 
 
 def full_layer(h, v, seed):
-    """A layer that holds all h x v connections, with random biases."""
+    """A layer that holds all h x v connections, with random biases; it stores no index."""
     layer, rng = random_masked_layer(h, v, seed=seed, density=1.0)
-    assert layer.index.size == h * v
+    assert layer.index is None and layer.values.size == h * v
     return layer, rng
 
 
