@@ -9,7 +9,7 @@ nn.MaskedLayer); pruning keeps a subset of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,19 +85,25 @@ def prune_and_retrain(
     Ties in |w| break toward the lower flat index.  The classifier head is
     left dense; sparsity is a hidden-layer metric throughout.  The input
     network is not modified.  A layer that keeps every connection is left
-    as it is, so a full one stays full, with no index; a full layer pruned
-    takes the kept positions themselves as its index.
+    as it is, so a full one stays full, with no index; a pruned layer is a
+    new one, and a full layer pruned takes the kept positions themselves as
+    its index.
     """
     check_keep_fraction(keep_fraction)
     pruned = clone(net)
-    for layer in pruned.layers:
-        k = int(np.ceil(keep_fraction * layer.hidden_count * layer.visible_count))
-        if k < layer.values.size:
-            kept = magnitude_top_k(layer.values, k)
-            layer.index = kept if layer.index is None else layer.index[kept]
-            layer.values = layer.values[kept]
+    # a new list, so no cloned layer that a pruned one replaces lives on through the retraining
+    pruned.layers = [_keep_top(layer, keep_fraction) for layer in pruned.layers]
     pruned.plans = [None] * pruned.depth
     return finetune(pruned, train, valid, hyper)
+
+
+def _keep_top(layer: nn.MaskedLayer, keep_fraction: float) -> nn.MaskedLayer:
+    """A new layer of layer's top ceil(keep_fraction * H * V) connections by magnitude, or layer if it holds no more."""
+    k = int(np.ceil(keep_fraction * layer.hidden_count * layer.visible_count))
+    if k >= layer.values.size:
+        return layer
+    kept = magnitude_top_k(layer.values, k)
+    return replace(layer, index=kept if layer.index is None else layer.index[kept], values=layer.values[kept])
 
 
 def check_keep_fraction(keep_fraction: float) -> None:
@@ -138,8 +144,7 @@ def train_l1(train: Dataset, cfg: DenseNetConfig, strength: float, valid: Datase
     net, report = finetune(net, train, valid, hyper_from_config(cfg), penalty_grads=hook)
     alive = sum(int((np.abs(l.values) >= L1_DEAD_THRESHOLD).sum()) for l in net.layers)
     total = sum(l.hidden_count * l.visible_count for l in net.layers)
-    report.effective_sparsity = alive / total
-    return net, report
+    return net, replace(report, effective_sparsity=alive / total)
 
 
 def check_l1_strength(strength: float) -> None:

@@ -20,6 +20,7 @@ import hashlib
 import math
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -146,13 +147,13 @@ class TrfNetwork:
         return count
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
     """Classification quality plus size metrics for one model.
 
     In multi-task mode auc_per_task holds one entry per task, with -1.0
     marking tasks whose test labels contained only one class; such tasks
-    are excluded from auc_mean.
+    are excluded from auc_mean.  It checks every range when made, and is fixed after.
     """
 
     parameter_count: int
@@ -164,8 +165,17 @@ class EvalReport:
     wall_clock: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.parameter_count < 0:
+            raise ValueError(f"parameter_count {self.parameter_count} is negative")
         if not -1e-12 <= self.sparsity <= 1.0 + 1e-12:
             raise ValueError(f"sparsity must be in [0, 1], got {self.sparsity}")
+        for key in ("accuracy", "auc_mean", "effective_sparsity"):
+            x = getattr(self, key)
+            if x is not None and not 0.0 <= x <= 1.0:
+                raise ValueError(f"{key} {x!r} is not in [0, 1]")
+        for x in self.auc_per_task or ():
+            if x != -1.0 and not 0.0 <= x <= 1.0:
+                raise ValueError(f"auc_per_task entry {x!r} is neither in [0, 1] nor -1.0 (unscored)")
 
 
 def build_trf_net(d: Dataset, cfg: BuildConfig) -> TrfNetwork:
@@ -295,8 +305,8 @@ def finetune(
 ):
     """Backpropagation training of the whole stack over its fixed connections.
 
-    Hidden activations are switched to hyper.activation (the pretrained
-    weights are kept unless hyper.reinit), dropout applies to hidden layers
+    Hidden layers are switched to hyper.activation by new layers over the
+    same arrays (hyper.reinit draws fresh ones), dropout applies to hidden layers
     during training, and early stopping tracks the validation score with the
     given patience.  The validation set (the training set when valid is
     None) is scored once per epoch, and no other pass scores it: the network
@@ -321,15 +331,11 @@ def finetune(
     gate = valid if valid is not None else train
     t0 = time.perf_counter()
     rng = np.random.default_rng(hyper.seed)
-    for layer in net.layers:
-        layer.activation = hyper.activation
+    act = hyper.activation
     if hyper.reinit:
-        for layer in net.layers:
-            shape = (layer.hidden_count, layer.visible_count)
-            fresh = nn.init_masked_layer(layer.index, shape, rng, activation=hyper.activation)
-            layer.values[...] = fresh.values
-            layer.bias_hidden[...] = 0.0
-            layer.bias_visible[...] = 0.0
+        net.layers = [nn.init_masked_layer(l.index, (l.hidden_count, l.visible_count), rng, act) for l in net.layers]
+    else:  # a layer already at act is kept, so its index is not checked again
+        net.layers = [l if l.activation == act else replace(l, activation=act) for l in net.layers]
     params = nn.stack_params(net.layers, net.head)
     bufs = [nn.buffers(layer) for layer in net.layers]
     adam = nn.Adam(params, hyper.step_size)
@@ -501,16 +507,7 @@ def report_from_text(text: str):
     except KeyError as e:
         raise ModelFormatError(f"report lacks {e.args[0]}") from None
     except ValueError as e:
-        raise ModelFormatError(f"corrupted report: {e}") from None
-    if report.parameter_count < 0:
-        raise ModelFormatError(f"report: parameter_count {report.parameter_count} is negative")
-    for key in ("accuracy", "auc_mean", "effective_sparsity"):
-        x = getattr(report, key)
-        if x is not None and not 0.0 <= x <= 1.0:
-            raise ModelFormatError(f"report: {key} {x!r} is not in [0, 1]")
-    for x in report.auc_per_task or ():
-        if x != -1.0 and not 0.0 <= x <= 1.0:
-            raise ModelFormatError(f"report: auc_per_task entry {x!r} is neither in [0, 1] nor -1.0 (unscored)")
+        raise ModelFormatError(f"corrupted report: {e}") from None  # EvalReport checks every range
     return name, report
 
 
@@ -681,8 +678,10 @@ def save(net: TrfNetwork, path) -> None:
     none.  Every array is one base64 line, so the
     same network always produces the same bytes and reloads bit for bit.
     Each line goes to the file and to the checksum in turn, so the whole
-    body is never held at once.
+    body is never held at once.  A network that load would reject or read
+    back otherwise raises ValueError before the file is opened.
     """
+    _check_saveable(net)
     seal = hashlib.sha256()
     with open(path, "wb") as fh:
         for line in _model_lines(net):
@@ -690,6 +689,33 @@ def save(net: TrfNetwork, path) -> None:
             seal.update(data)
             fh.write(data)
         fh.write(f"{_SEAL}{seal.hexdigest()}\n".encode("ascii"))
+
+
+def _check_saveable(net: TrfNetwork) -> None:
+    """The file's own rules: finite arrays, and a plan that fits its layer and lists its connections."""
+    for k, (layer, plan) in enumerate(zip(net.layers, net.plans)):
+        with _naming(f"layer {k}", ValueError):
+            _check_finite(layer.values, layer.bias_hidden, layer.bias_visible)
+            if plan is not None:
+                positions = np.arange(layer.values.size) if layer.index is None else layer.index
+                _check_plan(plan, layer.hidden_count, layer.visible_count, positions)
+    if net.head is not None:
+        with _naming("head", ValueError):
+            _check_finite(net.head.weights, net.head.bias)
+
+
+@contextmanager
+def _naming(what: str, error: type[ValueError] = ModelFormatError):
+    """Re-raise a ValueError as error, its message prefixed with what."""
+    try:
+        yield
+    except ValueError as e:
+        raise error(f"{what}: {e}") from None
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("non-finite weight or bias")
 
 
 class _Reader:
@@ -747,20 +773,17 @@ def _read_plan(rd: _Reader) -> ReceptiveFieldPlan | None:
     )
 
 
-def _check_plan(k: int, plan: ReceptiveFieldPlan, h: int, v: int) -> None:
-    """A stored plan must fit the h x v layer it describes."""
+def _check_plan(plan: ReceptiveFieldPlan, h: int, v: int, positions: np.ndarray | None) -> None:
+    """A stored plan must fit the h x v layer it describes and, where the
+    file holds them too, list the layer's positions."""
     if any(not 0 <= c < v for c in plan.centers) or any(
         not 0 <= m < v for members in plan.fields for m in members
     ):
-        raise ModelFormatError(f"layer {k}: plan names a feature outside [0, {v})")
+        raise ValueError(f"plan names a feature outside [0, {v})")
     if plan.hidden_count != h:
-        raise ModelFormatError(f"layer {k}: plan has {plan.hidden_count} units, layer has {h}")
-
-
-def _check_positions(k: int, h: int, v: int) -> None:
-    """The flat positions of an h x v layer must fit int64."""
-    if h * v >= 2**63:
-        raise ModelFormatError(f"layer {k}: a {h} x {v} layer has more positions than int64 holds")
+        raise ValueError(f"plan has {plan.hidden_count} units, layer has {h}")
+    if positions is not None and not np.array_equal(plan.index(v), positions):
+        raise ValueError("connections disagree with the plan (field rows, then all-ones global rows)")
 
 
 def _check_declared(k: int, h: int, v: int, n_values: int, plan: ReceptiveFieldPlan | None, dense: bool):
@@ -794,13 +817,9 @@ def _v1_rows(rd: _Reader, k: int, h: int, v: int) -> tuple[np.ndarray, np.ndarra
             if cols.size and (cols[0] < 0 or cols[-1] >= v or (np.diff(cols) <= 0).any()):
                 raise ModelFormatError(f"layer {k} row {i}: mask columns must rise inside [0, {v})")
         wvals = _v1_floats(rd.rest(f"w {i}"))
-        if cols is None:
-            if wvals.size != v:  # checked before a dense row's v columns are built
-                raise ModelFormatError(f"layer {k} row {i}: weight count mismatch")
-            cols = np.arange(v, dtype=np.int64)
-        if wvals.size != cols.size:
+        if wvals.size != (v if cols is None else cols.size):  # checked before a dense row's v columns are built
             raise ModelFormatError(f"layer {k} row {i}: weight count mismatch")
-        index.append(i * v + cols)
+        index.append(i * v + (np.arange(v, dtype=np.int64) if cols is None else cols))
         values.append(wvals)
     return np.concatenate(index), np.concatenate(values)
 
@@ -840,19 +859,13 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
     for k in range(n_layers):
         parts = rd.next(f"layer {k} ").split(" ")
         h, v, activation = int(parts[2]), int(parts[3]), parts[4]
-        nn.get_activation(activation)  # an unknown name raises ValueError
         if h < 1 or v < 1:
             raise ModelFormatError(f"layer {k}: a {h} x {v} layer has no connections")
-        _check_positions(k, h, v)
+        if h * v >= 2**63:  # its flat positions must fit int64
+            raise ModelFormatError(f"layer {k}: a {h} x {v} layer has more positions than int64 holds")
         plan = _read_plan(rd)
-        if plan is not None:
-            _check_plan(k, plan, h, v)
         if not v2:
             index, values = _v1_rows(rd, k, h, v)
-            if plan is not None and not np.array_equal(plan.index(v), index):
-                raise ModelFormatError(
-                    f"layer {k}: mask rows disagree with the plan (field rows, then all-ones global rows)"
-                )
         else:
             stored = None if plan is not None else rd.next("index ")
             values = floats("values")
@@ -861,21 +874,14 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
                 index = plan.index(v)
             else:
                 index = None if stored == "index dense" else _unb64(stored, _I8, len("index "))
-        if index is not None and index.size and (
-            index[0] < 0 or index[-1] >= h * v or (index[1:] <= index[:-1]).any()
-        ):
-            raise ModelFormatError(f"layer {k}: connections must rise strictly inside [0, {h * v})")
-        count = h * v if index is None else index.size
-        if values.size != count:
-            raise ModelFormatError(f"layer {k}: {values.size} weights for {count} connections")
         bh, bv = floats("bh"), floats("bv")
         if bh.size != h or bv.size != v:
             raise ModelFormatError(f"layer {k}: bias length mismatch")
-        if not all(np.isfinite(a).all() for a in (values, bh, bv)):
-            raise ModelFormatError(f"layer {k}: non-finite weight or bias")
-        layers.append(
-            nn.MaskedLayer(index=index, values=values, bias_hidden=bh, bias_visible=bv, activation=activation)
-        )
+        with _naming(f"layer {k}"):  # the layer checks its index, values count and activation
+            if plan is not None:  # a v2 layer's index is its plan's
+                _check_plan(plan, h, v, None if v2 else index)
+            _check_finite(values, bh, bv)
+            layers.append(nn.MaskedLayer(index, values, bh, bv, activation))
         plans.append(plan)
     head_ln = rd.next("head")
     head = None
@@ -897,11 +903,9 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
                     raise ModelFormatError(f"head row {r}: weight count mismatch")
                 hw[r] = vals
         hb = floats("hb")
-        if hb.size != o:
-            raise ModelFormatError("head bias length mismatch")
-        if not (np.isfinite(hw).all() and np.isfinite(hb).all()):
-            raise ModelFormatError("head: non-finite weight or bias")
-        head = nn.DenseLayer(weights=hw, bias=hb)
+        with _naming("head"):  # the head checks its bias length
+            _check_finite(hw, hb)
+            head = nn.DenseLayer(weights=hw, bias=hb)
     if v2:
         if rd.pos != len(lines):
             raise ModelFormatError(f"unexpected line after the head: {lines[rd.pos][:40]!r}")
@@ -915,9 +919,10 @@ def load(path) -> TrfNetwork:
     """Parse a model file written by save, or a v1 file written before it.
 
     A v2 file's checksum is verified before anything is parsed.  Damage of
-    any kind, undecodable bytes included, raises ModelFormatError.  A layer
-    stored as "index dense", or whose connections are all H * V positions,
-    loads as a full layer with no index (see nn.MaskedLayer).
+    any kind, undecodable bytes included, raises ModelFormatError, which
+    names the layer or head whose own checks rejected what the file holds.  A
+    layer stored as "index dense", or whose connections are all H * V
+    positions, loads as a full layer with no index (see nn.MaskedLayer).
     """
     with open(path, "rb") as fh:
         data = fh.read()

@@ -355,8 +355,7 @@ def cmd_baseline(args) -> Run:
         net, report = baselines.prune_and_retrain(base, args.keep, train, hyper, valid)
     timings.update(report.wall_clock)
     if test is not None:
-        report = builder.evaluate(net, test)
-        report.effective_sparsity = effective
+        report = replace(builder.evaluate(net, test), effective_sparsity=effective)
         timings.update(report.wall_clock)
     builder.save(net, args.out)
     report_path = args.report or (args.out + ".report")

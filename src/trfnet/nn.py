@@ -18,8 +18,9 @@ dense H x V weight buffer at its index and gathers the weight gradient
 there from a dense H x V product buffer.  Those two buffers
 (Buffers) belong to the caller that made them: a training loop keeps one
 pair per sparse layer for all its steps, a one-shot caller makes a fresh
-pair.  A pair is tied to the layer's index: a loop that changes the index
-must make a new one.
+pair.  A layer checks itself when it is made and is fixed after, so a pair
+fits it for good: a loop that changes the index makes a new layer
+(dataclasses.replace), which checks itself again, and a new pair for it.
 
 dae_gradients adds the decoder bias in place and builds the Bernoulli loss
 terms, then the output gradient, in the decoder output's own array, so a
@@ -126,17 +127,19 @@ def get_activation(name: str) -> Activation:
         raise ValueError(f"unknown activation {name!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaskedLayer:
     """One sparse H x V layer: connections as non-zeros, and two biases.
 
-    index: sorted flat row-major positions (row * V + column); values: their
-    weights.  bias_hidden (H) feeds the encoder, bias_visible (V) the decoder.
-    A full layer, one that holds every connection, has index None: its
-    positions are arange(H * V), which its shape gives, so values.reshape(H, V)
-    is its weight matrix.  Construction turns an index equal to arange(H * V)
-    into None; a full-size index that is not arange is kept, for buffers()
-    to reject.
+    index: flat row-major positions (row * V + column) rising strictly inside
+    [0, H * V); values: their weights.  bias_hidden (H) feeds the encoder,
+    bias_visible (V) the decoder.  A full layer, one that holds every
+    connection, has index None: its positions are arange(H * V), which its
+    shape gives, so values.reshape(H, V) is its weight matrix, and a rising
+    index of H * V entries becomes None.  The layer checks its index, values
+    count and activation when it is made (ValueError) and is fixed after;
+    values and biases train in place.  The index is kept as int64 behind a
+    read-only view: an int64 array is not copied.
     """
 
     index: np.ndarray | None
@@ -146,12 +149,30 @@ class MaskedLayer:
     activation: str = "sigmoid"
 
     def __post_init__(self) -> None:
+        get_activation(self.activation)
         size = self.hidden_count * self.visible_count
-        if self.index is None:
-            if self.values.size != size:
-                raise ValueError(f"a full layer holds {size} values, got {self.values.size}")
-        elif self.index.size == size and np.array_equal(self.index, np.arange(size)):
-            self.index = None
+        index = self.index
+        if index is not None:
+            index = np.asarray(index)
+            if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+                raise ValueError(f"index must be a 1-D integer array, got {index.dtype} of shape {index.shape}")
+            if index.size and (index[0] < 0 or index[-1] >= size or (index[1:] <= index[:-1]).any()):
+                raise ValueError(f"index must rise strictly inside [0, {size})")
+            if index.size == size:
+                index = None
+            else:
+                index = index.astype(np.int64, copy=False).view()
+                index.flags.writeable = False
+            object.__setattr__(self, "index", index)
+        count = size if index is None else index.size
+        if self.values.shape != (count,):
+            raise ValueError(f"{self.values.size} weights for {count} connections, in shape {self.values.shape}")
+
+    def __setstate__(self, state: dict) -> None:
+        """A deep copy's index, its own array, is read-only too."""
+        self.__dict__.update(state)
+        if self.index is not None:
+            self.index.flags.writeable = False
 
     @property
     def hidden_count(self) -> int:
@@ -196,31 +217,18 @@ class Buffers(NamedTuple):
 
 
 def buffers(layer: MaskedLayer) -> Buffers | None:
-    """A fresh pair for layer, or None if it is full; valid while its index is unchanged.
-
-    A sparse layer's index must rise strictly inside [0, H * V).
-    """
-    if _is_full(layer):
+    """A fresh pair for layer, or None if it is full; the layer's index never
+    changes, so the pair fits it for good (MaskedLayer checked the index)."""
+    if layer.index is None:
         return None
     shape = (layer.hidden_count, layer.visible_count)
-    _check_rising(layer.index, shape[0] * shape[1])
     return Buffers(np.zeros(shape), np.empty(shape))
-
-
-def _check_rising(index: np.ndarray, size: int) -> None:
-    if index.size and (index[0] < 0 or index[-1] >= size or (index[1:] <= index[:-1]).any()):
-        raise ValueError(f"index must rise strictly inside [0, {size})")
-
-
-def _is_full(layer: MaskedLayer) -> bool:
-    """Whether the layer holds every connection, so values.reshape(H, V) is its weight matrix."""
-    return layer.index is None
 
 
 def _weights(layer: MaskedLayer, buf: Buffers | None) -> np.ndarray:
     """The dense H x V weights: a full layer's values in place, else written into buf.w at the index."""
     shape = (layer.hidden_count, layer.visible_count)
-    if _is_full(layer):
+    if layer.index is None:  # a full layer: values.reshape(H, V) is its weight matrix
         return layer.values.reshape(shape)
     if buf is None or buf.w.shape != shape:
         raise ValueError(f"buffer shape {buf and buf.w.shape} does not fit a sparse layer of shape {shape}")
@@ -230,7 +238,7 @@ def _weights(layer: MaskedLayer, buf: Buffers | None) -> np.ndarray:
 
 def _weight_gradient(layer: MaskedLayer, a: np.ndarray, b: np.ndarray, buf: Buffers | None) -> np.ndarray:
     """A fresh array of a.T @ b at the index: whole for a full layer, else gathered from buf.g."""
-    if _is_full(layer):
+    if layer.index is None:
         return np.matmul(a.T, b).reshape(-1)
     np.matmul(a.T, b, out=buf.g)
     return buf.g.ravel()[layer.index]
@@ -245,29 +253,23 @@ def init_masked_layer(
 ) -> MaskedLayer:
     """Uniform +-sqrt(6 / (fan_in + fan_out)) init with per-row fan-in.
 
-    index holds the sorted flat row-major positions (row * V + column) of the
+    index holds the flat row-major positions (row * V + column) of the
     connections of an H x V layer, shape = (H, V); None, or a full-size
-    index, gives a full layer, which stores no index (see MaskedLayer).  A
-    sparse layer keeps a copy of its index, so it never aliases the caller's
-    array.  fan_in of row i is its connection count (the unit's true input
-    width); fan_out is taken as the hidden width.  The full H x V uniform is
-    drawn, in blocks of INIT_ROW_BLOCK rows, so the generator advances the
-    same way whatever the connectivity; each block keeps only its connected
-    entries, a full layer's block all of them.
+    index, gives a full layer.  The layer is made (and checks itself) first,
+    on a copy of index, so it never aliases the caller's array, and then its
+    values are filled in place.  fan_in of row i is its connection count
+    (the unit's true input width); fan_out is taken as the hidden width.
+    The full H x V uniform is drawn, in blocks of INIT_ROW_BLOCK rows, so
+    the generator advances the same way whatever the connectivity; each
+    block keeps only its connected entries, a full layer's block all of them.
     """
     h, v = shape
     if index is not None:
-        index = np.asarray(index)
-        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
-            raise ValueError(f"index must be a 1-D integer array, got {index.dtype} of shape {index.shape}")
-        _check_rising(index, h * v)
-    if index is None or index.size == h * v:  # a rising full-size index is arange(H * V)
-        index, bounds = None, np.arange(h + 1) * v
-    else:
-        index = index.astype(np.int64)
-        bounds = np.searchsorted(index, np.arange(h + 1) * v)
+        index = np.array(index)
+    layer = MaskedLayer(index, np.empty(h * v if index is None else index.size), np.zeros(h), np.zeros(v), activation)
+    index, values = layer.index, layer.values
+    bounds = np.arange(h + 1) * v if index is None else np.searchsorted(index, np.arange(h + 1) * v)
     limit = np.sqrt(6.0 / (np.diff(bounds) + h))
-    values = np.empty(bounds[-1])
     for r0 in range(0, h, INIT_ROW_BLOCK):
         r1 = min(r0 + INIT_ROW_BLOCK, h)
         u = rng.uniform(-1.0, 1.0, size=(r1 - r0, v))
@@ -277,22 +279,23 @@ def init_masked_layer(
         else:
             pos = index[lo:hi] - r0 * v
             values[lo:hi] = u.ravel()[pos] * limit[r0 + pos // v]
-    return MaskedLayer(
-        index=index,
-        values=values,
-        bias_hidden=np.zeros(h),
-        bias_visible=np.zeros(v),
-        activation=activation,
-    )
+    return layer
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
-    """Fully connected O x I layer: the classifier head, which emits raw logits."""
+    """Fully connected O x I layer: the classifier head, which emits raw logits;
+    made with 2-D weights and one bias per output (else ValueError), fixed after."""
 
     weights: np.ndarray
     bias: np.ndarray
     activation: ClassVar[str] = "identity"  # the model file names it, and load accepts no other
+
+    def __post_init__(self) -> None:
+        if self.weights.ndim != 2:
+            raise ValueError(f"weights must be 2-D, got shape {self.weights.shape}")
+        if self.bias.shape != (self.out_count,):
+            raise ValueError(f"bias of {self.bias.size} for {self.out_count} outputs")
 
     @property
     def out_count(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyStructureError
-from .tree import ChowLiuTree
+from .tree import ChowLiuTree, ball
 
 
 @dataclass(frozen=True)
@@ -49,26 +49,6 @@ class ReceptiveFieldPlan:
         return np.concatenate(rows)
 
 
-def _ball(adj: list[list[int]], center: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes within depth hops of center and their hop distances, in BFS order."""
-    nodes, dists = [center], [0]
-    seen = {center}
-    frontier = [center]
-    for d in range(1, depth + 1):
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        if not nxt:
-            break
-        nodes.extend(nxt)
-        dists.extend([d] * len(nxt))
-        frontier = nxt
-    return np.array(nodes, dtype=np.int64), np.array(dists, dtype=np.int64)
-
-
 def _cover(adj: list[list[int]], s: int, seed: int, depth: int):
     """Greedy stride-s centers, each with its ball of radius depth >= s.
 
@@ -86,7 +66,7 @@ def _cover(adj: list[list[int]], s: int, seed: int, depth: int):
     owner = np.zeros(len(adj), dtype=np.int64)
     centers, balls = [], []
     while True:
-        nodes, dists = _ball(adj, c, depth)
+        nodes, dists = ball(adj, c, depth)
         closer = dists < min_dist[nodes]
         min_dist[nodes[closer]] = dists[closer]
         owner[nodes[closer]] = len(centers)

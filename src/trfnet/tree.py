@@ -10,7 +10,6 @@ bit for bit.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -89,6 +88,21 @@ class ChowLiuTree:
             adj[u].append(v)
             adj[v].append(u)
         return adj
+
+
+def ball(adj: list[list[int]], center: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes within depth hops of center in the graph adj and their hop
+    distances, in breadth-first order."""
+    nodes, dists, seen = [center], [0], {center}
+    for u, d in zip(nodes, dists):  # the lists are the queue: zip reads what the loop appends
+        if d == depth:
+            break
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                nodes.append(v)
+                dists.append(d + 1)
+    return np.array(nodes, dtype=np.int64), np.array(dists, dtype=np.int64)
 
 
 def _band(blocks, v: int, k: int, roots: np.ndarray | None):
@@ -233,20 +247,11 @@ def chow_liu(bd: BinaryDataset) -> ChowLiuTree:
 
 
 def hop_distances(t: ChowLiuTree, source: int) -> np.ndarray:
-    """Tree hop distance from source to every node, by breadth-first traversal."""
+    """Tree hop distance from source to every node: the ball that holds the whole tree."""
     if not (0 <= source < t.node_count):
         raise ValueError(f"source {source} out of range for {t.node_count} nodes")
-    adj = t.adjacency()
-    dist = np.full(t.node_count, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    nodes, dists = ball(t.adjacency(), source, t.node_count - 1)
+    return dists[np.argsort(nodes)]  # the ball holds every node once
 
 
 def to_dot(t: ChowLiuTree, feature_names=None) -> str:

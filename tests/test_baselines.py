@@ -98,6 +98,30 @@ class TestFinetuneMemory:
             tracemalloc.stop()
         assert peak < 7.6 * w
 
+    def test_prune_frees_the_cloned_full_layer_before_retraining(self):
+        """tracemalloc peak of a keep-0.1 prune and 8 epochs of retraining of
+        a trained 2000 -> 256 network, above the network, in W.
+
+        3.64 W was measured.  A pruned layer is a new one, so the clone's
+        full layer must be dropped before retraining: a loop variable that
+        kept it alive through the retraining read 4.64 W.
+        """
+        w = 256 * 2000 * 8
+        rng = np.random.default_rng(0)
+        x = (rng.random((256, 2000)) < 0.05) * rng.poisson(2.0, (256, 2000)).astype(np.float64)
+        train = Dataset(x, labels=rng.integers(0, 2, 256))
+        cfg = DenseNetConfig(hidden_widths=(256,), epochs=8, seed=3)
+        net, _ = train_dense(train, cfg)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prune_and_retrain(net, 0.1, train, hyper_from_config(cfg))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.9 * w
+
 
 class TestPrune:
     def test_keeps_exactly_the_largest_weights(self, blob_data):

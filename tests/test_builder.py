@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,14 +139,20 @@ class TestFullPlanLayer:
 
     def test_finetune_has_the_bits_of_the_buffered_path(self, tmp_path):
         """The same layer given its arange index after construction goes
-        through a buffer pair; both paths write the same file."""
+        through a buffer pair; both paths write the same file.
+
+        The layer is already ReLU, so finetune keeps the layer object, and
+        the index is set past the constructor, which would turn it into None.
+        """
         net, d = self.built()
         attach_head(net, 2)
+        net.layers = [replace(net.layers[0], activation=FinetuneHyper.activation)]
         buffered = clone(net)
-        buffered.layers[0].index = np.arange(8)
+        object.__setattr__(buffered.layers[0], "index", np.arange(8))
         assert nn.buffers(buffered.layers[0]) is not None
         for name, model in (("full", net), ("buffered", buffered)):
             tuned, _ = finetune(model, d, None, FinetuneHyper(epochs=3, seed=1))
+            assert (tuned.layers[0].index is None) == (name == "full")
             save(tuned, tmp_path / f"{name}.trf")
         assert (tmp_path / "full.trf").read_bytes() == (tmp_path / "buffered.trf").read_bytes()
 
@@ -233,8 +240,9 @@ class TestFinetune:
         layer = net.layers[0]
         stray = np.setdiff1d(np.arange(layer.hidden_count * layer.visible_count), layer.index)[0]
         at = np.searchsorted(layer.index, stray)
-        layer.index = np.insert(layer.index, at, stray)  # a connection the plan lacks
-        layer.values = np.insert(layer.values, at, -0.75)
+        net.layers[0] = replace(  # a connection the plan lacks
+            layer, index=np.insert(layer.index, at, stray), values=np.insert(layer.values, at, -0.75)
+        )
         assert net.mask_violation() == 0.75
         net.plans = [None]  # without a plan the layer's own index is the reference
         assert net.mask_violation() == 0.0
@@ -242,13 +250,13 @@ class TestFinetune:
     def test_mask_violation_reads_what_the_dense_views_show(self, small_corpus):
         net = build_trf_net(small_corpus, quick_config(depth=2))
         rng = np.random.default_rng(7)
-        for layer in net.layers:
+        for k, layer in enumerate(net.layers):
             size = layer.hidden_count * layer.visible_count
             strays = rng.choice(np.setdiff1d(np.arange(size), layer.index), size=5, replace=False)
-            layer.index = np.concatenate([layer.index, strays])
-            layer.values = np.concatenate([layer.values, rng.normal(size=5)])
-            order = np.argsort(layer.index)
-            layer.index, layer.values = layer.index[order], layer.values[order]
+            index = np.concatenate([layer.index, strays])
+            values = np.concatenate([layer.values, rng.normal(size=5)])
+            order = np.argsort(index)
+            net.layers[k] = replace(layer, index=index[order], values=values[order])
         dense = 0.0
         for layer, plan in zip(net.layers, net.plans):
             outside = np.abs(layer.weights).ravel()
@@ -976,7 +984,7 @@ class TestSaveLoad:
     def test_clone_is_independent(self, small_corpus):
         net = build_trf_net(small_corpus, quick_config())
         twin = clone(net)
-        twin.layers[0].values += 1.0
+        twin.layers[0].values[...] += 1.0
         assert net.mask_violation() == 0.0
         assert not np.array_equal(net.layers[0].weights, twin.layers[0].weights)
 

@@ -192,7 +192,7 @@ class TestDaeBernoulliLoss:
         rng = np.random.default_rng(41)
         mask = rng.random((40, 70)) < 0.3
         self.layer = nn.init_masked_layer(np.flatnonzero(mask), mask.shape, rng)
-        self.layer.values *= 40.0  # decoder logits reach well past +-30
+        self.layer.values[...] *= 40.0  # decoder logits reach well past +-30
         self.layer.bias_visible[:] = rng.normal(scale=5.0, size=70)
         self.x = (rng.random((25, 70)) < 0.4).astype(np.float64)
         self.x_tilde = self.x * (rng.random(self.x.shape) >= 0.3)

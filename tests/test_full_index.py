@@ -1,5 +1,6 @@
 """A full layer stores no index: its positions are arange(H * V), which its shape gives."""
 
+import base64
 import copy
 import gc
 import tracemalloc
@@ -7,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from test_builder import reseal
 from trfnet import nn
 from trfnet.baselines import DenseNetConfig, dense_network, hyper_from_config, prune_and_retrain
 from trfnet.builder import TrfNetwork, clone, load, save
@@ -74,19 +76,24 @@ class TestConstruction:
         layer = nn.init_masked_layer(np.arange(12, dtype=dtype), (3, 4), np.random.default_rng(0))
         assert layer.index is None
 
-    def test_a_full_size_index_that_is_not_arange_is_kept_and_rejected(self, tmp_path):
+    def test_a_full_size_index_that_is_not_arange_is_rejected(self, tmp_path):
+        """The layer rejects it when it is made, and load rejects a file that holds it."""
         index = np.arange(12)[::-1].copy()
-        layer = nn.MaskedLayer(index, np.zeros(12), np.zeros(3), np.zeros(4))
-        assert layer.index is index
         with pytest.raises(ValueError, match=r"index must rise strictly inside \[0, 12\)"):
-            nn.buffers(layer)
+            nn.MaskedLayer(index, np.zeros(12), np.zeros(3), np.zeros(4))
+        layer = nn.MaskedLayer(np.arange(11), np.zeros(11), np.zeros(3), np.zeros(4))
         head = nn.DenseLayer(np.zeros((2, 3)), np.zeros(2))
         save(TrfNetwork(layers=[layer], plans=[None], head=head), tmp_path / "m.trf")
-        with pytest.raises(ModelFormatError, match="must rise strictly"):
+        lines = (tmp_path / "m.trf").read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("index "))
+        lines[i] = "index " + base64.b64encode(index.astype("<i8").tobytes()).decode()
+        lines[i + 1] = "values " + base64.b64encode(np.zeros(12).tobytes()).decode()
+        (tmp_path / "m.trf").write_bytes(reseal(lines))
+        with pytest.raises(ModelFormatError, match=r"layer 0: index must rise strictly inside \[0, 12\)"):
             load(tmp_path / "m.trf")
 
     def test_no_index_needs_every_value(self):
-        with pytest.raises(ValueError, match="a full layer holds 12 values, got 11"):
+        with pytest.raises(ValueError, match="11 weights for 12 connections"):
             nn.MaskedLayer(None, np.zeros(11), np.zeros(3), np.zeros(4))
 
     @pytest.mark.parametrize("index", [np.array([0, 5, 7]), None], ids=["sparse", "full"])

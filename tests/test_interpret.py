@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,7 +200,7 @@ def two_layer_network(v: int, widths, seed: int):
         width = h
     top = layers[-1]
     keep = top.index // top.visible_count != 1
-    top.index, top.values = top.index[keep], top.values[keep]
+    layers[-1] = replace(top, index=top.index[keep], values=top.values[keep])
     return TrfNetwork(layers=layers, plans=[None] * len(layers))
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ class TestForward:
     def test_masked_input_has_no_influence(self):
         layer, rng = random_masked_layer(3, 5, seed=1)
         keep = layer.index % 5 != 2  # cut every connection to input 2
-        layer.index, layer.values = layer.index[keep], layer.values[keep]
+        layer = replace(layer, index=layer.index[keep], values=layer.values[keep])
         x = rng.normal(size=(4, 5))
         base = encode(layer, x)
         x2 = x.copy()
@@ -498,9 +499,9 @@ class TestLoopBuffers:
         ids=["permuted-arange", "unsorted", "duplicate", "negative", "past-end"],
     )
     def test_index_that_does_not_rise_strictly_rejected(self, index):
-        layer = nn.MaskedLayer(index, np.zeros(index.size), np.zeros(3), np.zeros(4))
+        """The layer rejects it when it is made, so buffers never sees one."""
         with pytest.raises(ValueError, match=r"index must rise strictly inside \[0, 12\)"):
-            nn.buffers(layer)
+            nn.MaskedLayer(index, np.zeros(index.size), np.zeros(3), np.zeros(4))
 
     def test_buffer_of_another_shape_rejected(self):
         layer, rng = random_masked_layer(4, 6, seed=59)
@@ -558,7 +559,7 @@ class TestFullLayer:
             return [bits(loss), *map(bits, grads), bits(logits), *map(bits, back), bits(hidden)]
 
         old = results(layer)
-        layer.values = rng.normal(size=layer.values.size)
+        layer = replace(layer, values=rng.normal(size=layer.values.size))
         twin = nn.MaskedLayer(layer.index, layer.values.copy(), layer.bias_hidden, layer.bias_visible)
         new = results(layer)
         assert new == results(twin)

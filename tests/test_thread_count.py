@@ -24,6 +24,7 @@ BLAS_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 PRODUCTS = r"""
 import hashlib, json
+from dataclasses import replace
 import numpy as np
 from trfnet import nn
 
@@ -48,7 +49,7 @@ for h, v, full in ((550, 2000, False), (1100, 4000, False), (256, 2000, True)):
     for n in (300, 1400):
         x = rng.poisson(0.05, size=(n, v)).astype(np.float64)
         out[f"{h}x{v} eval N={n}"] = digest(nn.hidden_representation([layer], x, [buf]))
-    layer.activation = "relu"
+    layer = replace(layer, activation="relu")
     head = nn.init_dense_layer(2, h, rng)
     logits, caches = nn.stack_forward([layer], head, batch, [buf], 0.5, rng)
     _, dlogits = nn.softmax_cross_entropy(logits, rng.integers(0, 2, size=128))
