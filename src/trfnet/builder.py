@@ -80,6 +80,10 @@ class BuildConfig:
             raise ValueError(f"global_fraction must be in [0, 1], got {self.global_fraction}")
 
 
+def _finite(*arrays: np.ndarray) -> bool:  # min and max carry a NaN or an infinity, with no full-size temporary
+    return all(a.size == 0 or (np.isfinite(a.min()) and np.isfinite(a.max())) for a in arrays)
+
+
 @dataclass
 class TrfNetwork:
     """A stack of sparse layers with an optional dense classifier head."""
@@ -92,18 +96,36 @@ class TrfNetwork:
     training_logs: list[list[float]] = field(default_factory=list)
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError naming the layer or the head for a rule below that the network breaks.
+        It runs when the network is made and first thing in attach_head, finetune, evaluate and save."""
         if not self.layers:
             raise ValueError("network needs at least one layer")
         if len(self.plans) != len(self.layers):
             raise ValueError("need one plan slot per layer")
-        for k in range(1, len(self.layers)):
-            if self.layers[k].visible_count != self.layers[k - 1].hidden_count:
-                raise ValueError(
-                    f"layer {k} expects width {self.layers[k].visible_count} but gets "
-                    f"{self.layers[k - 1].hidden_count}"
-                )
-        if self.head is not None and self.head.in_count != self.top_width:
-            raise ValueError("head width does not match the top layer")
+        width = self.input_width
+        for k, (layer, plan) in enumerate(zip(self.layers, self.plans)):
+            if layer.visible_count != width:
+                raise ValueError(f"layer {k} expects width {layer.visible_count} but gets {width}")
+            width = layer.hidden_count
+            with _naming(f"layer {k}", ValueError):  # plan.index names a feature outside [0, V)
+                if not _finite(layer.values, layer.bias_hidden, layer.bias_visible):
+                    raise ValueError("non-finite weight or bias")
+                if plan is not None:
+                    if plan.hidden_count != width:
+                        raise ValueError(f"plan has {plan.hidden_count} units, layer has {width}")
+                    positions = np.arange(layer.values.size) if layer.index is None else layer.index
+                    if not np.array_equal(plan.index(layer.visible_count), positions):
+                        raise ValueError("connections disagree with the plan (field rows, then all-ones global rows)")
+        if self.head_mode not in (SOFTMAX, MULTITASK):
+            raise ValueError(f"head: unknown head mode {self.head_mode!r}")
+        if self.head is not None:
+            if self.head.in_count != width:
+                raise ValueError(f"head width {self.head.in_count} does not match the top layer's {width}")
+            if not _finite(self.head.weights, self.head.bias):
+                raise ValueError("head: non-finite weight or bias")
 
     @property
     def depth(self) -> int:
@@ -123,7 +145,8 @@ class TrfNetwork:
         A layer with a plan is held to the plan's fields and global rows: its
         values at positions the plan does not list count, every position for
         a full layer.  A layer without one holds only its own connections, so
-        it scores 0.0.
+        it scores 0.0.  A checked network (see check) scores 0.0; this scores
+        one whose layers or plans were set since, and the benchmark reads it.
         """
         worst = 0.0
         for layer, plan in zip(self.layers, self.plans):
@@ -214,13 +237,13 @@ def n_classes(d: Dataset) -> int:
 
 
 def attach_head(net: TrfNetwork, classes: int, mode: str = SOFTMAX, seed: int | None = None) -> TrfNetwork:
-    """Put a fresh dense classifier on top; replaces any existing head.
+    """Put a fresh dense classifier on top, in place; replaces any existing head.
 
     softmax mode wants classes >= 2 mutually exclusive labels; multitask
-    mode wants classes >= 1 independent binary tasks.
+    mode wants classes >= 1 independent binary tasks.  A network or mode
+    that TrfNetwork.check rejects raises ValueError and leaves net as it was.
     """
-    if mode not in (SOFTMAX, MULTITASK):
-        raise ValueError(f"unknown head mode {mode!r}")
+    TrfNetwork(net.layers, net.plans, head_mode=mode)  # checks the layers, plans and mode; the head is replaced
     minimum = 2 if mode == SOFTMAX else 1
     if classes < minimum:
         raise ValueError(f"need at least {minimum} outputs for {mode}, got {classes}")
@@ -254,8 +277,8 @@ class FinetuneHyper:
 
 
 def _check_labels(d: Dataset, head: nn.DenseLayer, mode: str, what: str):
-    """Labels must fit the head: class indices below its width, or one
-    0/1/-1 (missing) column per task."""
+    """Labels must fit the head of a checked network: class indices below
+    its width, or one 0/1/-1 (missing) column per task."""
     if d.labels is None:
         raise ValueError(f"{what}: labeled data required")
     width = head.out_count
@@ -265,7 +288,7 @@ def _check_labels(d: Dataset, head: nn.DenseLayer, mode: str, what: str):
         bad = (d.labels < 0) | (d.labels >= width)
         if bad.any():
             raise ValueError(f"{what}: label {int(d.labels[bad][0])} is outside the {width} classes of the head")
-    elif mode == MULTITASK:
+    else:
         if d.labels.ndim != 2:
             raise ValueError(f"{what}: multitask head needs an N x C label matrix")
         if d.labels.shape[1] != width:
@@ -273,8 +296,6 @@ def _check_labels(d: Dataset, head: nn.DenseLayer, mode: str, what: str):
         bad = ~np.isin(d.labels, (-1, 0, 1))
         if bad.any():
             raise ValueError(f"{what}: multitask label {int(d.labels[bad][0])} is not 0, 1 or -1 (missing)")
-    else:
-        raise ValueError(f"unknown head mode {mode!r}")
 
 
 def _batch_loss_grads(net: TrfNetwork, bufs, x, y, hyper, rng, spent: list):
@@ -321,8 +342,9 @@ def finetune(
     penalty_grads, when given, is called before each step with the weight
     arrays, params[::2] of nn.stack_params, and returns one extra gradient
     term for each, added to that gradient in place; the L1 baseline hooks in
-    through it.
+    through it.  TrfNetwork.check runs before any step.
     """
+    net.check()
     if net.head is None:
         raise ValueError("attach a head before finetuning")
     _check_labels(train, net.head, net.head_mode, "train")
@@ -453,7 +475,8 @@ def _report(net: TrfNetwork, scores, seconds: float) -> EvalReport:
 
 
 def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
-    """Accuracy (softmax) or per-task AUCs (multitask) plus size metrics."""
+    """Accuracy (softmax) or per-task AUCs (multitask) plus size metrics, once TrfNetwork.check passes."""
+    net.check()
     if net.head is None:
         raise ValueError("attach a head before evaluating")
     _check_labels(test, net.head, net.head_mode, "test")
@@ -465,7 +488,14 @@ def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
+def check_report_name(name: str) -> None:
+    """ValueError for a name report_from_text would split: one holding a line break of str.splitlines."""
+    if "".join(name.splitlines()) != name:
+        raise ValueError(f"name {name!r} holds a line break; a report name is one line")
+
+
 def report_to_text(r: EvalReport, name: str = "model") -> str:
+    check_report_name(name)
     lines = [REPORT_MAGIC, f"name {name}"]
     if r.accuracy is not None:
         lines.append(f"accuracy {r.accuracy!r}")
@@ -512,8 +542,9 @@ def report_from_text(text: str):
 
 
 def save_report(r: EvalReport, path, name: str = "model") -> None:
+    text = report_to_text(r, name)  # a name that is not one line raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report_to_text(r, name))
+        fh.write(text)
 
 
 def load_report(path):
@@ -678,10 +709,10 @@ def save(net: TrfNetwork, path) -> None:
     none.  Every array is one base64 line, so the
     same network always produces the same bytes and reloads bit for bit.
     Each line goes to the file and to the checksum in turn, so the whole
-    body is never held at once.  A network that load would reject or read
-    back otherwise raises ValueError before the file is opened.
+    body is never held at once.  A network TrfNetwork.check rejects raises
+    ValueError before the file is opened.
     """
-    _check_saveable(net)
+    net.check()
     seal = hashlib.sha256()
     with open(path, "wb") as fh:
         for line in _model_lines(net):
@@ -691,19 +722,6 @@ def save(net: TrfNetwork, path) -> None:
         fh.write(f"{_SEAL}{seal.hexdigest()}\n".encode("ascii"))
 
 
-def _check_saveable(net: TrfNetwork) -> None:
-    """The file's own rules: finite arrays, and a plan that fits its layer and lists its connections."""
-    for k, (layer, plan) in enumerate(zip(net.layers, net.plans)):
-        with _naming(f"layer {k}", ValueError):
-            _check_finite(layer.values, layer.bias_hidden, layer.bias_visible)
-            if plan is not None:
-                positions = np.arange(layer.values.size) if layer.index is None else layer.index
-                _check_plan(plan, layer.hidden_count, layer.visible_count, positions)
-    if net.head is not None:
-        with _naming("head", ValueError):
-            _check_finite(net.head.weights, net.head.bias)
-
-
 @contextmanager
 def _naming(what: str, error: type[ValueError] = ModelFormatError):
     """Re-raise a ValueError as error, its message prefixed with what."""
@@ -711,11 +729,6 @@ def _naming(what: str, error: type[ValueError] = ModelFormatError):
         yield
     except ValueError as e:
         raise error(f"{what}: {e}") from None
-
-
-def _check_finite(*arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("non-finite weight or bias")
 
 
 class _Reader:
@@ -773,28 +786,16 @@ def _read_plan(rd: _Reader) -> ReceptiveFieldPlan | None:
     )
 
 
-def _check_plan(plan: ReceptiveFieldPlan, h: int, v: int, positions: np.ndarray | None) -> None:
-    """A stored plan must fit the h x v layer it describes and, where the
-    file holds them too, list the layer's positions."""
-    if any(not 0 <= c < v for c in plan.centers) or any(
-        not 0 <= m < v for members in plan.fields for m in members
-    ):
-        raise ValueError(f"plan names a feature outside [0, {v})")
-    if plan.hidden_count != h:
-        raise ValueError(f"plan has {plan.hidden_count} units, layer has {h}")
-    if positions is not None and not np.array_equal(plan.index(v), positions):
-        raise ValueError("connections disagree with the plan (field rows, then all-ones global rows)")
-
-
 def _check_declared(k: int, h: int, v: int, n_values: int, plan: ReceptiveFieldPlan | None, dense: bool):
-    """The positions a v2 layer declares through h and v alone, against its decoded values.
+    """The sizes a v2 layer declares through h and v alone, against its plan and decoded values.
 
-    A dense index holds h * v positions and a plan's global rows v each, so
-    the file must hold at least that many values before they are built; a
-    plan's field rows and a stored index are as long as the file allows and
-    are checked once built.
+    A plan must have h units, or its index would run past h * v.  A dense index holds h * v
+    positions and a plan's global rows v each, so the file must hold that many values before they
+    are built; field rows and a stored index are as long as the file allows, checked once built.
     """
     if plan is not None:
+        if plan.hidden_count != h:
+            raise ModelFormatError(f"layer {k}: plan has {plan.hidden_count} units, layer has {h}")
         declared = plan.global_count * v
         count = sum(len(members) for members in plan.fields) + declared
     elif dense:
@@ -840,8 +841,6 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
     if rd.next() != (MODEL_MAGIC if v2 else MODEL_MAGIC_V1):
         raise ModelFormatError("not a model file, or unsupported version")
     head_mode = rd.next("head_mode ").split(" ")[1]
-    if head_mode not in (SOFTMAX, MULTITASK):
-        raise ModelFormatError(f"unknown head mode {head_mode!r}")
     first = rd.next()
     config = None
     if first == "config begin":
@@ -870,17 +869,13 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
             stored = None if plan is not None else rd.next("index ")
             values = floats("values")
             _check_declared(k, h, v, values.size, plan, stored == "index dense")
-            if plan is not None:
-                index = plan.index(v)
-            else:
-                index = None if stored == "index dense" else _unb64(stored, _I8, len("index "))
+            index = None if stored in (None, "index dense") else _unb64(stored, _I8, len("index "))
         bh, bv = floats("bh"), floats("bv")
         if bh.size != h or bv.size != v:
             raise ModelFormatError(f"layer {k}: bias length mismatch")
-        with _naming(f"layer {k}"):  # the layer checks its index, values count and activation
-            if plan is not None:  # a v2 layer's index is its plan's
-                _check_plan(plan, h, v, None if v2 else index)
-            _check_finite(values, bh, bv)
+        with _naming(f"layer {k}"):  # plan.index checks its feature range, MaskedLayer the rest
+            if v2 and plan is not None:  # a v2 layer's index is its plan's
+                index = plan.index(v)
             layers.append(nn.MaskedLayer(index, values, bh, bv, activation))
         plans.append(plan)
     head_ln = rd.next("head")
@@ -904,14 +899,13 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
                 hw[r] = vals
         hb = floats("hb")
         with _naming("head"):  # the head checks its bias length
-            _check_finite(hw, hb)
             head = nn.DenseLayer(weights=hw, bias=hb)
     if v2:
         if rd.pos != len(lines):
             raise ModelFormatError(f"unexpected line after the head: {lines[rd.pos][:40]!r}")
     else:
         rd.next("end trfnet-model")
-    # an empty stack or widths that do not chain raise ValueError here
+    # TrfNetwork.check raises ValueError here, which load turns into ModelFormatError
     return TrfNetwork(layers=layers, plans=plans, head=head, head_mode=head_mode, config=config)
 
 
@@ -920,7 +914,7 @@ def load(path) -> TrfNetwork:
 
     A v2 file's checksum is verified before anything is parsed.  Damage of
     any kind, undecodable bytes included, raises ModelFormatError, which
-    names the layer or head whose own checks rejected what the file holds.  A
+    names the layer or head that its checks or TrfNetwork.check reject.  A
     layer stored as "index dense", or whose connections are all H * V
     positions, loads as a full layer with no index (see nn.MaskedLayer).
     """

@@ -179,6 +179,7 @@ _FIELD_FLAGS = {
     "strength": "--strength",
     "train_frac": "--train-frac",
     "valid_frac": "--valid-frac",
+    "name": "--name",
 }
 
 
@@ -298,6 +299,7 @@ def cmd_finetune(args) -> Run:
             seed=args.seed,
         )
         check_split_fractions(args.train_frac, args.valid_frac)
+        builder.check_report_name(args.name)
     d, inputs = _load_data(args, need_labels=True)
     inputs = [args.model] + inputs
     net = builder.load(args.model)
@@ -312,6 +314,8 @@ def cmd_finetune(args) -> Run:
 
 
 def cmd_eval(args) -> Run:
+    with _flag_errors():
+        builder.check_report_name(args.name)
     d, inputs = _load_data(args, need_labels=True)
     inputs = [args.model] + inputs
     net = builder.load(args.model)
@@ -335,6 +339,7 @@ def cmd_baseline(args) -> Run:
         check_split_fractions(args.train_frac, args.valid_frac)
         baselines.check_keep_fraction(args.keep)
         baselines.check_l1_strength(args.strength)
+        builder.check_report_name(args.name or args.kind)
     d, inputs = _load_data(args, need_labels=True)
     train, valid, test = _split_labeled(d, args)
     effective, timings = None, {}

@@ -42,11 +42,14 @@ class ReceptiveFieldPlan:
 
     def index(self, visible_count: int) -> np.ndarray:
         """Flat row-major positions of the planned H x visible_count
-        connectivity: field rows in center order, then all-ones global rows."""
-        first_global = len(self.fields) * visible_count
-        rows = [i * visible_count + np.asarray(f, dtype=np.int64) for i, f in enumerate(self.fields)]
-        rows.append(np.arange(first_global, first_global + self.global_count * visible_count))
-        return np.concatenate(rows)
+        connectivity: field rows in center order, then all-ones global rows;
+        a center or field member outside [0, visible_count) raises ValueError."""
+        if any(min(f) < 0 or max(f) >= visible_count for f in (self.centers, *self.fields) if f):
+            raise ValueError(f"plan names a feature outside [0, {visible_count})")
+        sizes = [len(f) for f in self.fields]
+        members = np.fromiter((m for f in self.fields for m in f), np.int64, sum(sizes))
+        rows = np.repeat(np.arange(len(sizes), dtype=np.int64) * visible_count, sizes) + members
+        return np.concatenate([rows, np.arange(len(sizes) * visible_count, self.hidden_count * visible_count)])
 
 
 def _cover(adj: list[list[int]], s: int, seed: int, depth: int):

@@ -255,13 +255,14 @@ def hop_distances(t: ChowLiuTree, source: int) -> np.ndarray:
 
 
 def to_dot(t: ChowLiuTree, feature_names=None) -> str:
-    """Graphviz rendering; edge labels are mutual information to 4 decimals."""
+    """Graphviz rendering; node labels escape \\ and ", edge labels are mutual information to 4 decimals."""
     names = feature_names or [str(i) for i in range(t.node_count)]
     if len(names) != t.node_count:
         raise ValueError(f"expected {t.node_count} names, got {len(names)}")
     lines = ["graph chowliu {"]
     for i, name in enumerate(names):
-        lines.append(f'  n{i} [label="{name}"];')
+        label = name.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i} [label="{label}"];')
     for u, v, w in t.edges:
         lines.append(f'  n{u} -- n{v} [label="{w:.4f}"];')
     lines.append("}")

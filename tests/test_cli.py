@@ -252,8 +252,9 @@ def main_without_inputs(tmp_path, command, flag, value) -> int:
         "build": ["build", *data],
         "finetune": ["finetune", "--model", missing, *data],
         "baseline": ["baseline", "dense", *data],
+        "eval": ["eval", "--model", missing, *data],
     }[command]
-    return main([*argv, flag, value, "--out", str(tmp_path / "m.trf")])
+    return main([*argv, flag, value, "--report" if command == "eval" else "--out", str(tmp_path / "m.trf")])
 
 
 class TestCountFlags:
@@ -302,6 +303,9 @@ class TestRangeFlags:
             ("baseline", "--keep", "0"),
             ("baseline", "--strength", "-1"),
             ("baseline", "--train-frac", "1.5"),
+            ("finetune", "--name", "a\nb"),
+            ("eval", "--name", "a\u2028b"),
+            ("baseline", "--name", "a\rb"),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, command, flag, value):

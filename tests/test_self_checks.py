@@ -1,11 +1,11 @@
-"""Layers, heads and reports check themselves when they are made, and what
-save writes, load reads back.
+"""Layers, heads, networks and reports check themselves when they are made,
+and what save writes, load reads back.
 
-Each rule lives in its type: nn.MaskedLayer, nn.DenseLayer and
-builder.EvalReport raise ValueError for a defect at construction, and the
-readers turn that error into ModelFormatError naming the layer or the head.
-save refuses, before it opens the file, what load would reject or read back
-as another network.
+Each rule lives in its type: nn.MaskedLayer, nn.DenseLayer,
+builder.TrfNetwork and builder.EvalReport raise ValueError for a defect at
+construction, and the readers turn that error into ModelFormatError naming
+the layer or the head.  A network checks itself again before attach_head,
+finetune, evaluate and save use it, so a field set since is caught there.
 """
 
 import base64
@@ -18,7 +18,20 @@ from hypothesis import strategies as st
 
 from test_builder import reseal
 from trfnet import nn
-from trfnet.builder import EvalReport, TrfNetwork, clone, load, load_report, save, save_report
+from trfnet.builder import (
+    EvalReport,
+    FinetuneHyper,
+    TrfNetwork,
+    attach_head,
+    clone,
+    evaluate,
+    finetune,
+    load,
+    load_report,
+    save,
+    save_report,
+)
+from trfnet.data import Dataset
 from trfnet.errors import ModelFormatError
 from trfnet.receptive_field import ReceptiveFieldPlan
 
@@ -112,6 +125,10 @@ def reports(draw):
     )
 
 
+# what str.splitlines splits on; "\r\n" is two of them
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(net=networks())
@@ -129,14 +146,30 @@ class TestRoundTrip:
                 assert x is None or x.tobytes() == y.tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(report=reports(), name=st.sampled_from(["model", "dense", "l1"]))
+    @given(report=reports(), name=st.text())
     def test_load_report_of_save_report_gives_the_same_bytes(self, tmp_path_factory, report, name):
+        """Each name either raises before the file is opened or reloads as written."""
         d = tmp_path_factory.mktemp("report")
-        save_report(report, d / "a.report", name=name)
+        try:
+            save_report(report, d / "a.report", name=name)
+        except ValueError:
+            assert any(brk in name for brk in LINE_BREAKS), f"one-line name {name!r} refused"
+            assert not (d / "a.report").exists()
+            return
+        assert not any(brk in name for brk in LINE_BREAKS)
         got_name, back = load_report(d / "a.report")
+        assert got_name == name
         save_report(back, d / "b.report", name=got_name)
         assert (d / "b.report").read_bytes() == (d / "a.report").read_bytes()
         assert dataclasses.replace(back, wall_clock={}) == dataclasses.replace(report, wall_clock={})
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_a_report_name_with_a_line_break_is_refused(self, tmp_path, brk):
+        """Read back, the rest of the name would be a report line of its own."""
+        report = EvalReport(parameter_count=10, sparsity=0.5)
+        with pytest.raises(ValueError, match="line break"):
+            save_report(report, tmp_path / "r.report", name=f"x{brk}effective_sparsity 0.5")
+        assert not (tmp_path / "r.report").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -299,42 +332,114 @@ class TestDefectInAFile:
 
 
 # ---------------------------------------------------------------------------
-# save refuses what load would reject or misread, and writes nothing
+# a network checks itself when made, and again before it is attached to,
+# trained, scored or saved
 # ---------------------------------------------------------------------------
 
+# plan fields (0, 1) and (1, 2) over 3 features list positions [0, 1, 4, 5]
+PLAN = ReceptiveFieldPlan(radius=1, stride=1, centers=(0, 1), fields=((0, 1), (1, 2)), global_count=0)
 
-class TestSaveRefuses:
-    def refuses(self, tmp_path, net, match):
+
+def planned_layer(index=(0, 1, 4, 5), bad=None):
+    """A 2 x 3 layer; bad names one of its arrays and the value its last entry takes."""
+    arrays = {"values": np.ones(len(index)), "bias_hidden": np.zeros(2), "bias_visible": np.zeros(3)}
+    if bad is not None:
+        arrays[bad[0]][-1] = bad[1]
+    return nn.MaskedLayer(np.array(index), **arrays)
+
+
+def two_class_head(bad=None):
+    arrays = {"weights": np.ones((2, 2)), "bias": np.zeros(2)}
+    if bad is not None:
+        arrays[bad[0]].flat[-1] = bad[1]
+    return nn.DenseLayer(**arrays)
+
+
+def sound_fields() -> dict:
+    return {"layers": [planned_layer()], "plans": [PLAN], "head": two_class_head(), "head_mode": "softmax"}
+
+
+# each defect as the fields that carry it, and the message it raises
+NETWORK_DEFECTS = {
+    # a layer that is not its plan's would load rewired as the plan's
+    "rewired": ({"layers": [planned_layer((0, 2, 4, 5))]}, "layer 0: connections disagree with the plan"),
+    "plan-units": (
+        {"plans": [ReceptiveFieldPlan(radius=1, stride=1, centers=(0,), fields=((0, 1),), global_count=0)]},
+        "layer 0: plan has 1 units, layer has 2",
+    ),
+    "plan-range": (
+        {"plans": [ReceptiveFieldPlan(radius=1, stride=1, centers=(0, 1), fields=((0, 1), (1, 3)), global_count=0)]},
+        r"layer 0: plan names a feature outside \[0, 3\)",
+    ),
+    **{
+        f"layer-{name}-{bad}": ({"layers": [planned_layer(bad=(name, bad))]}, "layer 0: non-finite weight or bias")
+        for name in ("values", "bias_hidden", "bias_visible")
+        for bad in (np.nan, np.inf, -np.inf)
+    },
+    **{
+        f"head-{name}": ({"head": two_class_head(bad=(name, np.nan))}, "head: non-finite weight or bias")
+        for name in ("weights", "bias")
+    },
+    "head-mode": ({"head_mode": "banana"}, "head: unknown head mode 'banana'"),
+}
+
+
+def defective(defect: str) -> TrfNetwork:
+    """A sound network with the defect's fields set after it was made."""
+    net = TrfNetwork(**sound_fields())
+    for name, value in NETWORK_DEFECTS[defect][0].items():
+        setattr(net, name, value)
+    return net
+
+
+def state(net: TrfNetwork):
+    """The network's fields, with its arrays as bytes."""
+    arrays = [a for l in net.layers for a in (l.values, l.bias_hidden, l.bias_visible)]
+    arrays += [net.head.weights, net.head.bias]
+    return list(net.layers), list(net.plans), net.head, net.head_mode, [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("defect", NETWORK_DEFECTS)
+class TestNetworkRefuses:
+    def test_at_construction(self, defect):
+        fields, match = NETWORK_DEFECTS[defect]
         with pytest.raises(ValueError, match=match):
-            save(net, tmp_path / "m.trf")
+            TrfNetwork(**{**sound_fields(), **fields})
+
+    def test_save_set_after_construction_writes_nothing(self, tmp_path, defect):
+        with pytest.raises(ValueError, match=NETWORK_DEFECTS[defect][1]):
+            save(defective(defect), tmp_path / "m.trf")
         assert not (tmp_path / "m.trf").exists()
 
-    def test_a_layer_whose_index_is_not_its_plans(self, tmp_path):
-        """Plan fields (0, 1) and (1, 2) over 3 features list [0, 1, 4, 5];
-        a layer at [0, 2, 4, 5] would load rewired as the plan's."""
-        plan = ReceptiveFieldPlan(radius=1, stride=1, centers=(0, 1), fields=((0, 1), (1, 2)), global_count=0)
-        layer = nn.MaskedLayer(np.array([0, 2, 4, 5]), np.ones(4), np.zeros(2), np.zeros(3))
-        net = TrfNetwork(layers=[layer], plans=[plan])
-        self.refuses(tmp_path, net, "layer 0: connections disagree with the plan")
-        net.layers[0] = dataclasses.replace(layer, index=plan.index(3))
-        save(net, tmp_path / "m.trf")
-        np.testing.assert_array_equal(load(tmp_path / "m.trf").layers[0].index, [0, 1, 4, 5])
+    def test_finetune_and_evaluate_set_after_construction_raise_before_any_step(self, defect):
+        net = defective(defect)
+        before = state(net)
+        d = Dataset(np.random.default_rng(0).random((8, 3)), labels=np.arange(8) % 2)
+        with pytest.raises(ValueError, match=NETWORK_DEFECTS[defect][1]):
+            finetune(net, d, None, FinetuneHyper(epochs=1, batch_size=4))
+        with pytest.raises(ValueError, match=NETWORK_DEFECTS[defect][1]):
+            evaluate(net, d)
+        assert state(net) == before
 
-    def test_a_plan_that_does_not_fit_its_layer(self, tmp_path):
-        plan = ReceptiveFieldPlan(radius=1, stride=1, centers=(0,), fields=((0, 1),), global_count=0)
-        layer = nn.MaskedLayer(np.array([0, 1]), np.ones(2), np.zeros(2), np.zeros(3))
-        self.refuses(tmp_path, TrfNetwork(layers=[layer], plans=[plan]), "layer 0: plan has 1 units, layer has 2")
 
-    @pytest.mark.parametrize("name", ["values", "bias_hidden", "bias_visible"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_a_non_finite_layer_array(self, tmp_path, name, bad):
-        layer = layer_3x4()
-        getattr(layer, name)[-1] = bad
-        self.refuses(tmp_path, TrfNetwork(layers=[layer], plans=[None]), "layer 0: non-finite weight or bias")
+@pytest.mark.parametrize("defect", NETWORK_DEFECTS)
+def test_attach_head_refuses_a_defect_it_does_not_replace(tmp_path, defect):
+    """A defect in the layers or plans raises and leaves the network as it
+    was; a head or head mode that attach_head replaces is gone after it."""
+    net = defective(defect)
+    before = state(net)
+    fields, match = NETWORK_DEFECTS[defect]
+    if {"layers", "plans"} & fields.keys():
+        with pytest.raises(ValueError, match=match):
+            attach_head(net, 2)
+        assert state(net) == before
+    else:
+        save(attach_head(net, 2), tmp_path / "m.trf")
 
-    @pytest.mark.parametrize("name", ["weights", "bias"])
-    def test_a_non_finite_head_array(self, tmp_path, name):
-        head = head_2x3()
-        getattr(head, name).flat[-1] = np.nan
-        net = TrfNetwork(layers=[layer_3x4()], plans=[None], head=head)
-        self.refuses(tmp_path, net, "head: non-finite weight or bias")
+
+def test_attach_head_refuses_an_unknown_mode():
+    net = TrfNetwork(**sound_fields())
+    before = state(net)
+    with pytest.raises(ValueError, match="head: unknown head mode 'banana'"):
+        attach_head(net, 2, mode="banana")
+    assert state(net) == before

@@ -447,3 +447,8 @@ class TestTreeType:
         dot = to_dot(t, ["a", "b", "c", "d"])
         assert dot.count("--") == 3
         assert 'label="a"' in dot and 'label="1.0000"' in dot
+
+    def test_dot_labels_escape_quotes_and_backslashes(self):
+        dot = to_dot(make_path_tree(2), ['say "hi"', "a\\b"])
+        assert 'n0 [label="say \\"hi\\""];' in dot
+        assert 'n1 [label="a\\\\b"];' in dot
