@@ -28,7 +28,7 @@ import numpy as np
 
 from . import nn
 from .dae import CorruptionConfig, DaeHyper, train_dae, project
-from .data import Dataset, DiscretizationPolicy, discretize
+from .data import FIXED, Dataset, DiscretizationPolicy, discretize
 from .errors import EmptyStructureError, ModelFormatError
 from .receptive_field import ReceptiveFieldPlan, build_masks
 from .tree import chow_liu
@@ -116,8 +116,9 @@ class TrfNetwork:
                 if plan is not None:
                     if plan.hidden_count != width:
                         raise ValueError(f"plan has {plan.hidden_count} units, layer has {width}")
+                    index = plan.index(layer.visible_count)  # a built or loaded layer holds this array
                     positions = np.arange(layer.values.size) if layer.index is None else layer.index
-                    if not np.array_equal(plan.index(layer.visible_count), positions):
+                    if positions is not index and not np.array_equal(index, positions):
                         raise ValueError("connections disagree with the plan (field rows, then all-ones global rows)")
         if self.head_mode not in (SOFTMAX, MULTITASK):
             raise ValueError(f"head: unknown head mode {self.head_mode!r}")
@@ -391,9 +392,8 @@ def finetune(
     if not holds_best:
         for p, kept in zip(params, snapshot):
             np.copyto(p, kept)
-    report = _report(net, *best)
-    report.wall_clock["finetune"] = time.perf_counter() - t0
-    return net, report
+    scores, seconds = best
+    return net, _report(net, scores, {"evaluate": seconds, "finetune": time.perf_counter() - t0})
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -461,8 +461,8 @@ def _gate_score(scores) -> float:
     return 0.0 if auc_mean is None else auc_mean
 
 
-def _report(net: TrfNetwork, scores, seconds: float) -> EvalReport:
-    """The report of net from one scoring pass: its _scores and its seconds."""
+def _report(net: TrfNetwork, scores, wall_clock: dict[str, float]) -> EvalReport:
+    """The report of net from one scoring pass's _scores, with its timings."""
     accuracy, aucs, auc_mean = scores
     return EvalReport(
         parameter_count=net.parameter_count(),
@@ -470,7 +470,7 @@ def _report(net: TrfNetwork, scores, seconds: float) -> EvalReport:
         accuracy=accuracy,
         auc_per_task=None if aucs is None else tuple(-1.0 if a is None else a for a in aucs),
         auc_mean=auc_mean,
-        wall_clock={"evaluate": seconds},
+        wall_clock=wall_clock,
     )
 
 
@@ -480,7 +480,8 @@ def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
     if net.head is None:
         raise ValueError("attach a head before evaluating")
     _check_labels(test, net.head, net.head_mode, "test")
-    return _report(net, *_score_dataset(net, test, [nn.buffers(layer) for layer in net.layers]))
+    scores, seconds = _score_dataset(net, test, [nn.buffers(layer) for layer in net.layers])
+    return _report(net, scores, {"evaluate": seconds})
 
 
 # ---------------------------------------------------------------------------
@@ -511,34 +512,20 @@ def report_to_text(r: EvalReport, name: str = "model") -> str:
 
 
 def report_from_text(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != REPORT_MAGIC:
+    """The name and report in text, read in the order report_to_text writes them (see _Reader)."""
+    rd = _Reader(text.splitlines())
+    if not rd.take(REPORT_MAGIC):
         raise ModelFormatError("not a report file")
-    fields_: dict[str, str] = {}
-    for ln in lines[1:]:
-        key, _, value = ln.partition(" ")
-        fields_[key] = value
-    name = fields_.get("name", "model")
-    try:
-        report = EvalReport(
-            parameter_count=int(fields_["parameter_count"]),
-            sparsity=float(fields_["sparsity"]),
-            accuracy=float(fields_["accuracy"]) if "accuracy" in fields_ else None,
-            auc_per_task=(
-                tuple(float(x) for x in fields_["auc_per_task"].split(","))
-                if "auc_per_task" in fields_
-                else None
-            ),
-            auc_mean=float(fields_["auc_mean"]) if "auc_mean" in fields_ else None,
-            effective_sparsity=(
-                float(fields_["effective_sparsity"]) if "effective_sparsity" in fields_ else None
-            ),
-        )
-    except KeyError as e:
-        raise ModelFormatError(f"report lacks {e.args[0]}") from None
-    except ValueError as e:
-        raise ModelFormatError(f"corrupted report: {e}") from None  # EvalReport checks every range
-    return name, report
+    name = rd.rest("name")
+    accuracy = rd.optional("accuracy", float)
+    auc_mean = rd.optional("auc_mean", float)
+    auc_per_task = rd.optional("auc_per_task", _commas(float))
+    (parameter_count,) = rd.fields("parameter_count", int)
+    (sparsity,) = rd.fields("sparsity", float)
+    effective_sparsity = rd.optional("effective_sparsity", float)
+    rd.end()
+    with _naming("corrupted report"):  # EvalReport checks every range
+        return name, EvalReport(parameter_count, sparsity, accuracy, auc_per_task, auc_mean, effective_sparsity)
 
 
 def save_report(r: EvalReport, path, name: str = "model") -> None:
@@ -629,43 +616,25 @@ def _config_lines(cfg: BuildConfig) -> list[str]:
     ]
 
 
-_CONFIG_KEYS = ("radius", "stride", "depth", "global_fraction", "policy", "dae", "corruption", "seed")
-
-
-def _parse_config(lines: list[str]) -> BuildConfig:
-    vals: dict[str, str] = {}
-    for ln in lines:
-        key, _, rest = ln.partition(" ")
-        vals[key] = rest
-    missing = [k for k in _CONFIG_KEYS if k not in vals]
-    if missing:
-        raise ModelFormatError(f"config section lacks {', '.join(missing)}")
-    pol_parts = vals["policy"].split(" ")
-    policy = DiscretizationPolicy(
-        pol_parts[0], float(pol_parts[1]) if len(pol_parts) > 1 else None
-    )
-    dp = vals["dae"].split(" ")
-    if [float(x) for x in dp[3:6]] != [nn.Adam.beta1, nn.Adam.beta2, nn.Adam.eps]:
-        raise ModelFormatError(f"dae: Adam's beta1, beta2 and eps must be 0.9 0.999 1e-08, got {' '.join(dp[3:6])}")
-    dae = DaeHyper(
-        epochs=int(dp[0]),
-        batch_size=int(dp[1]),
-        step_size=float(dp[2]),
-        loss_family=dp[6],
-        seed=int(dp[7]),
-    )
-    cp = vals["corruption"].split(" ")
-    corruption = CorruptionConfig(kind=cp[0], rate=float(cp[1]), seed=int(cp[2]))
-    return BuildConfig(
-        radius=tuple(int(x) for x in vals["radius"].split(",")),
-        stride=tuple(int(x) for x in vals["stride"].split(",")),
-        depth=int(vals["depth"]),
-        global_fraction=float(vals["global_fraction"]),
-        policy=policy,
-        dae=dae,
-        corruption=corruption,
-        seed=int(vals["seed"]),
-    )
+def _read_config(rd: _Reader) -> BuildConfig | None:
+    """The config section, in the order _config_lines writes it; None for "config none"."""
+    if rd.take("config none"):
+        return None
+    rd.line("config begin")
+    (radius,) = rd.fields("radius", _commas(int))
+    (stride,) = rd.fields("stride", _commas(int))
+    (depth,) = rd.fields("depth", int)
+    (global_fraction,) = rd.fields("global_fraction", float)
+    fixed = rd.optional(f"policy {FIXED}", float)  # a threshold follows the fixed kind only
+    policy = DiscretizationPolicy(*rd.fields("policy", str)) if fixed is None else DiscretizationPolicy(FIXED, fixed)
+    epochs, batch, step, *adam, family, dae_seed = rd.fields("dae", int, int, float, float, float, float, str, int)
+    if adam != [nn.Adam.beta1, nn.Adam.beta2, nn.Adam.eps]:
+        raise rd.error(f"dae: Adam's beta1, beta2 and eps must be 0.9 0.999 1e-08, got {' '.join(map(repr, adam))}")
+    dae = DaeHyper(epochs, batch, step, family, dae_seed)
+    corruption = CorruptionConfig(*rd.fields("corruption", str, float, int))
+    (seed,) = rd.fields("seed", int)
+    rd.line("config end")
+    return BuildConfig(radius, stride, depth, global_fraction, policy, dae, corruption, seed)
 
 
 def _model_lines(net: TrfNetwork) -> Iterator[str]:
@@ -731,23 +700,75 @@ def _naming(what: str, error: type[ValueError] = ModelFormatError):
         raise error(f"{what}: {e}") from None
 
 
+def _commas(kind):
+    """A field converter: comma-separated values of kind, as a tuple."""
+    return lambda text: tuple(kind(x) for x in text.split(","))
+
+
 class _Reader:
+    """The lines of a model file or report, read in the order save and
+    report_to_text write them.  Each read names its line: the whole text, or
+    a key and the fields after "key ".  Another line, a missing or left-over
+    line, a wrong field count or an unconvertible field raises
+    ModelFormatError naming the line by its number."""
+
     def __init__(self, lines: list[str]):
         self.lines = lines
-        self.pos = 0
+        self.pos = 0  # lines read: the number of the last one read
 
-    def next(self, expect_prefix: str | None = None) -> str:
-        if self.pos >= len(self.lines):
-            raise ModelFormatError("file truncated")
-        ln = self.lines[self.pos]
+    def error(self, message: str) -> ModelFormatError:
+        return ModelFormatError(f"line {self.pos}: {message}")
+
+    def _following(self) -> str | None:
+        return self.lines[self.pos] if self.pos < len(self.lines) else None
+
+    def _read(self, wanted: str, fits) -> str:
+        ln = self._following()
         self.pos += 1
-        if expect_prefix is not None and not ln.startswith(expect_prefix):
-            raise ModelFormatError(f"expected {expect_prefix!r}, found {ln[:40]!r}")
+        if ln is None or not fits(ln):
+            raise self.error(f"expected {wanted}, found {'the end of the file' if ln is None else repr(ln[:40])}")
         return ln
+
+    def line(self, text: str) -> None:
+        """Read the next line, which must be text."""
+        self._read(repr(text), text.__eq__)
+
+    def take(self, text: str) -> bool:
+        """Whether the next line is text; it is read if so."""
+        found = self._following() == text
+        self.pos += found
+        return found
+
+    def next(self, key: str) -> str:
+        """The next line, which must start with "key "."""
+        return self._read(repr(key), lambda ln: ln.startswith(key + " "))
 
     def rest(self, key: str) -> str:
         """The text after "key " on the next line."""
-        return self.next(key + " ")[len(key) + 1 :]
+        return self.next(key)[len(key) + 1 :]
+
+    def items(self, key: str, kind) -> list:
+        """Each space-separated field after "key " on the next line, converted by kind; none if it is empty."""
+        text = self.rest(key)
+        with _naming(f"line {self.pos}: {key}"):
+            return [kind(x) for x in text.split(" ")] if text else []
+
+    def fields(self, key: str, *kinds) -> list:
+        """The fields after "key " on the next line: exactly one per kind, each converted by it."""
+        found = self.items(key, str)
+        if len(found) != len(kinds):
+            raise self.error(f"{key!r} takes {len(kinds)} field(s), found {len(found)}")
+        with _naming(f"line {self.pos}: {key}"):
+            return [kind(x) for kind, x in zip(kinds, found)]
+
+    def optional(self, key: str, kind):
+        """The one field after "key " on the next line, converted by kind, if the line has that key; else None."""
+        return self.fields(key, kind)[0] if (self._following() or "").startswith(key + " ") else None
+
+    def end(self) -> None:
+        """Raise unless every line has been read."""
+        if self.pos < len(self.lines):
+            self._read("the end of the file", lambda ln: False)
 
 
 def _unseal(data: bytes) -> list[str]:
@@ -773,17 +794,12 @@ def _unseal(data: bytes) -> list[str]:
 
 
 def _read_plan(rd: _Reader) -> ReceptiveFieldPlan | None:
-    plan_ln = rd.next("plan")
-    if plan_ln == "plan none":
+    if rd.take("plan none"):
         return None
-    _, r_s, s_s, g_s = plan_ln.split(" ")
-    centers = tuple([int(x) for x in rd.rest("centers").split(" ") if x])
-    fields_ = []
-    for i in range(len(centers)):
-        fields_.append(tuple([int(x) for x in rd.rest(f"field {i}").split(" ") if x]))
-    return ReceptiveFieldPlan(
-        radius=int(r_s), stride=int(s_s), centers=centers, fields=tuple(fields_), global_count=int(g_s)
-    )
+    radius, stride, global_count = rd.fields("plan", int, int, int)
+    centers = tuple(rd.items("centers", int))
+    fields_ = tuple(tuple(rd.items(f"field {i}", int)) for i in range(len(centers)))
+    return ReceptiveFieldPlan(radius=radius, stride=stride, centers=centers, fields=fields_, global_count=global_count)
 
 
 def _check_declared(k: int, h: int, v: int, n_values: int, plan: ReceptiveFieldPlan | None, dense: bool):
@@ -810,14 +826,13 @@ def _v1_rows(rd: _Reader, k: int, h: int, v: int) -> tuple[np.ndarray, np.ndarra
     """A v1 layer body: per unit, its mask columns and then their weights."""
     index, values = [], []
     for i in range(h):
-        mtoks = rd.next(f"maskrow {i} ").split(" ")
-        if mtoks[2] == "dense":
+        if rd.take(f"maskrow {i} dense"):
             cols = None
         else:
-            cols = np.array([int(x) for x in mtoks[3:] if x], dtype=np.int64)
+            cols = np.array(rd.items(f"maskrow {i} sparse", int), dtype=np.int64)
             if cols.size and (cols[0] < 0 or cols[-1] >= v or (np.diff(cols) <= 0).any()):
                 raise ModelFormatError(f"layer {k} row {i}: mask columns must rise inside [0, {v})")
-        wvals = _v1_floats(rd.rest(f"w {i}"))
+        wvals = np.array(rd.items(f"w {i}", float), dtype=np.float64)
         if wvals.size != (v if cols is None else cols.size):  # checked before a dense row's v columns are built
             raise ModelFormatError(f"layer {k} row {i}: weight count mismatch")
         index.append(i * v + (np.arange(v, dtype=np.int64) if cols is None else cols))
@@ -825,39 +840,23 @@ def _v1_rows(rd: _Reader, k: int, h: int, v: int) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(index), np.concatenate(values)
 
 
-def _v1_floats(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(" ") if x], dtype=np.float64)
-
-
 def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
-    """The network in a model file's lines; v2 arrays are base64, v1 decimal."""
+    """The network in a model file's lines, read in the order save writes
+    them (see _Reader); v2 arrays are base64, v1 decimal."""
     rd = _Reader(lines)
 
     def floats(key: str) -> np.ndarray:
         if v2:
-            return _unb64(rd.next(key + " "), _F8, len(key) + 1)
-        return _v1_floats(rd.rest(key))
+            return _unb64(rd.next(key), _F8, len(key) + 1)
+        return np.array(rd.items(key, float), dtype=np.float64)
 
-    if rd.next() != (MODEL_MAGIC if v2 else MODEL_MAGIC_V1):
-        raise ModelFormatError("not a model file, or unsupported version")
-    head_mode = rd.next("head_mode ").split(" ")[1]
-    first = rd.next()
-    config = None
-    if first == "config begin":
-        cfg_lines = []
-        while True:
-            ln = rd.next()
-            if ln == "config end":
-                break
-            cfg_lines.append(ln)
-        config = _parse_config(cfg_lines)
-    elif first != "config none":
-        raise ModelFormatError("missing config section")
-    n_layers = int(rd.next("layers ").split(" ")[1])
+    rd.line(MODEL_MAGIC if v2 else MODEL_MAGIC_V1)
+    (head_mode,) = rd.fields("head_mode", str)
+    config = _read_config(rd)
+    (n_layers,) = rd.fields("layers", int)
     layers, plans = [], []
     for k in range(n_layers):
-        parts = rd.next(f"layer {k} ").split(" ")
-        h, v, activation = int(parts[2]), int(parts[3]), parts[4]
+        h, v, activation = rd.fields(f"layer {k}", int, int, str)
         if h < 1 or v < 1:
             raise ModelFormatError(f"layer {k}: a {h} x {v} layer has no connections")
         if h * v >= 2**63:  # its flat positions must fit int64
@@ -866,10 +865,11 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
         if not v2:
             index, values = _v1_rows(rd, k, h, v)
         else:
-            stored = None if plan is not None else rd.next("index ")
+            dense = plan is None and rd.take("index dense")
+            stored = None if plan is not None or dense else rd.next("index")
             values = floats("values")
-            _check_declared(k, h, v, values.size, plan, stored == "index dense")
-            index = None if stored in (None, "index dense") else _unb64(stored, _I8, len("index "))
+            _check_declared(k, h, v, values.size, plan, dense)
+            index = None if stored is None else _unb64(stored, _I8, len("index "))
         bh, bv = floats("bh"), floats("bv")
         if bh.size != h or bv.size != v:
             raise ModelFormatError(f"layer {k}: bias length mismatch")
@@ -878,13 +878,11 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
                 index = plan.index(v)
             layers.append(nn.MaskedLayer(index, values, bh, bv, activation))
         plans.append(plan)
-    head_ln = rd.next("head")
     head = None
-    if head_ln != "head none":
-        _, o_s, i_s, act = head_ln.split(" ")
+    if not rd.take("head none"):
+        o, i_w, act = rd.fields("head", int, int, str)
         if act != "identity":
             raise ModelFormatError(f"head activation must be identity, got {act!r}")
-        o, i_w = int(o_s), int(i_s)
         if v2:
             hw = floats("hw")
             if hw.size != o * i_w:
@@ -900,11 +898,9 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
         hb = floats("hb")
         with _naming("head"):  # the head checks its bias length
             head = nn.DenseLayer(weights=hw, bias=hb)
-    if v2:
-        if rd.pos != len(lines):
-            raise ModelFormatError(f"unexpected line after the head: {lines[rd.pos][:40]!r}")
-    else:
-        rd.next("end trfnet-model")
+    if not v2:
+        rd.line("end trfnet-model")
+    rd.end()
     # TrfNetwork.check raises ValueError here, which load turns into ModelFormatError
     return TrfNetwork(layers=layers, plans=plans, head=head, head_mode=head_mode, config=config)
 
@@ -912,11 +908,12 @@ def _parse_model(lines: list[str], v2: bool) -> TrfNetwork:
 def load(path) -> TrfNetwork:
     """Parse a model file written by save, or a v1 file written before it.
 
-    A v2 file's checksum is verified before anything is parsed.  Damage of
-    any kind, undecodable bytes included, raises ModelFormatError, which
-    names the layer or head that its checks or TrfNetwork.check reject.  A
-    layer stored as "index dense", or whose connections are all H * V
-    positions, loads as a full layer with no index (see nn.MaskedLayer).
+    A v2 file's checksum is verified before anything is parsed, and every
+    line is read in the order save writes it (see _Reader).  Damage of any
+    kind, undecodable bytes included, raises ModelFormatError, which names
+    the line, or the layer or head that its checks or TrfNetwork.check
+    reject.  A layer stored as "index dense", or whose connections are all
+    H * V positions, loads as a full layer with no index (see nn.MaskedLayer).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -929,7 +926,7 @@ def load(path) -> TrfNetwork:
             raise ModelFormatError("not a model file, or unsupported version")
         del data  # the lines hold the file from here on
         return _parse_model(lines, v2)
-    except (ValueError, IndexError, OverflowError) as e:  # OverflowError: an integer too large for int64
+    except (ValueError, OverflowError) as e:  # OverflowError: an integer too large for int64
         if isinstance(e, ModelFormatError):
             raise
         raise ModelFormatError(f"corrupted model file: {e}") from None

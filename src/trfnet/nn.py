@@ -138,8 +138,9 @@ class MaskedLayer:
     shape gives, so values.reshape(H, V) is its weight matrix, and a rising
     index of H * V entries becomes None.  The layer checks its index, values
     count and activation when it is made (ValueError) and is fixed after;
-    values and biases train in place.  The index is kept as int64 behind a
-    read-only view: an int64 array is not copied.
+    values and biases train in place.  A read-only int64 index (a plan's, see
+    ReceptiveFieldPlan.index) is kept as it is; any other is kept as int64
+    behind a read-only view, and an int64 array is not copied.
     """
 
     index: np.ndarray | None
@@ -160,7 +161,7 @@ class MaskedLayer:
                 raise ValueError(f"index must rise strictly inside [0, {size})")
             if index.size == size:
                 index = None
-            else:
+            elif index.dtype != np.int64 or index.flags.writeable:
                 index = index.astype(np.int64, copy=False).view()
                 index.flags.writeable = False
             object.__setattr__(self, "index", index)
@@ -256,8 +257,9 @@ def init_masked_layer(
     index holds the flat row-major positions (row * V + column) of the
     connections of an H x V layer, shape = (H, V); None, or a full-size
     index, gives a full layer.  The layer is made (and checks itself) first,
-    on a copy of index, so it never aliases the caller's array, and then its
-    values are filled in place.  fan_in of row i is its connection count
+    on a copy of a writable index, so it never aliases an array the caller
+    can change (a read-only one is kept as MaskedLayer keeps it), and then
+    its values are filled in place.  fan_in of row i is its connection count
     (the unit's true input width); fan_out is taken as the hidden width.
     The full H x V uniform is drawn, in blocks of INIT_ROW_BLOCK rows, so
     the generator advances the same way whatever the connectivity; each
@@ -265,7 +267,9 @@ def init_masked_layer(
     """
     h, v = shape
     if index is not None:
-        index = np.array(index)
+        index = np.asarray(index)
+        if index.flags.writeable:
+            index = index.copy()
     layer = MaskedLayer(index, np.empty(h * v if index is None else index.size), np.zeros(h), np.zeros(v), activation)
     index, values = layer.index, layer.values
     bounds = np.arange(h + 1) * v if index is None else np.searchsorted(index, np.arange(h + 1) * v)

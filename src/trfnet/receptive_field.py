@@ -10,7 +10,7 @@ gives that connectivity as sorted flat positions, the form a layer stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,8 @@ class ReceptiveFieldPlan:
     centers: tuple[int, ...]
     fields: tuple[tuple[int, ...], ...]
     global_count: int
+    # index(V) per V, each built once and read-only; not part of the plan's value
+    _indexes: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.centers) != len(set(self.centers)):
@@ -36,6 +38,12 @@ class ReceptiveFieldPlan:
         if self.global_count < 0:
             raise ValueError("global_count must be nonnegative")
 
+    def __setstate__(self, state: dict) -> None:
+        """A copy's indexes, its own arrays, are read-only too."""
+        self.__dict__.update(state)
+        for index in self._indexes.values():
+            index.flags.writeable = False
+
     @property
     def hidden_count(self) -> int:
         return len(self.centers) + self.global_count
@@ -43,13 +51,20 @@ class ReceptiveFieldPlan:
     def index(self, visible_count: int) -> np.ndarray:
         """Flat row-major positions of the planned H x visible_count
         connectivity: field rows in center order, then all-ones global rows;
-        a center or field member outside [0, visible_count) raises ValueError."""
-        if any(min(f) < 0 or max(f) >= visible_count for f in (self.centers, *self.fields) if f):
-            raise ValueError(f"plan names a feature outside [0, {visible_count})")
-        sizes = [len(f) for f in self.fields]
-        members = np.fromiter((m for f in self.fields for m in f), np.int64, sum(sizes))
-        rows = np.repeat(np.arange(len(sizes), dtype=np.int64) * visible_count, sizes) + members
-        return np.concatenate([rows, np.arange(len(sizes) * visible_count, self.hidden_count * visible_count)])
+        a center or field member outside [0, visible_count) raises ValueError.
+        The array is built once per visible_count and is read-only, so every
+        layer made from it holds this one array."""
+        index = self._indexes.get(visible_count)
+        if index is None:
+            if any(min(f) < 0 or max(f) >= visible_count for f in (self.centers, *self.fields) if f):
+                raise ValueError(f"plan names a feature outside [0, {visible_count})")
+            sizes = [len(f) for f in self.fields]
+            members = np.fromiter((m for f in self.fields for m in f), np.int64, sum(sizes))
+            rows = np.repeat(np.arange(len(sizes), dtype=np.int64) * visible_count, sizes) + members
+            index = np.concatenate([rows, np.arange(len(sizes) * visible_count, self.hidden_count * visible_count)])
+            index.flags.writeable = False
+            self._indexes[visible_count] = index
+        return index
 
 
 def _cover(adj: list[list[int]], s: int, seed: int, depth: int):

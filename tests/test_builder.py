@@ -1,5 +1,6 @@
 import base64
 import hashlib
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from oracles import average_ranks_reference
 from trfnet import nn
 from trfnet.builder import (
     BuildConfig,
+    EvalReport,
     FinetuneHyper,
     TrfNetwork,
     _average_ranks,
@@ -25,6 +27,7 @@ from trfnet.builder import (
     finetune,
     load,
     load_report,
+    report_to_text,
     save,
     save_report,
 )
@@ -608,6 +611,14 @@ def assert_same_bits(a: TrfNetwork, b: TrfNetwork) -> None:
     )
 
 
+def report_text_with(line: str) -> str:
+    """A report's text with line in place of its key's line, where report_to_text writes that key."""
+    key = line.split(" ")[0]
+    placeholder = {"parameter_count": 1, "auc_per_task": (0.5,)}.get(key, 0.5)
+    r = replace(EvalReport(parameter_count=123, sparsity=0.25, accuracy=0.875), **{key: placeholder})
+    return "".join((line if ln.startswith(key + " ") else ln) + "\n" for ln in report_to_text(r).splitlines())
+
+
 def sealed(body: bytes) -> bytes:
     """body followed by the v2 checksum line over it."""
     return body + b"end trfnet-model sha256 " + hashlib.sha256(body).hexdigest().encode() + b"\n"
@@ -657,6 +668,26 @@ class TestSaveLoad:
     def test_v1_fixture_loads_bit_for_bit(self):
         assert V1_FIXTURE.read_text().startswith("trfnet-model v1\n")
         assert_same_bits(v1_fixture_network(), load(V1_FIXTURE))
+
+    def test_a_plan_layer_holds_its_plans_index(self, tmp_path, small_corpus):
+        """Built, fine-tuned, loaded or cloned, a plan layer's index is the
+        array its plan built once, so TrfNetwork.check compares no values."""
+
+        def shares(net):
+            return all(l.index is p.index(l.visible_count) for l, p in zip(net.layers, net.plans))
+
+        net = build_trf_net(small_corpus, quick_config(depth=2))
+        assert shares(net)
+        labeled = Dataset(small_corpus.dense(), labels=np.arange(small_corpus.n_samples) % 2)
+        net, _ = finetune(attach_head(net, 2), labeled, None, FinetuneHyper(epochs=1))
+        assert shares(net)
+        net, _ = finetune(net, labeled, None, FinetuneHyper(epochs=1, activation="sigmoid", reinit=True))
+        assert shares(net)
+        save(net, tmp_path / "m.trf")
+        assert shares(load(tmp_path / "m.trf"))
+        assert shares(clone(net))
+        assert not net.plans[0].index(net.input_width).flags.writeable
+        assert not clone(net).plans[0].index(net.input_width).flags.writeable
 
     def test_v2_keeps_every_bit(self, tmp_path):
         net = v1_fixture_network()
@@ -729,6 +760,60 @@ class TestSaveLoad:
     def rejects(self, tmp_path, lines, match):
         (tmp_path / "bad.trf").write_bytes(reseal(lines))
         with pytest.raises(ModelFormatError, match=match):
+            load(tmp_path / "bad.trf")
+
+    # each reproduction of a line read out of the order save writes, or with
+    # another field count: (lines replaced, their replacement, message)
+    LINE_EDITS = {
+        "repeated-key": (["seed 7"], ["seed 7", "seed 99"], "line 12: expected 'config end', found 'seed 99'"),
+        "reordered-keys": (
+            ["radius 1,1", "stride 2,2"], ["stride 2,2", "radius 1,1"], "line 4: expected 'radius', found 'stride 2,2'"
+        ),
+        "layer-extra": (
+            ["layer 0 4 10 relu"], ["layer 0 4 10 relu junk"], "line 14: 'layer 0' takes 3 field(s), found 4"
+        ),
+        "layer-short": (["layer 0 4 10 relu"], ["layer 0 4 10"], "line 14: 'layer 0' takes 3 field(s), found 2"),
+        "layers-extra": (["layers 2"], ["layers 2 x"], "line 13: 'layers' takes 1 field(s), found 2"),
+        "head-mode-extra": (["head_mode softmax"], ["head_mode softmax extra"], "line 2: 'head_mode' takes 1 field(s)"),
+        "dae-extra": (
+            ["dae 3 64 0.001 0.9 0.999 1e-08 auto 7"], ["dae 3 64 0.001 0.9 0.999 1e-08 auto 7 junk"],
+            "line 9: 'dae' takes 8 field(s), found 9",
+        ),
+        "plan-extra": (["plan 1 2 1"], ["plan 1 2 1 9"], "line 15: 'plan' takes 3 field(s), found 4"),
+        "unknown-key": (["seed 7"], ["bogus_key 7", "seed 7"], "line 11: expected 'seed', found 'bogus_key 7'"),
+        "missing-key": (["depth 2"], [], "line 6: expected 'depth', found 'global_fraction 0.1'"),
+    }
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    @pytest.mark.parametrize("edit", LINE_EDITS)
+    def test_line_out_of_order_or_with_other_fields_rejected(self, tmp_path, version, edit):
+        """The v1 fixture, and the v2 file of its network, with one edit; the header lines are the same in both."""
+        old, new, message = self.LINE_EDITS[edit]
+        if version == "v1":
+            lines = V1_FIXTURE.read_text().splitlines()
+        else:
+            save(v1_fixture_network(), tmp_path / "m.trf")
+            lines = (tmp_path / "m.trf").read_text().splitlines()
+        i = lines.index(old[0])
+        assert lines[i : i + len(old)] == old
+        lines[i : i + len(old)] = new
+        data = ("\n".join(lines) + "\n").encode() if version == "v1" else reseal(lines)
+        (tmp_path / "bad.trf").write_bytes(data)
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load(tmp_path / "bad.trf")
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_line_after_the_last_rejected(self, tmp_path, version):
+        if version == "v1":
+            lines = V1_FIXTURE.read_text().splitlines()
+            data = ("\n".join(lines + ["hb 0.5"]) + "\n").encode()
+        else:
+            save(v1_fixture_network(), tmp_path / "m.trf")
+            lines = (tmp_path / "m.trf").read_text().splitlines()[:-1]  # the body, before its checksum line
+            data = reseal(lines + ["hb 0.5"])
+        (tmp_path / "bad.trf").write_bytes(data)
+        message = f"line {len(lines) + 1}: expected the end of the file, found 'hb 0.5'"
+        with pytest.raises(ModelFormatError, match=message):
             load(tmp_path / "bad.trf")
 
     def test_missing_config_key_rejected(self, tmp_path, small_corpus):
@@ -1105,8 +1190,6 @@ class TestLoaderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_report_rejected_or_loaded(self, fuzz_dir, data):
-        from trfnet.builder import EvalReport
-
         r = EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(0.75, -1.0, 1.0), auc_mean=0.875)
         save_report(r, fuzz_dir / "r.report", name="multi")
         (fuzz_dir / "bad.report").write_bytes(data.draw(damaged((fuzz_dir / "r.report").read_bytes())))
@@ -1118,8 +1201,6 @@ class TestLoaderFuzz:
 
 class TestReportFiles:
     def test_roundtrip(self, tmp_path):
-        from trfnet.builder import EvalReport
-
         r = EvalReport(
             parameter_count=123,
             sparsity=0.25,
@@ -1139,8 +1220,6 @@ class TestReportFiles:
         assert "evaluate" not in path.read_text()
 
     def report_text(self, tmp_path):
-        from trfnet.builder import EvalReport
-
         save_report(EvalReport(parameter_count=123, sparsity=0.25, accuracy=0.875), tmp_path / "r.report")
         return (tmp_path / "r.report").read_text()
 
@@ -1178,10 +1257,51 @@ class TestReportFiles:
         ],
     )
     def test_value_out_of_range_rejected(self, tmp_path, line):
-        key = line.split(" ")[0]
-        kept = [ln for ln in self.report_text(tmp_path).splitlines() if not ln.startswith(key + " ")]
-        (tmp_path / "r.report").write_text("\n".join(kept + [line]) + "\n")
-        with pytest.raises(ModelFormatError, match=key):
+        (tmp_path / "r.report").write_text(report_text_with(line))
+        with pytest.raises(ModelFormatError, match=f"corrupted report: {line.split(' ')[0]}"):
+            load_report(tmp_path / "r.report")
+
+    # each report body (after its first line) read out of the order
+    # report_to_text writes it, or with another field count, and its message
+    LINE_EDITS = {
+        "repeated-and-unknown-keys": (
+            "name a\naccuracy 0.5\naccuracy 0.9\nparameter_count 3\nsparsity 0.1\nbogus_key 7\n",
+            "line 4: expected 'parameter_count', found 'accuracy 0.9'",
+        ),
+        "unknown-key": (
+            "name a\nparameter_count 3\nsparsity 0.1\nbogus_key 7\n",
+            "line 5: expected the end of the file, found 'bogus_key 7'",
+        ),
+        "second-name": (
+            "name a\nparameter_count 3\nsparsity 0.1\nname b\n", "line 5: expected the end of the file, found 'name b'"
+        ),
+        "missing-key": ("name a\nparameter_count 3\n", "line 4: expected 'sparsity', found the end of the file"),
+        "missing-name": (
+            "accuracy 0.5\nparameter_count 3\nsparsity 0.1\n", "line 2: expected 'name', found 'accuracy 0.5'"
+        ),
+        "reordered-keys": (
+            "name a\nsparsity 0.1\nparameter_count 3\n", "line 3: expected 'parameter_count', found 'sparsity 0.1'"
+        ),
+        "reordered-optional-keys": (
+            "name a\nauc_per_task 0.5\nauc_mean 0.5\nparameter_count 3\nsparsity 0.1\n",
+            "line 4: expected 'parameter_count', found 'auc_mean 0.5'",
+        ),
+        "extra-field": (
+            "name a\nparameter_count 3 4\nsparsity 0.1\n", "line 3: 'parameter_count' takes 1 field(s), found 2"
+        ),
+        "extra-optional-field": (
+            "name a\naccuracy 0.5 x\nparameter_count 3\nsparsity 0.1\n", "line 3: 'accuracy' takes 1 field(s), found 2"
+        ),
+        "blank-line-at-the-end": (
+            "name a\nparameter_count 3\nsparsity 0.1\n\n", "line 5: expected the end of the file, found ''"
+        ),
+    }
+
+    @pytest.mark.parametrize("edit", LINE_EDITS)
+    def test_line_out_of_order_or_with_other_fields_rejected(self, tmp_path, edit):
+        text, message = self.LINE_EDITS[edit]
+        (tmp_path / "r.report").write_text("trfnet-report v1\n" + text)
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_report(tmp_path / "r.report")
 
     def test_undecodable_bytes_rejected(self, tmp_path):
@@ -1191,8 +1311,6 @@ class TestReportFiles:
             load_report(tmp_path / "r.report")
 
     def test_unscored_task_marker_round_trips(self, tmp_path):
-        from trfnet.builder import EvalReport
-
         r = EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(0.75, -1.0, 1.0), auc_mean=0.875)
         save_report(r, tmp_path / "m.report", name="multi")
         name, back = load_report(tmp_path / "m.report")

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +118,17 @@ class TestBuildMasks:
         b = build_masks(t, r=2, s=2, global_fraction=0.15, seed=9)
         assert a == b
         np.testing.assert_array_equal(a.index(13), b.index(13))
+
+    def test_index_is_built_once_read_only_and_not_part_of_the_plan(self):
+        plan = build_masks(make_path_tree(13), r=2, s=2, global_fraction=0.15, seed=9)
+        fresh = build_masks(make_path_tree(13), r=2, s=2, global_fraction=0.15, seed=9)
+        index = plan.index(13)
+        assert plan.index(13) is index and not index.flags.writeable
+        assert (plan, repr(plan), hash(plan)) == (fresh, repr(fresh), hash(fresh))
+        twin = copy.deepcopy(plan)
+        assert twin.index(13) is not index and not twin.index(13).flags.writeable
+        np.testing.assert_array_equal(twin.index(13), index)
+        assert dataclasses.replace(plan, radius=1).index(13) is not index
 
     @given(random_trees, st.integers(1, 3), st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)

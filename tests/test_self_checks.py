@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_builder import reseal
+from test_builder import V1_FIXTURE, report_text_with, reseal, v1_fixture_network
 from trfnet import nn
 from trfnet.builder import (
     EvalReport,
@@ -229,6 +229,12 @@ class TestMaskedLayer:
         assert not twin.index.flags.writeable
         np.testing.assert_array_equal(twin.index, index)
 
+    def test_a_read_only_int64_index_is_kept_as_it_is(self):
+        index = np.array([0, 5, 7])
+        index.flags.writeable = False
+        assert layer_3x4(index).index is index
+        assert nn.init_masked_layer(index, (3, 4), np.random.default_rng(0)).index is index
+
     def test_another_integer_index_is_stored_as_int64(self):
         layer = layer_3x4(np.array([0, 5, 7], dtype=np.int32))
         assert layer.index.dtype == np.int64 and not layer.index.flags.writeable
@@ -289,10 +295,8 @@ class TestEvalReport:
 
     @pytest.mark.parametrize("key, value", REPORT_DEFECTS, ids=[report_line(*d) for d in REPORT_DEFECTS])
     def test_range_in_a_file(self, tmp_path, key, value):
-        save_report(EvalReport(parameter_count=10, sparsity=0.5), tmp_path / "r.report")
-        kept = [ln for ln in (tmp_path / "r.report").read_text().splitlines() if not ln.startswith(key + " ")]
-        (tmp_path / "r.report").write_text("\n".join(kept + [report_line(key, value)]) + "\n")
-        with pytest.raises(ModelFormatError, match=key):
+        (tmp_path / "r.report").write_text(report_text_with(report_line(key, value)))
+        with pytest.raises(ModelFormatError, match=f"corrupted report: {key}"):
             load_report(tmp_path / "r.report")
 
     def test_fields_are_fixed(self):
@@ -443,3 +447,59 @@ def test_attach_head_refuses_an_unknown_mode():
     with pytest.raises(ValueError, match="head: unknown head mode 'banana'"):
         attach_head(net, 2, mode="banana")
     assert state(net) == before
+
+
+# ---------------------------------------------------------------------------
+# one edit never loads as another file: every line is read in the order save
+# and save_report write it, with exactly its fields
+# ---------------------------------------------------------------------------
+
+EDITS = ("repeat", "swap", "append", "insert")
+
+
+def edited(lines: list[str], edit: str, i: int) -> list[str]:
+    """lines with line i repeated, swapped with the next one, followed by
+    " x", or with "bogus 1" inserted before it (i == len(lines): at the end)."""
+    if edit == "repeat":
+        return lines[: i + 1] + lines[i:]
+    if edit == "swap":
+        return lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2 :]
+    if edit == "append":
+        return lines[:i] + [lines[i] + " x"] + lines[i + 1 :]
+    return lines[:i] + ["bogus 1"] + lines[i:]
+
+
+@pytest.fixture(scope="module")
+def edit_files(tmp_path_factory) -> dict[str, list[str]]:
+    """Per file kind, the lines an edit applies to: a report with every key, the v1 fixture and a v2 body."""
+    d = tmp_path_factory.mktemp("edits")
+    every_key = EvalReport(
+        parameter_count=40, sparsity=0.5, accuracy=0.875, auc_per_task=(0.75, -1.0, 1.0), auc_mean=0.875,
+        effective_sparsity=0.25,
+    )
+    save_report(every_key, d / "r.report", name="every key")
+    save(v1_fixture_network(), d / "m.trf")
+    return {
+        "report": (d / "r.report").read_text().splitlines(),
+        "v1": V1_FIXTURE.read_text().splitlines(),
+        "v2": (d / "m.trf").read_text().splitlines()[:-1],  # the checksum line is made again after the edit
+    }
+
+
+@pytest.mark.parametrize("kind", ["report", "v1", "v2"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_edit_never_loads(tmp_path_factory, edit_files, kind, data):
+    """Each line is read in the order save and save_report write it, with
+    exactly its fields, so every edit raises ModelFormatError: none loads,
+    not even as the same file.  A name is free text, so " x" is appended to
+    every other line only."""
+    lines = edit_files[kind]
+    edit = data.draw(st.sampled_from(EDITS))
+    last = {"repeat": len(lines) - 1, "swap": len(lines) - 2, "append": len(lines) - 1, "insert": len(lines)}[edit]
+    i = data.draw(st.integers(0, last).filter(lambda i: not (edit == "append" and lines[i].startswith("name "))))
+    lines = edited(lines, edit, i)
+    path = tmp_path_factory.mktemp("edited") / "in"
+    path.write_bytes(reseal(lines) if kind == "v2" else ("\n".join(lines) + "\n").encode())
+    with pytest.raises(ModelFormatError):
+        load_report(path) if kind == "report" else load(path)
