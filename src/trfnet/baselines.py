@@ -134,13 +134,14 @@ def magnitude_top_k(weights: np.ndarray, k: int) -> np.ndarray:
 def train_l1(train: Dataset, cfg: DenseNetConfig, strength: float, valid: Dataset | None = None):
     """Dense training with the L1 penalty strength * sum |w| added to every batch loss.
 
-    The penalty covers hidden and head weights, never biases; its subgradient
-    at exactly zero is taken as zero.  The report's effective_sparsity is the
-    fraction of hidden weights with |w| >= 0.001 after training.
+    The penalty covers hidden and head weights, never biases; l1_gradients
+    adds its subgradient into each step's gradients as finetune's
+    penalty_grads hook.  The report's effective_sparsity is the fraction of
+    hidden weights with |w| >= 0.001 after training.
     """
     check_l1_strength(strength)
     net = dense_network(train.n_features, cfg, n_classes(train))
-    hook = None if strength == 0 else (lambda weights: l1_gradients(weights, strength))
+    hook = None if strength == 0 else (lambda weights, grads: l1_gradients(weights, grads, strength))
     net, report = finetune(net, train, valid, hyper_from_config(cfg), penalty_grads=hook)
     alive = sum(int((np.abs(l.values) >= L1_DEAD_THRESHOLD).sum()) for l in net.layers)
     total = sum(l.hidden_count * l.visible_count for l in net.layers)
@@ -152,9 +153,15 @@ def check_l1_strength(strength: float) -> None:
         raise ValueError(f"strength must be finite and >= 0, got {strength}")
 
 
-def l1_gradients(weights: list[np.ndarray], strength: float) -> list[np.ndarray]:
-    """Subgradient of strength * sum |w|, one term per array; sign(0) = 0 leaves zeros untouched."""
-    terms = [np.sign(w) for w in weights]
-    for term in terms:
-        term *= strength
-    return terms
+def l1_gradients(weights: list[np.ndarray], grads: list[np.ndarray], strength: float) -> None:
+    """Add strength * sign(w), the subgradient of strength * sum |w|, into each gradient in place.
+
+    sign(0) = 0, and a nan weight makes its gradient nan.  The term is made nn.ADAM_BLOCK
+    elements at a time, never whole, with the bits of adding it whole.
+    """
+    for w, g in zip(weights, grads):
+        w, g = w.reshape(-1), g.reshape(-1)
+        for lo in range(0, w.size, nn.ADAM_BLOCK):
+            term = np.sign(w[lo : lo + nn.ADAM_BLOCK])
+            term *= strength
+            g[lo : lo + nn.ADAM_BLOCK] += term

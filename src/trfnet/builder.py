@@ -299,23 +299,15 @@ def _check_labels(d: Dataset, head: nn.DenseLayer, mode: str, what: str):
             raise ValueError(f"{what}: multitask label {int(d.labels[bad][0])} is not 0, 1 or -1 (missing)")
 
 
-def _batch_loss_grads(net: TrfNetwork, bufs, x, y, hyper, rng, spent: list):
-    """One batch's loss and gradients; its forward caches die on return, before the next forward.
-
-    spent, the last step's gradient list, is emptied once the forward has
-    run, so the backward never holds two gradient lists.  Emptied right
-    after its step instead, together with the L1 baseline's terms freed just
-    before it, it left two whole-layer arrays free at the top of the heap,
-    which glibc handed back to the system at every step: train_l1 at 2000 ->
-    256 took 263K minor page faults and 0.5 s more, against 7.4K here.
-    """
+def _batch_loss_grads(net: TrfNetwork, bufs, x, y, hyper, rng, grads: list[np.ndarray]) -> float:
+    """One batch's loss; its gradients go into grads, and its forward caches die on return."""
     logits, caches = nn.stack_forward(net.layers, net.head, x, bufs, dropout_rate=hyper.dropout_rate, rng=rng)
-    spent.clear()
     if net.head_mode == SOFTMAX:
         loss, dlogits = nn.softmax_cross_entropy(logits, y)
     else:
         loss, dlogits = nn.multitask_sigmoid_loss(logits, y)
-    return loss, nn.stack_backward(net.layers, net.head, caches, dlogits, bufs)
+    nn.stack_backward(net.layers, net.head, caches, dlogits, bufs, grads)
+    return loss
 
 
 def finetune(
@@ -337,13 +329,13 @@ def finetune(
     and validation scoring share what nn.buffers gives each layer (a dense
     buffer pair if it is sparse).  The best state is copied, into arrays
     allocated once, only when a later epoch is about to train over it, and
-    copied back only when the last epoch run did not score best.  Each
-    step's gradients are dropped before the next backward makes new ones.
+    copied back only when the last epoch run did not score best.  Each step
+    writes its gradients into adam.grads.
 
-    penalty_grads, when given, is called before each step with the weight
-    arrays, params[::2] of nn.stack_params, and returns one extra gradient
-    term for each, added to that gradient in place; the L1 baseline hooks in
-    through it.  TrfNetwork.check runs before any step.
+    penalty_grads, when given, is called before each step as
+    penalty_grads(weights, grads), with params[::2] of nn.stack_params and
+    their gradients, and adds its terms into grads in place; the L1 baseline
+    hooks in through it.  TrfNetwork.check runs before any step.
     """
     net.check()
     if net.head is None:
@@ -365,7 +357,7 @@ def finetune(
     n = train.n_samples
     # each score is an accuracy or AUC mean in [0, 1], so the first epoch sets best
     best_score, best, since_best = -np.inf, None, 0
-    snapshot, holds_best, grads = None, False, []
+    snapshot, holds_best = None, False
     for _ in range(hyper.epochs):
         if holds_best:
             if snapshot is None:
@@ -375,11 +367,10 @@ def finetune(
         order = rng.permutation(n)
         for start in range(0, n, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
-            _, grads = _batch_loss_grads(net, bufs, train.rows(idx), train.labels[idx], hyper, rng, grads)
+            _batch_loss_grads(net, bufs, train.rows(idx), train.labels[idx], hyper, rng, adam.grads)
             if penalty_grads is not None:
-                for i, extra in enumerate(penalty_grads(params[::2])):
-                    grads[2 * i] += extra
-            adam.step(grads)
+                penalty_grads(params[::2], adam.grads[::2])
+            adam.step()
         scores, seconds = _score_dataset(net, gate, bufs)
         score = _gate_score(scores)
         holds_best = score > best_score
@@ -535,13 +526,15 @@ def save_report(r: EvalReport, path, name: str = "model") -> None:
 
 
 def load_report(path):
+    """The name and report in the file at path; an error names the file first ("path: ")."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ModelFormatError(f"{path}: report is not UTF-8 text ({e.reason} at byte {e.start})") from None
-    return report_from_text(text)
+    with _naming(str(path)):
+        return report_from_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -911,9 +904,10 @@ def load(path) -> TrfNetwork:
     A v2 file's checksum is verified before anything is parsed, and every
     line is read in the order save writes it (see _Reader).  Damage of any
     kind, undecodable bytes included, raises ModelFormatError, which names
-    the line, or the layer or head that its checks or TrfNetwork.check
-    reject.  A layer stored as "index dense", or whose connections are all
-    H * V positions, loads as a full layer with no index (see nn.MaskedLayer).
+    the file ("path: "), then the line, or the layer or head that its checks
+    or TrfNetwork.check reject.  A layer stored as "index dense", or whose
+    connections are all H * V positions, loads as a full layer with no index
+    (see nn.MaskedLayer).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -927,9 +921,8 @@ def load(path) -> TrfNetwork:
         del data  # the lines hold the file from here on
         return _parse_model(lines, v2)
     except (ValueError, OverflowError) as e:  # OverflowError: an integer too large for int64
-        if isinstance(e, ModelFormatError):
-            raise
-        raise ModelFormatError(f"corrupted model file: {e}") from None
+        what = "" if isinstance(e, ModelFormatError) else "corrupted model file: "
+        raise ModelFormatError(f"{path}: {what}{e}") from None
 
 
 def clone(net: TrfNetwork) -> TrfNetwork:

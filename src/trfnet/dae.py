@@ -90,9 +90,9 @@ def train_dae(
     flat row-major positions, as nn.init_masked_layer takes them.  All
     randomness (init, epoch shuffles, corruption draws) comes from a
     single generator seeded with h.seed, so runs are exactly repeatable.
-    What nn.buffers gives the layer serves every step, and each batch is made
-    dense from d.rows alone.  Returns the layer and its
-    training log: the sample-weighted mean batch loss per epoch.
+    What nn.buffers gives the layer and the gradients nn.Adam makes serve
+    every step, and each batch is made dense from d.rows alone.  Returns the
+    layer and its training log: the sample-weighted mean batch loss per epoch.
     """
     if shape[1] != d.n_features:
         raise ValueError(f"layer width {shape[1]} != data width {d.n_features}")
@@ -112,9 +112,8 @@ def train_dae(
         for start in range(0, n, h.batch_size):
             batch = d.rows(order[start : start + h.batch_size])
             x_tilde = corrupt(batch, c, rng)
-            loss, grads = nn.dae_gradients(layer, batch, x_tilde, family, buf)
-            adam.step(grads)
-            del grads  # freed before the next step's forward
+            loss = nn.dae_gradients(layer, batch, x_tilde, family, buf, adam.grads)
+            adam.step()
             total += loss * batch.shape[0]
         log.append(total / n)
     return layer, log

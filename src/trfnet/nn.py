@@ -7,8 +7,11 @@ with exact analytic gradients, Adam, and inverted dropout.
 
 A training loop's trainable arrays form one list in one order: a layer's
 [values, bias_hidden, bias_visible] for dae_gradients, stack_params(layers,
-head) for stack_backward.  Each returns its gradients in that order, and
-Adam binds the list once and steps it with them; no array is named.
+head) for stack_backward.  Adam binds the list once with one gradient array
+per parameter (Adam.grads), which each writes in that order with out=;
+Adam.step() checks them finite, then updates ADAM_BLOCK elements at a time in
+block-sized scratch, with the bits of the whole-array update.  No array is
+named.
 
 A layer stores one value per connection; compute keeps dense BLAS products.
 A full layer, one that holds every connection, stores no index (index is
@@ -26,12 +29,6 @@ dae_gradients adds the decoder bias in place and builds the Bernoulli loss
 terms, then the output gradient, in the decoder output's own array, so a
 step holds three batch x V float64 arrays at most (that one, exp(-|z|) and
 the loss's scratch), with the same bits as the out-of-place expressions.
-
-Adam runs its finite check and then its elementwise update over ADAM_BLOCK
-elements of a parameter at a time, into block-sized scratch it allocates
-when it binds the list, so a step maps no parameter-sized temporary and
-works in cache.  The operations and their order are those of the
-whole-array update, so the results are the same bits.
 
 There is one forward, _pre_activation on the weights from _weights, and one
 weight-gradient product, _weight_gradient.  dae_gradients, stack_forward
@@ -237,12 +234,14 @@ def _weights(layer: MaskedLayer, buf: Buffers | None) -> np.ndarray:
     return buf.w
 
 
-def _weight_gradient(layer: MaskedLayer, a: np.ndarray, b: np.ndarray, buf: Buffers | None) -> np.ndarray:
-    """A fresh array of a.T @ b at the index: whole for a full layer, else gathered from buf.g."""
+def _weight_gradient(layer: MaskedLayer, a: np.ndarray, b: np.ndarray, buf: Buffers | None, out=None) -> np.ndarray:
+    """a.T @ b at the index, flat, into out (fresh if None): whole for a full layer, else gathered from
+    buf.g by np.take in mode "clip", which does not buffer out and clips nothing (MaskedLayer checked the index)."""
     if layer.index is None:
-        return np.matmul(a.T, b).reshape(-1)
+        shape = (layer.hidden_count, layer.visible_count)
+        return np.matmul(a.T, b, out=None if out is None else out.reshape(shape)).reshape(-1)
     np.matmul(a.T, b, out=buf.g)
-    return buf.g.ravel()[layer.index]
+    return np.take(buf.g.ravel(), layer.index, out=out, mode="clip")
 
 
 # rows of the init uniform drawn at a time, so no dense H x V array is built
@@ -366,13 +365,14 @@ def _bernoulli_loss(x: np.ndarray, z: np.ndarray, e: np.ndarray, out: np.ndarray
     return float(elem.sum(axis=1).mean())
 
 
-def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, family: str, buf: Buffers):
-    """Loss and exact gradients of the tied denoising autoencoder.
+def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, family: str, buf: Buffers, grads):
+    """The loss of the tied denoising autoencoder; its exact gradients go into grads.
 
     Forward is corrupt -> sigmoid encoder -> tied-transpose decoder ->
     reconstruction loss against the clean batch.  The weight gradient sums
-    the encoder and decoder contributions at the layer's index positions.
-    buf is what buffers() gave the layer; gradients are for [values, bias_hidden, bias_visible].
+    the encoder term, written into grads[0], and the decoder term, made fresh
+    and added, at the layer's index.  buf is what buffers() gave the layer;
+    grads is Adam.grads for [values, bias_hidden, bias_visible].
     """
     x_clean = np.asarray(x_clean, dtype=np.float64)
     we = _weights(layer, buf)
@@ -395,9 +395,11 @@ def dae_gradients(layer: MaskedLayer, x_clean: np.ndarray, x_tilde: np.ndarray, 
     dz /= b
     dh = dz @ we.T
     da = dh * h * (1.0 - h)
-    gw = _weight_gradient(layer, da, x_tilde, buf)
-    gw += _weight_gradient(layer, h, dz, buf)
-    return loss, [gw, da.sum(axis=0), dz.sum(axis=0)]
+    _weight_gradient(layer, da, x_tilde, buf, out=grads[0])
+    grads[0] += _weight_gradient(layer, h, dz, buf)
+    da.sum(axis=0, out=grads[1])
+    dz.sum(axis=0, out=grads[2])
+    return loss
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -452,10 +454,11 @@ ADAM_BLOCK = 1 << 15
 class Adam:
     """Bias-corrected Adam (Kingma & Ba, 2015) over one bound list of arrays.
 
-    step(grads) updates params[i] in place by grads[i].  A gradient list of
-    another length or shape, or a non-finite gradient, aborts the step
-    before any state changes.  Every parameter must be C-contiguous, since
-    the update runs on flat views of it, ADAM_BLOCK elements at a time.
+    Binding the list makes grads, one gradient array per parameter, of its
+    shape.  A training step writes them in place and step() updates
+    params[i] by grads[i].  A non-finite gradient aborts the step before any
+    state changes.  Every parameter must be C-contiguous, since the update
+    runs on flat views of it, ADAM_BLOCK elements at a time.
     """
 
     beta1 = 0.9
@@ -467,6 +470,7 @@ class Adam:
             if not p.flags.c_contiguous:
                 raise ValueError(f"parameter {i} is not C-contiguous; Adam updates it through a flat view")
         self.params = params
+        self.grads = [np.zeros_like(p) for p in params]
         self.step_size = step_size
         self.t = 0
         self.moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
@@ -474,13 +478,8 @@ class Adam:
         self._scratch = (np.empty(block), np.empty(block))
         self._finite = np.empty(block, dtype=bool)
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise ValueError(f"need one gradient per parameter: {len(grads)} for {len(self.params)}")
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for parameter {i}")
-            g = g.reshape(-1)
+    def step(self) -> None:
+        for i, g in enumerate(g.reshape(-1) for g in self.grads):
             for lo in range(0, g.size, ADAM_BLOCK):
                 part = g[lo : lo + ADAM_BLOCK]
                 if not np.isfinite(part, out=self._finite[: part.size]).all():
@@ -488,7 +487,7 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for p, g, (m, v) in zip(self.params, grads, self.moments):
+        for p, g, (m, v) in zip(self.params, self.grads, self.moments):
             p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
             for lo in range(0, p.size, ADAM_BLOCK):
                 hi = min(lo + ADAM_BLOCK, p.size)
@@ -566,19 +565,20 @@ def stack_forward(
     return logits, caches
 
 
-def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits: np.ndarray, bufs: list[Buffers | None]):
-    """Exact gradients for stack_forward, given the bufs it filled, in
-    stack_params order."""
-    head_in = caches[-1]["x"]
-    grads = [dlogits.T @ head_in, dlogits.sum(axis=0)]
+def stack_backward(layers: list[MaskedLayer], head: DenseLayer, caches, dlogits: np.ndarray, bufs: list, grads) -> None:
+    """Exact gradients for stack_forward, given the bufs it filled, written
+    into grads: Adam.grads of stack_params, in its order."""
+    np.matmul(dlogits.T, caches[-1]["x"], out=grads[-2])
+    dlogits.sum(axis=0, out=grads[-1])
     dx, w = dlogits, head.weights
-    for layer, cache, buf in zip(reversed(layers), reversed(caches[:-1]), reversed(bufs)):
+    for k in reversed(range(len(layers))):
+        layer, cache = layers[k], caches[k]
         # formed only for layer outputs, never for the network input
         dx = (dx @ w) * cache["scale"]
         dpre = dx * get_activation(layer.activation).grad(cache["pre"], cache["act"])
-        grads[:0] = [_weight_gradient(layer, dpre, cache["x"], buf), dpre.sum(axis=0)]
+        _weight_gradient(layer, dpre, cache["x"], bufs[k], out=grads[2 * k])
+        dpre.sum(axis=0, out=grads[2 * k + 1])
         dx, w = dpre, cache["w"]
-    return grads
 
 
 def hidden_representation(layers: list[MaskedLayer], x: np.ndarray, bufs: list[Buffers | None]) -> np.ndarray:

@@ -198,15 +198,16 @@ def test_criterion_03_gradient_checks():
         for seed in range(20):
             layer, x, x_tilde = masked_instance(seed, family)
             buf = nn.buffers(layer)
-            _, analytic = nn.dae_gradients(layer, x, x_tilde, family, buf)
             arrays = {
                 "weights": layer.values,
                 "bias_hidden": layer.bias_hidden,
                 "bias_visible": layer.bias_visible,
             }
+            analytic = [np.zeros_like(a) for a in arrays.values()]
             numeric = central_diff_grads(
-                lambda: nn.dae_gradients(layer, x, x_tilde, family, buf)[0], arrays
+                lambda: nn.dae_gradients(layer, x, x_tilde, family, buf, analytic), arrays
             )
+            nn.dae_gradients(layer, x, x_tilde, family, buf, analytic)  # at the unperturbed arrays
             for g, name in zip(analytic, arrays, strict=True):
                 worst = max(worst, max_relative_error(g, numeric[name]))
 

@@ -484,9 +484,9 @@ class TestFinetuneReport:
             seen["forwards"] += 1
             return forward(*args, **kw)
 
-        def counted_step(self, grads):
+        def counted_step(self):
             seen["steps"] += 1
-            return step(self, grads)
+            return step(self)
 
         monkeypatch.setattr(builder, "_scores", recording)
         monkeypatch.setattr(nn, "hidden_representation", counted_forward)
@@ -725,6 +725,23 @@ class TestSaveLoad:
         (tmp_path / "m.trf").write_bytes(bytes(data))
         with pytest.raises(ModelFormatError, match="checksum"):
             load(tmp_path / "m.trf")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ((b"trfnet-model v1", b"trfnet-model v9"), "not a model file, or unsupported version"),
+            ((b"layers 2", b"layers two"), "line 13: layers: invalid literal for int() with base 10: 'two'"),
+            ((b"layer 1 3 4 relu", b"layer 1 3 4 tanh"), "layer 1: unknown activation 'tanh'"),
+            ((b"softmax", b"soft\xffmax"), "corrupted model file: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["magic", "field", "layer", "undecodable"],
+    )
+    def test_error_names_the_file_first(self, tmp_path, edit, message):
+        path = tmp_path / "m.trf"
+        path.write_bytes(V1_FIXTURE.read_bytes().replace(*edit))
+        with pytest.raises(ModelFormatError) as e:
+            load(path)
+        assert str(e.value).startswith(f"{path}: {message}")
 
     def test_missing_checksum_line_rejected(self, tmp_path):
         save(v1_fixture_network(), tmp_path / "m.trf")
@@ -1303,6 +1320,18 @@ class TestReportFiles:
         (tmp_path / "r.report").write_text("trfnet-report v1\n" + text)
         with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_report(tmp_path / "r.report")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [LINE_EDITS["reordered-keys"], ("name a\nparameter_count 3\nsparsity 1.5\n", "corrupted report: sparsity")],
+        ids=["reordered-keys", "out-of-range"],
+    )
+    def test_error_names_the_file_first(self, tmp_path, text, message):
+        path = tmp_path / "r.report"
+        path.write_text("trfnet-report v1\n" + text)
+        with pytest.raises(ModelFormatError) as e:
+            load_report(path)
+        assert str(e.value).startswith(f"{path}: {message}")
 
     def test_undecodable_bytes_rejected(self, tmp_path):
         data = self.report_text(tmp_path).encode().replace(b"0.875", b"0.8\xff75")

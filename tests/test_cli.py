@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trfnet.builder import EvalReport, save_report
 from trfnet.cli import main
 from trfnet.data import save_sparse_bow
 from trfnet.synth import news_corpus
@@ -190,6 +191,14 @@ class TestBuildAndDownstream:
     def test_eval_requires_labels_flag_message(self, model_path, tmp_path):
         missing = str(tmp_path / "nope.report")
         assert main(["eval", "--model", model_path, "--report", missing]) == 2
+
+    def test_compare_names_the_damaged_report(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.report", tmp_path / "bad.report"
+        save_report(EvalReport(parameter_count=3, sparsity=0.1, accuracy=0.5), good, name="good")
+        bad.write_text(good.read_text().replace("accuracy 0.5\n", "accuracy 0.5\naccuracy 0.5\n"))
+        assert main(["compare", str(good), str(bad), "--out", str(tmp_path / "table.txt")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}: line 4: expected 'parameter_count', found 'accuracy 0.5'" in err
 
 
 class TestBaselineCommand:

@@ -97,7 +97,7 @@ def check_finetune_against_oracle(full):
         epochs=4, batch_size=16, step_size=0.01, dropout_rate=0.3, patience=4,
         activation="relu", seed=8,
     )
-    finetune(net, train, valid, hyper, penalty_grads=lambda m: l1_gradients(m, strength))
+    finetune(net, train, valid, hyper, penalty_grads=lambda m, g: l1_gradients(m, g, strength))
     dense_finetune(
         [a.astype(np.float64) for a in masks], ws, bhs, head_w, head_b,
         (train.values, train.labels), (valid.values, valid.labels),

@@ -19,6 +19,16 @@ def random_masked_layer(h, v, seed, density=0.5, activation="sigmoid"):
     return layer, rng
 
 
+def dae_grads(layer):
+    """A gradient list for dae_gradients to write: one zero array per trainable array of layer."""
+    return [np.zeros_like(a) for a in (layer.values, layer.bias_hidden, layer.bias_visible)]
+
+
+def stack_grads(layers, head):
+    """A gradient list for stack_backward to write, in stack_params order."""
+    return [np.zeros_like(a) for a in nn.stack_params(layers, head)]
+
+
 def encode(layer, x):
     """One layer's eval forward through what a fresh buffers() call gives it."""
     return nn.hidden_representation([layer], x, [nn.buffers(layer)])
@@ -292,25 +302,28 @@ class TestDaeGradients:
             x = rng.normal(size=(6, 7))
         x_tilde = x * (rng.random(x.shape) >= 0.3)
         buf = nn.buffers(layer)
-        _, analytic = nn.dae_gradients(layer, x, x_tilde, family, buf)
+        analytic = dae_grads(layer)
         arrays = {
             "weights": layer.values,
             "bias_hidden": layer.bias_hidden,
             "bias_visible": layer.bias_visible,
         }
         numeric = central_diff_grads(
-            lambda: nn.dae_gradients(layer, x, x_tilde, family, buf)[0], arrays
+            lambda: nn.dae_gradients(layer, x, x_tilde, family, buf, analytic), arrays
         )
-        assert len(analytic) == len(arrays)
-        for g, name in zip(analytic, arrays):
+        nn.dae_gradients(layer, x, x_tilde, family, buf, analytic)  # at the unperturbed arrays
+        for g, name in zip(analytic, arrays, strict=True):
             assert max_relative_error(g, numeric[name]) <= 1e-4
 
-    def test_masked_positions_get_zero_gradient(self):
+    def test_masked_positions_get_no_gradient_slot(self):
         layer, rng = random_masked_layer(4, 6, seed=23)
         x = (rng.random((5, 6)) < 0.5).astype(np.float64)
-        _, grads = nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(layer))
+        grads = dae_grads(layer)
+        nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(layer), grads)
         # one gradient per connection: an unconnected position has none to take
         assert grads[0].shape == layer.index.shape
+        with pytest.raises(ValueError):
+            nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(layer), [np.zeros(4 * 6), *grads[1:]])
 
     def test_one_call_holds_three_batch_by_visible_arrays(self):
         """At news-d2's layer-0 shape (550 x 2000, about 10% connected, batch
@@ -325,11 +338,11 @@ class TestDaeGradients:
         layer, rng = random_masked_layer(h, v, seed=31, density=0.1)
         x = (rng.random((b, v)) < 0.1).astype(np.float64)
         x_tilde = x * (rng.random(x.shape) >= 0.3)
-        buf = nn.buffers(layer)
+        buf, grads = nn.buffers(layer), dae_grads(layer)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, buf)
+            nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, buf, grads)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -339,7 +352,7 @@ class TestDaeGradients:
         layer, rng = random_masked_layer(4, 6, seed=29)
         x = (rng.random((5, 6)) < 0.5).astype(np.float64)
         x_tilde = x * (rng.random(x.shape) >= 0.2)
-        loss, _ = nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, nn.buffers(layer))
+        loss = nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, nn.buffers(layer), dae_grads(layer))
         h = encode(layer, x_tilde)
         z = h @ layer.weights + layer.bias_visible  # tied-transpose decoder
         assert loss == nn.reconstruction_loss(x, z, nn.BERNOULLI)
@@ -361,7 +374,8 @@ class TestClassifierStack:
 
         logits, caches = nn.stack_forward([layer], head, x, bufs)
         _, dlogits = nn.softmax_cross_entropy(logits, y)
-        g = nn.stack_backward([layer], head, caches, dlogits, bufs)
+        g = stack_grads([layer], head)
+        nn.stack_backward([layer], head, caches, dlogits, bufs, g)
         arrays = {
             "w": layer.values,
             "bh": layer.bias_hidden,
@@ -370,7 +384,6 @@ class TestClassifierStack:
         }
         assert [id(a) for a in nn.stack_params([layer], head)] == [id(a) for a in arrays.values()]
         numeric = central_diff_grads(loss_fn, arrays)
-        assert len(g) == 4
         assert max_relative_error(g[0], numeric["w"]) <= 1e-4
         assert max_relative_error(g[1], numeric["bh"]) <= 1e-4
         assert max_relative_error(g[2], numeric["hw"]) <= 1e-4
@@ -457,34 +470,54 @@ class TestLoopBuffers:
         layer, rng = random_masked_layer(self.H, self.V, seed=43, density=0.1)
         x = (rng.random((self.B, self.V)) < 0.5).astype(np.float64)
         x_tilde = x * (rng.random(x.shape) >= 0.2)
-        buf = nn.buffers(layer)
-        grown = repeat_allocation(lambda: nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, buf))
+        buf, grads = nn.buffers(layer), dae_grads(layer)
+        grown = repeat_allocation(lambda: nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, buf, grads))
         assert grown < self.H * self.V * 8
 
     def test_classifier_step_reuses_the_loops_buffers(self):
         layer, rng = random_masked_layer(self.H, self.V, seed=47, density=0.1, activation="relu")
         head = nn.init_dense_layer(3, self.H, rng)
         x = rng.normal(size=(self.B, self.V))
-        bufs = [nn.buffers(layer)]
+        bufs, grads = [nn.buffers(layer)], stack_grads([layer], head)
 
         def step():
             logits, caches = nn.stack_forward([layer], head, x, bufs, 0.5, rng)
             _, dlogits = nn.softmax_cross_entropy(logits, np.zeros(self.B, dtype=np.int64))
-            return nn.stack_backward([layer], head, caches, dlogits, bufs)
+            nn.stack_backward([layer], head, caches, dlogits, bufs, grads)
 
         assert repeat_allocation(step) < self.H * self.V * 8
+
+    def test_full_layer_finetune_step_allocates_less_than_one_layer(self):
+        """A fine-tuning step of a full 256 x 2000 layer (baselines-dense256's
+        shape, batch 128) writes its weight gradient into Adam's array, so it
+        allocates less than one 256 x 2000 float64 array: a fresh a.T @ b per
+        step would be one such array by itself."""
+        h, v, b = 256, 2000, 128
+        layer, rng = full_layer(h, v, seed=83)
+        layer = replace(layer, activation="relu")
+        head = nn.init_dense_layer(2, h, rng)
+        x = (rng.random((b, v)) < 0.05).astype(np.float64)
+        y = rng.integers(0, 2, size=b)
+        adam = nn.Adam(nn.stack_params([layer], head))
+
+        def step():
+            logits, caches = nn.stack_forward([layer], head, x, [None], 0.5, rng)
+            _, dlogits = nn.softmax_cross_entropy(logits, y)
+            nn.stack_backward([layer], head, caches, dlogits, [None], adam.grads)
+            adam.step()
+
+        assert repeat_allocation(step) < h * v * 8
 
     def test_reused_pair_gives_a_fresh_pairs_bits(self):
         layer, rng = random_masked_layer(7, 9, seed=53)
         x = (rng.random((5, 9)) < 0.5).astype(np.float64)
-        buf = nn.buffers(layer)
-        nn.dae_gradients(layer, x, x, nn.BERNOULLI, buf)
+        buf, grads, fresh = nn.buffers(layer), dae_grads(layer), dae_grads(layer)
+        nn.dae_gradients(layer, x, x, nn.BERNOULLI, buf, grads)
         layer.values[:] = rng.normal(size=layer.values.shape)
-        loss, grads = nn.dae_gradients(layer, x, x, nn.BERNOULLI, buf)
-        fresh_loss, fresh = nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(layer))
+        loss = nn.dae_gradients(layer, x, x, nn.BERNOULLI, buf, grads)
+        fresh_loss = nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(layer), fresh)
         assert loss == fresh_loss
-        assert len(grads) == len(fresh) == 3
-        for g, f in zip(grads, fresh):
+        for g, f in zip(grads, fresh, strict=True):
             assert g.tobytes() == f.tobytes()
 
     @pytest.mark.parametrize(
@@ -508,14 +541,14 @@ class TestLoopBuffers:
         other, _ = random_masked_layer(6, 4, seed=59)
         x = (rng.random((3, 6)) < 0.5).astype(np.float64)
         with pytest.raises(ValueError, match="buffer shape"):
-            nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(other))
+            nn.dae_gradients(layer, x, x, nn.BERNOULLI, nn.buffers(other), dae_grads(layer))
 
     def test_sparse_layer_without_a_pair_rejected(self):
         layer, rng = random_masked_layer(4, 6, seed=59)
         head = nn.init_dense_layer(2, 4, rng)
         x = (rng.random((3, 6)) < 0.5).astype(np.float64)
         with pytest.raises(ValueError, match="buffer shape None"):
-            nn.dae_gradients(layer, x, x, nn.BERNOULLI, None)
+            nn.dae_gradients(layer, x, x, nn.BERNOULLI, None, dae_grads(layer))
         with pytest.raises(ValueError, match="buffer shape None"):
             nn.stack_forward([layer], head, x, [None])
         with pytest.raises(ValueError, match="buffer shape None"):
@@ -551,10 +584,11 @@ class TestFullLayer:
         y = rng.integers(0, 3, size=6)
 
         def results(net_layer):
-            loss, grads = nn.dae_gradients(net_layer, x, x, nn.BERNOULLI, None)
+            grads, back = dae_grads(net_layer), stack_grads([net_layer], head)
+            loss = nn.dae_gradients(net_layer, x, x, nn.BERNOULLI, None, grads)
             logits, caches = nn.stack_forward([net_layer], head, x, [None])
             _, dlogits = nn.softmax_cross_entropy(logits, y)
-            back = nn.stack_backward([net_layer], head, caches, dlogits, [None])
+            nn.stack_backward([net_layer], head, caches, dlogits, [None], back)
             hidden = nn.hidden_representation([net_layer], x, [None])
             return [bits(loss), *map(bits, grads), bits(logits), *map(bits, back), bits(hidden)]
 
@@ -582,12 +616,19 @@ class TestSoftmaxLabels:
             nn.softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))
 
 
+def write(grads, values):
+    """Copy each of values into the gradient array of grads at its place."""
+    for g, value in zip(grads, values, strict=True):
+        np.copyto(g, value)
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         p = [np.array([1.0, -2.0, 3.0])]
         adam = nn.Adam(p)
         for _ in range(5):
-            adam.step([np.zeros(3)])
+            adam.grads[0][:] = 0.0
+            adam.step()
         np.testing.assert_array_equal(p[0], [1.0, -2.0, 3.0])
 
     def test_first_step_moves_by_stepsize_times_sign(self):
@@ -595,24 +636,27 @@ class TestAdam:
         # -step * g / (|g| + eps') ~= -step * sign(g)
         for g in (0.3, -4.0):
             p = [np.array([0.0])]
-            nn.Adam(p, step_size=1e-3).step([np.array([g])])
+            adam = nn.Adam(p, step_size=1e-3)
+            adam.grads[0][:] = g
+            adam.step()
             assert p[0][0] == pytest.approx(-1e-3 * np.sign(g), rel=1e-6)
 
     def test_mask_reapplied_after_step(self):
         # a 1 x 2 layer connected at (0, 0) only: the step updates its one value
         layer = nn.MaskedLayer(np.array([0]), np.array([0.5]), np.zeros(1), np.zeros(2))
-        p = [layer.values]
-        with pytest.raises(ValueError):  # a gradient for the unconnected slot has no place
-            nn.Adam(p).step([np.array([0.1, 0.7])])
-        nn.Adam(p).step([np.array([0.1])])
+        adam = nn.Adam([layer.values])
+        assert adam.grads[0].shape == (1,)  # a gradient for the unconnected slot has no place
+        adam.grads[0][:] = 0.1
+        adam.step()
         assert layer.values[0] != 0.5
         assert layer.weights[0, 1] == 0.0
 
     def test_nan_gradient_aborts_without_state_change(self):
         p = [np.array([1.0])]
         adam = nn.Adam(p)
+        adam.grads[0][:] = np.nan
         with pytest.raises(FloatingPointError):
-            adam.step([np.array([np.nan])])
+            adam.step()
         assert p[0][0] == 1.0
         assert adam.t == 0
 
@@ -621,13 +665,14 @@ class TestAdam:
         size = 3 * nn.ADAM_BLOCK + 5
         params = [rng.normal(size=size), rng.normal(size=3)]
         adam = nn.Adam(params)
-        adam.step([rng.normal(size=size), rng.normal(size=3)])
+        write(adam.grads, [rng.normal(size=size), rng.normal(size=3)])
+        adam.step()
         before = [bits(p) for p in params] + [bits(a) for pair in adam.moments for a in pair]
         # the first parameter's gradient fails only in its last, partial block
-        grads = [rng.normal(size=size), rng.normal(size=3)]
-        grads[0][-1] = np.nan
+        write(adam.grads, [rng.normal(size=size), rng.normal(size=3)])
+        adam.grads[0][-1] = np.nan
         with pytest.raises(FloatingPointError, match="parameter 0"):
-            adam.step(grads)
+            adam.step()
         assert [bits(p) for p in params] + [bits(a) for pair in adam.moments for a in pair] == before
         assert adam.t == 1
 
@@ -635,8 +680,8 @@ class TestAdam:
         rng = np.random.default_rng(79)
         p = rng.normal(size=4 * nn.ADAM_BLOCK)
         adam = nn.Adam([p])
-        grads = [rng.normal(size=p.shape)]
-        assert repeat_allocation(lambda: adam.step(grads)) < 2 * nn.ADAM_BLOCK
+        write(adam.grads, [rng.normal(size=p.shape)])
+        assert repeat_allocation(adam.step) < 2 * nn.ADAM_BLOCK
 
     @pytest.mark.parametrize(
         "shape",
@@ -651,7 +696,8 @@ class TestAdam:
         adam, oracle = nn.Adam(params, step_size=0.01), DenseMaskedAdam(step_size=0.01)
         for scale in (1.0, 1e-3, 50.0, 0.0):
             grads = [rng.normal(scale=scale, size=shape), rng.normal(scale=scale, size=3)]
-            adam.step(grads)
+            write(adam.grads, grads)
+            adam.step()
             oracle.step(ref, {"p": grads[0], "b": grads[1]}, {})
         for p, name in zip(params, ("p", "b")):
             assert bits(p) == bits(ref[name])
@@ -672,17 +718,15 @@ class TestAdam:
         rng = np.random.default_rng(71)
         p = rng.normal(size=(200, 1000))
         adam = nn.Adam([p, np.zeros(200)])
-        grads = [rng.normal(size=p.shape), rng.normal(size=200)]
-        assert repeat_allocation(lambda: adam.step(grads)) < p.nbytes
+        write(adam.grads, [rng.normal(size=p.shape), rng.normal(size=200)])
+        assert repeat_allocation(adam.step) < p.nbytes
 
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_wrong_gradient_count_aborts_without_state_change(self, count):
-        p = [np.array([1.0]), np.array([2.0, 3.0])]
-        adam = nn.Adam(p)
-        with pytest.raises(ValueError, match=f"{count} for 2"):
-            adam.step([np.array([0.5]), np.array([0.5, 0.5]), np.array([0.5])][:count])
-        assert [a.tolist() for a in p] == [[1.0], [2.0, 3.0]]
-        assert adam.t == 0
+    def test_binding_makes_one_zero_gradient_per_parameter(self):
+        params = [np.ones((2, 3)), np.ones(4)]
+        adam = nn.Adam(params)
+        assert [g.shape for g in adam.grads] == [(2, 3), (4,)]
+        assert all(g.flags.c_contiguous and not g.any() for g in adam.grads)
+        assert not any(np.shares_memory(g, p) for g in adam.grads for p in params)
 
 
 class TestDropout:
@@ -717,7 +761,7 @@ class TestMaskInvariance:
         buf = nn.buffers(layer)
         for _ in range(25):
             x_tilde = x * (rng.random(x.shape) >= 0.2)
-            _, grads = nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, buf)
-            adam.step(grads)
+            nn.dae_gradients(layer, x, x_tilde, nn.BERNOULLI, buf, adam.grads)
+            adam.step()
         np.testing.assert_array_equal(layer.weights * (1 - layer.mask), 0.0)
         assert np.isfinite(layer.weights).all()

@@ -44,7 +44,8 @@ for h, v, full in ((550, 2000, False), (1100, 4000, False), (256, 2000, True)):
     buf = nn.buffers(layer)
     batch = (rng.random((128, v)) < 0.05).astype(np.float64)
     x_tilde = batch * (rng.random(batch.shape) >= 0.3)
-    loss, grads = nn.dae_gradients(layer, batch, x_tilde, nn.BERNOULLI, buf)
+    grads = [np.zeros_like(a) for a in (layer.values, layer.bias_hidden, layer.bias_visible)]
+    loss = nn.dae_gradients(layer, batch, x_tilde, nn.BERNOULLI, buf, grads)
     out[f"{h}x{v} dae"] = digest(loss, *grads)
     for n in (300, 1400):
         x = rng.poisson(0.05, size=(n, v)).astype(np.float64)
@@ -53,7 +54,8 @@ for h, v, full in ((550, 2000, False), (1100, 4000, False), (256, 2000, True)):
     head = nn.init_dense_layer(2, h, rng)
     logits, caches = nn.stack_forward([layer], head, batch, [buf], 0.5, rng)
     _, dlogits = nn.softmax_cross_entropy(logits, rng.integers(0, 2, size=128))
-    grads = nn.stack_backward([layer], head, caches, dlogits, [buf])
+    grads = [np.zeros_like(a) for a in nn.stack_params([layer], head)]
+    nn.stack_backward([layer], head, caches, dlogits, [buf], grads)
     out[f"{h}x{v} finetune"] = digest(logits, *grads)
 print(json.dumps(out))
 """
