@@ -18,7 +18,6 @@ import binascii
 import copy
 import hashlib
 import math
-import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -178,6 +177,7 @@ class EvalReport:
     In multi-task mode auc_per_task holds one entry per task, with -1.0
     marking tasks whose test labels contained only one class; such tasks
     are excluded from auc_mean.  It checks every range when made, and is fixed after.
+    wall_clock, the seconds of the passes that made it, stays out of ==, repr and report files.
     """
 
     parameter_count: int
@@ -186,7 +186,7 @@ class EvalReport:
     auc_per_task: tuple[float, ...] | None = None
     auc_mean: float | None = None
     effective_sparsity: float | None = None
-    wall_clock: dict[str, float] = field(default_factory=dict)
+    wall_clock: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.parameter_count < 0:
@@ -200,6 +200,11 @@ class EvalReport:
         for x in self.auc_per_task or ():
             if x != -1.0 and not 0.0 <= x <= 1.0:
                 raise ValueError(f"auc_per_task entry {x!r} is neither in [0, 1] nor -1.0 (unscored)")
+
+    @property
+    def score(self) -> float | None:
+        """The headline score: the accuracy, else the AUC mean, else None (nothing scored)."""
+        return self.accuracy if self.accuracy is not None else self.auc_mean
 
 
 def build_trf_net(d: Dataset, cfg: BuildConfig) -> TrfNetwork:
@@ -321,11 +326,13 @@ def finetune(
 
     Hidden layers are switched to hyper.activation by new layers over the
     same arrays (hyper.reinit draws fresh ones), dropout applies to hidden layers
-    during training, and early stopping tracks the validation score with the
-    given patience.  The validation set (the training set when valid is
-    None) is scored once per epoch, and no other pass scores it: the network
-    returned holds the best-scoring epoch's parameters, and its report is
-    built from that epoch's scores, the bits evaluate gives on it.  Training
+    during training, and early stopping, with the given patience, tracks
+    each epoch's validation EvalReport.score (0.0 when it is None).
+    The validation set (the training set when valid is None) is scored once
+    per epoch, and no other pass scores it: the network returned holds the
+    best-scoring epoch's parameters, and the report returned is that epoch's,
+    so it == evaluate(net, gate); its wall_clock adds the "finetune" seconds
+    of the whole call to that pass's "evaluate" seconds.  Training
     and validation scoring share what nn.buffers gives each layer (a dense
     buffer pair if it is sparse).  The best state is copied, into arrays
     allocated once, only when a later epoch is about to train over it, and
@@ -355,7 +362,7 @@ def finetune(
     bufs = [nn.buffers(layer) for layer in net.layers]
     adam = nn.Adam(params, hyper.step_size)
     n = train.n_samples
-    # each score is an accuracy or AUC mean in [0, 1], so the first epoch sets best
+    # each gate score is in [0, 1] (0.0 when no task is scored), so the first epoch sets best
     best_score, best, since_best = -np.inf, None, 0
     snapshot, holds_best = None, False
     for _ in range(hyper.epochs):
@@ -371,11 +378,11 @@ def finetune(
             if penalty_grads is not None:
                 penalty_grads(params[::2], adam.grads[::2])
             adam.step()
-        scores, seconds = _score_dataset(net, gate, bufs)
-        score = _gate_score(scores)
+        report = _evaluate(net, gate, bufs)
+        score = 0.0 if report.score is None else report.score
         holds_best = score > best_score
         if holds_best:
-            best_score, best, since_best = score, (scores, seconds), 0
+            best_score, best, since_best = score, report, 0
         else:
             since_best += 1
             if since_best >= hyper.patience:
@@ -383,8 +390,8 @@ def finetune(
     if not holds_best:
         for p, kept in zip(params, snapshot):
             np.copyto(p, kept)
-    scores, seconds = best
-    return net, _report(net, scores, {"evaluate": seconds, "finetune": time.perf_counter() - t0})
+    best.wall_clock["finetune"] = time.perf_counter() - t0
+    return net, best
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -411,68 +418,40 @@ def binary_auc(scores: np.ndarray, targets: np.ndarray) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _logits(net: TrfNetwork, d: Dataset, bufs) -> np.ndarray:
-    """Head outputs over d; its dense matrix is a temporary the forward frees after layer 0's product."""
+def _evaluate(net: TrfNetwork, d: Dataset, bufs) -> EvalReport:
+    """The report of net over d from one eval forward, its seconds as "evaluate".
+
+    A softmax head gets an accuracy only.  A multitask head gets an AUC per
+    task, -1.0 for a task whose observed labels hold one class only, and the
+    mean over the scored tasks, None when there is none.  d's dense matrix is
+    a temporary the forward frees after layer 0's product.
+    """
+    t0 = time.perf_counter()
     logits = nn.hidden_representation(net.layers, d.dense(), bufs) @ net.head.weights.T
     logits += net.head.bias
-    return logits
-
-
-def _scores(logits: np.ndarray, labels: np.ndarray, head_mode: str):
-    """(accuracy, per-task AUCs, AUC mean) of logits against labels.
-
-    Softmax heads get an accuracy only; multitask heads get an AUC per task,
-    None for a task whose labels hold only one class, and the mean over the
-    scored tasks, None when there is none.
-    """
-    if head_mode == SOFTMAX:
-        return float((logits.argmax(axis=1) == labels).mean()), None, None
-    aucs = []
-    for task in range(labels.shape[1]):
-        observed = labels[:, task] >= 0
-        y = labels[observed, task]
-        both = (y == 1).any() and (y == 0).any()
-        aucs.append(binary_auc(logits[observed, task], y) if both else None)
-    scored = [a for a in aucs if a is not None]
-    return None, aucs, (float(np.mean(scored)) if scored else None)
-
-
-def _score_dataset(net: TrfNetwork, d: Dataset, bufs):
-    """_scores of net over d, and the seconds the pass took."""
-    t0 = time.perf_counter()
-    scores = _scores(_logits(net, d, bufs), d.labels, net.head_mode)
-    return scores, time.perf_counter() - t0
-
-
-def _gate_score(scores) -> float:
-    """The validation score early stopping tracks: accuracy or AUC mean, 0.0 if unscored."""
-    accuracy, _, auc_mean = scores
-    if accuracy is not None:
-        return accuracy
-    return 0.0 if auc_mean is None else auc_mean
-
-
-def _report(net: TrfNetwork, scores, wall_clock: dict[str, float]) -> EvalReport:
-    """The report of net from one scoring pass's _scores, with its timings."""
-    accuracy, aucs, auc_mean = scores
-    return EvalReport(
-        parameter_count=net.parameter_count(),
-        sparsity=net.hidden_sparsity(),
-        accuracy=accuracy,
-        auc_per_task=None if aucs is None else tuple(-1.0 if a is None else a for a in aucs),
-        auc_mean=auc_mean,
-        wall_clock=wall_clock,
-    )
+    accuracy = aucs = auc_mean = None
+    if net.head_mode == SOFTMAX:
+        accuracy = float((logits.argmax(axis=1) == d.labels).mean())
+    else:
+        aucs = []
+        for task in range(d.labels.shape[1]):
+            observed = d.labels[:, task] >= 0
+            y = d.labels[observed, task]
+            aucs.append(binary_auc(logits[observed, task], y) if (y == 1).any() and (y == 0).any() else -1.0)
+        scored = [a for a in aucs if a != -1.0]
+        aucs, auc_mean = tuple(aucs), (float(np.mean(scored)) if scored else None)
+    wall_clock = {"evaluate": time.perf_counter() - t0}
+    return EvalReport(net.parameter_count(), net.hidden_sparsity(), accuracy, aucs, auc_mean, wall_clock=wall_clock)
 
 
 def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
-    """Accuracy (softmax) or per-task AUCs (multitask) plus size metrics, once TrfNetwork.check passes."""
+    """Accuracy (softmax) or per-task AUCs (multitask) plus size metrics, once
+    TrfNetwork.check passes; its wall_clock holds the pass's "evaluate" seconds."""
     net.check()
     if net.head is None:
         raise ValueError("attach a head before evaluating")
     _check_labels(test, net.head, net.head_mode, "test")
-    scores, seconds = _score_dataset(net, test, [nn.buffers(layer) for layer in net.layers])
-    return _report(net, scores, {"evaluate": seconds})
+    return _evaluate(net, test, [nn.buffers(layer) for layer in net.layers])
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +469,15 @@ def report_to_text(r: EvalReport, name: str = "model") -> str:
     check_report_name(name)
     lines = [REPORT_MAGIC, f"name {name}"]
     if r.accuracy is not None:
-        lines.append(f"accuracy {r.accuracy!r}")
+        lines.append(f"accuracy {float(r.accuracy)!r}")
     if r.auc_mean is not None:
-        lines.append(f"auc_mean {r.auc_mean!r}")
+        lines.append(f"auc_mean {float(r.auc_mean)!r}")
     if r.auc_per_task is not None:
-        lines.append("auc_per_task " + ",".join(repr(a) for a in r.auc_per_task))
+        lines.append("auc_per_task " + ",".join(repr(float(a)) for a in r.auc_per_task))
     lines.append(f"parameter_count {r.parameter_count}")
-    lines.append(f"sparsity {r.sparsity!r}")
+    lines.append(f"sparsity {float(r.sparsity)!r}")
     if r.effective_sparsity is not None:
-        lines.append(f"effective_sparsity {r.effective_sparsity!r}")
+        lines.append(f"effective_sparsity {float(r.effective_sparsity)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -553,28 +532,29 @@ def _b64(a: np.ndarray, dtype: np.dtype) -> str:
 # characters _unb64 decodes at a time: a multiple of 4, so each chunk starts a
 # quad and decodes on its own
 _B64_CHUNK = 1 << 16
-_B64_DIGITS = re.compile("[A-Za-z0-9+/]*")
-# whole quads, the last one padded if it is short; a full last quad may carry
-# one or two "=" (Python 3.10's b64decode and 3.11's strict decode both take those)
-_B64_LAST = re.compile("(?:[A-Za-z0-9+/]{4})*(?:[A-Za-z0-9+/]{2}==|[A-Za-z0-9+/]{3}=|[A-Za-z0-9+/]{4}={1,2})?")
 
 
 def _unb64(line: str, dtype: np.dtype, start: int) -> np.ndarray:
     """Inverse of _b64 on line[start:], as a fresh writable array; text that
-    is not base64 of whole items raises ValueError.
+    _b64 does not write for whole items raises ValueError.
 
     The text is decoded _B64_CHUNK characters at a time, each chunk read at
     its offset into line and written straight into the array, so neither the
-    text nor its bytes are held whole a second time.  It must be what
-    base64.b64decode(..., validate=True) takes on both Python 3.10 and 3.11.
-    The last chunk holds at least 6 characters, so the last quad and its
-    padding fall in it, and the chunks before it must hold digits only.
+    text nor its bytes are held whole a second time.  Each chunk must encode
+    back to its own text, which only canonical base64 does: digits alone,
+    padding only where needed and zero pad bits.  Only the last chunk, which
+    holds at least one character, may be padded: each chunk before it must
+    decode to _B64_CHUNK // 4 * 3 bytes.
     """
-    full = max(len(line) - start - 6, 0) // _B64_CHUNK
-    tail_at = start + full * _B64_CHUNK
-    if not _B64_LAST.fullmatch(line, tail_at):
-        raise ValueError("not padded base64")
-    tail = binascii.a2b_base64(line[tail_at:])
+
+    def decoded(text: str) -> bytes:
+        raw = binascii.a2b_base64(text)
+        if binascii.b2a_base64(raw, newline=False) != text.encode("ascii"):
+            raise ValueError("not canonical base64")
+        return raw
+
+    full = max(len(line) - start - 1, 0) // _B64_CHUNK
+    tail = decoded(line[start + full * _B64_CHUNK :])
     step = _B64_CHUNK // 4 * 3
     size = full * step + len(tail)
     if size % dtype.itemsize:
@@ -583,27 +563,28 @@ def _unb64(line: str, dtype: np.dtype, start: int) -> np.ndarray:
     raw = out.view(np.uint8)
     for k in range(full):
         lo = start + k * _B64_CHUNK
-        if not _B64_DIGITS.fullmatch(line, lo, lo + _B64_CHUNK):
-            raise ValueError("not padded base64")
-        raw[k * step : (k + 1) * step] = np.frombuffer(binascii.a2b_base64(line[lo : lo + _B64_CHUNK]), np.uint8)
+        chunk = decoded(line[lo : lo + _B64_CHUNK])
+        if len(chunk) != step:
+            raise ValueError("padding before the end of the text")
+        raw[k * step : (k + 1) * step] = np.frombuffer(chunk, np.uint8)
     raw[full * step :] = np.frombuffer(tail, np.uint8)
     return out.astype(dtype.newbyteorder("="), copy=False)
 
 
 def _config_lines(cfg: BuildConfig) -> list[str]:
     pol = cfg.policy
-    pol_s = pol.kind if pol.threshold is None else f"{pol.kind} {pol.threshold!r}"
+    pol_s = pol.kind if pol.threshold is None else f"{pol.kind} {float(pol.threshold)!r}"
     d = cfg.dae
     return [
         "config begin",
         "radius " + ",".join(str(r) for r in cfg.radius),
         "stride " + ",".join(str(s) for s in cfg.stride),
         f"depth {cfg.depth}",
-        f"global_fraction {cfg.global_fraction!r}",
+        f"global_fraction {float(cfg.global_fraction)!r}",
         f"policy {pol_s}",
-        f"dae {d.epochs} {d.batch_size} {d.step_size!r} {nn.Adam.beta1!r} {nn.Adam.beta2!r} {nn.Adam.eps!r} "
+        f"dae {d.epochs} {d.batch_size} {float(d.step_size)!r} {nn.Adam.beta1!r} {nn.Adam.beta2!r} {nn.Adam.eps!r} "
         f"{d.loss_family} {d.seed}",
-        f"corruption {cfg.corruption.kind} {cfg.corruption.rate!r} {cfg.corruption.seed}",
+        f"corruption {cfg.corruption.kind} {float(cfg.corruption.rate)!r} {cfg.corruption.seed}",
         f"seed {cfg.seed}",
         "config end",
     ]
@@ -693,17 +674,26 @@ def _naming(what: str, error: type[ValueError] = ModelFormatError):
         raise error(f"{what}: {e}") from None
 
 
+def _field(kind, text: str):
+    """kind(text); an int or a float must be its repr, as save writes it, so "1_0", "+1", "0.50",
+    a non-ASCII digit or a trailing tab raise ValueError."""
+    x = kind(text)
+    if kind in (int, float) and repr(x) != text:
+        raise ValueError(f"{text!r} is not written as {x!r}")
+    return x
+
+
 def _commas(kind):
     """A field converter: comma-separated values of kind, as a tuple."""
-    return lambda text: tuple(kind(x) for x in text.split(","))
+    return lambda text: tuple(_field(kind, x) for x in text.split(","))
 
 
 class _Reader:
     """The lines of a model file or report, read in the order save and
     report_to_text write them.  Each read names its line: the whole text, or
     a key and the fields after "key ".  Another line, a missing or left-over
-    line, a wrong field count or an unconvertible field raises
-    ModelFormatError naming the line by its number."""
+    line, a wrong field count, or a field _field refuses raises ModelFormatError naming
+    the line by its number, so a report or v2 model file that loads saves back to its bytes."""
 
     def __init__(self, lines: list[str]):
         self.lines = lines
@@ -744,7 +734,7 @@ class _Reader:
         """Each space-separated field after "key " on the next line, converted by kind; none if it is empty."""
         text = self.rest(key)
         with _naming(f"line {self.pos}: {key}"):
-            return [kind(x) for x in text.split(" ")] if text else []
+            return [_field(kind, x) for x in text.split(" ")] if text else []
 
     def fields(self, key: str, *kinds) -> list:
         """The fields after "key " on the next line: exactly one per kind, each converted by it."""
@@ -752,7 +742,7 @@ class _Reader:
         if len(found) != len(kinds):
             raise self.error(f"{key!r} takes {len(kinds)} field(s), found {len(found)}")
         with _naming(f"line {self.pos}: {key}"):
-            return [kind(x) for kind, x in zip(kinds, found)]
+            return [_field(kind, x) for kind, x in zip(kinds, found)]
 
     def optional(self, key: str, kind):
         """The one field after "key " on the next line, converted by kind, if the line has that key; else None."""

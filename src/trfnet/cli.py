@@ -399,11 +399,10 @@ def cmd_compare(args) -> Run | None:
     rows = []
     for path in args.reports:
         name, r = builder.load_report(path)
-        score = r.accuracy if r.accuracy is not None else r.auc_mean
         rows.append(
             (
                 name,
-                "-" if score is None else f"{score:.4f}",
+                "-" if r.score is None else f"{r.score:.4f}",
                 str(r.parameter_count),
                 f"{100 * r.sparsity:.2f}%",
                 "-" if r.effective_sparsity is None else f"{100 * r.effective_sparsity:.2f}%",

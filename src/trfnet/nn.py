@@ -236,12 +236,19 @@ def _weights(layer: MaskedLayer, buf: Buffers | None) -> np.ndarray:
 
 def _weight_gradient(layer: MaskedLayer, a: np.ndarray, b: np.ndarray, buf: Buffers | None, out=None) -> np.ndarray:
     """a.T @ b at the index, flat, into out (fresh if None): whole for a full layer, else gathered from
-    buf.g by np.take in mode "clip", which does not buffer out and clips nothing (MaskedLayer checked the index)."""
+    buf.g by np.take in mode "clip", which does not buffer out and clips nothing (MaskedLayer checked the index).
+    np.take copies a read-only index on each call, so the gather takes ADAM_BLOCK connections at a time
+    and copies one block of the index, never all of it."""
     if layer.index is None:
         shape = (layer.hidden_count, layer.visible_count)
         return np.matmul(a.T, b, out=None if out is None else out.reshape(shape)).reshape(-1)
     np.matmul(a.T, b, out=buf.g)
-    return np.take(buf.g.ravel(), layer.index, out=out, mode="clip")
+    if out is None:
+        out = np.empty(layer.index.size)
+    g = buf.g.ravel()
+    for lo in range(0, out.size, ADAM_BLOCK):
+        np.take(g, layer.index[lo : lo + ADAM_BLOCK], out=out[lo : lo + ADAM_BLOCK], mode="clip")
+    return out
 
 
 # rows of the init uniform drawn at a time, so no dense H x V array is built

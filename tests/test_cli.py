@@ -201,6 +201,18 @@ class TestBuildAndDownstream:
         assert f"error: {bad}: line 4: expected 'parameter_count', found 'accuracy 0.5'" in err
 
 
+    def test_compare_scores_a_multitask_report_by_its_auc_mean(self, tmp_path):
+        """The score column is EvalReport.score: the AUC mean without an accuracy, "-" with neither."""
+        multi, unscored = tmp_path / "multi.report", tmp_path / "unscored.report"
+        aucs = EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(0.75, -1.0), auc_mean=0.75)
+        save_report(aucs, multi, name="multi")
+        save_report(EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(-1.0, -1.0)), unscored, name="none")
+        out = tmp_path / "table.txt"
+        assert main(["compare", str(multi), str(unscored), "--out", str(out)]) == 0
+        rows = [ln.split() for ln in out.read_text().splitlines()[1:]]
+        assert rows == [["multi", "0.7500", "40", "50.00%", "-"], ["none", "-", "40", "50.00%", "-"]]
+
+
 class TestBaselineCommand:
     @pytest.mark.parametrize(
         "kind,extra",

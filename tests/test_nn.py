@@ -508,6 +508,18 @@ class TestLoopBuffers:
 
         assert repeat_allocation(step) < h * v * 8
 
+    def test_sparse_gather_copies_at_most_one_block_of_the_index(self):
+        """np.take copies a read-only index, so a sparse layer's weight gradient
+        is gathered nn.ADAM_BLOCK connections at a time: a gather into a bound
+        gradient allocates less than a quarter of the int64 index, where one
+        whole-index np.take allocates all of it, with the same bits."""
+        layer, rng = random_masked_layer(400, 2000, seed=89, density=0.3)
+        assert layer.index.size >= 200_000 and not layer.index.flags.writeable
+        a, b = rng.normal(size=(4, 400)), rng.normal(size=(4, 2000))
+        buf, out = nn.buffers(layer), np.empty(layer.values.size)
+        assert repeat_allocation(lambda: nn._weight_gradient(layer, a, b, buf, out)) < layer.index.nbytes / 4
+        assert out.tobytes() == buf.g.ravel()[layer.index].tobytes()
+
     def test_reused_pair_gives_a_fresh_pairs_bits(self):
         layer, rng = random_masked_layer(7, 9, seed=53)
         x = (rng.random((5, 9)) < 0.5).astype(np.float64)

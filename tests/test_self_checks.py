@@ -10,6 +10,7 @@ finetune, evaluate and save use it, so a field set since is caught there.
 
 import base64
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from test_builder import V1_FIXTURE, report_text_with, reseal, v1_fixture_network
 from trfnet import nn
 from trfnet.builder import (
+    BuildConfig,
     EvalReport,
     FinetuneHyper,
     TrfNetwork,
@@ -31,7 +33,8 @@ from trfnet.builder import (
     save,
     save_report,
 )
-from trfnet.data import Dataset
+from trfnet.dae import CorruptionConfig, DaeHyper
+from trfnet.data import FIXED, Dataset, DiscretizationPolicy
 from trfnet.errors import ModelFormatError
 from trfnet.receptive_field import ReceptiveFieldPlan
 
@@ -161,7 +164,22 @@ class TestRoundTrip:
         assert got_name == name
         save_report(back, d / "b.report", name=got_name)
         assert (d / "b.report").read_bytes() == (d / "a.report").read_bytes()
-        assert dataclasses.replace(back, wall_clock={}) == dataclasses.replace(report, wall_clock={})
+        assert back == report
+
+    def test_an_int_or_a_numpy_float_in_a_float_field_is_written_as_a_float(self, tmp_path):
+        """The readers take a float only as its repr, so save and save_report write repr(float(x))."""
+        report = EvalReport(
+            parameter_count=3, sparsity=1, accuracy=np.float64(0.5), auc_per_task=(1, np.float64(0.25)),
+            auc_mean=np.float64(0.625), effective_sparsity=0,
+        )
+        save_report(report, tmp_path / "a.report")
+        assert load_report(tmp_path / "a.report")[1] == report
+        config = BuildConfig(
+            global_fraction=0, policy=DiscretizationPolicy(FIXED, 0), dae=DaeHyper(step_size=1),
+            corruption=CorruptionConfig(rate=np.float64(0.5)),
+        )
+        save(TrfNetwork(layers=[layer_3x4()], plans=[None], config=config), tmp_path / "m.trf")
+        assert load(tmp_path / "m.trf").config == config
 
     @pytest.mark.parametrize("brk", LINE_BREAKS)
     def test_a_report_name_with_a_line_break_is_refused(self, tmp_path, brk):
@@ -451,10 +469,13 @@ def test_attach_head_refuses_an_unknown_mode():
 
 # ---------------------------------------------------------------------------
 # one edit never loads as another file: every line is read in the order save
-# and save_report write it, with exactly its fields
+# and save_report write it, with exactly its fields, each number as its repr
 # ---------------------------------------------------------------------------
 
 EDITS = ("repeat", "swap", "append", "insert")
+# edits inside one number field that int or float would still convert
+FIELD_EDITS = ("underscore", "non-ascii digit", "tab", "plus", "zero")
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?")
 
 
 def edited(lines: list[str], edit: str, i: int) -> list[str]:
@@ -467,6 +488,25 @@ def edited(lines: list[str], edit: str, i: int) -> list[str]:
     if edit == "append":
         return lines[:i] + [lines[i] + " x"] + lines[i + 1 :]
     return lines[:i] + ["bogus 1"] + lines[i:]
+
+
+def number_fields(line: str, floats_only: bool) -> list[tuple[int, int]]:
+    """The (start, end) of each space- or comma-separated number after a line's first word."""
+    found = [m.span() for m in re.finditer(r"[^ ,]+", line) if m.start() and NUMBER.fullmatch(m.group())]
+    return [(a, b) for a, b in found if not floats_only or re.search("[.e]", line[a:b])]
+
+
+def field_edited(line: str, edit: str, start: int, end: int) -> str:
+    """line with the number at [start, end) given a "_" before its last digit, that digit
+    written in Arabic-Indic, a tab after it, a "+" before it or a "0" after it (a float)."""
+    last = end - 1
+    if edit == "underscore":
+        return line[:last] + "_" + line[last:]
+    if edit == "non-ascii digit":
+        return line[:last] + chr(0x660 + int(line[last])) + line[end:]
+    if edit == "plus":
+        return line[:start] + "+" + line[start:]
+    return line[:end] + ("\t" if edit == "tab" else "0") + line[end:]
 
 
 @pytest.fixture(scope="module")
@@ -487,19 +527,30 @@ def edit_files(tmp_path_factory) -> dict[str, list[str]]:
 
 
 @pytest.mark.parametrize("kind", ["report", "v1", "v2"])
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(data=st.data())
 def test_one_edit_never_loads(tmp_path_factory, edit_files, kind, data):
     """Each line is read in the order save and save_report write it, with
-    exactly its fields, so every edit raises ModelFormatError: none loads,
-    not even as the same file.  A name is free text, so " x" is appended to
-    every other line only."""
+    exactly its fields, each number as its repr, so every edit raises
+    ModelFormatError: none loads, not even as the same file, and an edit
+    inside a number field names its line.  A name is free text, so " x" is
+    appended to every other line only, and its numbers are not edited."""
     lines = edit_files[kind]
-    edit = data.draw(st.sampled_from(EDITS))
-    last = {"repeat": len(lines) - 1, "swap": len(lines) - 2, "append": len(lines) - 1, "insert": len(lines)}[edit]
-    i = data.draw(st.integers(0, last).filter(lambda i: not (edit == "append" and lines[i].startswith("name "))))
-    lines = edited(lines, edit, i)
+    edit = data.draw(st.sampled_from(EDITS + FIELD_EDITS))
+    if edit in FIELD_EDITS:
+        spans = [
+            (i, span)
+            for i, ln in enumerate(lines)
+            if not ln.startswith("name ")
+            for span in number_fields(ln, floats_only=edit == "zero")
+        ]
+        i, (start, end) = data.draw(st.sampled_from(spans))
+        lines = lines[:i] + [field_edited(lines[i], edit, start, end)] + lines[i + 1 :]
+    else:
+        last = {"repeat": len(lines) - 1, "swap": len(lines) - 2, "append": len(lines) - 1, "insert": len(lines)}[edit]
+        i = data.draw(st.integers(0, last).filter(lambda i: not (edit == "append" and lines[i].startswith("name "))))
+        lines = edited(lines, edit, i)
     path = tmp_path_factory.mktemp("edited") / "in"
     path.write_bytes(reseal(lines) if kind == "v2" else ("\n".join(lines) + "\n").encode())
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match=rf"line {i + 1}: " if edit in FIELD_EDITS else None):
         load_report(path) if kind == "report" else load(path)
