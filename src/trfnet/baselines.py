@@ -23,6 +23,7 @@ from .builder import (
     n_classes,
 )
 from .data import Dataset
+from .errors import check_integers
 
 L1_DEAD_THRESHOLD = 1e-3
 
@@ -38,6 +39,7 @@ class DenseNetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(hidden_widths=tuple(self.hidden_widths))
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
             raise ValueError(f"hidden_widths must all be >= 1, got {self.hidden_widths}")

@@ -28,7 +28,7 @@ import numpy as np
 from . import nn
 from .dae import CorruptionConfig, DaeHyper, train_dae, project
 from .data import FIXED, Dataset, DiscretizationPolicy, discretize
-from .errors import EmptyStructureError, ModelFormatError
+from .errors import EmptyStructureError, ModelFormatError, check_integers
 from .receptive_field import ReceptiveFieldPlan, build_masks
 from .tree import chow_liu
 
@@ -41,12 +41,11 @@ REPORT_MAGIC = "trfnet-report v1"
 
 
 def _per_layer(value, depth: int, what: str) -> tuple[int, ...]:
-    if isinstance(value, (int, np.integer)):
-        return (int(value),) * depth
-    out = tuple(int(x) for x in value)
+    out = (value,) * depth if np.ndim(value) == 0 else tuple(value)
+    check_integers(**{what: out})
     if len(out) != depth:
         raise ValueError(f"{what} needs {depth} per-layer values, got {len(out)}")
-    return out
+    return tuple(int(x) for x in out)
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,7 @@ class BuildConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(depth=self.depth, seed=self.seed)
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
         object.__setattr__(self, "radius", _per_layer(self.radius, self.depth, "radius"))
@@ -189,6 +189,7 @@ class EvalReport:
     wall_clock: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        check_integers(parameter_count=self.parameter_count)
         if self.parameter_count < 0:
             raise ValueError(f"parameter_count {self.parameter_count} is negative")
         if not -1e-12 <= self.sparsity <= 1.0 + 1e-12:
@@ -272,6 +273,7 @@ class FinetuneHyper:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(epochs=self.epochs, batch_size=self.batch_size, patience=self.patience, seed=self.seed)
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ValueError("epochs, batch_size, and patience must be >= 1")
         if not (math.isfinite(self.step_size) and self.step_size > 0):

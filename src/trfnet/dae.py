@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .data import BinaryDataset, Dataset, DiscretizationPolicy, discretize
-from .errors import DomainError
+from .errors import DomainError, check_integers
 
 MASKING = "masking"
 GAUSSIAN_ADDITIVE = "gaussian-additive"
@@ -32,6 +32,7 @@ class CorruptionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(seed=self.seed)
         if self.kind == MASKING:
             if not 0.0 <= self.rate <= 1.0:
                 raise ValueError(f"masking rate must be in [0, 1], got {self.rate}")
@@ -51,6 +52,7 @@ class DaeHyper:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -123,10 +125,10 @@ def project(layer: nn.MaskedLayer, d: Dataset) -> tuple[Dataset, BinaryDataset]:
     """Map data through a trained encoder.
 
     Returns (probabilities, binary): sigmoid activations as a real dataset of
-    width H, and their strict > 0.5 threshold for structure learning.  Labels
-    ride along; feature names do not (hidden units are anonymous).  The dense
-    input is a temporary that the forward frees after its product, and the
-    sigmoid runs in place on that product.
+    width H, and the ones of their strict > 0.5 threshold (a BinaryDataset,
+    for structure learning).  Labels ride along; feature names do not.  The
+    dense input is a temporary that the forward frees after its product, and
+    the sigmoid runs in place on that product.
     """
     if d.n_features != layer.visible_count:
         raise ValueError(f"data width {d.n_features} != layer width {layer.visible_count}")

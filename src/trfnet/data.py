@@ -12,9 +12,9 @@ A Dataset holds its N x V matrix one of two ways, and only that way: a dense
 float64 array (CSV input, projected layers, arrays given by a caller) or
 the matrix's nonzeros, row by row (bag-of-words counts, as load_sparse_bow
 and synth.news_corpus make them).  Subsets, splits, the bag-of-words
-writer and discretize work on the nonzeros of a count corpus, and
-discretize hands a BinaryDataset of the same kind to the mutual-information
-code, which reads the ones as (row, column) pairs either way.  Dense rows of
+writer and discretize work on the nonzeros of a count corpus.  A binary
+matrix, from any source, is a BinaryDataset: the Nonzeros of its int8 ones,
+which the mutual-information code reads as (row, column) pairs.  Dense rows of
 a count corpus are made only where the math reads them -- Dataset.rows for
 a training batch, Dataset.dense for one scoring, projection or
 interpretation call -- and dropped after it; none is stored.
@@ -54,20 +54,16 @@ class _Fresh:
         self.array = array
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """values as a read-only array of dtype: a _Fresh array of that dtype is frozen in place, anything else copied."""
+def _frozen(values, dtype=None) -> np.ndarray:
+    """values as a read-only array of dtype (by default its own): a _Fresh array of that dtype is frozen in place, anything else copied."""
     if isinstance(values, _Fresh):
         values = values.array
-        if values.dtype == dtype:
+        if dtype is None or values.dtype == dtype:
             values.setflags(write=False)
             return values
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
-
-
-def _given(values) -> np.ndarray:
-    return values.array if isinstance(values, _Fresh) else np.asarray(values)
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,7 @@ class Nonzeros:
 
     Row i holds entries[indptr[i]:indptr[i + 1]] at columns[indptr[i]:indptr[i + 1]],
     columns strictly rising; every other entry is 0.  Entries are finite
-    and above 0 -- counts, or the ones of a binary matrix -- and keep their
+    and above 0 -- counts, or the int8 ones of a BinaryDataset -- and keep their
     dtype.  The arrays are made read-only (copied unless this module just
     made them), so a Nonzeros can be shared.
     """
@@ -90,7 +86,7 @@ class Nonzeros:
         n, v = (int(x) for x in self.shape)
         indptr = _frozen(self.indptr, np.int64)
         columns = _frozen(self.columns, np.int64)
-        entries = _frozen(self.entries, _given(self.entries).dtype)
+        entries = _frozen(self.entries)
         if indptr.shape != (n + 1,) or indptr[0] != 0 or (np.diff(indptr) < 0).any():
             raise ValueError(f"indptr must rise from 0 in {n + 1} steps")
         if columns.shape != (indptr[-1],) or entries.shape != columns.shape:
@@ -130,12 +126,12 @@ class Nonzeros:
         out[np.repeat(np.arange(idx.size), count), self.columns[pos]] = self.entries[pos]
         return out
 
-    def ones_at(self, kept: np.ndarray) -> "Nonzeros":
-        """A binary matrix of int8 ones at the entries where kept is True."""
+    def ones_at(self, kept: np.ndarray) -> "BinaryDataset":
+        """The binary matrix with a 1 at each entry where kept is True, a 0 everywhere else."""
         before = np.concatenate(([0], np.cumsum(kept)))
         ones = np.ones(int(before[-1]), dtype=np.int8)
         columns = self.columns if ones.size == self.columns.size else self.columns[kept]
-        return Nonzeros(self.shape, _Fresh(before[self.indptr]), _Fresh(columns), _Fresh(ones))
+        return BinaryDataset(self.shape, _Fresh(before[self.indptr]), _Fresh(columns), _Fresh(ones))
 
 
 def _row_index(n: int, indices) -> np.ndarray:
@@ -283,48 +279,37 @@ class DiscretizationPolicy:
 
 
 @dataclass(frozen=True)
-class BinaryDataset:
-    """An N x V matrix of {0, 1} values, as discretize makes it from a Dataset.
+class BinaryDataset(Nonzeros):
+    """An N x V matrix of {0, 1} values held as its ones: a Nonzeros whose entries are int8 ones.
 
-    values is a dense int8 array, or a Nonzeros whose entries are int8 ones
-    (what discretize makes from a count corpus).  The dense values are
-    copied to a read-only int8 array, except discretize's own fresh array,
-    which is frozen in place.
+    Nonzeros.ones_at makes one from the entries it keeps, BinaryDataset.of from a dense 0/1 matrix.
     """
 
-    values: np.ndarray | Nonzeros
-
     def __post_init__(self):
-        if isinstance(self.values, Nonzeros):
-            entries = self.values.entries
-            if entries.dtype != np.int8 or (entries != 1).any():
-                raise ValueError("binary nonzeros must be int8 ones")
-            return
-        given = _given(self.values)
-        if given.ndim != 2:
-            raise ValueError(f"binary values must be 2-D, got shape {given.shape}")
-        if given.dtype == np.int8:
-            binary = (given.view(np.uint8) <= 1).all()  # -1 reads as 255; no widened copy
-        else:
-            binary = np.isin(given, (0, 1)).all()
-        if not binary:
+        super().__post_init__()
+        if self.entries.dtype != np.int8 or (self.entries != 1).any():
+            raise ValueError("binary nonzeros must be int8 ones")
+
+    @classmethod
+    def of(cls, x) -> "BinaryDataset":
+        """The ones of a dense 2-D matrix of 0/1 numbers or bools, row by row."""
+        x = np.asarray(x)
+        if x.ndim != 2:
+            raise ValueError(f"binary values must be 2-D, got shape {x.shape}")
+        at = np.flatnonzero(x)  # the flat scan is several times faster than a 2-D nonzero
+        if not (np.take(x, at) == 1).all():
             raise ValueError("binary values must be exactly 0 or 1")
-        object.__setattr__(self, "values", _frozen(self.values, np.int8))
+        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(x, axis=1))))
+        columns = np.remainder(at, x.shape[1], out=at)
+        return cls(x.shape, _Fresh(indptr), _Fresh(columns), _Fresh(np.ones(at.size, dtype=np.int8)))
 
     @property
     def n_samples(self) -> int:
-        return self.values.shape[0]
+        return self.shape[0]
 
     @property
     def n_features(self) -> int:
-        return self.values.shape[1]
-
-    def ones(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, columns) of every 1, in row-major order."""
-        if isinstance(self.values, Nonzeros):
-            return self.values.row_ids(), self.values.columns
-        # 0/1 bytes read as bool: the flat scan is several times faster than a 2-D nonzero
-        return np.divmod(np.flatnonzero(self.values.view(bool)), self.n_features)
+        return self.shape[1]
 
 
 def load_dense_csv(path, has_labels: bool = False) -> Dataset:
@@ -545,26 +530,23 @@ def discretize(d: Dataset, policy: DiscretizationPolicy) -> BinaryDataset:
 
     median-threshold compares each entry against its feature's median (the
     midpoint of the two central order statistics for even N); fixed-threshold
-    compares against the given constant.  Both use strict ``>``.  Nonzeros
-    give nonzeros: a zero stays 0 under every threshold at or above 0, which
-    a median of counts always is; a fixed threshold below 0 makes every zero
-    a 1 and works on the dense matrix.
+    compares against the given constant.  Both use strict ``>``; already-binary
+    checks for 0/1 values, then thresholds at 0.  Nonzeros give nonzeros: a
+    zero stays 0 under every threshold at or above 0, which a median of
+    counts always is; a fixed threshold below 0 makes every zero a 1 and,
+    like dense values, goes through the dense matrix and BinaryDataset.of.
     """
-    nz = d.values if isinstance(d.values, Nonzeros) else None
     if policy.kind == ALREADY_BINARY:
         if not d.is_binary():
             raise PolicyViolationError("already-binary policy given non-binary values")
-        if nz is not None:
-            return BinaryDataset(nz.ones_at(np.ones(nz.entries.size, dtype=bool)))
-        return BinaryDataset(_Fresh(d.values.astype(np.int8)))
-    if nz is not None and policy.kind == MEDIAN:
-        return BinaryDataset(nz.ones_at(nz.entries > _column_medians(nz)[nz.columns]))
-    if nz is not None and policy.threshold >= 0:
-        return BinaryDataset(nz.ones_at(nz.entries > policy.threshold))
+        policy = DiscretizationPolicy.fixed(0.0)
+    if isinstance(d.values, Nonzeros) and (policy.kind == MEDIAN or policy.threshold >= 0):
+        nz = d.values
+        threshold = _column_medians(nz)[nz.columns] if policy.kind == MEDIAN else policy.threshold
+        return nz.ones_at(nz.entries > threshold)
     values = d.dense()
     threshold = np.median(values, axis=0) if policy.kind == MEDIAN else policy.threshold
-    binary = (values > threshold).view(np.int8)  # a bool is one byte of 0 or 1
-    return BinaryDataset(_Fresh(binary))
+    return BinaryDataset.of(values > threshold)
 
 
 def check_split_fractions(train_frac: float, valid_frac: float) -> None:

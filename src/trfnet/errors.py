@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer check every config shares."""
+
+import numbers
 
 
 class DataFormatError(ValueError):
@@ -31,3 +33,11 @@ class NoCoverageError(RuntimeError):
 
 class DegenerateUnitWarning(UserWarning):
     """A hidden unit has constant activation; correlations are all zero."""
+
+
+def check_integers(**fields) -> None:
+    """ValueError naming the first field that is not a Python or numpy integer (not a bool); tuples entry by entry."""
+    for name, value in fields.items():
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {x!r}")

@@ -10,8 +10,8 @@ streams the strict upper triangle in row blocks from dense co-occurrence
 products; MiPairs counts co-occurrences from each row's nonzero columns and
 lists only the pairs that co-occur, with one table of marginal levels for
 every other pair.  mi_source picks the cheaper one for a dataset.  All three
-read the data through BinaryDataset.ones, the (row, column) pairs of its
-ones, so a corpus held as its nonzeros is never made dense for MiPairs.
+read a BinaryDataset, the Nonzeros of its ones: row pointers and (row,
+column) pairs, so MiPairs never makes a binary matrix dense.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ class MiBlocks:
 
     Iterating yields (lo, block) per MI_ROW_BLOCK rows: block holds rows
     lo:hi against columns lo:, with zeros on and below the diagonal.  Each
-    iteration computes the blocks afresh and keeps none, so the whole V x V
-    matrix is never held.
+    iteration computes the blocks afresh from data's ones and keeps none, so
+    the whole V x V matrix is never held.
     """
 
     data: BinaryDataset
@@ -90,7 +90,7 @@ class MiBlocks:
         d = self.data
         n_samples = float(d.n_samples)
         v = d.n_features
-        rows, cols = d.ones()
+        rows, cols = d.row_ids(), d.columns
         # features as rows, so every block product reads contiguous memory
         xt = np.zeros((v, d.n_samples), dtype=_count_dtype(d.n_samples))
         xt[cols, rows] = 1
@@ -248,7 +248,7 @@ def _same_root_counts(roots: np.ndarray, level: np.ndarray, n_levels: int) -> np
 
 @dataclass(frozen=True)
 class MiPairs:
-    """The MI of data's feature pairs from its nonzeros, computed on demand by compute().
+    """The MI of data's feature pairs from its ones, row by row, computed on demand by compute().
 
     Meant for sparse data: the work grows with the co-occurrence increments
     (sum over rows of L(L - 1) / 2 for a row of L ones), not with V^2.
@@ -268,7 +268,7 @@ class MiPairs:
         bits agree.
         """
         d = self.data
-        rows, cols = d.ones()
+        rows, cols = d.row_ids(), d.columns
         ones = np.bincount(cols, minlength=d.n_features).astype(np.float64)
         levels, level = np.unique(ones, return_inverse=True)
         absent = _pair_mi(0.0, levels[:, None], levels[None, :], float(d.n_samples))
@@ -286,7 +286,7 @@ class MiPairs:
         """
         n_samples = float(self.data.n_samples)
         v = self.n_features
-        row_end = np.cumsum(np.bincount(rows, minlength=self.data.n_samples))[rows]
+        row_end = self.data.indptr[1:][rows]
         by_col = np.argsort(cols, kind="stable")
         col_start = np.searchsorted(cols[by_col], np.arange(v + 1))
         # increments generated before each column's first entry, in column order
@@ -303,12 +303,12 @@ class MiPairs:
 
 
 def mi_source(d: BinaryDataset) -> MiPairs | MiBlocks:
-    """MiPairs when the co-occurrence increments are few against the V^2 / 2 pairs, else MiBlocks.
+    """MiPairs when the co-occurrence increments (from d's row pointers) are few against the V^2 / 2 pairs, else MiBlocks.
 
     Both give the same weights, bit for bit; PAIR_PATH_MIN_RATIO says where
     the list is the cheaper of the two.
     """
-    per_row = np.bincount(d.ones()[0], minlength=d.n_samples).astype(np.float64)
+    per_row = np.diff(d.indptr).astype(np.float64)
     increments = float(np.sum(per_row * (per_row - 1) / 2))
     pairs = float(d.n_features) ** 2 / 2
     return MiPairs(d) if pairs >= PAIR_PATH_MIN_RATIO * increments else MiBlocks(d)

@@ -239,9 +239,9 @@ def max_spanning_tree(weights: MiBlocks | MiPairs) -> ChowLiuTree:
 def chow_liu(bd: BinaryDataset) -> ChowLiuTree:
     """Weight feature pairs by mutual information and keep the best tree.
 
-    stats.mi_source picks the weights: the pair list for sparse data, else
-    the MI row blocks, which stream straight into the band selection.  The
-    tree is the same either way.
+    stats.mi_source picks the weights from bd's ones, however bd was made:
+    the pair list for sparse data, else the MI row blocks, which stream
+    straight into the band selection.  The tree is the same either way.
     """
     return max_spanning_tree(mi_source(bd))
 

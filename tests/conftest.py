@@ -169,7 +169,7 @@ def sparse_binaries(draw, v_range):
         x[:, j] = x[:, rng.integers(v)]
     for j in np.flatnonzero(kind == 4):
         x[:, j] = ~x[:, rng.integers(v)]
-    return BinaryDataset(x.astype(np.int8))
+    return BinaryDataset.of(x)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -66,11 +66,12 @@ def pair_counts(d, s: int, t: int) -> ContingencyCounts:
     """Exact joint counts of features s and t over all samples."""
     if s == t:
         raise ValueError(f"need two distinct features, got s = t = {s}")
-    n_samples, v = d.values.shape
+    n_samples, v = d.shape
     if not (0 <= s < v and 0 <= t < v):
         raise ValueError(f"feature indices out of range: s={s}, t={t}, V={v}")
-    xs = d.values[:, s].astype(np.int64)
-    xt = d.values[:, t].astype(np.int64)
+    x = d.rows(np.arange(n_samples))
+    xs = x[:, s].astype(np.int64)
+    xt = x[:, t].astype(np.int64)
     n11 = int((xs & xt).sum())
     n1_ = int(xs.sum())
     n_1 = int(xt.sum())
@@ -109,7 +110,7 @@ def marginal_log_prob_sum(d) -> float:
 
     This is the negated total marginal entropy of the dataset.
     """
-    x = d.values.astype(np.float64)
+    x = d.rows(np.arange(d.n_samples)).astype(np.float64)
     n = float(x.shape[0])
     counts = np.stack([n - x.sum(axis=0), x.sum(axis=0)])
     p = counts / n
@@ -126,7 +127,7 @@ def max_log_likelihood(t, d) -> float:
     their total edge mutual information.  t is anything with node_count and
     (u, v, weight) edges.
     """
-    n_samples, v = d.values.shape
+    n_samples, v = d.shape
     if t.node_count != v:
         raise ValueError(f"tree has {t.node_count} nodes but data has {v} features")
     edge_mi = sum(empirical_mi(pair_counts(d, u, w)) for u, w, _ in t.edges)

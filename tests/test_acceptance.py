@@ -165,9 +165,9 @@ def test_criterion_02_mutual_information_oracle():
         assert mi >= -1e-12
         # the library's all-pairs path on the two-column dataset realising the table
         rows = np.repeat([[0, 0], [0, 1], [1, 0], [1, 1]], cells, axis=0)
-        lib = mi_matrix(BinaryDataset(rows))[0, 1]
+        lib = mi_matrix(BinaryDataset.of(rows))[0, 1]
         worst = max(worst, abs(lib - mi_reference(table)))
-        swapped = mi_matrix(BinaryDataset(rows[:, ::-1]))[0, 1]
+        swapped = mi_matrix(BinaryDataset.of(rows[:, ::-1]))[0, 1]
         assert np.float64(swapped).tobytes() == np.float64(lib).tobytes()
     check(
         2,

@@ -122,7 +122,7 @@ class TestProject:
         d = random_binary_dataset(10, 4, seed=1)
         probs, hard = project(layer, d)
         np.testing.assert_array_equal(probs.values, 0.5)
-        np.testing.assert_array_equal(hard.values, 0)  # strict > 0.5
+        np.testing.assert_array_equal(hard.rows(np.arange(hard.n_samples)), 0)  # strict > 0.5
 
     def test_threshold(self):
         layer = nn.MaskedLayer(
@@ -134,8 +134,8 @@ class TestProject:
         d = random_binary_dataset(5, 4, seed=2)
         probs, hard = project(layer, d)
         assert probs.values[0, 0] == pytest.approx(0.7, abs=1e-12)
-        np.testing.assert_array_equal(hard.values[:, 0], 1)
-        np.testing.assert_array_equal(hard.values[:, 1], 0)
+        np.testing.assert_array_equal(hard.rows(np.arange(hard.n_samples))[:, 0], 1)
+        np.testing.assert_array_equal(hard.rows(np.arange(hard.n_samples))[:, 1], 0)
 
     def test_projected_width_is_hidden_count(self, small_corpus):
         mask = dense_mask(9, small_corpus.n_features)
@@ -153,7 +153,7 @@ class TestProject:
         layer, _ = train_dae(*mask, small_corpus, CorruptionConfig(), DaeHyper(epochs=2, seed=3))
         probs, hard = project(layer, small_corpus)
         assert (probs.values > 0).all() and (probs.values < 1).all()
-        np.testing.assert_array_equal(hard.values, (probs.values > 0.5).astype(np.int8))
+        np.testing.assert_array_equal(hard.rows(np.arange(hard.n_samples)), (probs.values > 0.5).astype(np.int8))
 
 
 class TestProjectMemory:
@@ -184,7 +184,7 @@ class TestProjectMemory:
         w.ravel()[layer.index] = layer.values
         expected = nn.sigmoid(counts @ w.T + layer.bias_hidden)
         assert probs.values.tobytes() == expected.tobytes()
-        np.testing.assert_array_equal(hard.values, (expected > 0.5).astype(np.int8))
+        np.testing.assert_array_equal(hard.rows(np.arange(hard.n_samples)), (expected > 0.5).astype(np.int8))
 
 
 class TestDaeBernoulliLoss:

@@ -226,9 +226,9 @@ class TestCopyFreeContainers:
         a[0, 0] = 7.0
         assert d.values[0, 0] == 0.0 and a.flags.writeable
         b = np.zeros((3, 4), dtype=np.int8)
-        bd = BinaryDataset(b)
+        bd = BinaryDataset.of(b)
         b[0, 0] = 1
-        assert bd.values[0, 0] == 0 and b.flags.writeable
+        assert bd.rows(np.arange(3))[0, 0] == 0 and b.flags.writeable
 
     def test_subset_rows_are_frozen(self):
         d = Dataset(np.arange(12.0).reshape(4, 3), labels=np.arange(4))
@@ -245,8 +245,8 @@ class TestCopyFreeContainers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        np.testing.assert_array_equal(bd.values, d.values > 0)
-        assert bd.values.dtype == np.int8 and not bd.values.flags.writeable
+        np.testing.assert_array_equal(bd.rows(np.arange(n)), d.values > 0)
+        assert bd.entries.dtype == np.int8 and not bd.columns.flags.writeable
         # the comparison's bytes and one check's bytes; a cast or a copy would add N * V more
         assert peak < 2.5 * n * v
 
@@ -255,18 +255,18 @@ class TestDiscretize:
     def test_median_split(self):
         d = Dataset(np.array([[1.0, 0], [2, 0], [3, 1], [4, 1]]))
         b = discretize(d, DiscretizationPolicy.median())
-        np.testing.assert_array_equal(b.values[:, 0], [0, 0, 1, 1])
+        np.testing.assert_array_equal(b.rows(np.arange(4))[:, 0], [0, 0, 1, 1])
 
     def test_fixed_zero_on_binary_is_identity(self):
         values = np.array([[0.0, 1], [1, 0], [1, 1]])
         d = Dataset(values)
         b = discretize(d, DiscretizationPolicy.fixed(0.0))
-        np.testing.assert_array_equal(b.values, values)
+        np.testing.assert_array_equal(b.rows(np.arange(3)), values)
 
     def test_ties_go_to_zero(self):
         d = Dataset(np.array([[5.0, 1], [5, 2], [5, 3], [5, 4]]))
         b = discretize(d, DiscretizationPolicy.median())
-        np.testing.assert_array_equal(b.values[:, 0], [0, 0, 0, 0])
+        np.testing.assert_array_equal(b.rows(np.arange(4))[:, 0], [0, 0, 0, 0])
 
     def test_already_binary_rejects_other_values(self):
         d = Dataset(np.array([[0.0, 2.0], [1.0, 0.0]]))
@@ -277,9 +277,9 @@ class TestDiscretize:
         d = Dataset(np.array([[0.0, 1], [1, 0], [1, 1]]))
         once = discretize(d, DiscretizationPolicy.already_binary())
         again = discretize(
-            Dataset(once.values.astype(np.float64)), DiscretizationPolicy.already_binary()
+            Dataset(once.rows(np.arange(3)).astype(np.float64)), DiscretizationPolicy.already_binary()
         )
-        np.testing.assert_array_equal(once.values, again.values)
+        np.testing.assert_array_equal(once.rows(np.arange(3)), again.rows(np.arange(3)))
 
     def test_source_untouched(self):
         values = np.array([[1.0, 4.0], [3.0, 2.0]])
@@ -331,19 +331,23 @@ class TestBinaryDataset:
     @pytest.mark.parametrize("bad", [0.5, 256, -1, 2])
     def test_non_binary_value_rejected_before_the_cast(self, bad):
         with pytest.raises(ValueError, match="exactly 0 or 1"):
-            BinaryDataset(np.array([[bad, 1.0], [0, 0]]))
+            BinaryDataset.of(np.array([[bad, 1.0], [0, 0]]))
 
-    # int8 is checked as unsigned bytes, where -1 reads as 255
     @pytest.mark.parametrize("bad", [2, -1, 127, -128])
     def test_int8_value_other_than_0_and_1_rejected(self, bad):
         with pytest.raises(ValueError, match="exactly 0 or 1"):
-            BinaryDataset(np.array([[0, 1, 1], [1, bad, 0]], dtype=np.int8))
+            BinaryDataset.of(np.array([[0, 1, 1], [1, bad, 0]], dtype=np.int8))
+
+    @pytest.mark.parametrize("entries", [np.ones(2), np.array([1, 2], dtype=np.int8)], ids=["float64", "two"])
+    def test_entries_must_be_int8_ones(self, entries):
+        with pytest.raises(ValueError, match="int8 ones"):
+            BinaryDataset((2, 3), np.array([0, 1, 2]), np.array([0, 2]), entries)
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.float64])
     def test_zero_one_values_accepted(self, dtype):
-        b = BinaryDataset(np.array([[0, 1], [1, 0]], dtype=dtype))
-        assert b.values.dtype == np.int8
-        np.testing.assert_array_equal(b.values, [[0, 1], [1, 0]])
+        b = BinaryDataset.of(np.array([[0, 1], [1, 0]], dtype=dtype))
+        assert b.entries.dtype == np.int8
+        np.testing.assert_array_equal(b.rows(np.arange(2)), [[0, 1], [1, 0]])
 
 
 class TestDatasetInvariants:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from test_builder import V1_FIXTURE, report_text_with, reseal, v1_fixture_network
 from trfnet import nn
+from trfnet.baselines import DenseNetConfig
 from trfnet.builder import (
     BuildConfig,
     EvalReport,
@@ -320,6 +321,40 @@ class TestEvalReport:
     def test_fields_are_fixed(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             EvalReport(parameter_count=10, sparsity=0.5).effective_sparsity = 0.5
+
+
+# every integer field of a config or report, made with the value x
+INTEGER_FIELDS = {
+    "BuildConfig.depth": lambda x: BuildConfig(depth=x),
+    "BuildConfig.seed": lambda x: BuildConfig(seed=x),
+    "BuildConfig.radius": lambda x: BuildConfig(radius=(2, x), depth=2),
+    "BuildConfig.stride": lambda x: BuildConfig(stride=(x, 2), depth=2),
+    "DaeHyper.epochs": lambda x: DaeHyper(epochs=x),
+    "DaeHyper.batch_size": lambda x: DaeHyper(batch_size=x),
+    "DaeHyper.seed": lambda x: DaeHyper(seed=x),
+    "CorruptionConfig.seed": lambda x: CorruptionConfig(seed=x),
+    "FinetuneHyper.epochs": lambda x: FinetuneHyper(epochs=x),
+    "FinetuneHyper.batch_size": lambda x: FinetuneHyper(batch_size=x),
+    "FinetuneHyper.patience": lambda x: FinetuneHyper(patience=x),
+    "FinetuneHyper.seed": lambda x: FinetuneHyper(seed=x),
+    "DenseNetConfig.epochs": lambda x: DenseNetConfig(epochs=x),
+    "DenseNetConfig.batch_size": lambda x: DenseNetConfig(batch_size=x),
+    "DenseNetConfig.patience": lambda x: DenseNetConfig(patience=x),
+    "DenseNetConfig.seed": lambda x: DenseNetConfig(seed=x),
+    "DenseNetConfig.hidden_widths": lambda x: DenseNetConfig(hidden_widths=(64, x)),
+    "EvalReport.parameter_count": lambda x: EvalReport(parameter_count=x, sparsity=0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, "2"], ids=["float", "fraction", "bool", "str"])
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_field_takes_integers_only(field, bad):
+    make = INTEGER_FIELDS[field]
+    # the message starts with the field, as the command line maps it to its flag
+    with pytest.raises(ValueError, match=f"^{field.split('.')[1]} must be an integer, got {bad!r}$"):
+        make(bad)
+    make(2)
+    make(np.int64(2))
 
 
 class TestDefectInAFile:

@@ -17,7 +17,7 @@ MI_40_10 = 0.19274475702175753
 
 
 def binary(values) -> BinaryDataset:
-    return BinaryDataset(np.asarray(values, dtype=np.int8))
+    return BinaryDataset.of(values)
 
 
 tables = st.tuples(
@@ -120,7 +120,7 @@ def bits(x) -> bytes:
 
 def untiled_mi_matrix(bd: BinaryDataset) -> np.ndarray:
     """The one-shot V x V formula, kept as the reference for the row-block version."""
-    x = bd.values.astype(np.float64)
+    x = bd.rows(np.arange(bd.n_samples)).astype(np.float64)
     n = float(bd.n_samples)
     ones = x.sum(axis=0)
     n11 = x.T @ x
@@ -218,7 +218,7 @@ class TestCountDtype:
 
 def brute_pairs(bd: BinaryDataset, roots=None):
     """Every pair u < t (ends in different roots when roots is given) as (co-occurs, level pair)."""
-    x = bd.values.astype(np.int64)
+    x = bd.rows(np.arange(bd.n_samples)).astype(np.int64)
     joint = x.T @ x
     ones = x.sum(axis=0)
     level = np.unique(ones, return_inverse=True)[1]
@@ -243,7 +243,7 @@ class TestPairList:
         assert mi.keys.tolist() == sorted(key for key, (co, _) in pairs.items() if co)
         for key, w in zip(mi.keys.tolist(), mi.weights.tolist()):
             assert bits(w) == bits(m[key // v, key % v])
-        np.testing.assert_array_equal(mi.levels[mi.level], bd.values.sum(axis=0))
+        np.testing.assert_array_equal(mi.levels[mi.level], bd.rows(np.arange(bd.n_samples)).sum(axis=0))
         for key, (co, _) in pairs.items():
             u, t = divmod(key, v)
             if not co:

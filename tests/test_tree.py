@@ -26,7 +26,7 @@ from oracles import (
     pair_counts,
     tree_loglik_reference,
 )
-from trfnet.data import BinaryDataset, Dataset, DiscretizationPolicy, discretize
+from trfnet.data import BinaryDataset, Dataset, DiscretizationPolicy, discretize, split
 from trfnet import stats
 from trfnet import tree as tree_module
 from trfnet.stats import MiBlocks, MiPairs, mi_matrix, mi_source
@@ -55,7 +55,7 @@ def random_mi_matrix(n, seed):
 
 
 def as_binary(d: Dataset) -> BinaryDataset:
-    return BinaryDataset(d.values.astype(np.int8))
+    return BinaryDataset.of(d.values)
 
 
 random_trees = st.integers(3, 10).flatmap(
@@ -187,7 +187,7 @@ class TestPrefixKruskal:
         x |= rng.random(x.shape) < 0.02
         never, always = np.zeros((n, 3), dtype=bool), np.ones((n, 2), dtype=bool)
         values = np.column_stack([never[:, :1], x[:, :20], always[:, :1], x[:, 20:], never[:, 1:], always[:, 1:]])
-        m = mi_matrix(BinaryDataset(values.astype(np.int8)))
+        m = mi_matrix(BinaryDataset.of(values))
         with mock.patch.object(tree_module, "PREFIX_EDGES_PER_NODE", per_node):
             t = max_spanning_tree(MatrixBlocks(m))
         assert t.edges == full_order_kruskal(m)
@@ -296,8 +296,8 @@ class TestPairList:
         sparse = np.zeros((40, 50), dtype=np.int8)
         sparse[np.arange(40), np.arange(40) % 50] = 1
         sparse[np.arange(40), (np.arange(40) + 7) % 50] = 1
-        assert isinstance(mi_source(BinaryDataset(sparse)), MiPairs)
-        assert isinstance(mi_source(BinaryDataset(np.ones((40, 50), dtype=np.int8))), MiBlocks)
+        assert isinstance(mi_source(BinaryDataset.of(sparse)), MiPairs)
+        assert isinstance(mi_source(BinaryDataset.of(np.ones((40, 50), dtype=np.int8))), MiBlocks)
 
     def test_absent_pairs_enter_the_first_band(self):
         # columns 2i and 2i + 1 are complements: they never co-occur, and each
@@ -306,7 +306,7 @@ class TestPairList:
         base = rng.random((80, 10)) < 0.5
         noise = rng.random((80, 20)) < 0.05
         x = np.column_stack([np.column_stack([base[:, i], ~base[:, i]]) for i in range(10)] + [noise])
-        bd = BinaryDataset(x.astype(np.int8))
+        bd = BinaryDataset.of(x)
         mi = tree_module._clamped(MiPairs(bd).compute())
         _, keys = tree_module._pair_band(mi, 10, None)
         absent = keys[~np.isin(keys, mi.keys)]
@@ -356,6 +356,17 @@ class TestChowLiu:
         d = random_binary_dataset(50, 2, seed=2)
         t = chow_liu(as_binary(d))
         assert edge_pairs(t) == {(0, 1)}
+
+    def test_layer_zero_tree_joins_every_planted_block(self):
+        # 100 planted blocks of 16 topic words (words 0-1599, block j // 16), so at
+        # most 100 x 15 tree edges can join two words of one block
+        corpus = news_corpus(n_docs=2000, vocab_size=2000, block_size=16, confusion=0.025, seed=0)
+        train, _, _ = split(corpus, 0.7, 0.15, seed=0)
+        t = chow_liu(discretize(train, DiscretizationPolicy.fixed(0.0)))
+        assert sum(u < 1600 and v < 1600 and u // 16 == v // 16 for u, v, _ in t.edges) == 1500
+        # the dense route into a BinaryDataset finds the same ones, so the same tree
+        dense = Dataset(train.dense(), train.feature_names, train.labels)
+        assert chow_liu(discretize(dense, DiscretizationPolicy.fixed(0.0))).edges == t.edges
 
     def test_stored_weights_are_mi(self):
         d = random_binary_dataset(120, 5, seed=8)
