@@ -9,7 +9,7 @@ nn.MaskedLayer); pruning keeps a subset of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,32 +29,24 @@ L1_DEAD_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
-class DenseNetConfig:
+class DenseNetConfig(FinetuneHyper):
+    """A FinetuneHyper plus hidden widths; a dense net trains with FinetuneHyper's activation and reinit."""
+
+    activation: str = field(default=FinetuneHyper.activation, init=False)
+    reinit: bool = field(default=FinetuneHyper.reinit, init=False)
     hidden_widths: tuple[int, ...] = (64,)
-    dropout_rate: float = 0.5
-    epochs: int = 100
-    batch_size: int = 128
-    step_size: float = 1e-3
-    patience: int = 5
-    seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         check_integers(hidden_widths=tuple(self.hidden_widths))
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
         if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
             raise ValueError(f"hidden_widths must all be >= 1, got {self.hidden_widths}")
-        hyper_from_config(self)  # the training fields are checked as a FinetuneHyper's
 
 
 def hyper_from_config(cfg: DenseNetConfig) -> FinetuneHyper:
-    return FinetuneHyper(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        step_size=cfg.step_size,
-        dropout_rate=cfg.dropout_rate,
-        patience=cfg.patience,
-        seed=cfg.seed,
-    )
+    """cfg's fine-tuning settings as a plain FinetuneHyper."""
+    return FinetuneHyper(**{f.name: getattr(cfg, f.name) for f in fields(FinetuneHyper)})
 
 
 def dense_network(input_width: int, cfg: DenseNetConfig, classes: int) -> TrfNetwork:
@@ -63,7 +55,7 @@ def dense_network(input_width: int, cfg: DenseNetConfig, classes: int) -> TrfNet
     layers = []
     widths = (input_width,) + cfg.hidden_widths
     for v, h in zip(widths[:-1], widths[1:]):
-        layers.append(nn.init_masked_layer(None, (h, v), rng, activation=FinetuneHyper.activation))
+        layers.append(nn.init_masked_layer(None, (h, v), rng, activation=cfg.activation))
     net = TrfNetwork(layers=layers, plans=[None] * len(layers))
     return attach_head(net, classes, seed=cfg.seed + 1)
 
@@ -71,7 +63,7 @@ def dense_network(input_width: int, cfg: DenseNetConfig, classes: int) -> TrfNet
 def train_dense(train: Dataset, cfg: DenseNetConfig, valid: Dataset | None = None):
     """Fully connected baseline with a softmax head, trained like any other network here."""
     net = dense_network(train.n_features, cfg, n_classes(train))
-    return finetune(net, train, valid, hyper_from_config(cfg))
+    return finetune(net, train, valid, cfg)
 
 
 def prune_and_retrain(
@@ -144,7 +136,7 @@ def train_l1(train: Dataset, cfg: DenseNetConfig, strength: float, valid: Datase
     check_l1_strength(strength)
     net = dense_network(train.n_features, cfg, n_classes(train))
     hook = None if strength == 0 else (lambda weights, grads: l1_gradients(weights, grads, strength))
-    net, report = finetune(net, train, valid, hyper_from_config(cfg), penalty_grads=hook)
+    net, report = finetune(net, train, valid, cfg, penalty_grads=hook)
     alive = sum(int((np.abs(l.values) >= L1_DEAD_THRESHOLD).sum()) for l in net.layers)
     total = sum(l.hidden_count * l.visible_count for l in net.layers)
     return net, replace(report, effective_sparsity=alive / total)

@@ -218,10 +218,7 @@ def build_trf_net(d: Dataset, cfg: BuildConfig) -> TrfNetwork:
     for k in range(cfg.depth):
         seed_k = cfg.seed + k
         tree = chow_liu(binary)
-        try:
-            plan = build_masks(tree, cfg.radius[k], cfg.stride[k], cfg.global_fraction, seed_k)
-        except EmptyStructureError as e:
-            raise EmptyStructureError(f"layer {k}: {e}") from None
+        plan = build_masks(tree, cfg.radius[k], cfg.stride[k], cfg.global_fraction, seed_k)
         v = current.n_features
         layer, log = train_dae(
             plan.index(v), (plan.hidden_count, v), current, cfg.corruption, replace(cfg.dae, seed=seed_k)

@@ -205,18 +205,25 @@ def _split_labeled(d, args):
 
 
 def _add_fit_flags(p):
-    """The split and training flags that finetune and baseline share."""
+    """The split and training flags that finetune and baseline share; the training defaults are FinetuneHyper's."""
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--valid-frac", type=float, default=0.15)
     p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=builder.FinetuneHyper.epochs)
+    p.add_argument("--batch", type=int, default=builder.FinetuneHyper.batch_size)
+    p.add_argument("--step", type=float, default=builder.FinetuneHyper.step_size)
+    p.add_argument("--dropout", type=float, default=builder.FinetuneHyper.dropout_rate)
+    p.add_argument("--patience", type=int, default=builder.FinetuneHyper.patience)
+    p.add_argument("--seed", type=int, default=builder.FinetuneHyper.seed)
     p.add_argument("--out", required=True, help="model output path")
     p.add_argument("--report", help="report path (default: OUT.report)")
+
+
+def _fit_settings(args) -> dict:
+    """The FinetuneHyper fields the fit flags set; a count below 1 is a usage error."""
+    _require_counts(args, "epochs", "batch", "patience")
+    return dict(epochs=args.epochs, batch_size=args.batch, step_size=args.step,
+                dropout_rate=args.dropout, patience=args.patience, seed=args.seed)
 
 
 # ---------------------------------------------------------------- commands
@@ -286,18 +293,8 @@ def _ensure_head(net, d) -> None:
 
 
 def cmd_finetune(args) -> Run:
-    _require_counts(args, "epochs", "batch", "patience")
     with _flag_errors():
-        hyper = builder.FinetuneHyper(
-            epochs=args.epochs,
-            batch_size=args.batch,
-            step_size=args.step,
-            dropout_rate=args.dropout,
-            patience=args.patience,
-            activation=args.activation,
-            reinit=args.reinit,
-            seed=args.seed,
-        )
+        hyper = builder.FinetuneHyper(**_fit_settings(args), activation=args.activation, reinit=args.reinit)
         check_split_fractions(args.train_frac, args.valid_frac)
         builder.check_report_name(args.name)
     d, inputs = _load_data(args, need_labels=True)
@@ -325,16 +322,9 @@ def cmd_eval(args) -> Run:
 
 
 def cmd_baseline(args) -> Run:
-    _require_counts(args, "epochs", "batch", "patience")
     with _flag_errors():
         cfg = baselines.DenseNetConfig(
-            hidden_widths=np.atleast_1d(_parse_int_list(args.widths, "--widths")),
-            dropout_rate=args.dropout,
-            epochs=args.epochs,
-            batch_size=args.batch,
-            step_size=args.step,
-            patience=args.patience,
-            seed=args.seed,
+            **_fit_settings(args), hidden_widths=np.atleast_1d(_parse_int_list(args.widths, "--widths"))
         )
         check_split_fractions(args.train_frac, args.valid_frac)
         baselines.check_keep_fraction(args.keep)
@@ -356,8 +346,7 @@ def cmd_baseline(args) -> Run:
         else:
             base, base_report = baselines.train_dense(train, cfg, valid)
             timings["base_finetune"] = base_report.wall_clock["finetune"]
-        hyper = baselines.hyper_from_config(cfg)
-        net, report = baselines.prune_and_retrain(base, args.keep, train, hyper, valid)
+        net, report = baselines.prune_and_retrain(base, args.keep, train, cfg, valid)
     timings.update(report.wall_clock)
     if test is not None:
         report = replace(builder.evaluate(net, test), effective_sparsity=effective)
@@ -457,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_data_flags(p)
     _add_fit_flags(p)
-    p.add_argument("--activation", default="relu")
+    p.add_argument("--activation", default=builder.FinetuneHyper.activation)
     p.add_argument("--reinit", action="store_true", help="discard pretrained weights")
     p.add_argument("--name", default="trf", help="row name used by compare")
     p.set_defaults(func=cmd_finetune)
@@ -473,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("dense", "prune", "l1"))
     _add_data_flags(p)
     _add_fit_flags(p)
-    p.add_argument("--widths", default="64", help="hidden widths, comma separated")
+    widths = ",".join(map(str, baselines.DenseNetConfig.hidden_widths))
+    p.add_argument("--widths", default=widths, help="hidden widths, comma separated")
     p.add_argument("--keep", type=float, default=0.1, help="prune: fraction of weights kept")
     p.add_argument("--strength", type=float, default=1e-5, help="l1: penalty strength")
     p.add_argument("--model", help="prune: existing dense model to start from")

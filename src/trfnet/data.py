@@ -2,8 +2,9 @@
 
 Two on-disk formats are supported:
 
-* dense CSV: UTF-8, comma separated, one header row, decimal-point floats;
-  with labels, the last column holds an integer class label.
+* dense CSV: UTF-8, comma separated, one header row of at least 2 distinct
+  feature names, decimal-point floats; with labels, the last column holds an
+  integer class label.
 * sparse bag-of-words: a vocabulary file (one token per line) plus a document
   file whose lines read ``label idx:count idx:count ...`` with 0-based,
   strictly in-vocabulary indices and integer counts from 1 to 2**53.
@@ -324,8 +325,14 @@ def load_dense_csv(path, has_labels: bool = False) -> Dataset:
         raise EmptyInputError(f"{path}: file is empty")
     header = numbered[0][1].split(",")
     n_cols = len(header)
-    if has_labels and n_cols < 3:
-        raise DataFormatError(f"{path}: need at least 2 features plus a label column")
+    names = tuple(h.strip() for h in (header[:-1] if has_labels else header))
+    if len(names) < 2:
+        raise DataFormatError(f"{path}: need at least 2 features{' plus a label column' if has_labels else ''}")
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DataFormatError(f"{path}: line {numbered[0][0]}: feature name {name!r} is repeated")
+        seen.add(name)
     rows, labels = [], []
     for lineno, ln in numbered[1:]:
         cells = ln.split(",")
@@ -350,7 +357,6 @@ def load_dense_csv(path, has_labels: bool = False) -> Dataset:
         rows.append(row)
     if not rows:
         raise EmptyInputError(f"{path}: no data rows after the header")
-    names = tuple(h.strip() for h in (header[:-1] if has_labels else header))
     return Dataset(
         np.array(rows, dtype=np.float64),
         feature_names=names,

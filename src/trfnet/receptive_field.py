@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyStructureError
 from .tree import ChowLiuTree, ball
 
 
@@ -132,10 +131,8 @@ def build_masks(
     fields = [sorted(f) for f in fields]
 
     global_count = int(np.floor(global_fraction * len(centers) + 0.5))
-    if global_fraction > 0 and centers:
+    if global_fraction > 0:
         global_count = max(1, global_count)
-    if len(centers) + global_count == 0:
-        raise EmptyStructureError("layer has no hidden units")
     return ReceptiveFieldPlan(
         radius=r,
         stride=s,

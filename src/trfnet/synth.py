@@ -18,6 +18,31 @@ class BlockLayoutError(ValueError):
     """The vocabulary holds too few topic blocks per class for news_corpus."""
 
 
+def _check_ranges(counts: dict, fractions: dict) -> None:
+    """ValueError naming the first count below 1 or fraction outside [0, 1]."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    for name, value in fractions.items():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def planted_blocks(vocab_size: int, n_classes: int, block_size: int, background_fraction: float) -> np.ndarray:
+    """Each word's planted topic block in news_corpus's vocabulary, or -1 for a word in no block.
+
+    Blocks of block_size consecutive words come first, class-major; the last
+    int(vocab_size * background_fraction) words are background, and topic
+    words left over after the whole blocks are in none and never drawn.
+    """
+    _check_ranges(dict(n_classes=n_classes, block_size=block_size), dict(background_fraction=background_fraction))
+    blocks_per_class = (vocab_size - int(vocab_size * background_fraction)) // n_classes // block_size
+    n_planted = n_classes * blocks_per_class * block_size
+    block = np.full(vocab_size, -1, dtype=np.int64)
+    block[:n_planted] = np.arange(n_planted) // block_size
+    return block
+
+
 def news_corpus(
     n_docs: int = 2000,
     vocab_size: int = 2000,
@@ -51,27 +76,19 @@ def news_corpus(
     Arguments outside their ranges raise ValueError before the first draw;
     a vocabulary too small for the blocks raises BlockLayoutError.
     """
-    for name, value in (("n_docs", n_docs), ("n_classes", n_classes),
-                        ("block_size", block_size), ("active_blocks", active_blocks)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    for name, value in (("background_fraction", background_fraction),
-                        ("topic_token_share", topic_token_share), ("confusion", confusion)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    _check_ranges(dict(n_docs=n_docs, active_blocks=active_blocks),
+                  dict(topic_token_share=topic_token_share, confusion=confusion))
     if not 0.0 <= doc_length_mean < math.inf:
         raise ValueError(f"doc_length_mean must be finite and at least 0, got {doc_length_mean}")
-    rng = np.random.default_rng(seed)
-    n_background = int(vocab_size * background_fraction)
-    n_topic = vocab_size - n_background
-    per_class = n_topic // n_classes
-    blocks_per_class = per_class // block_size
+    # row b holds the words of planted block b, so block j of class cls is row cls * blocks_per_class + j
+    planted = planted_blocks(vocab_size, n_classes, block_size, background_fraction)
+    block_words = np.flatnonzero(planted >= 0).reshape(-1, block_size)
+    blocks_per_class = len(block_words) // n_classes
     if blocks_per_class < active_blocks:
         raise BlockLayoutError("vocabulary too small for the requested block layout")
-
-    # topic words first (class-major, block-major), background words last:
-    # block j of class cls holds the words of row cls * blocks_per_class + j
-    block_words = np.arange(n_classes * blocks_per_class * block_size).reshape(-1, block_size)
+    n_background = int(vocab_size * background_fraction)
+    n_topic = vocab_size - n_background
+    rng = np.random.default_rng(seed)
     labels = rng.integers(0, n_classes, size=n_docs)
     tokens, lengths = [], []
     for label in labels.tolist():

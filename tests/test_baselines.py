@@ -49,6 +49,27 @@ def blob_config(**kw):
     return DenseNetConfig(**base)
 
 
+class TestDenseNetConfig:
+    def test_is_a_finetune_hyper_with_its_defaults(self):
+        cfg = DenseNetConfig()
+        assert isinstance(cfg, FinetuneHyper)
+        assert hyper_from_config(cfg) == FinetuneHyper()
+        assert hyper_from_config(blob_config()) == FinetuneHyper(
+            epochs=80, batch_size=32, step_size=5e-3, dropout_rate=0.2, patience=15, seed=3
+        )
+
+    @pytest.mark.parametrize("field", ["activation", "reinit"])
+    def test_activation_and_reinit_cannot_be_set(self, field):
+        with pytest.raises(TypeError, match=field):
+            DenseNetConfig(**{field: "sigmoid" if field == "activation" else True})
+
+    def test_checks_its_fine_tuning_fields_as_a_finetune_hyper_does(self):
+        with pytest.raises(ValueError, match="dropout_rate"):
+            DenseNetConfig(dropout_rate=1.0)
+        with pytest.raises(ValueError, match="step_size"):
+            DenseNetConfig(step_size=0.0)
+
+
 class TestTrainDense:
     def test_blobs_reach_high_accuracy(self, blob_data):
         train, valid, test = blob_data

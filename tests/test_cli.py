@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trfnet.builder import EvalReport, save_report
-from trfnet.cli import main
+from trfnet.baselines import DenseNetConfig
+from trfnet.builder import EvalReport, FinetuneHyper, save_report
+from trfnet.cli import build_parser, main
 from trfnet.data import save_sparse_bow
 from trfnet.synth import news_corpus
 
@@ -297,6 +298,29 @@ class TestCountFlags:
         assert main_without_inputs(tmp_path, command, flag, value) == 2
         assert f"{flag}: expected a count >= 1, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "m.trf").exists()
+
+
+class TestFitFlagDefaults:
+    """The fit flags read their defaults from FinetuneHyper and DenseNetConfig."""
+
+    FIELDS = {"epochs": "epochs", "batch": "batch_size", "step": "step_size",
+              "dropout": "dropout_rate", "patience": "patience", "seed": "seed"}
+
+    @pytest.mark.parametrize("argv", [["finetune", "--model", "m.trf"], ["baseline", "dense"]])
+    def test_fit_flags_default_to_finetune_hyper(self, argv):
+        args = build_parser().parse_args([*argv, "--out", "m.trf"])
+        for flag, field in self.FIELDS.items():
+            default = getattr(FinetuneHyper(), field)
+            assert (getattr(args, flag), type(getattr(args, flag))) == (default, type(default)), flag
+
+    def test_activation_defaults_to_finetune_hyper(self):
+        args = build_parser().parse_args(["finetune", "--model", "m.trf", "--out", "m.trf"])
+        assert args.activation == FinetuneHyper().activation
+        assert args.reinit == FinetuneHyper().reinit
+
+    def test_widths_default_to_dense_net_config(self):
+        args = build_parser().parse_args(["baseline", "dense", "--out", "m.trf"])
+        assert tuple(int(w) for w in args.widths.split(",")) == DenseNetConfig().hidden_widths
 
 
 class TestRangeFlags:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,18 @@ class TestDenseCsv:
     def test_int64_extremes_are_labels(self, tmp_path):
         p = write(tmp_path, "d.csv", f"a,b,y\n1,2,{2**63 - 1}\n1,2,{-(2**63)}\n")
         assert load_dense_csv(p, has_labels=True).labels.tolist() == [2**63 - 1, -(2**63)]
+
+    @pytest.mark.parametrize("has_labels", [False, True])
+    def test_repeated_header_name_is_a_format_error_naming_the_file(self, tmp_path, has_labels):
+        p = write(tmp_path, "d.csv", "a,b,a,y\n1,0,1,0\n0,1,0,1\n" if has_labels else "a,b,a\n1,0,1\n0,1,0\n")
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(p))}: line 1: feature name 'a' is repeated$"):
+            load_dense_csv(p, has_labels=has_labels)
+
+    @pytest.mark.parametrize("has_labels", [False, True])
+    def test_one_feature_column_is_a_format_error_naming_the_file(self, tmp_path, has_labels):
+        p = write(tmp_path, "d.csv", "a,y\n1,0\n0,1\n" if has_labels else "a\n1\n0\n")
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(p))}: need at least 2 features"):
+            load_dense_csv(p, has_labels=has_labels)
 
     def test_undecodable_bytes_rejected(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import news_corpus_reference
-from trfnet.synth import BlockLayoutError, news_corpus
+from trfnet.synth import BlockLayoutError, news_corpus, planted_blocks
 
 HARD_PRESET = dict(confusion=0.4, doc_length_mean=15.0, topic_token_share=0.4)
 
@@ -71,3 +71,31 @@ def test_out_of_range_arguments_raise_value_error_naming_them(kwargs, name, monk
 def test_too_small_a_vocabulary_still_raises_block_layout_error():
     with pytest.raises(BlockLayoutError):
         news_corpus(n_docs=10, vocab_size=200, block_size=16)
+
+
+def test_planted_blocks_give_each_block_word_its_block_and_every_other_word_minus_one():
+    # 210 words: 42 background, 168 topic = 42 per class = 5 blocks of 8 and 2 words in none
+    block = planted_blocks(210, n_classes=4, block_size=8, background_fraction=0.2)
+    assert block.dtype == np.int64 and block.shape == (210,)
+    np.testing.assert_array_equal(block[:160], np.repeat(np.arange(20), 8))
+    assert (block[160:] == -1).all()
+
+
+def test_without_confusion_a_document_draws_topic_words_from_at_most_3_blocks_of_its_class():
+    corpus = news_corpus(n_docs=300, vocab_size=200, block_size=8, confusion=0.0, seed=5)
+    block = planted_blocks(200, n_classes=4, block_size=8, background_fraction=0.2)  # 5 blocks per class
+    nz = corpus.values
+    for doc, label in enumerate(corpus.labels.tolist()):
+        blocks = block[nz.columns[nz.indptr[doc] : nz.indptr[doc + 1]]]
+        blocks = np.unique(blocks[blocks >= 0])
+        assert blocks.size <= 3 and (blocks // 5 == label).all()
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(n_classes=0), "n_classes"),
+    (dict(block_size=0), "block_size"),
+    (dict(background_fraction=1.5), "background_fraction"),
+])
+def test_planted_blocks_raise_value_error_naming_an_out_of_range_argument(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        planted_blocks(**{"vocab_size": 200, "n_classes": 4, "block_size": 8, "background_fraction": 0.2, **kwargs})

@@ -30,7 +30,7 @@ from trfnet.data import BinaryDataset, Dataset, DiscretizationPolicy, discretize
 from trfnet import stats
 from trfnet import tree as tree_module
 from trfnet.stats import MiBlocks, MiPairs, mi_matrix, mi_source
-from trfnet.synth import news_corpus
+from trfnet.synth import news_corpus, planted_blocks
 from trfnet.tree import (
     WEIGHT_CLAMP,
     ChowLiuTree,
@@ -358,12 +358,14 @@ class TestChowLiu:
         assert edge_pairs(t) == {(0, 1)}
 
     def test_layer_zero_tree_joins_every_planted_block(self):
-        # 100 planted blocks of 16 topic words (words 0-1599, block j // 16), so at
-        # most 100 x 15 tree edges can join two words of one block
+        # 100 planted blocks of 16 topic words, so at most 100 x 15 tree edges can join
+        # two words of one block
         corpus = news_corpus(n_docs=2000, vocab_size=2000, block_size=16, confusion=0.025, seed=0)
+        block = planted_blocks(2000, n_classes=4, block_size=16, background_fraction=0.2)
+        assert block.max() + 1 == 100
         train, _, _ = split(corpus, 0.7, 0.15, seed=0)
         t = chow_liu(discretize(train, DiscretizationPolicy.fixed(0.0)))
-        assert sum(u < 1600 and v < 1600 and u // 16 == v // 16 for u, v, _ in t.edges) == 1500
+        assert sum(block[u] >= 0 and block[u] == block[v] for u, v, _ in t.edges) == 1500
         # the dense route into a BinaryDataset finds the same ones, so the same tree
         dense = Dataset(train.dense(), train.feature_names, train.labels)
         assert chow_liu(discretize(dense, DiscretizationPolicy.fixed(0.0))).edges == t.edges
