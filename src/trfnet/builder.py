@@ -18,7 +18,6 @@ import binascii
 import copy
 import hashlib
 import math
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterator
@@ -176,8 +175,9 @@ class EvalReport:
 
     In multi-task mode auc_per_task holds one entry per task, with -1.0
     marking tasks whose test labels contained only one class; such tasks
-    are excluded from auc_mean.  It checks every range when made, and is fixed after.
-    wall_clock, the seconds of the passes that made it, stays out of ==, repr and report files.
+    are excluded from auc_mean.  A non-empty sequence of numbers given as
+    auc_per_task is held as a tuple of floats.  It checks every range when
+    made, and is fixed after.
     """
 
     parameter_count: int
@@ -186,7 +186,6 @@ class EvalReport:
     auc_per_task: tuple[float, ...] | None = None
     auc_mean: float | None = None
     effective_sparsity: float | None = None
-    wall_clock: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         check_integers(parameter_count=self.parameter_count)
@@ -198,9 +197,14 @@ class EvalReport:
             x = getattr(self, key)
             if x is not None and not 0.0 <= x <= 1.0:
                 raise ValueError(f"{key} {x!r} is not in [0, 1]")
-        for x in self.auc_per_task or ():
-            if x != -1.0 and not 0.0 <= x <= 1.0:
-                raise ValueError(f"auc_per_task entry {x!r} is neither in [0, 1] nor -1.0 (unscored)")
+        if self.auc_per_task is not None:
+            aucs = tuple(float(x) for x in self.auc_per_task)
+            if not aucs:
+                raise ValueError("auc_per_task must hold at least one task")
+            for x in aucs:
+                if x != -1.0 and not 0.0 <= x <= 1.0:
+                    raise ValueError(f"auc_per_task entry {x!r} is neither in [0, 1] nor -1.0 (unscored)")
+            object.__setattr__(self, "auc_per_task", aucs)
 
     @property
     def score(self) -> float | None:
@@ -271,8 +275,9 @@ class FinetuneHyper:
 
     def __post_init__(self):
         check_integers(epochs=self.epochs, batch_size=self.batch_size, patience=self.patience, seed=self.seed)
-        if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
-            raise ValueError("epochs, batch_size, and patience must be >= 1")
+        for name in ("epochs", "batch_size", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -330,13 +335,11 @@ def finetune(
     The validation set (the training set when valid is None) is scored once
     per epoch, and no other pass scores it: the network returned holds the
     best-scoring epoch's parameters, and the report returned is that epoch's,
-    so it == evaluate(net, gate); its wall_clock adds the "finetune" seconds
-    of the whole call to that pass's "evaluate" seconds.  Training
-    and validation scoring share what nn.buffers gives each layer (a dense
-    buffer pair if it is sparse).  The best state is copied, into arrays
-    allocated once, only when a later epoch is about to train over it, and
-    copied back only when the last epoch run did not score best.  Each step
-    writes its gradients into adam.grads.
+    so it == evaluate(net, gate).  Training and validation scoring share what
+    nn.buffers gives each layer (a dense buffer pair if it is sparse).  The
+    best state is copied, into arrays allocated once, only when a later epoch
+    is about to train over it, and copied back only when the last epoch run
+    did not score best.  Each step writes its gradients into adam.grads.
 
     penalty_grads, when given, is called before each step as
     penalty_grads(weights, grads), with params[::2] of nn.stack_params and
@@ -350,7 +353,6 @@ def finetune(
     if valid is not None:
         _check_labels(valid, net.head, net.head_mode, "valid")
     gate = valid if valid is not None else train
-    t0 = time.perf_counter()
     rng = np.random.default_rng(hyper.seed)
     act = hyper.activation
     if hyper.reinit:
@@ -389,7 +391,6 @@ def finetune(
     if not holds_best:
         for p, kept in zip(params, snapshot):
             np.copyto(p, kept)
-    best.wall_clock["finetune"] = time.perf_counter() - t0
     return net, best
 
 
@@ -418,14 +419,13 @@ def binary_auc(scores: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _evaluate(net: TrfNetwork, d: Dataset, bufs) -> EvalReport:
-    """The report of net over d from one eval forward, its seconds as "evaluate".
+    """The report of net over d from one eval forward.
 
     A softmax head gets an accuracy only.  A multitask head gets an AUC per
     task, -1.0 for a task whose observed labels hold one class only, and the
     mean over the scored tasks, None when there is none.  d's dense matrix is
     a temporary the forward frees after layer 0's product.
     """
-    t0 = time.perf_counter()
     logits = nn.hidden_representation(net.layers, d.dense(), bufs) @ net.head.weights.T
     logits += net.head.bias
     accuracy = aucs = auc_mean = None
@@ -438,14 +438,13 @@ def _evaluate(net: TrfNetwork, d: Dataset, bufs) -> EvalReport:
             y = d.labels[observed, task]
             aucs.append(binary_auc(logits[observed, task], y) if (y == 1).any() and (y == 0).any() else -1.0)
         scored = [a for a in aucs if a != -1.0]
-        aucs, auc_mean = tuple(aucs), (float(np.mean(scored)) if scored else None)
-    wall_clock = {"evaluate": time.perf_counter() - t0}
-    return EvalReport(net.parameter_count(), net.hidden_sparsity(), accuracy, aucs, auc_mean, wall_clock=wall_clock)
+        auc_mean = float(np.mean(scored)) if scored else None
+    return EvalReport(net.parameter_count(), net.hidden_sparsity(), accuracy, aucs, auc_mean)
 
 
 def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
     """Accuracy (softmax) or per-task AUCs (multitask) plus size metrics, once
-    TrfNetwork.check passes; its wall_clock holds the pass's "evaluate" seconds."""
+    TrfNetwork.check passes."""
     net.check()
     if net.head is None:
         raise ValueError("attach a head before evaluating")

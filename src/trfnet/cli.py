@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline: tree, build, finetune, eval, baseline,
-inspect, compare.  Each command returns a Run: the files it read, the files
-it wrote (the primary output first), its seeds and the stage timings the
-library reported.  main is the one manifest writer.  It times the command
-and writes <primary output>.manifest.json with the flags, seeds, input
-digests, output paths, BLAS build and thread settings (the bytes of a model
-depend on both) and timings: `total` plus the library's stage timings.
+inspect, compare.  A flag's default is its config's, and the config checks
+its value before any input is read.  Each command returns a Run: the files
+it read, the files it wrote (the primary output first), its seeds and the
+seconds of each library call it timed.  main is the one manifest writer.  It
+times the command and writes <primary output>.manifest.json with the flags,
+seeds, input digests, output paths, BLAS build and thread settings (the
+bytes of a model depend on both) and timings: `total` plus the timed calls.
 compare printing to stdout writes neither a file nor a manifest.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.
 
@@ -52,7 +53,7 @@ class Run(NamedTuple):
     inputs: list
     outputs: list  # the primary output first: the manifest goes next to it
     seeds: dict = {}
-    timings: dict = {}  # the library's stage timings; main adds "total"
+    timings: dict = {}  # the seconds of each library call the command timed; main adds "total"
 
 
 def _sha256(path) -> str:
@@ -157,16 +158,20 @@ def _parse_int_list(spec: str, flag: str):
     return values[0] if len(values) == 1 else values
 
 
-def _require_counts(args, *names):
-    """Usage error for a count flag below 1, raised before any input is read."""
-    for name in names:
-        value = getattr(args, name)
-        if value < 1:
-            raise CliError(f"--{name}: expected a count >= 1, got {value}")
+def _timed(timings: dict, key: str, call, *args):
+    """call(*args), with its wall time in seconds recorded as timings[key]."""
+    t0 = time.perf_counter()
+    out = call(*args)
+    timings[key] = time.perf_counter() - t0
+    return out
 
 
 # the flag that sets each library field whose range a config or check enforces
 _FIELD_FLAGS = {
+    "epochs": "--epochs",
+    "batch_size": "--batch",
+    "patience": "--patience",
+    "depth": "--depth",
     "radius": "--radius",
     "stride": "--stride",
     "global_fraction": "--globals",
@@ -220,8 +225,7 @@ def _add_fit_flags(p):
 
 
 def _fit_settings(args) -> dict:
-    """The FinetuneHyper fields the fit flags set; a count below 1 is a usage error."""
-    _require_counts(args, "epochs", "batch", "patience")
+    """The FinetuneHyper fields the fit flags set."""
     return dict(epochs=args.epochs, batch_size=args.batch, step_size=args.step,
                 dropout_rate=args.dropout, patience=args.patience, seed=args.seed)
 
@@ -252,7 +256,6 @@ def cmd_tree(args) -> Run:
 
 
 def cmd_build(args) -> Run:
-    _require_counts(args, "epochs", "depth", "batch")
     with _flag_errors():
         cfg = builder.BuildConfig(
             radius=_parse_int_list(args.radius, "--radius"),
@@ -302,12 +305,13 @@ def cmd_finetune(args) -> Run:
     net = builder.load(args.model)
     train, valid, _ = _split_labeled(d, args)
     _ensure_head(net, d)
-    net, report = builder.finetune(net, train, valid, hyper)
+    timings = {}
+    net, report = _timed(timings, "finetune", builder.finetune, net, train, valid, hyper)
     builder.save(net, args.out)
     report_path = args.report or (args.out + ".report")
     builder.save_report(report, report_path, name=args.name)
     seeds = {"seed": args.seed, "split_seed": args.split_seed}
-    return Run(inputs, [args.out, report_path], seeds, report.wall_clock)
+    return Run(inputs, [args.out, report_path], seeds, timings)
 
 
 def cmd_eval(args) -> Run:
@@ -316,9 +320,10 @@ def cmd_eval(args) -> Run:
     d, inputs = _load_data(args, need_labels=True)
     inputs = [args.model] + inputs
     net = builder.load(args.model)
-    report = builder.evaluate(net, d)
+    timings = {}
+    report = _timed(timings, "evaluate", builder.evaluate, net, d)
     builder.save_report(report, args.report, name=args.name)
-    return Run(inputs, [args.report], timings=report.wall_clock)
+    return Run(inputs, [args.report], timings=timings)
 
 
 def cmd_baseline(args) -> Run:
@@ -334,9 +339,9 @@ def cmd_baseline(args) -> Run:
     train, valid, test = _split_labeled(d, args)
     effective, timings = None, {}
     if args.kind == "dense":
-        net, report = baselines.train_dense(train, cfg, valid)
+        net, report = _timed(timings, "finetune", baselines.train_dense, train, cfg, valid)
     elif args.kind == "l1":
-        net, report = baselines.train_l1(train, cfg, args.strength, valid)
+        net, report = _timed(timings, "finetune", baselines.train_l1, train, cfg, args.strength, valid)
         effective = report.effective_sparsity
     else:
         if args.model is not None:
@@ -344,13 +349,10 @@ def cmd_baseline(args) -> Run:
             inputs.append(args.model)
             _ensure_head(base, d)
         else:
-            base, base_report = baselines.train_dense(train, cfg, valid)
-            timings["base_finetune"] = base_report.wall_clock["finetune"]
-        net, report = baselines.prune_and_retrain(base, args.keep, train, cfg, valid)
-    timings.update(report.wall_clock)
+            base, _ = _timed(timings, "base_finetune", baselines.train_dense, train, cfg, valid)
+        net, report = _timed(timings, "finetune", baselines.prune_and_retrain, base, args.keep, train, cfg, valid)
     if test is not None:
-        report = replace(builder.evaluate(net, test), effective_sparsity=effective)
-        timings.update(report.wall_clock)
+        report = replace(_timed(timings, "evaluate", builder.evaluate, net, test), effective_sparsity=effective)
     builder.save(net, args.out)
     report_path = args.report or (args.out + ".report")
     builder.save_report(report, report_path, name=args.name or args.kind)
@@ -359,7 +361,8 @@ def cmd_baseline(args) -> Run:
 
 
 def cmd_inspect(args) -> Run:
-    _require_counts(args, "top")
+    if args.top < 1:
+        raise CliError(f"--top: expected a count >= 1, got {args.top}")
     d, inputs = _load_data(args)
     inputs = [args.model] + inputs
     net = builder.load(args.model)
@@ -428,17 +431,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="learn structure and pretrain a stacked network")
     _add_data_flags(p)
-    p.add_argument("--radius", default="2", help="per-layer int or comma list")
-    p.add_argument("--stride", default="2", help="per-layer int or comma list")
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--globals", dest="globals_fraction", type=float, default=0.1)
+    p.add_argument("--radius", default=str(builder.BuildConfig.radius), help="per-layer int or comma list")
+    p.add_argument("--stride", default=str(builder.BuildConfig.stride), help="per-layer int or comma list")
+    p.add_argument("--depth", type=int, default=builder.BuildConfig.depth)
+    p.add_argument("--globals", dest="globals_fraction", type=float, default=builder.BuildConfig.global_fraction)
     p.add_argument("--policy", help="median | binary | fixed:T")
-    p.add_argument("--family", default="auto", help="auto | bernoulli | gaussian")
-    p.add_argument("--corruption", default="masking:0.2", help="masking:RATE | gaussian:STD")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--family", default=DaeHyper.loss_family, help="auto | bernoulli | gaussian")
+    p.add_argument("--corruption", default=f"{CorruptionConfig.kind}:{CorruptionConfig.rate}",
+                   help="masking:RATE | gaussian:STD")
+    p.add_argument("--epochs", type=int, default=DaeHyper.epochs)
+    p.add_argument("--batch", type=int, default=DaeHyper.batch_size)
+    p.add_argument("--step", type=float, default=DaeHyper.step_size)
+    p.add_argument("--seed", type=int, default=builder.BuildConfig.seed)
     p.add_argument("--out", required=True, help="model output path")
     p.set_defaults(func=cmd_build)
 

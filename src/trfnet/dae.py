@@ -25,7 +25,12 @@ GAUSSIAN_ADDITIVE = "gaussian-additive"
 @dataclass(frozen=True)
 class CorruptionConfig:
     """Input corruption: zero-masking with probability rate, or additive
-    Gaussian noise with standard deviation rate."""
+    Gaussian noise with standard deviation rate.
+
+    seed is written to the model file, but no draw reads it: train_dae
+    corrupts from its DaeHyper's generator, which build_trf_net seeds with
+    BuildConfig.seed + k for layer k.
+    """
 
     kind: str = MASKING
     rate: float = 0.2
@@ -45,6 +50,12 @@ class CorruptionConfig:
 
 @dataclass(frozen=True)
 class DaeHyper:
+    """One layer's autoencoder training settings.
+
+    seed is written to the model file, but build_trf_net trains layer k
+    from BuildConfig.seed + k, not from it.
+    """
+
     epochs: int = 30
     batch_size: int = 128
     step_size: float = 1e-3

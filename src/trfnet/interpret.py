@@ -125,12 +125,13 @@ def top_correlated_features(net: TrfNetwork, d: Dataset, unit: int, k: int) -> l
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    # identical vectors score exactly 1 so degenerate test embeddings behave
-    if np.array_equal(a, b):
-        return 1.0
+    # a zero vector is like nothing, itself included; identical nonzero
+    # vectors score exactly 1 so degenerate test embeddings behave
     denom = float(np.sqrt(a @ a) * np.sqrt(b @ b))
     if denom == 0.0:
         return 0.0
+    if np.array_equal(a, b):
+        return 1.0
     return float(a @ b) / denom
 
 

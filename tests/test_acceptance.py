@@ -375,8 +375,8 @@ def test_criterion_10_interpretability_plumbing():
 
 def test_trf_units_are_more_coherent_in_the_planted_blocks_than_dense_units(news_splits, trf_depth2, dense_baseline):
     # the paper's "more interpretable" claim, scored against the planted topic blocks: a topic
-    # word's embedding is the one-hot of its block.  Background words stay out of the table:
-    # as zero vectors, _cosine's identical-vector rule would score every background pair 1.0
+    # word's embedding is the one-hot of its block.  Background words stay out of the table,
+    # so a unit's background words count as missing, not as pairs scored 0.0
     _, _, test = news_splits
     block = planted_blocks(test.n_features, n_classes=4, block_size=16, background_fraction=0.2)
     one_hot = np.eye(block.max() + 1)

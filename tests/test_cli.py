@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from trfnet.baselines import DenseNetConfig
-from trfnet.builder import EvalReport, FinetuneHyper, save_report
-from trfnet.cli import build_parser, main
+from trfnet.builder import BuildConfig, EvalReport, FinetuneHyper, save_report
+from trfnet.cli import _parse_corruption, _parse_int_list, build_parser, main
+from trfnet.dae import CorruptionConfig, DaeHyper
 from trfnet.data import save_sparse_bow
 from trfnet.synth import news_corpus
 
@@ -280,6 +281,10 @@ def main_without_inputs(tmp_path, command, flag, value) -> int:
 
 
 class TestCountFlags:
+    """A count below 1 is a usage error carrying its config's message after the flag."""
+
+    FIELDS = {"--epochs": "epochs", "--depth": "depth", "--batch": "batch_size", "--patience": "patience"}
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [
@@ -296,7 +301,7 @@ class TestCountFlags:
     )
     def test_count_below_one_is_usage_error(self, tmp_path, capsys, command, flag, value):
         assert main_without_inputs(tmp_path, command, flag, value) == 2
-        assert f"{flag}: expected a count >= 1, got {value}" in capsys.readouterr().err
+        assert f"error: {flag}: {self.FIELDS[flag]} must be >= 1, got {value}\n" in capsys.readouterr().err
         assert not (tmp_path / "m.trf").exists()
 
 
@@ -321,6 +326,29 @@ class TestFitFlagDefaults:
     def test_widths_default_to_dense_net_config(self):
         args = build_parser().parse_args(["baseline", "dense", "--out", "m.trf"])
         assert tuple(int(w) for w in args.widths.split(",")) == DenseNetConfig().hidden_widths
+
+
+class TestBuildFlagDefaults:
+    """The build flags read their defaults from BuildConfig, DaeHyper and CorruptionConfig."""
+
+    def test_build_flags_default_to_the_configs(self):
+        args = build_parser().parse_args(["build", "--out", "m.trf"])
+        parsed = {
+            (BuildConfig, "radius"): _parse_int_list(args.radius, "--radius"),
+            (BuildConfig, "stride"): _parse_int_list(args.stride, "--stride"),
+            (BuildConfig, "depth"): args.depth,
+            (BuildConfig, "global_fraction"): args.globals_fraction,
+            (BuildConfig, "seed"): args.seed,
+            (DaeHyper, "epochs"): args.epochs,
+            (DaeHyper, "batch_size"): args.batch,
+            (DaeHyper, "step_size"): args.step,
+            (DaeHyper, "loss_family"): args.family,
+        }
+        for (config, field), value in parsed.items():
+            default = getattr(config, field)
+            assert (value, type(value)) == (default, type(default)), field
+        corruption = _parse_corruption(args.corruption, args.seed)
+        assert corruption == CorruptionConfig() and type(corruption.rate) is type(CorruptionConfig.rate)
 
 
 class TestRangeFlags:
@@ -458,11 +486,18 @@ class TestManifests:
         timings = json.load(open(quick_start["eval"] + ".manifest.json"))["timings"]
         assert set(timings) == {"total", "evaluate"}
 
-    @pytest.mark.parametrize("name", ["finetune", "baseline dense", "baseline prune", "baseline l1"])
+    def test_finetune_records_its_finetune_call(self, quick_start):
+        timings = json.load(open(quick_start["finetune"] + ".manifest.json"))["timings"]
+        assert set(timings) == {"total", "finetune"}
+        assert all(isinstance(t, float) for t in timings.values())
+        assert timings["finetune"] < timings["total"]
+
+    @pytest.mark.parametrize("name", ["baseline dense", "baseline prune", "baseline l1"])
     def test_training_records_finetune_and_evaluate(self, quick_start, name):
         timings = json.load(open(quick_start[name] + ".manifest.json"))["timings"]
         assert set(timings) == {"total", "finetune", "evaluate"}
         assert all(isinstance(t, float) for t in timings.values())
+        assert timings["finetune"] + timings["evaluate"] < timings["total"]
 
     def test_prune_without_a_model_records_its_dense_base_training(self, quick_start):
         timings = json.load(open(quick_start["baseline prune, no model"] + ".manifest.json"))["timings"]

@@ -158,6 +158,12 @@ class TestInterpretabilityScore:
         )
         assert interpretability_score(self.net, self.d, emb, k=3) == 0.0
 
+    def test_zero_vectors_score_zero_even_against_each_other(self):
+        # pairs: (zero, zero) 0.0, (zero, [1, 0]) 0.0 twice
+        emb = table({"alpha": [0.0, 0.0], "beta": [0.0, 0.0], "gamma": [1.0, 0.0]})
+        assert unit_interpretability(["alpha", "beta", "gamma"], emb) == 0.0
+        assert unit_interpretability(["alpha", "beta"], emb) == 0.0
+
     def test_hand_computed_three_token_case(self):
         vectors = {"alpha": [1.0, 0.0], "beta": [1.0, 1.0], "gamma": [0.0, 1.0]}
         emb = table(vectors)

@@ -322,6 +322,25 @@ class TestEvalReport:
         with pytest.raises(dataclasses.FrozenInstanceError):
             EvalReport(parameter_count=10, sparsity=0.5).effective_sparsity = 0.5
 
+    @pytest.mark.parametrize("empty", [(), [], np.array([])], ids=["tuple", "list", "array"])
+    def test_empty_auc_per_task_is_rejected(self, empty):
+        # such a report would save a file that its own reader rejects
+        with pytest.raises(ValueError, match="^auc_per_task must hold at least one task$"):
+            EvalReport(parameter_count=3, sparsity=0.5, auc_per_task=empty)
+
+    def test_auc_per_task_list_is_held_as_a_tuple_and_loads_back_equal(self, tmp_path):
+        report = EvalReport(parameter_count=3, sparsity=0.5, auc_per_task=[0.5, -1.0], auc_mean=0.5)
+        assert report.auc_per_task == (0.5, -1.0)
+        save_report(report, tmp_path / "r.report")
+        assert load_report(tmp_path / "r.report")[1] == report
+
+    def test_auc_per_task_array_is_held_as_a_tuple_of_floats(self):
+        report = EvalReport(parameter_count=3, sparsity=0.5, auc_per_task=np.array([0.25, -1.0, 1.0]))
+        assert report.auc_per_task == (0.25, -1.0, 1.0)
+        assert all(type(x) is float for x in report.auc_per_task)
+        with pytest.raises(ValueError, match="^auc_per_task entry 1.5 is neither"):
+            EvalReport(parameter_count=3, sparsity=0.5, auc_per_task=np.array([0.5, 1.5]))
+
 
 # every integer field of a config or report, made with the value x
 INTEGER_FIELDS = {
