@@ -174,8 +174,8 @@ class EvalReport:
     """Classification quality plus size metrics for one model.
 
     In multi-task mode auc_per_task holds one entry per task, with -1.0
-    marking tasks whose test labels contained only one class; such tasks
-    are excluded from auc_mean.  A non-empty sequence of numbers given as
+    marking tasks whose test labels contained only one class; auc_mean is
+    derived from it, never stored.  A non-empty sequence of numbers given as
     auc_per_task is held as a tuple of floats.  It checks every range when
     made, and is fixed after.
     """
@@ -184,7 +184,6 @@ class EvalReport:
     sparsity: float
     accuracy: float | None = None
     auc_per_task: tuple[float, ...] | None = None
-    auc_mean: float | None = None
     effective_sparsity: float | None = None
 
     def __post_init__(self):
@@ -193,7 +192,7 @@ class EvalReport:
             raise ValueError(f"parameter_count {self.parameter_count} is negative")
         if not -1e-12 <= self.sparsity <= 1.0 + 1e-12:
             raise ValueError(f"sparsity must be in [0, 1], got {self.sparsity}")
-        for key in ("accuracy", "auc_mean", "effective_sparsity"):
+        for key in ("accuracy", "effective_sparsity"):
             x = getattr(self, key)
             if x is not None and not 0.0 <= x <= 1.0:
                 raise ValueError(f"{key} {x!r} is not in [0, 1]")
@@ -205,6 +204,12 @@ class EvalReport:
                 if x != -1.0 and not 0.0 <= x <= 1.0:
                     raise ValueError(f"auc_per_task entry {x!r} is neither in [0, 1] nor -1.0 (unscored)")
             object.__setattr__(self, "auc_per_task", aucs)
+
+    @property
+    def auc_mean(self) -> float | None:
+        """The mean of the scored auc_per_task entries (those other than -1.0); None when there is none."""
+        scored = [a for a in self.auc_per_task or () if a != -1.0]
+        return float(np.mean(scored)) if scored else None
 
     @property
     def score(self) -> float | None:
@@ -422,13 +427,13 @@ def _evaluate(net: TrfNetwork, d: Dataset, bufs) -> EvalReport:
     """The report of net over d from one eval forward.
 
     A softmax head gets an accuracy only.  A multitask head gets an AUC per
-    task, -1.0 for a task whose observed labels hold one class only, and the
-    mean over the scored tasks, None when there is none.  d's dense matrix is
-    a temporary the forward frees after layer 0's product.
+    task, -1.0 for a task whose observed labels hold one class only; the
+    report derives their mean.  d's dense matrix is a temporary the forward
+    frees after layer 0's product.
     """
     logits = nn.hidden_representation(net.layers, d.dense(), bufs) @ net.head.weights.T
     logits += net.head.bias
-    accuracy = aucs = auc_mean = None
+    accuracy = aucs = None
     if net.head_mode == SOFTMAX:
         accuracy = float((logits.argmax(axis=1) == d.labels).mean())
     else:
@@ -437,9 +442,7 @@ def _evaluate(net: TrfNetwork, d: Dataset, bufs) -> EvalReport:
             observed = d.labels[:, task] >= 0
             y = d.labels[observed, task]
             aucs.append(binary_auc(logits[observed, task], y) if (y == 1).any() and (y == 0).any() else -1.0)
-        scored = [a for a in aucs if a != -1.0]
-        auc_mean = float(np.mean(scored)) if scored else None
-    return EvalReport(net.parameter_count(), net.hidden_sparsity(), accuracy, aucs, auc_mean)
+    return EvalReport(net.parameter_count(), net.hidden_sparsity(), accuracy, aucs)
 
 
 def evaluate(net: TrfNetwork, test: Dataset) -> EvalReport:
@@ -469,7 +472,7 @@ def report_to_text(r: EvalReport, name: str = "model") -> str:
     if r.accuracy is not None:
         lines.append(f"accuracy {float(r.accuracy)!r}")
     if r.auc_mean is not None:
-        lines.append(f"auc_mean {float(r.auc_mean)!r}")
+        lines.append(f"auc_mean {r.auc_mean!r}")
     if r.auc_per_task is not None:
         lines.append("auc_per_task " + ",".join(repr(float(a)) for a in r.auc_per_task))
     lines.append(f"parameter_count {r.parameter_count}")
@@ -480,7 +483,8 @@ def report_to_text(r: EvalReport, name: str = "model") -> str:
 
 
 def report_from_text(text: str):
-    """The name and report in text, read in the order report_to_text writes them (see _Reader)."""
+    """The name and report in text, read in the order report_to_text writes them (see _Reader).
+    An auc_mean line is there exactly when the report derives an auc_mean, and holds it."""
     rd = _Reader(text.splitlines())
     if not rd.take(REPORT_MAGIC):
         raise ModelFormatError("not a report file")
@@ -493,7 +497,10 @@ def report_from_text(text: str):
     effective_sparsity = rd.optional("effective_sparsity", float)
     rd.end()
     with _naming("corrupted report"):  # EvalReport checks every range
-        return name, EvalReport(parameter_count, sparsity, accuracy, auc_per_task, auc_mean, effective_sparsity)
+        report = EvalReport(parameter_count, sparsity, accuracy, auc_per_task, effective_sparsity)
+        if auc_mean != report.auc_mean:
+            raise ValueError(f"auc_mean {auc_mean!r} is not {report.auc_mean!r}, the mean of the scored tasks")
+    return name, report
 
 
 def save_report(r: EvalReport, path, name: str = "model") -> None:

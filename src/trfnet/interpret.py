@@ -124,9 +124,15 @@ def top_correlated_features(net: TrfNetwork, d: Dataset, unit: int, k: int) -> l
     return _rank_units(net, d, k, [unit])[0]
 
 
+def _scaled(vec: np.ndarray) -> np.ndarray:
+    """vec over its largest magnitude, so its squares neither overflow nor underflow; a zero vector as it is."""
+    top = np.abs(vec).max()
+    return vec / top if top > 0 else vec
+
+
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    # a zero vector is like nothing, itself included; identical nonzero
-    # vectors score exactly 1 so degenerate test embeddings behave
+    # a and b come through _scaled; a zero vector is like nothing, itself included;
+    # identical nonzero vectors score exactly 1 so degenerate test embeddings behave
     denom = float(np.sqrt(a @ a) * np.sqrt(b @ b))
     if denom == 0.0:
         return 0.0
@@ -140,7 +146,7 @@ def unit_interpretability(names: list[str], emb: EmbeddingTable) -> float | None
 
     Pairs with a missing token are skipped; None means no scorable pair.
     """
-    present = [emb.vectors[n] for n in names if n in emb.vectors]
+    present = [_scaled(emb.vectors[n]) for n in names if n in emb.vectors]
     if len(present) < 2:
         return None
     sims = [

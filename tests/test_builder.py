@@ -611,8 +611,9 @@ def assert_same_bits(a: TrfNetwork, b: TrfNetwork) -> None:
 def report_text_with(line: str) -> str:
     """A report's text with line in place of its key's line, where report_to_text writes that key."""
     key = line.split(" ")[0]
-    placeholder = {"parameter_count": 1, "auc_per_task": (0.5,)}.get(key, 0.5)
-    r = replace(EvalReport(parameter_count=123, sparsity=0.25, accuracy=0.875), **{key: placeholder})
+    field = "auc_per_task" if key == "auc_mean" else key  # auc_mean is derived from the AUCs
+    placeholder = {"parameter_count": 1, "auc_per_task": (0.5,)}.get(field, 0.5)
+    r = replace(EvalReport(parameter_count=123, sparsity=0.25, accuracy=0.875), **{field: placeholder})
     return "".join((line if ln.startswith(key + " ") else ln) + "\n" for ln in report_to_text(r).splitlines())
 
 
@@ -1207,7 +1208,7 @@ class TestLoaderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_report_rejected_or_loaded(self, fuzz_dir, data):
-        r = EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(0.75, -1.0, 1.0), auc_mean=0.875)
+        r = EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(0.75, -1.0, 1.0))
         save_report(r, fuzz_dir / "r.report", name="multi")
         (fuzz_dir / "bad.report").write_bytes(data.draw(damaged((fuzz_dir / "r.report").read_bytes())))
         try:
@@ -1330,6 +1331,18 @@ class TestReportFiles:
             load_report(path)
         assert str(e.value).startswith(f"{path}: {message}")
 
+    @pytest.mark.parametrize(
+        "lines",
+        ["auc_mean 0.9\nauc_per_task 0.75,-1.0", "auc_per_task 0.75,-1.0", "auc_mean 0.9\nauc_per_task -1.0"],
+        ids=["other-mean", "no-mean-line", "mean-line-with-no-task-scored"],
+    )
+    def test_auc_mean_line_must_be_the_derived_mean(self, tmp_path, lines):
+        path = tmp_path / "r.report"
+        path.write_text(f"trfnet-report v1\nname a\n{lines}\nparameter_count 3\nsparsity 0.5\n")
+        with pytest.raises(ModelFormatError) as e:
+            load_report(path)
+        assert str(e.value).startswith(f"{path}: corrupted report: auc_mean ")
+
     def test_undecodable_bytes_rejected(self, tmp_path):
         data = self.report_text(tmp_path).encode().replace(b"0.875", b"0.8\xff75")
         (tmp_path / "r.report").write_bytes(data)
@@ -1337,7 +1350,7 @@ class TestReportFiles:
             load_report(tmp_path / "r.report")
 
     def test_unscored_task_marker_round_trips(self, tmp_path):
-        r = EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(0.75, -1.0, 1.0), auc_mean=0.875)
+        r = EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(0.75, -1.0, 1.0))
         save_report(r, tmp_path / "m.report", name="multi")
         name, back = load_report(tmp_path / "m.report")
         assert name == "multi"

@@ -206,7 +206,7 @@ class TestBuildAndDownstream:
     def test_compare_scores_a_multitask_report_by_its_auc_mean(self, tmp_path):
         """The score column is EvalReport.score: the AUC mean without an accuracy, "-" with neither."""
         multi, unscored = tmp_path / "multi.report", tmp_path / "unscored.report"
-        aucs = EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(0.75, -1.0), auc_mean=0.75)
+        aucs = EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(0.75, -1.0))
         save_report(aucs, multi, name="multi")
         save_report(EvalReport(parameter_count=40, sparsity=0.5, auc_per_task=(-1.0, -1.0)), unscored, name="none")
         out = tmp_path / "table.txt"

@@ -164,6 +164,12 @@ class TestInterpretabilityScore:
         assert unit_interpretability(["alpha", "beta", "gamma"], emb) == 0.0
         assert unit_interpretability(["alpha", "beta"], emb) == 0.0
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
+    def test_parallel_vectors_score_one_at_any_magnitude(self, scale):
+        # their squares would overflow to inf or underflow to 0 unscaled
+        emb = table({"alpha": [scale, 0.0], "beta": [2 * scale, 0.0]})
+        assert unit_interpretability(["alpha", "beta"], emb) == 1.0
+
     def test_hand_computed_three_token_case(self):
         vectors = {"alpha": [1.0, 0.0], "beta": [1.0, 1.0], "gamma": [0.0, 1.0]}
         emb = table(vectors)

@@ -124,7 +124,6 @@ def reports(draw):
         sparsity=draw(UNIT),
         accuracy=draw(optional(UNIT)),
         auc_per_task=None if aucs is None else tuple(aucs),
-        auc_mean=draw(optional(UNIT)),
         effective_sparsity=draw(optional(UNIT)),
     )
 
@@ -171,7 +170,7 @@ class TestRoundTrip:
         """The readers take a float only as its repr, so save and save_report write repr(float(x))."""
         report = EvalReport(
             parameter_count=3, sparsity=1, accuracy=np.float64(0.5), auc_per_task=(1, np.float64(0.25)),
-            auc_mean=np.float64(0.625), effective_sparsity=0,
+            effective_sparsity=0,
         )
         save_report(report, tmp_path / "a.report")
         assert load_report(tmp_path / "a.report")[1] == report
@@ -299,6 +298,8 @@ REPORT_DEFECTS = [
     ("auc_per_task", (0.5, 1.5)),
     ("auc_per_task", (-0.5,)),
 ]
+# auc_mean is derived from auc_per_task, so it is a defect only of a file
+ARGUMENT_DEFECTS = [d for d in REPORT_DEFECTS if d[0] != "auc_mean"]
 
 
 def report_line(key, value) -> str:
@@ -307,7 +308,7 @@ def report_line(key, value) -> str:
 
 
 class TestEvalReport:
-    @pytest.mark.parametrize("key, value", REPORT_DEFECTS, ids=[report_line(*d) for d in REPORT_DEFECTS])
+    @pytest.mark.parametrize("key, value", ARGUMENT_DEFECTS, ids=[report_line(*d) for d in ARGUMENT_DEFECTS])
     def test_range_at_construction(self, key, value):
         with pytest.raises(ValueError, match=key):
             EvalReport(**{"parameter_count": 10, "sparsity": 0.5, key: value})
@@ -322,6 +323,15 @@ class TestEvalReport:
         with pytest.raises(dataclasses.FrozenInstanceError):
             EvalReport(parameter_count=10, sparsity=0.5).effective_sparsity = 0.5
 
+    @pytest.mark.parametrize("aucs, mean", [((0.5, -1.0, 1.0), 0.75), ((-1.0,), None)], ids=["scored", "none-scored"])
+    def test_auc_mean_is_the_mean_of_the_scored_tasks(self, aucs, mean):
+        report = EvalReport(parameter_count=3, sparsity=0.5, auc_per_task=aucs)
+        assert report.auc_mean == report.score == mean
+
+    def test_auc_mean_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="auc_mean"):
+            EvalReport(parameter_count=3, sparsity=0.5, auc_per_task=(-1.0,), auc_mean=0.9)
+
     @pytest.mark.parametrize("empty", [(), [], np.array([])], ids=["tuple", "list", "array"])
     def test_empty_auc_per_task_is_rejected(self, empty):
         # such a report would save a file that its own reader rejects
@@ -329,7 +339,7 @@ class TestEvalReport:
             EvalReport(parameter_count=3, sparsity=0.5, auc_per_task=empty)
 
     def test_auc_per_task_list_is_held_as_a_tuple_and_loads_back_equal(self, tmp_path):
-        report = EvalReport(parameter_count=3, sparsity=0.5, auc_per_task=[0.5, -1.0], auc_mean=0.5)
+        report = EvalReport(parameter_count=3, sparsity=0.5, auc_per_task=[0.5, -1.0])
         assert report.auc_per_task == (0.5, -1.0)
         save_report(report, tmp_path / "r.report")
         assert load_report(tmp_path / "r.report")[1] == report
@@ -568,7 +578,7 @@ def edit_files(tmp_path_factory) -> dict[str, list[str]]:
     """Per file kind, the lines an edit applies to: a report with every key, the v1 fixture and a v2 body."""
     d = tmp_path_factory.mktemp("edits")
     every_key = EvalReport(
-        parameter_count=40, sparsity=0.5, accuracy=0.875, auc_per_task=(0.75, -1.0, 1.0), auc_mean=0.875,
+        parameter_count=40, sparsity=0.5, accuracy=0.875, auc_per_task=(0.75, -1.0, 1.0),
         effective_sparsity=0.25,
     )
     save_report(every_key, d / "r.report", name="every key")
